@@ -85,19 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="directory for metrics.json, CSV tables and timings",
         )
-        p.add_argument(
-            "--toy",
-            dest="toy",
-            action="store_true",
-            default=None,
-            help="desk-scale parameters (the default)",
-        )
-        p.add_argument(
-            "--full",
-            dest="toy",
-            action="store_false",
-            help="no toy overrides; x must satisfy the asymptotic floor",
-        )
         for flag, section, key, typ in _EXTRA.get(mode, ()):
             p.add_argument(flag, type=typ, default=None, metavar=key.upper())
     return parser
@@ -112,8 +99,6 @@ def main(argv: list[str] | None = None) -> int:
     cfg.mode = args.mode
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.toy is not None:
-        cfg.toy = args.toy
     if args.out is not None:
         cfg.out_dir = str(args.out)
     for flag, section, key, _typ in _EXTRA.get(args.mode, ()):

@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .seeds import derive_rng
-from .sieving import SmallClassVector, sifted_mask
-from .weights import WeightTable
+from .sieving import SmallClassVector, sifted_mask, strike_classes
+from .weights import WeightTable, draw_shift, gathered_sums
 
 __all__ = [
     "sample_small_classes",
@@ -83,18 +83,16 @@ def correlation_probability(
     return out
 
 
-def _kill_classes_inplace(
-    keep: np.ndarray,
-    n_start: int,
-    p: int,
-    offsets: Sequence[int],
-    small_classes: SmallClassVector,
-) -> None:
-    # keep[j] corresponds to shift n = n_start + j; n survives iff every
-    # translate n + h p avoids every chosen class a_s (mod s)
-    for s, a in small_classes.residues.items():
-        for h in offsets:
-            keep[(a - h * p - n_start) % s :: s] = False
+def _shift_classes(
+    p: int, offsets: Sequence[int], small_classes: SmallClassVector
+) -> list[tuple[int, int]]:
+    # shift n survives iff every translate n + h p avoids every chosen
+    # class a_s (mod s), i.e. iff n avoids a_s - h p (mod s) for all s, h
+    return [
+        (s, (a - h * p) % s)
+        for s, a in small_classes.residues.items()
+        for h in offsets
+    ]
 
 
 def survival_mask(
@@ -103,8 +101,8 @@ def survival_mask(
     """Boolean mask over the row of p: shifts whose whole tuple is sifted."""
     row = table.row(int(p))
     keep = np.ones(row.values.shape[0], dtype=bool)
-    _kill_classes_inplace(
-        keep, row.n_start, int(p), table.tuple.offsets, small_classes
+    strike_classes(
+        keep, row.n_start, _shift_classes(int(p), table.tuple.offsets, small_classes)
     )
     return keep
 
@@ -193,8 +191,8 @@ def run_construction(
     ps, W, sums = table.matrix()
     mask = np.ones(W.shape, dtype=bool)
     for i, p in enumerate(ps.tolist()):
-        _kill_classes_inplace(
-            mask[i], table.n_min, p, table.tuple.offsets, small_classes
+        strike_classes(
+            mask[i], table.n_min, _shift_classes(p, table.tuple.offsets, small_classes)
         )
 
     sigma_r = float(part.sigma ** table.tuple.r)
@@ -228,16 +226,13 @@ def run_construction(
             chosen[p] = 0
             continue
         vals = W[i] * mask[i]
-        total = vals.sum()
-        if total <= 0:
+        if vals.sum() <= 0:
             raise ValueError(
                 f"stable prime {p} has zero conditional mass; eta too loose"
             )
-        cum = np.cumsum(vals)
-        rng_p = derive_rng(seed, "offset", str(p))
-        u = rng_p.random() * float(cum[-1])
-        j = int(np.searchsorted(cum, u, side="right"))
-        chosen[p] = table.n_min + j
+        chosen[p] = draw_shift(
+            vals, table.n_min, derive_rng(seed, "offset", str(p))
+        )
 
     return ConstructionRun(
         table=table,
@@ -270,10 +265,7 @@ def sample_conditional_offset(
     table = run.table
     ps, W, sums = table.matrix()
     i = int(np.nonzero(ps == p)[0][0])
-    vals = W[i] * run.mask_matrix[i]
-    cum = np.cumsum(vals)
-    u = rng.random() * float(cum[-1])
-    return table.n_min + int(np.searchsorted(cum, u, side="right"))
+    return draw_shift(W[i] * run.mask_matrix[i], table.n_min, rng)
 
 
 @dataclass(frozen=True)
@@ -361,17 +353,10 @@ def target_coverage_report(
         )
     p_vec = ps[good_idx].astype(np.int64)
 
-    def gathered(h: int) -> np.ndarray:
-        idx = q_arr[:, None] - h * p_vec[None, :] - table.n_min
-        ok = (idx >= 0) & (idx < Z.shape[1])
-        safe = np.where(ok, idx, 0)
-        vals = Z[np.arange(p_vec.size)[None, :], safe]
-        return np.where(ok, vals, 0.0).sum(axis=1)
-
     inv_sigma_r = 1.0 / run.sigma_r
     main = np.zeros(q_arr.size)
     for h in table.tuple.offsets:
-        main += gathered(h)
+        main += gathered_sums(Z, p_vec, q_arr, h, table.n_min)
     main *= inv_sigma_r
 
     h_window = math.floor(part.y / part.x)
@@ -382,7 +367,7 @@ def target_coverage_report(
     ]
     error = np.zeros(q_arr.size)
     for h in err_offsets:
-        error += gathered(h)
+        error += gathered_sums(Z, p_vec, q_arr, h, table.n_min)
     error *= inv_sigma_r
 
     main_mean = float(main.mean())

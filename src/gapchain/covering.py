@@ -118,17 +118,11 @@ def synth_instance(
     n_covers: int,
     m: int,
     profile: str = "poisson",
-    rng: np.random.Generator | None = None,
     *,
     r_cap: int | None = None,
     paper_mode: bool = False,
 ) -> CoveringInstance:
-    """Instance scaled for an m-round nibble: total coverage m * log 5.
-
-    The rng parameter is accepted for interface symmetry with the other
-    samplers but is unused: both built-in profiles are fully parametric,
-    and randomness enters only when edges are drawn during covering.
-    """
+    """Instance scaled for an m-round nibble: total coverage m * log 5."""
     if n_covers < m:
         raise ValueError(f"n_covers = {n_covers} cannot fill {m} blocks")
     if m < 1:

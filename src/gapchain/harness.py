@@ -103,7 +103,7 @@ def _jsonable(obj: Any) -> Any:
 class ExperimentConfig:
     """One experiment: a mode plus INI-style per-module option sections.
 
-    The [run] section of the INI carries mode/seed/toy; every other
+    The [run] section of the INI carries mode/seed/out; every other
     section is kept verbatim in `sections` and read through the typed
     getters, so unknown keys are preserved (and echoed) rather than
     rejected.
@@ -111,7 +111,6 @@ class ExperimentConfig:
 
     mode: str = ""
     seed: int = 0
-    toy: bool = True
     out_dir: str | None = None
     sections: dict[str, dict[str, str]] = field(default_factory=dict)
 
@@ -123,13 +122,9 @@ class ExperimentConfig:
             name: dict(parser.items(name)) for name in parser.sections()
         }
         run = sections.pop("run", {})
-        toy_raw = run.get("toy", "true").strip().lower()
-        if toy_raw not in ("true", "false", "1", "0", "yes", "no"):
-            raise ValueError(f"unrecognized [run] toy value {toy_raw!r}")
         return cls(
             mode=run.get("mode", ""),
             seed=int(run.get("seed", "0")),
-            toy=toy_raw in ("true", "1", "yes"),
             out_dir=run.get("out", None),
             sections=sections,
         )
@@ -140,11 +135,7 @@ class ExperimentConfig:
 
     def to_ini(self) -> str:
         parser = configparser.ConfigParser(interpolation=None)
-        run: dict[str, str] = {
-            "mode": self.mode,
-            "seed": str(self.seed),
-            "toy": "true" if self.toy else "false",
-        }
+        run: dict[str, str] = {"mode": self.mode, "seed": str(self.seed)}
         if self.out_dir is not None:
             run["out"] = self.out_dir
         parser["run"] = run
@@ -372,17 +363,19 @@ def concentration_check(
 # mode runners
 
 
-def _build_toy_partition(cfg: ExperimentConfig) -> PrimePartition:
-    # toy defaults: the window must fit every tuple translate (y/x above
-    # the largest offset) and the small primes must sit above the tuple
-    # difference scale 2 r^2, or the survival masses cannot track sigma^r
+def _build_partition(cfg: ExperimentConfig) -> PrimePartition:
+    # desk-scale defaults: the window must fit every tuple translate (y/x
+    # above the largest offset) and the small primes must sit above the
+    # tuple difference scale 2 r^2, or the survival masses cannot track
+    # sigma^r.  Formula mode (no overrides) lives only in derive_parameters:
+    # below x ~ 1e15 its formulas give y <= x.
     sec = "partition"
     x = cfg.getfloat(sec, "x", 1400.0)
-    kwargs: dict[str, Any] = {}
-    if cfg.toy:
-        kwargs["y"] = cfg.getfloat(sec, "y", 15.0 * x)
-        kwargs["z"] = cfg.getfloat(sec, "z", 80.0)
-        kwargs["small_low"] = cfg.getfloat(sec, "small_low", 32.0)
+    kwargs: dict[str, Any] = {
+        "y": cfg.getfloat(sec, "y", 15.0 * x),
+        "z": cfg.getfloat(sec, "z", 80.0),
+        "small_low": cfg.getfloat(sec, "small_low", 32.0),
+    }
     for key, conv in (("r", int), ("epsilon", float), ("small_high", float)):
         raw = cfg.get(sec, key)
         if raw is not None:
@@ -452,7 +445,7 @@ def _run_primes(cfg: ExperimentConfig):
 
 def _run_sieve(cfg: ExperimentConfig):
     timings: dict[str, float] = {}
-    part = _build_toy_partition(cfg)
+    part = _build_partition(cfg)
     x, y = math.floor(part.x), math.floor(part.y)
     medium_high = cfg.getfloat(
         "sieve", "medium_high", min(part.x / 2, 25.0 * part.small_high)
@@ -507,7 +500,7 @@ def _run_sieve(cfg: ExperimentConfig):
 
 def _run_weights(cfg: ExperimentConfig):
     timings: dict[str, float] = {}
-    part = _build_toy_partition(cfg)
+    part = _build_partition(cfg)
     with _timed(timings, "table"):
         table = _build_table(cfg, part)
     q_sample = cfg.getint("weights", "q_sample", 0)
@@ -545,7 +538,7 @@ def _run_weights(cfg: ExperimentConfig):
 
 def _run_construct(cfg: ExperimentConfig):
     timings: dict[str, float] = {}
-    part = _build_toy_partition(cfg)
+    part = _build_partition(cfg)
     with _timed(timings, "table"):
         table = _build_table(cfg, part)
     with _timed(timings, "construction"):
@@ -810,7 +803,6 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     config_echo = {
         "mode": cfg.mode,
         "seed": cfg.seed,
-        "toy": cfg.toy,
         "sections": {
             name: dict(sorted(body.items()))
             for name, body in sorted(cfg.sections.items())

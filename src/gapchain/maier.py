@@ -51,6 +51,8 @@ __all__ = [
 
 CERTIFICATE_VERSION = "1"
 DEFAULT_Z_BIT_BUDGET = 20_000
+SPOT_CHECKS = 64  # window values re-checked against the frame both ways
+PAIR_SAMPLE = 8  # survivor pairs drawn for the pair statistics
 
 
 @dataclass(frozen=True)
@@ -106,15 +108,13 @@ def assemble_frame(
     system: ResidueSystem,
     window: FrameWindow | PrimePartition,
     D: int = 1,
-    *,
-    spot_checks: int = 64,
 ) -> MaierFrame:
     """Solve the simultaneous congruences and spot-check the translation.
 
     The system must assign a class to every prime up to x except the
     excluded modulus.  The returned frame satisfies, for every t in
     (x, y]: t fails the sieve  iff  gcd(offset + t, modulus) > 1; the
-    first spot_checks values of t are verified both ways.
+    first SPOT_CHECKS values of t are verified both ways.
     """
     if D < 1:
         raise ValueError("D must be at least 1")
@@ -149,7 +149,7 @@ def assemble_frame(
     )
     checked = 0
     for t in range(x + 1, y + 1):
-        if checked >= spot_checks:
+        if checked >= SPOT_CHECKS:
             break
         sieved_out = any(t % p == a for p, a in items)
         shares_factor = math.gcd(offset + t, modulus) > 1
@@ -177,6 +177,13 @@ def _check_window(frame: MaierFrame, T: SievedSet) -> None:
             f"sieved set covers ({T.lo}, {T.hi}] but the frame translates "
             f"({frame.x}, {frame.y}]"
         )
+
+
+def _row_primes(
+    frame: MaierFrame, offsets: list[int], z: int, mr_rounds: int
+) -> list[int]:
+    """The offsets a, in the given order, whose row-z translate is prime."""
+    return [a for a in offsets if is_prime(frame.row_value(z, a), mr_rounds)]
 
 
 @dataclass(frozen=True)
@@ -209,13 +216,12 @@ def sample_rows(
     rng: random.Random,
     *,
     mr_rounds: int = 48,
-    pair_sample: int = 8,
     z_bit_budget: int = DEFAULT_Z_BIT_BUDGET,
 ) -> RowStatistics:
     """Count primes among survivor translates for `trials` random rows.
 
     Uses the stdlib Random generator because row indices are arbitrary
-    precision.  Pair statistics cover pair_sample random survivor pairs,
+    precision.  Pair statistics cover PAIR_SAMPLE random survivor pairs,
     chosen up front from the same generator.
     """
     if trials < 1:
@@ -227,7 +233,7 @@ def sample_rows(
     pairs: list[tuple[int, int]] = []
     if len(offsets) >= 2:
         seen = set()
-        for _ in range(pair_sample):
+        for _ in range(PAIR_SAMPLE):
             a, b = rng.sample(offsets, 2)
             pair = (min(a, b), max(a, b))
             if pair not in seen:
@@ -241,9 +247,7 @@ def sample_rows(
     best: tuple[int, int, list[int]] = (-1, 0, [])
     for _ in range(trials):
         z = rng.randrange(1, Z + 1)
-        row_primes = [
-            a for a in offsets if is_prime(frame.row_value(z, a), mr_rounds)
-        ]
+        row_primes = _row_primes(frame, offsets, z, mr_rounds)
         for a in row_primes:
             hit_counts[a] += 1
         hit_set = set(row_primes)
@@ -369,9 +373,7 @@ def find_gap_chain(
     best: tuple[int, int, int | None] = (0, 0, None)  # count, z, min_gap
     for trial in range(1, trials + 1):
         z = rng.randrange(1, Z + 1)
-        row_primes = [
-            a for a in offsets if is_prime(frame.row_value(z, a), mr_rounds)
-        ]
+        row_primes = _row_primes(frame, offsets, z, mr_rounds)
         gaps = [b - a for a, b in zip(row_primes, row_primes[1:])]
         min_gap = min(gaps) if gaps else None
         if len(row_primes) > best[0]:

@@ -72,32 +72,19 @@ def sieve_primes(limit: int) -> np.ndarray:
 def iter_prime_segments(
     limit: int, segment_size: int = 1 << 20
 ) -> Iterator[np.ndarray]:
-    """Yield consecutive arrays of primes <= limit, in increasing order.
+    """Yield consecutive nonempty arrays of primes <= limit, in order.
 
-    The first chunk is the base sieve up to sqrt(limit); later chunks are
-    produced segment by segment so memory stays O(sqrt(limit) + segment).
+    Each chunk is primes_in_range over the next segment_size integers, so
+    memory stays O(sqrt(limit) + segment).
     """
     limit = int(limit)
-    if limit < 2:
-        return
-    root = math.isqrt(limit)
-    base = sieve_primes(root)
-    if base.size:
-        yield base
-    base_list = base.tolist()
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + segment_size - 1, limit)
-        mask = np.ones(hi - lo + 1, dtype=bool)
-        if lo <= 1:
-            mask[: max(0, 2 - lo)] = False
-        for p in base_list:
-            start = ((lo + p - 1) // p) * p
-            mask[start - lo :: p] = False
-        seg = np.nonzero(mask)[0]
+    lo = 0
+    while lo < limit:
+        hi = min(lo + segment_size, limit)
+        seg = primes_in_range(lo, hi)
         if seg.size:
-            yield (seg + lo).astype(np.int64)
-        lo = hi + 1
+            yield seg
+        lo = hi
 
 
 def primes_in_range(lo: int, hi: int) -> np.ndarray:

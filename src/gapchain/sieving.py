@@ -30,6 +30,7 @@ __all__ = [
     "ResidueSystem",
     "SievedSet",
     "SmallClassVector",
+    "strike_classes",
     "sift_interval",
     "sifted_membership",
     "sifted_mask",
@@ -138,15 +139,21 @@ class SievedSet:
         ]
 
 
+def strike_classes(
+    alive: np.ndarray, start: int, classes: Iterable[tuple[int, int]]
+) -> None:
+    """Clear alive[j] wherever start + j = a (mod p), for each (p, a)."""
+    for p, a in classes:
+        alive[(a - start) % p :: p] = False
+
+
 def sift_interval(lo: int, hi: int, system: ResidueSystem) -> SievedSet:
     """Survivors of (lo, hi] after removing n = a_p (mod p) for every entry."""
     lo, hi = int(lo), int(hi)
     if lo >= hi:
         raise ValueError(f"empty interval ({lo}, {hi}]")
-    start = lo + 1
     alive = np.ones(hi - lo, dtype=bool)
-    for p, a in system.entries.items():
-        alive[(a - start) % p :: p] = False
+    strike_classes(alive, lo + 1, system.entries.items())
     return SievedSet(lo=lo, hi=hi, bitmap=alive)
 
 
@@ -326,17 +333,16 @@ def greedy_rankin(
     entries: dict[int, int] = {}
     chosen = set(medium) | set(weighted)
     for p in primes_in_range(1, lo).tolist():
-        if p == partition.excluded_prime or p in chosen:
-            continue
-        entries[p] = 0
-        alive[(-start) % p :: p] = False
+        if p != partition.excluded_prime and p not in chosen:
+            entries[p] = 0
+    strike_classes(alive, start, entries.items())
     for p in medium + weighted:
         counts = np.bincount(
             (np.nonzero(alive)[0] + start) % p, minlength=p
         )
         a = int(np.argmax(counts))
         entries[p] = a
-        alive[(a - start) % p :: p] = False
+        strike_classes(alive, start, [(p, a)])
     return ResidueSystem(
         entries=entries, excluded=partition.excluded_prime, validate=False
     )

@@ -43,7 +43,9 @@ __all__ = [
     "WeightRow",
     "WeightTable",
     "build_weights",
+    "draw_shift",
     "sample_weighted_offset",
+    "gathered_sums",
     "WeightContractReport",
     "weight_contract_report",
 ]
@@ -138,7 +140,6 @@ class WeightTable:
         self.n_min = -ny
         self.n_max = ny
         self._rows: dict[int, WeightRow] = {}
-        self._cums: dict[int, np.ndarray] = {}
         self._matrix: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._spf: np.ndarray | None = None
         self._weighted_set = frozenset(
@@ -351,6 +352,24 @@ def build_weights(
     return WeightTable(partition, tuple_, kind, theta)
 
 
+def draw_shift(
+    values: np.ndarray,
+    n_start: int,
+    rng: np.random.Generator,
+    size: int | None = None,
+):
+    """Draw shift(s) n_start + j with probability values[j] / sum(values).
+
+    values must be nonnegative with a positive total.  Returns a single
+    int when size is None, else an int64 array.
+    """
+    cum = np.cumsum(values)
+    idx = np.searchsorted(cum, rng.random(size) * float(cum[-1]), side="right")
+    if size is None:
+        return n_start + int(idx)
+    return (n_start + idx).astype(np.int64)
+
+
 def sample_weighted_offset(
     table: WeightTable,
     p: int,
@@ -365,16 +384,7 @@ def sample_weighted_offset(
     row = table.row(p)
     if row.row_sum <= 0:
         raise ValueError(f"zero weight row for p = {p}; nothing to sample")
-    cum = table._cums.get(p)
-    if cum is None:
-        cum = np.cumsum(row.values)
-        table._cums[p] = cum
-    total = float(cum[-1])
-    n_draws = 1 if size is None else int(size)
-    u = rng.random(n_draws) * total
-    idx = np.searchsorted(cum, u, side="right")
-    vals = (row.n_start + idx).astype(np.int64)
-    return int(vals[0]) if size is None else vals
+    return draw_shift(row.values, row.n_start, rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -435,24 +445,24 @@ class WeightContractReport:
         }
 
 
-def _gathered_sums(
-    W: np.ndarray,
-    sums: np.ndarray,
-    keep: np.ndarray,
+def gathered_sums(
+    M: np.ndarray,
     p_arr: np.ndarray,
     q_arr: np.ndarray,
     h: int,
     n_min: int,
 ) -> np.ndarray:
-    """For each q: sum over p of w(p, q - h p)/rowsum(p)."""
+    """For each q: sum over rows i of M[i, q - h p_i - n_min].
+
+    M is a row-normalized matrix on the shift grid starting at n_min, so
+    each term is the law of row i at the shift q - h p_i; shifts off the
+    grid contribute 0.
+    """
     idx = q_arr[:, None] - h * p_arr[None, :] - n_min
-    ok = (idx >= 0) & (idx < W.shape[1]) & keep[None, :]
+    ok = (idx >= 0) & (idx < M.shape[1])
     safe = np.where(ok, idx, 0)
-    vals = W[np.arange(p_arr.size)[None, :], safe]
-    vals = np.where(ok, vals, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normed = np.where(keep[None, :], vals / sums[None, :], 0.0)
-    return normed.sum(axis=1)
+    vals = M[np.arange(p_arr.size)[None, :], safe]
+    return np.where(ok, vals, 0.0).sum(axis=1)
 
 
 def weight_contract_report(
@@ -509,12 +519,11 @@ def weight_contract_report(
         if bad:
             raise ValueError(f"off-tuple shifts {bad} are tuple offsets")
 
+    with np.errstate(divide="ignore", invalid="ignore"):
+        M = np.where(keep[:, None], W / sums[:, None], 0.0)
+    p_arr = ps.astype(np.int64)
     on = np.stack(
-        [
-            _gathered_sums(W, sums, keep, ps.astype(np.int64), q_arr, h, table.n_min)
-            for h in offs
-        ],
-        axis=1,
+        [gathered_sums(M, p_arr, q_arr, h, table.n_min) for h in offs], axis=1
     )
     on_mean = float(on.mean())
     on_std = float(on.std())
@@ -525,9 +534,7 @@ def weight_contract_report(
     off_means: dict[int, float] = {}
     off_all: list[np.ndarray] = []
     for h in off_list:
-        t = _gathered_sums(
-            W, sums, keep, ps.astype(np.int64), q_arr, h, table.n_min
-        )
+        t = gathered_sums(M, p_arr, q_arr, h, table.n_min)
         off_means[h] = float(t.mean())
         off_all.append(t)
     off_mean = float(np.concatenate(off_all).mean()) if off_all else 0.0
@@ -536,8 +543,6 @@ def weight_contract_report(
     pair_ratio = off_mean / on_mean if on_mean > 0 else math.inf
     agg_ratio = off_mean / (r * on_mean) if on_mean > 0 else math.inf
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        point = np.where(keep, W.max(axis=1) / np.where(keep, sums, 1.0), 0.0)
     return WeightContractReport(
         kind=table.kind,
         r=r,
@@ -558,5 +563,5 @@ def weight_contract_report(
         off_max_mean=off_max_mean,
         off_on_pair_ratio=pair_ratio,
         off_on_aggregate_ratio=agg_ratio,
-        max_point_mass=float(point.max()),
+        max_point_mass=float(M.max()),
     )

@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL verdict line (visible under -v -s or
 in captured output) and then asserts, so the suite doubles as a report.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -224,7 +225,27 @@ def test_acceptance_concentration_bound():
     )
 
 
-def test_acceptance_reproducible_metrics():
+# sha256 of json.dumps(payload, sort_keys=True, indent=1) for each pinned
+# result.  A refactor that shifts one float or one random draw changes a
+# digest.  Captured with numpy 2.4; a numpy build that rounds a reduction
+# differently would change them too.
+GOLDEN_DIGESTS = {
+    "gk": "497381957cc9ca7bf29b85434529e0929d161c0bc72e611491a64b6bd2be22b1",
+    "maier": "be5bd78f7befd99868ff6bddd8fb3a0134a8b0ce85e482ffe385e4663809e962",
+    "sieve": "267e53d860c2e36874927425e0475f596d3d37f26452ab61db93dc803ccbd288",
+    "cover": "f506f60e161ca93f6577942d896ce6ea140d98fec6d7781d95414bca1ad841ae",
+    "primes": "e3207b5f49c4d74dd1037cab53b56447eb11250adab874bc7ecf54818a7f5a68",
+    "contracts": "ec9a75a6f2671bff64aa3efcb09312e85abd19aba038d040600a6c4b220c95e0",
+    "construction": "55d58261e8d5943f19c48cd6b27662728dc8ccc2373c681f680bde5426d40783",
+}
+
+
+def _digest(payload):
+    text = json.dumps(payload, sort_keys=True, indent=1)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_acceptance_reproducible_metrics(toy_partition, pinned_table, pinned_run):
     def run_gk():
         cfg = ExperimentConfig(mode="gk")
         cfg.set("gk", "limit", 10_000)
@@ -240,9 +261,30 @@ def test_acceptance_reproducible_metrics():
     maier_ok = maier_a.metrics_json() == maier_b.metrics_json()
     cover_ok = cover_a.metrics_json() == cover_b.metrics_json()
     anchor_ok = gk_a.metrics["record"] == 36
+
+    reports = {
+        "gk": gk_a,
+        "maier": maier_a,
+        "sieve": run_experiment(ExperimentConfig(mode="sieve")),
+        "cover": cover_a,
+        "primes": run_experiment(ExperimentConfig(mode="primes")),
+    }
+    got = {
+        name: _digest({"metrics": rep.metrics, "checks": rep.checks})
+        for name, rep in reports.items()
+    }
+    got["contracts"] = _digest(g.weight_contract_report(pinned_table).summary())
+    coverage = g.target_coverage_report(
+        pinned_run, toy_partition.coverage_target, max_q=512
+    )
+    got["construction"] = _digest(
+        {"construction": pinned_run.summary(), "coverage": coverage.summary()}
+    )
+    drifted = sorted(name for name, want in GOLDEN_DIGESTS.items() if got[name] != want)
     _verdict(
         "reproducible_metrics",
-        gk_ok and maier_ok and cover_ok and anchor_ok,
+        gk_ok and maier_ok and cover_ok and anchor_ok and not drifted,
         "gk, maier and cover reports byte-identical across reruns; "
-        f"gk record {gk_a.metrics['record']}",
+        f"gk record {gk_a.metrics['record']}; "
+        + (f"digests drifted: {drifted}" if drifted else "7/7 golden digests match"),
     )

@@ -58,16 +58,9 @@ class TestExperimentConfig:
 
     def test_run_section_parsing(self):
         cfg = ExperimentConfig.from_ini(
-            "[run]\nmode = primes\nseed = 4\ntoy = no\nout = somewhere\n"
+            "[run]\nmode = primes\nseed = 4\nout = somewhere\n"
         )
-        assert (cfg.mode, cfg.seed, cfg.toy, cfg.out_dir) == (
-            "primes",
-            4,
-            False,
-            "somewhere",
-        )
-        with pytest.raises(ValueError):
-            ExperimentConfig.from_ini("[run]\ntoy = maybe\n")
+        assert (cfg.mode, cfg.seed, cfg.out_dir) == ("primes", 4, "somewhere")
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "exp.ini"
