@@ -91,9 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.config is not None:
-        cfg = ExperimentConfig.from_file(args.config)
+        try:
+            cfg = ExperimentConfig.from_file(args.config)
+        except ValueError as exc:
+            parser.error(f"{args.config}: {exc}")
     else:
         cfg = ExperimentConfig()
     cfg.mode = args.mode

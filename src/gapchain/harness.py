@@ -99,14 +99,17 @@ def _jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot serialize {type(obj).__name__} into metrics")
 
 
+_RUN_KEYS = frozenset({"mode", "seed", "out"})
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: a mode plus INI-style per-module option sections.
 
-    The [run] section of the INI carries mode/seed/out; every other
-    section is kept verbatim in `sections` and read through the typed
-    getters, so unknown keys are preserved (and echoed) rather than
-    rejected.
+    The [run] section of the INI carries mode/seed/out and rejects any
+    other key; every other section is kept verbatim in `sections` and read
+    through the typed getters, so unknown keys there are preserved (and
+    echoed) rather than rejected.
     """
 
     mode: str = ""
@@ -122,6 +125,13 @@ class ExperimentConfig:
             name: dict(parser.items(name)) for name in parser.sections()
         }
         run = sections.pop("run", {})
+        # configparser copies [DEFAULT] keys into every section
+        unknown = sorted(set(run) - _RUN_KEYS - set(parser.defaults()))
+        if unknown:
+            raise ValueError(
+                f"unknown [run] key(s) {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(_RUN_KEYS))}"
+            )
         return cls(
             mode=run.get("mode", ""),
             seed=int(run.get("seed", "0")),

@@ -75,9 +75,11 @@ def iter_prime_segments(
     """Yield consecutive nonempty arrays of primes <= limit, in order.
 
     Each chunk is primes_in_range over the next segment_size integers, so
-    memory stays O(sqrt(limit) + segment).
+    memory stays O(sqrt(limit) + segment).  segment_size must be positive.
     """
-    limit = int(limit)
+    limit, segment_size = int(limit), int(segment_size)
+    if segment_size <= 0:
+        raise ValueError(f"segment_size = {segment_size} must be positive")
     lo = 0
     while lo < limit:
         hi = min(lo + segment_size, limit)

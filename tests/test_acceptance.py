@@ -226,7 +226,10 @@ def test_acceptance_concentration_bound():
 
 
 # sha256 of json.dumps(payload, sort_keys=True, indent=1) for each pinned
-# result.  A refactor that shifts one float or one random draw changes a
+# result, and of the raw float64 bytes for "rows" (the pinned table's
+# weight matrix followed by its row sums) and "on_sums" (the contract
+# report's per-q on-tuple gathered sums, which the summary digest averages
+# away).  A refactor that shifts one float or one random draw changes a
 # digest.  Captured with numpy 2.4; a numpy build that rounds a reduction
 # differently would change them too.
 GOLDEN_DIGESTS = {
@@ -237,6 +240,8 @@ GOLDEN_DIGESTS = {
     "primes": "e3207b5f49c4d74dd1037cab53b56447eb11250adab874bc7ecf54818a7f5a68",
     "contracts": "ec9a75a6f2671bff64aa3efcb09312e85abd19aba038d040600a6c4b220c95e0",
     "construction": "55d58261e8d5943f19c48cd6b27662728dc8ccc2373c681f680bde5426d40783",
+    "rows": "1ab238b16860be2d07656df65368a2da18f5c0abe1e50b7cb0575487a7ce444f",
+    "on_sums": "705a13891f90351632dd10479d5f991896a3f3a176bab8e283d905dcc453c0bc",
 }
 
 
@@ -273,7 +278,11 @@ def test_acceptance_reproducible_metrics(toy_partition, pinned_table, pinned_run
         name: _digest({"metrics": rep.metrics, "checks": rep.checks})
         for name, rep in reports.items()
     }
-    got["contracts"] = _digest(g.weight_contract_report(pinned_table).summary())
+    contracts = g.weight_contract_report(pinned_table)
+    got["contracts"] = _digest(contracts.summary())
+    _, W, sums = pinned_table.matrix()
+    got["rows"] = hashlib.sha256(W.tobytes() + sums.tobytes()).hexdigest()
+    got["on_sums"] = hashlib.sha256(contracts.on_sums.tobytes()).hexdigest()
     coverage = g.target_coverage_report(
         pinned_run, toy_partition.coverage_target, max_q=512
     )
@@ -286,5 +295,9 @@ def test_acceptance_reproducible_metrics(toy_partition, pinned_table, pinned_run
         gk_ok and maier_ok and cover_ok and anchor_ok and not drifted,
         "gk, maier and cover reports byte-identical across reruns; "
         f"gk record {gk_a.metrics['record']}; "
-        + (f"digests drifted: {drifted}" if drifted else "7/7 golden digests match"),
+        + (
+            f"digests drifted: {drifted}"
+            if drifted
+            else f"{len(got)}/{len(GOLDEN_DIGESTS)} golden digests match"
+        ),
     )

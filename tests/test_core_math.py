@@ -61,6 +61,11 @@ class TestPrimeSieves:
         assert flat.tolist() == full
         assert (np.diff(flat) > 0).all()
 
+    def test_segment_size_must_be_positive(self):
+        for size in (0, -1):
+            with pytest.raises(ValueError):
+                next(iter_prime_segments(10, segment_size=size))
+
     def test_prime_count_anchors(self):
         assert g.prime_count(100) == 25
         assert g.prime_count(10_000) == 1229

@@ -62,6 +62,18 @@ class TestExperimentConfig:
         )
         assert (cfg.mode, cfg.seed, cfg.out_dir) == ("primes", 4, "somewhere")
 
+    def test_unknown_run_key_is_rejected(self):
+        # a misspelt seed must not fall back to seed 0 without a word
+        with pytest.raises(ValueError, match="sed"):
+            ExperimentConfig.from_ini("[run]\nmode = gk\nsed = 5\n")
+        with pytest.raises(ValueError, match="toy"):
+            ExperimentConfig.from_ini("[run]\nmode = gk\ntoy = false\n")
+        # other sections keep unknown keys, and [DEFAULT] keys reach them
+        cfg = ExperimentConfig.from_ini(
+            "[DEFAULT]\nlimit = 9\n\n[run]\nmode = gk\n\n[gk]\nextra = 1\n"
+        )
+        assert cfg.get("gk", "extra") == "1" and cfg.getint("gk", "limit", 0) == 9
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[run]\nmode = gk\nseed = 2\n\n[gk]\nlimit = 500\n")
@@ -346,6 +358,14 @@ class TestCli:
         assert metrics["config"]["seed"] == 3
         assert metrics["config"]["sections"]["gk"]["limit"] == "1000"
         assert metrics["metrics"]["limit"] == 1_000
+
+    def test_config_with_unknown_run_key_exits(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[run]\nsed = 3\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gk", "--config", str(ini)])
+        assert exit_info.value.code == 2
+        assert "unknown [run] key(s) sed" in capsys.readouterr().err
 
     def test_unknown_mode_exits(self):
         with pytest.raises(SystemExit):

@@ -21,6 +21,7 @@ from gapchain import (
     sample_weighted_offset,
     weight_contract_report,
 )
+from gapchain import weights as weights_mod
 from gapchain.seeds import derive_rng
 
 
@@ -51,6 +52,19 @@ def brute_subset_weight(table, p, n):
             shape = (1.0 - math.log(m) / math.log(level)) ** table.tuple.r
             lam += (-1.0) ** k * shape * mult
     return lam * lam
+
+
+def grid_classes(table, p, primes):
+    """Grid-index classes j mod prod(primes) on which every prime divides
+    a translate n_min + j + h p, by CRT over the per-prime classes."""
+    m = math.prod(primes)
+    per = [
+        {(-h * p - table.n_min) % s for h in table.tuple.offsets} for s in primes
+    ]
+    return {
+        sum(a * (m // s) * pow(m // s, -1, s) for s, a in zip(primes, combo)) % m
+        for combo in itertools.product(*per)
+    }
 
 
 class TestAdmissibility:
@@ -161,6 +175,94 @@ class TestDivisorSumRows:
                 assert pinned_table.weight_at(int(p), n) == pytest.approx(
                     row.values[j], rel=1e-9, abs=1e-12
                 )
+
+    def test_rows_above_grid_width_match_oracle(self):
+        # level 400**1.6 ~ 14565 against a 2001-wide grid: some divisor
+        # products have every class past the grid's end, and the builder
+        # must leave them (and their multiples) out without changing a
+        # value.  (With y = 6000 every h p < y, so no class leaves the grid.)
+        part = g.build_partition(
+            g.derive_parameters(400, y=1000, z=80, small_low=32)
+        )
+        t4 = first_primes_tuple(4)
+        table = build_weights(part, t4, kind="maynard", theta=1.6)
+        width = table.n_max - table.n_min + 1
+        assert table.level > width
+        support = set(table.support_primes)
+        ps = part.weighted_primes[:3].tolist()
+        rng = derive_rng(0, "weights-above-width")
+        for p in ps:
+            on = [
+                s
+                for s in table.support_primes
+                if min(grid_classes(table, p, [s])) < width
+            ]
+            assert len(on) < len(support)  # whole primes fall off the grid
+            assert any(  # and so do products of primes that are on it
+                min(grid_classes(table, p, [s, u])) >= width
+                for s, u in itertools.combinations(on, 2)
+                if s * u < table.level
+            )
+            row = table.row(p)
+            oracle_checked = 0
+            for j in rng.integers(width, size=40).tolist():
+                n = row.n_start + j
+                assert row.values[j] == pytest.approx(
+                    table.weight_at(p, n), rel=1e-9, abs=1e-12
+                )
+                translates = [n + h * p for h in table.tuple.offsets]
+                if 0 in translates:
+                    continue
+                union = support & {
+                    s for v in translates for s in g.factorize(abs(v))
+                }
+                if len(union) <= 12:
+                    want = brute_subset_weight(table, p, n)
+                    assert row.values[j] == pytest.approx(want, rel=1e-9, abs=1e-12)
+                    oracle_checked += 1
+            assert oracle_checked >= 10
+        # rows built one at a time equal rows built as one batch, bit for bit
+        fresh = build_weights(part, t4, kind="maynard", theta=1.6)
+        _, W, sums = fresh.matrix()
+        for i, p in enumerate(ps):
+            assert np.array_equal(W[i], table.row(p).values)
+            assert sums[i] == table.row(p).row_sum
+
+    def test_batch_size_leaves_rows_unchanged(self, small_partition, monkeypatch):
+        t4 = first_primes_tuple(4)
+        ref = build_weights(small_partition, t4, kind="maynard", theta=0.5)
+        ps = small_partition.weighted_primes.tolist()
+        early = ref.row(ps[1])  # built alone, before the matrix
+        _, W, sums = ref.matrix()
+        assert np.array_equal(W[1], early.values)
+        assert not np.shares_memory(early.values, W)  # copied in
+        assert np.shares_memory(ref.row(ps[0]).values, W)  # built in place
+        padded = ref._maynard_batches(len(ps))[1]
+        for rows_per_batch in (1, 5):
+            monkeypatch.setattr(
+                weights_mod, "_BATCH_BYTES", 8 * padded * rows_per_batch
+            )
+            table = build_weights(small_partition, t4, kind="maynard", theta=0.5)
+            assert table._maynard_batches(len(ps))[0] == rows_per_batch
+            _, W2, sums2 = table.matrix()
+            assert np.array_equal(W2, W)
+            assert np.array_equal(sums2, sums)
+
+    def test_build_buffer_counts_toward_memory_cap(
+        self, small_partition, monkeypatch
+    ):
+        table = build_weights(
+            small_partition, first_primes_tuple(4), kind="maynard", theta=0.5
+        )
+        n = small_partition.weighted_primes.size
+        width = table.n_max - table.n_min + 1
+        monkeypatch.setattr(weights_mod, "_MAX_BYTES", 8 * n * width)
+        with pytest.raises(MemoryError, match="build buffer"):
+            table.matrix()  # the matrix alone would fit
+        padded = width + math.ceil(table.level)
+        monkeypatch.setattr(weights_mod, "_MAX_BYTES", 8 * padded - 1)
+        with pytest.raises(MemoryError, match="padded Maynard row"):
+            table.row(int(small_partition.weighted_primes[0]))
 
     def test_rows_are_cached_and_frozen(self, small_table):
         row = small_table.row(211)
