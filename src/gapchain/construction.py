@@ -83,27 +83,28 @@ def correlation_probability(
     return out
 
 
-def _shift_classes(
-    p: int, offsets: Sequence[int], small_classes: SmallClassVector
-) -> list[tuple[int, int]]:
+def _strike_shifts(
+    keep: np.ndarray, table: WeightTable, p: int, small_classes: SmallClassVector
+) -> None:
     # shift n survives iff every translate n + h p avoids every chosen
     # class a_s (mod s), i.e. iff n avoids a_s - h p (mod s) for all s, h
-    return [
-        (s, (a - h * p) % s)
-        for s, a in small_classes.residues.items()
-        for h in offsets
-    ]
+    strike_classes(
+        keep,
+        table.n_min,
+        [
+            (s, (a - h * p) % s)
+            for s, a in small_classes.residues.items()
+            for h in table.tuple.offsets
+        ],
+    )
 
 
 def survival_mask(
     table: WeightTable, p: int, small_classes: SmallClassVector
 ) -> np.ndarray:
-    """Boolean mask over the row of p: shifts whose whole tuple is sifted."""
-    row = table.row(int(p))
-    keep = np.ones(row.values.shape[0], dtype=bool)
-    strike_classes(
-        keep, row.n_start, _shift_classes(int(p), table.tuple.offsets, small_classes)
-    )
+    """Boolean mask over the table's shift grid: shifts whose tuple is sifted."""
+    keep = np.ones(table.n_max - table.n_min + 1, dtype=bool)
+    _strike_shifts(keep, table, int(p), small_classes)
     return keep
 
 
@@ -191,9 +192,7 @@ def run_construction(
     ps, W, sums = table.matrix()
     mask = np.ones(W.shape, dtype=bool)
     for i, p in enumerate(ps.tolist()):
-        strike_classes(
-            mask[i], table.n_min, _shift_classes(p, table.tuple.offsets, small_classes)
-        )
+        _strike_shifts(mask[i], table, p, small_classes)
 
     sigma_r = float(part.sigma ** table.tuple.r)
     survival: dict[int, float] = {}
@@ -318,7 +317,6 @@ def target_coverage_report(
     run: ConstructionRun,
     coverage_target: float,
     *,
-    q_stride: int | None = None,
     max_q: int = 512,
 ) -> TargetCoverageReport:
     """Measure main/error coverage of sifted targets against the target level.
@@ -333,9 +331,7 @@ def target_coverage_report(
     q_sifted = q_all[alive]
     if q_sifted.size == 0:
         raise ValueError("no sifted targets survive this small-class draw")
-    stride = q_stride if q_stride is not None else max(
-        1, math.ceil(q_sifted.size / max_q)
-    )
+    stride = max(1, math.ceil(q_sifted.size / max_q))
     q_arr = q_sifted[::stride]
 
     ps, W, sums = table.matrix()

@@ -31,6 +31,7 @@ from .nt import (
     crt_combine,
     is_prime,
     mr_composite_witness,
+    primes_in_range,
 )
 from .partition import PrimePartition
 from .sieving import ResidueSystem, SievedSet
@@ -118,16 +119,8 @@ def assemble_frame(
     """
     if D < 1:
         raise ValueError("D must be at least 1")
-    if isinstance(window, PrimePartition):
-        x = math.floor(window.params.x)
-        y = math.floor(window.params.y)
-        b0 = window.excluded_prime
-    else:
-        x = math.floor(window.x)
-        y = math.floor(window.y)
-        b0 = window.excluded_prime
-
-    from .nt import primes_in_range
+    x, y = math.floor(window.x), math.floor(window.y)
+    b0 = window.excluded_prime
 
     expected = {int(p) for p in primes_in_range(1, x).tolist()} - {b0}
     got = set(system.entries)
@@ -162,11 +155,11 @@ def assemble_frame(
     return frame
 
 
-def _check_row_space(frame: MaierFrame, z_bit_budget: int) -> int:
-    if frame.row_space_bits() > z_bit_budget:
+def _check_row_space(frame: MaierFrame) -> int:
+    if frame.row_space_bits() > DEFAULT_Z_BIT_BUDGET:
         raise ValueError(
             f"row space needs about {frame.row_space_bits()} bits, over the "
-            f"budget of {z_bit_budget}; lower x or D"
+            f"budget of {DEFAULT_Z_BIT_BUDGET}; lower x or D"
         )
     return frame.row_space()
 
@@ -216,7 +209,6 @@ def sample_rows(
     rng: random.Random,
     *,
     mr_rounds: int = 48,
-    z_bit_budget: int = DEFAULT_Z_BIT_BUDGET,
 ) -> RowStatistics:
     """Count primes among survivor translates for `trials` random rows.
 
@@ -227,7 +219,7 @@ def sample_rows(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _check_window(frame, T)
-    Z = _check_row_space(frame, z_bit_budget)
+    Z = _check_row_space(frame)
     offsets = [int(a) for a in T.members().tolist()]
 
     pairs: list[tuple[int, int]] = []
@@ -349,7 +341,6 @@ def find_gap_chain(
     rng: random.Random,
     *,
     mr_rounds: int = 48,
-    z_bit_budget: int = DEFAULT_Z_BIT_BUDGET,
     seed: int | None = None,
 ) -> GapChainCertificate | MissReport:
     """Sample rows until one certifies k consecutive gaps of size >= eps*y.
@@ -365,7 +356,7 @@ def find_gap_chain(
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     _check_window(frame, T)
-    Z = _check_row_space(frame, z_bit_budget)
+    Z = _check_row_space(frame)
     offsets = [int(a) for a in T.members().tolist()]
     survivor_set = set(offsets)
     gap_demand = epsilon * frame.y
@@ -477,8 +468,11 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
 
     if cert.version != CERTIFICATE_VERSION:
         return reject(f"unsupported certificate version {cert.version!r}")
-
-    from .nt import primes_in_range
+    # the ranges find_gap_chain enforces on its own inputs
+    if cert.k < 1:
+        return reject(f"chain length k = {cert.k} is below 1")
+    if not 0 < cert.epsilon < 1:
+        return reject(f"gap fraction epsilon = {cert.epsilon} outside (0, 1)")
 
     if cert.excluded_prime != 1 and not is_prime(cert.excluded_prime):
         return reject(f"excluded modulus {cert.excluded_prime} is not 1 or prime")

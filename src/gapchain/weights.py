@@ -118,24 +118,23 @@ def first_primes_tuple(r: int) -> AdmissibleTuple:
 
 @dataclass(frozen=True)
 class WeightRow:
-    """One prime's weight row: values[j] = w(p, n_start + j), plus its sum."""
+    """One prime's row of a table's matrix: values[j] = w(p, n_min + j).
+
+    values is a read-only view of the matrix row and row_sum its stored sum.
+    """
 
     p: int
-    n_start: int
     values: np.ndarray
     row_sum: float
 
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-
 
 class WeightTable:
-    """Lazily materialized rows w(p, .) for every weighted prime.
+    """Rows w(p, .) for every weighted prime, held in one dense matrix.
 
     Rows live on the common shift grid [-floor(y), floor(y)].  Row sums
     use compensated summation and are stored once; all normalized
-    quantities divide by the stored sums.  Instances are immutable in
-    effect: rows are cached on first access and never mutated.
+    quantities divide by the stored sums.  The first call to matrix() or
+    row() builds every row; the matrix is read-only from then on.
     """
 
     def __init__(
@@ -153,12 +152,8 @@ class WeightTable:
         ny = math.floor(partition.y)
         self.n_min = -ny
         self.n_max = ny
-        self._rows: dict[int, WeightRow] = {}
         self._matrix: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._spf: np.ndarray | None = None
-        self._weighted_set = frozenset(
-            int(p) for p in partition.weighted_primes.tolist()
-        )
         # primes allowed into divisor products: r < s < R, s != excluded
         r = tuple_.r
         cap = math.ceil(self.level) - 1
@@ -171,19 +166,18 @@ class WeightTable:
 
     # -- construction ------------------------------------------------------
 
-    def _uniform_row(self, p: int) -> WeightRow:
+    def _uniform_rows(
+        self, ps: list[int], W: np.ndarray, sums: np.ndarray
+    ) -> None:
         offs = self.tuple.offsets
         x, y = self.partition.x, self.partition.y
-        # all translates n + h_i p in (x, y] pins n to one interval
-        lo = math.floor(x - offs[0] * p)        # n > x - h_1 p
-        hi = math.floor(y - offs[-1] * p)       # n <= y - h_r p
-        lo = max(lo, self.n_min - 1)
-        hi = min(hi, self.n_max)
-        length = max(0, hi - lo)
-        if length == 0:
-            return WeightRow(p, 0, np.zeros(0, dtype=np.float64), 0.0)
-        vals = np.ones(length, dtype=np.float64)
-        return WeightRow(p, lo + 1, vals, float(length))
+        for i, p in enumerate(ps):
+            # all translates n + h_i p in (x, y] pins n to one interval
+            lo = max(math.floor(x - offs[0] * p), self.n_min - 1)  # n > x - h_1 p
+            hi = min(math.floor(y - offs[-1] * p), self.n_max)  # n <= y - h_r p
+            if hi > lo:
+                W[i, lo + 1 - self.n_min : hi + 1 - self.n_min] = 1.0
+                sums[i] = hi - lo
 
     def _maynard_batches(self, n: int) -> tuple[int, int]:
         """(rows per build batch, padded row width) for n Maynard rows.
@@ -195,24 +189,9 @@ class WeightTable:
         return max(1, min(n, _BATCH_BYTES // (8 * padded))), padded
 
     def _maynard_rows(
-        self, ps: list[int], out: list[np.ndarray]
-    ) -> list[WeightRow]:
-        """Rows for ps, written into the grid-wide arrays out[i]."""
-        step, padded = self._maynard_batches(len(ps))
-        if 8 * padded > _MAX_BYTES:
-            raise MemoryError(
-                f"one padded Maynard row would need {8 * padded / 2**30:.1f} "
-                "GiB; lower theta"
-            )
-        rows: list[WeightRow] = []
-        for k in range(0, len(ps), step):
-            batch = ps[k : k + step]
-            rows += self._maynard_batch(batch, out[k : k + step], padded)
-        return rows
-
-    def _maynard_batch(
-        self, ps: list[int], out: list[np.ndarray], padded: int
-    ) -> list[WeightRow]:
+        self, ps: list[int], W: np.ndarray, sums: np.ndarray, padded: int
+    ) -> None:
+        """One batch: the rows of ps, squared into W with their sums."""
         R = len(ps)
         r = self.tuple.r
         n0 = self.n_min
@@ -262,39 +241,28 @@ class WeightTable:
             view = lam[:, : rows * m2].reshape(R, rows, m2)
             view[each, :, cls2] += ((sign * f) * mult2)[:, :, None]
             stack.append((j + 1, m2, -sign, cls2, mult2))
-        built = []
-        for i, p in enumerate(ps):
-            w = np.multiply(lam[i, :length], lam[i, :length], out=out[i])
-            built.append(WeightRow(p, n0, w, math.fsum(w.tolist())))
-        return built
-
-    def _build_rows(self, ps: list[int], out: list[np.ndarray]) -> None:
-        if self.kind == "uniform":
-            rows = [self._uniform_row(p) for p in ps]
-        else:
-            rows = self._maynard_rows(ps, out)
-        self._rows.update(zip(ps, rows))
+        np.multiply(lam[:, :length], lam[:, :length], out=W)
+        for i in range(R):
+            sums[i] = math.fsum(W[i].tolist())
 
     def row(self, p: int) -> WeightRow:
+        """p's row of matrix(), as a read-only view, with its sum."""
+        ps, W, sums = self.matrix()
         p = int(p)
-        if p not in self._rows:
-            if p not in self._weighted_set:
-                raise KeyError(f"{p} is not a weighted prime of this partition")
-            width = self.n_max - self.n_min + 1
-            self._build_rows([p], [np.empty(width, dtype=np.float64)])
-        return self._rows[p]
+        i = int(np.searchsorted(ps, p))
+        if i == ps.size or ps[i] != p:
+            raise KeyError(f"{p} is not a weighted prime of this partition")
+        return WeightRow(p, W[i], float(sums[i]))
 
     def row_sums(self) -> dict[int, float]:
-        return {
-            int(p): self.row(int(p)).row_sum
-            for p in self.partition.weighted_primes.tolist()
-        }
+        ps, _, sums = self.matrix()
+        return dict(zip(ps.tolist(), sums.tolist()))
 
     def matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(primes, dense weight matrix on the full grid, row sums).
 
-        Matrix shape is (#weighted primes, n_max - n_min + 1); rows whose
-        stored window is narrower are zero-padded into place.
+        Matrix shape is (#weighted primes, n_max - n_min + 1); a uniform
+        row is zero outside its window.  Built on the first call.
         """
         if self._matrix is None:
             ps = self.partition.weighted_primes.astype(np.int64)
@@ -311,19 +279,15 @@ class WeightTable:
                 )
             W = np.zeros((ps.size, width), dtype=np.float64)
             sums = np.zeros(ps.size, dtype=np.float64)
-            # missing rows are built straight into their rows of W
             plist = ps.tolist()
-            missing = [i for i, p in enumerate(plist) if p not in self._rows]
-            if missing:
-                self._build_rows(
-                    [plist[i] for i in missing], [W[i] for i in missing]
-                )
-            for i, p in enumerate(plist):
-                row = self._rows[p]
-                if row.values.base is not W:
-                    j0 = row.n_start - self.n_min
-                    W[i, j0 : j0 + row.values.shape[0]] = row.values
-                sums[i] = row.row_sum
+            if self.kind == "uniform":
+                self._uniform_rows(plist, W, sums)
+            else:
+                for k in range(0, ps.size, step):
+                    self._maynard_rows(
+                        plist[k : k + step], W[k : k + step],
+                        sums[k : k + step], padded,
+                    )
             W.setflags(write=False)
             sums.setflags(write=False)
             self._matrix = (ps, W, sums)
@@ -380,7 +344,7 @@ class WeightTable:
         return lam * lam
 
     def weight_at(self, p: int, n: int) -> float:
-        """w(p, n), evaluated independently of any cached row."""
+        """w(p, n), evaluated independently of the matrix."""
         p, n = int(p), int(n)
         if n < self.n_min or n > self.n_max:
             return 0.0
@@ -404,30 +368,22 @@ def build_weights(
     tuple_: AdmissibleTuple,
     kind: str = "maynard",
     theta: float = 0.25,
-    *,
-    r_cap: int = 16,
-    enforce_offset_bound: bool = True,
 ) -> WeightTable:
-    """Validate parameters and assemble a (lazy) weight table.
+    """Validate parameters and assemble a weight table (rows built on use).
 
     theta sets the divisor level R = x**theta; enumeration cost grows
-    steeply with theta and r, hence the r_cap guard.  Offsets must stay
-    within [0, 2 r^2] unless the bound is explicitly waived.
+    steeply with theta and r, hence the cap r <= 16.  Offsets must stay
+    within [0, 2 r^2].
     """
     if kind not in ("uniform", "maynard"):
         raise ValueError(f"unknown weight kind {kind!r}")
     if theta <= 0:
         raise ValueError(f"theta = {theta!r} must be positive")
     r = tuple_.r
-    if not 1 <= r <= r_cap:
-        raise ValueError(f"tuple length {r} outside [1, {r_cap}]")
-    if enforce_offset_bound and not all(
-        0 <= h <= 2 * r * r for h in tuple_.offsets
-    ):
-        raise ValueError(
-            f"offsets {tuple_.offsets} leave [0, {2 * r * r}]; "
-            "pass enforce_offset_bound=False to waive"
-        )
+    if not 1 <= r <= 16:
+        raise ValueError(f"tuple length {r} outside [1, 16]")
+    if not all(0 <= h <= 2 * r * r for h in tuple_.offsets):
+        raise ValueError(f"offsets {tuple_.offsets} leave [0, {2 * r * r}]")
     if partition.weighted_primes.size == 0:
         raise ValueError("partition has no weighted primes")
     return WeightTable(partition, tuple_, kind, theta)
@@ -465,7 +421,7 @@ def sample_weighted_offset(
     row = table.row(p)
     if row.row_sum <= 0:
         raise ValueError(f"zero weight row for p = {p}; nothing to sample")
-    return draw_shift(row.values, row.n_start, rng, size)
+    return draw_shift(row.values, table.n_min, rng, size)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,7 @@ GOLDEN_DIGESTS = {
     "construction": "55d58261e8d5943f19c48cd6b27662728dc8ccc2373c681f680bde5426d40783",
     "rows": "1ab238b16860be2d07656df65368a2da18f5c0abe1e50b7cb0575487a7ce444f",
     "on_sums": "705a13891f90351632dd10479d5f991896a3f3a176bab8e283d905dcc453c0bc",
+    "uniform_rows": "f513810aeded23da322aec07f1dded12b2daafd3ccd372a1154d81e6e943a40b",
 }
 
 
@@ -250,7 +251,9 @@ def _digest(payload):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_acceptance_reproducible_metrics(toy_partition, pinned_table, pinned_run):
+def test_acceptance_reproducible_metrics(
+    toy_partition, pinned_table, pinned_run, small_partition
+):
     def run_gk():
         cfg = ExperimentConfig(mode="gk")
         cfg.set("gk", "limit", 10_000)
@@ -283,6 +286,11 @@ def test_acceptance_reproducible_metrics(toy_partition, pinned_table, pinned_run
     _, W, sums = pinned_table.matrix()
     got["rows"] = hashlib.sha256(W.tobytes() + sums.tobytes()).hexdigest()
     got["on_sums"] = hashlib.sha256(contracts.on_sums.tobytes()).hexdigest()
+    uniform = g.build_weights(
+        small_partition, g.first_primes_tuple(4), kind="uniform", theta=0.5
+    )
+    _, W, sums = uniform.matrix()
+    got["uniform_rows"] = hashlib.sha256(W.tobytes() + sums.tobytes()).hexdigest()
     coverage = g.target_coverage_report(
         pinned_run, toy_partition.coverage_target, max_q=512
     )

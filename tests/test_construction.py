@@ -81,7 +81,7 @@ class TestSurvival:
         mask = survival_mask(small_table, p, classes)
         rng = random.Random(derive_seed(0, "mask-check"))
         for j in rng.sample(range(row.values.shape[0]), 300):
-            n = row.n_start + j
+            n = small_table.n_min + j
             want = all(
                 sifted_membership(n + h * p, classes)
                 for h in small_table.tuple.offsets
@@ -219,10 +219,10 @@ class TestTargetCoverage:
         }
 
     def test_single_target_oracle(self, pinned_run):
-        # a giant stride pins the sample to exactly one sifted target,
-        # small enough to recompute its incoming mass by hand
+        # max_q = 1 pins the sample to exactly one sifted target, small
+        # enough to recompute its incoming mass by hand
         ct = pinned_run.partition.coverage_target
-        report = target_coverage_report(pinned_run, ct, q_stride=10**9)
+        report = target_coverage_report(pinned_run, ct, max_q=1)
         assert len(report.q_used) == 1
         q = report.q_used[0]
         table = pinned_run.table

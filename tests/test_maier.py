@@ -178,10 +178,12 @@ class TestRowSampling:
         rng = derive_random(0, "maier-guards")
         with pytest.raises(ValueError):
             sample_rows(toy_frame, toy_sieved, trials=0, rng=rng)
+        # 38 bits per row index times D = 600 is 22,800 bits, over budget
+        deep = assemble_frame(toy_frame.system, FrameWindow(x=36.0, y=120.0), D=600)
         with pytest.raises(ValueError, match="bits"):
-            sample_rows(
-                toy_frame, toy_sieved, trials=1, rng=rng, z_bit_budget=10
-            )
+            sample_rows(deep, toy_sieved, trials=1, rng=rng)
+        with pytest.raises(ValueError, match="bits"):
+            find_gap_chain(deep, toy_sieved, k=2, epsilon=0.01, trials=1, rng=rng)
         off_window = sift_interval(36, 119, toy_frame.system)
         with pytest.raises(ValueError, match="translates"):
             sample_rows(toy_frame, off_window, trials=1, rng=rng)
@@ -314,6 +316,9 @@ class TestVerifierRejections:
             r["prime_offsets"][0] = 20
 
         rejects(mutated(toy_certificate, leave_window), "leave the window")
+        for k in (0, -1):
+            bad = mutated(toy_certificate, lambda r: r.update(k=k))
+            rejects(bad, "k = ")
 
     def test_composite_listed_as_prime(self, toy_certificate):
         # promoting any evidenced offset to the prime list must be caught
@@ -332,6 +337,9 @@ class TestVerifierRejections:
         rejects(bad, "differs from recomputed")
         greedy = mutated(toy_certificate, lambda r: r.update(epsilon=0.9))
         rejects(greedy, "below the demand")
+        for eps in (-1.0, 0.0, 1.0):
+            bad = mutated(toy_certificate, lambda r: r.update(epsilon=eps))
+            rejects(bad, "outside (0, 1)")
 
     def test_evidence_coverage(self, toy_certificate):
         def duplicate(r):

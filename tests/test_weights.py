@@ -103,17 +103,13 @@ class TestBuildValidation:
             build_weights(small_partition, t, kind="selberg")
         with pytest.raises(ValueError):
             build_weights(small_partition, t, theta=0.0)
-        with pytest.raises(ValueError):
-            build_weights(small_partition, t, r_cap=3)
+        with pytest.raises(ValueError, match="outside"):
+            build_weights(small_partition, first_primes_tuple(17))  # r > 16
 
-    def test_offset_bound_waiver(self, small_partition):
+    def test_offset_bound(self, small_partition):
         wide = AdmissibleTuple((0, 40))  # leaves [0, 2 r^2] = [0, 8]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="leave"):
             build_weights(small_partition, wide, kind="uniform")
-        table = build_weights(
-            small_partition, wide, kind="uniform", enforce_offset_bound=False
-        )
-        assert table.tuple.span == 40
 
 
 class TestDivisorSumRows:
@@ -125,7 +121,7 @@ class TestDivisorSumRows:
             row = small_table.row(p)
             picks = rng.integers(row.values.shape[0], size=12)
             for j in picks.tolist():
-                n = row.n_start + j
+                n = small_table.n_min + j
                 want = brute_subset_weight(small_table, p, n)
                 assert row.values[j] == pytest.approx(want, rel=1e-12, abs=1e-12)
                 assert small_table.weight_at(p, n) == pytest.approx(
@@ -137,7 +133,7 @@ class TestDivisorSumRows:
         want = brute_subset_weight(small_table, 211, n)
         assert small_table.weight_at(211, n) == pytest.approx(want, rel=1e-12)
         row = small_table.row(211)
-        assert row.values[n - row.n_start] == pytest.approx(want, rel=1e-12)
+        assert row.values[n - small_table.n_min] == pytest.approx(want, rel=1e-12)
 
     def test_deep_level_rows_match_oracle(self, pinned_table):
         # level 1400: restrict to shifts whose translates carry few
@@ -163,7 +159,7 @@ class TestDivisorSumRows:
         assert len(cases) >= 5
         for n in cases:
             want = brute_subset_weight(pinned_table, p, n)
-            assert row.values[n - row.n_start] == pytest.approx(want, rel=1e-9)
+            assert row.values[n - pinned_table.n_min] == pytest.approx(want, rel=1e-9)
 
     def test_point_and_row_paths_agree(self, pinned_table):
         rng = derive_rng(0, "weights-point-vs-row")
@@ -171,7 +167,7 @@ class TestDivisorSumRows:
         for p in rng.choice(ps, size=4, replace=False).tolist():
             row = pinned_table.row(int(p))
             for j in rng.integers(row.values.shape[0], size=20).tolist():
-                n = row.n_start + j
+                n = pinned_table.n_min + j
                 assert pinned_table.weight_at(int(p), n) == pytest.approx(
                     row.values[j], rel=1e-9, abs=1e-12
                 )
@@ -206,7 +202,7 @@ class TestDivisorSumRows:
             row = table.row(p)
             oracle_checked = 0
             for j in rng.integers(width, size=40).tolist():
-                n = row.n_start + j
+                n = table.n_min + j
                 assert row.values[j] == pytest.approx(
                     table.weight_at(p, n), rel=1e-9, abs=1e-12
                 )
@@ -221,22 +217,21 @@ class TestDivisorSumRows:
                     assert row.values[j] == pytest.approx(want, rel=1e-9, abs=1e-12)
                     oracle_checked += 1
             assert oracle_checked >= 10
-        # rows built one at a time equal rows built as one batch, bit for bit
-        fresh = build_weights(part, t4, kind="maynard", theta=1.6)
-        _, W, sums = fresh.matrix()
+        # a row built alone prunes products its batch keeps, yet equals its
+        # row of the matrix bit for bit
+        _, W, sums = table.matrix()
+        padded = table._maynard_batches(1)[1]
         for i, p in enumerate(ps):
-            assert np.array_equal(W[i], table.row(p).values)
-            assert sums[i] == table.row(p).row_sum
+            alone, alone_sum = np.empty((1, width)), np.empty(1)
+            table._maynard_rows([p], alone, alone_sum, padded)
+            assert np.array_equal(alone[0], W[i])
+            assert alone_sum[0] == sums[i]
 
     def test_batch_size_leaves_rows_unchanged(self, small_partition, monkeypatch):
         t4 = first_primes_tuple(4)
         ref = build_weights(small_partition, t4, kind="maynard", theta=0.5)
         ps = small_partition.weighted_primes.tolist()
-        early = ref.row(ps[1])  # built alone, before the matrix
         _, W, sums = ref.matrix()
-        assert np.array_equal(W[1], early.values)
-        assert not np.shares_memory(early.values, W)  # copied in
-        assert np.shares_memory(ref.row(ps[0]).values, W)  # built in place
         padded = ref._maynard_batches(len(ps))[1]
         for rows_per_batch in (1, 5):
             monkeypatch.setattr(
@@ -249,7 +244,7 @@ class TestDivisorSumRows:
             assert np.array_equal(sums2, sums)
 
     def test_build_buffer_counts_toward_memory_cap(
-        self, small_partition, monkeypatch
+        self, small_partition, small_table, monkeypatch
     ):
         table = build_weights(
             small_partition, first_primes_tuple(4), kind="maynard", theta=0.5
@@ -259,18 +254,32 @@ class TestDivisorSumRows:
         monkeypatch.setattr(weights_mod, "_MAX_BYTES", 8 * n * width)
         with pytest.raises(MemoryError, match="build buffer"):
             table.matrix()  # the matrix alone would fit
+        with pytest.raises(MemoryError, match="build buffer"):
+            table.row(int(small_partition.weighted_primes[0]))  # so does row()
+        # with one row per batch the buffer is one padded row
+        monkeypatch.setattr(weights_mod, "_BATCH_BYTES", 1)
         padded = width + math.ceil(table.level)
-        monkeypatch.setattr(weights_mod, "_MAX_BYTES", 8 * padded - 1)
-        with pytest.raises(MemoryError, match="padded Maynard row"):
-            table.row(int(small_partition.weighted_primes[0]))
+        monkeypatch.setattr(weights_mod, "_MAX_BYTES", 8 * (n * width + padded) - 1)
+        with pytest.raises(MemoryError, match="build buffer"):
+            table.matrix()
+        monkeypatch.setattr(weights_mod, "_MAX_BYTES", 8 * (n * width + padded))
+        _, W, sums = table.matrix()
+        assert np.array_equal(W, small_table.matrix()[1])
+        assert np.array_equal(sums, small_table.matrix()[2])
 
-    def test_rows_are_cached_and_frozen(self, small_table):
-        row = small_table.row(211)
-        assert small_table.row(211) is row
+    @pytest.mark.parametrize("kind", ["maynard", "uniform"])
+    def test_rows_are_read_only_views_of_matrix(self, small_partition, kind):
+        table = build_weights(
+            small_partition, first_primes_tuple(4), kind=kind, theta=0.5
+        )
+        row = table.row(int(small_partition.weighted_primes[1]))
+        _, W, sums = table.matrix()
+        assert np.shares_memory(row.values, W[1])
+        assert row.row_sum == sums[1]
         with pytest.raises(ValueError):
             row.values[0] = 5.0
         with pytest.raises(KeyError):
-            small_table.row(5)  # not a weighted prime
+            table.row(5)  # not a weighted prime
 
     def test_matrix_reassembles_rows(self, small_table):
         ps, W, sums = small_table.matrix()
@@ -279,8 +288,7 @@ class TestDivisorSumRows:
         assert W.shape == (ps.size, small_table.n_max - small_table.n_min + 1)
         for i, p in enumerate(ps.tolist()):
             row = small_table.row(p)
-            j0 = row.n_start - small_table.n_min
-            assert np.array_equal(W[i, j0 : j0 + row.values.size], row.values)
+            assert np.array_equal(W[i], row.values)
             assert sums[i] == row.row_sum
             assert row.row_sum == pytest.approx(math.fsum(row.values.tolist()))
         with pytest.raises(ValueError):
@@ -288,7 +296,7 @@ class TestDivisorSumRows:
 
     def test_normalized_at(self, small_table):
         row = small_table.row(307)
-        n = row.n_start + 1_000
+        n = small_table.n_min + 1_000
         assert small_table.normalized_at(307, n) == pytest.approx(
             row.values[1_000] / row.row_sum, rel=1e-12
         )
@@ -314,11 +322,14 @@ class TestUniformRows:
                 for n in range(table.n_min, table.n_max + 1)
                 if 100 < n + p <= 104
             ]
-            got = [row.n_start + j for j in np.nonzero(row.values)[0].tolist()]
+            got = [table.n_min + j for j in np.nonzero(row.values)[0].tolist()]
             assert got == want
             assert row.row_sum == float(len(want))
-        assert table.row(53).n_start == 48
-        assert table.row(53).values.tolist() == [1.0, 1.0, 1.0, 1.0]
+        # every row spans the whole grid; p = 53 is 1 exactly on [48, 51]
+        row = table.row(53)
+        assert row.values.size == table.n_max - table.n_min + 1
+        assert row.values[48 - table.n_min : 52 - table.n_min].tolist() == [1.0] * 4
+        assert row.values.sum() == 4.0
 
     def test_sampler_frequencies(self):
         part = self.freq_partition()
