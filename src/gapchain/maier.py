@@ -11,11 +11,15 @@ of length at least epsilon*y witnesses a chain of k consecutive large
 prime gaps.
 
 Rows are only ever sampled (z uniform in [1, P**D]); nothing here scans
-the full row space.  A successful row is packaged as a self-contained
-certificate: every integer strictly between the listed primes carries
-deterministically checkable compositeness evidence (a shared factor with
-the modulus, an explicit factor, or a Miller-Rabin witness base), so an
-independent verifier needs no access to the search.
+the full row space.  A sampled row's survivor translates are presieved by
+the primes in (x, PRESIEVE_LIMIT] and the rest tested by BPSW (by the
+Miller-Rabin proof below the deterministic limit).  A successful row is
+packaged as a self-contained certificate: its listed primes are first
+re-tested with the full Miller-Rabin rounds, and every integer strictly
+between them carries deterministically checkable compositeness evidence
+(a shared factor with the modulus, an explicit factor, or a Miller-Rabin
+witness base), so an independent verifier needs no access to the search.
+The verifier applies its own minimum round count, MIN_MR_ROUNDS.
 """
 
 from __future__ import annotations
@@ -26,8 +30,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from .nt import (
     DETERMINISTIC_MR_LIMIT,
+    bpsw,
     crt_combine,
     is_prime,
     mr_composite_witness,
@@ -54,6 +61,12 @@ CERTIFICATE_VERSION = "1"
 DEFAULT_Z_BIT_BUDGET = 20_000
 SPOT_CHECKS = 64  # window values re-checked against the frame both ways
 PAIR_SAMPLE = 8  # survivor pairs drawn for the pair statistics
+PRESIEVE_LIMIT = 1 << 18  # row values are presieved by the primes in (x, this]
+_LIMB_BITS = 30  # z mod q is folded in 30-bit limbs, so products fit in int64
+# round counts a certificate may ask of the verifier: the minimum is the
+# verifier's own policy, the cap bounds its work
+MIN_MR_ROUNDS = 48
+MAX_MR_ROUNDS = 1024
 
 
 @dataclass(frozen=True)
@@ -172,11 +185,86 @@ def _check_window(frame: MaierFrame, T: SievedSet) -> None:
         )
 
 
-def _row_primes(
-    frame: MaierFrame, offsets: list[int], z: int, mr_rounds: int
-) -> list[int]:
-    """The offsets a, in the given order, whose row-z translate is prime."""
-    return [a for a in offsets if is_prime(frame.row_value(z, a), mr_rounds)]
+@dataclass(frozen=True)
+class _RowScan:
+    """What `_row_primes` needs of a frame, computed once per search.
+
+    offsets are the survivors of the window; for each prime q in
+    (x, PRESIEVE_LIMIT] it keeps modulus mod q, offset mod q and
+    2**_LIMB_BITS mod q, so a row's residues mod every q cost one numpy
+    pass per limb of z.
+    """
+
+    frame: MaierFrame
+    offsets: np.ndarray
+    qs: np.ndarray
+    modulus_mod: np.ndarray
+    offset_mod: np.ndarray
+    limb_mod: np.ndarray
+
+
+def _residues(n: int, qs: np.ndarray, limb_mod: np.ndarray) -> np.ndarray:
+    """n mod q for every q <= PRESIEVE_LIMIT, by Horner's rule over n's limbs."""
+    limbs = []
+    while n:
+        limbs.append(n & ((1 << _LIMB_BITS) - 1))
+        n >>= _LIMB_BITS
+    out = np.zeros_like(qs)
+    for limb in reversed(limbs):
+        out = (out * limb_mod + limb) % qs
+    return out
+
+
+def _row_scan(frame: MaierFrame, T: SievedSet) -> _RowScan:
+    qs = primes_in_range(frame.x, PRESIEVE_LIMIT)
+    limb_mod = (1 << _LIMB_BITS) % qs
+    return _RowScan(
+        frame=frame,
+        offsets=T.members().astype(np.int64),
+        qs=qs,
+        modulus_mod=_residues(frame.modulus, qs, limb_mod),
+        offset_mod=_residues(frame.offset, qs, limb_mod),
+        limb_mod=limb_mod,
+    )
+
+
+def _row_primes(scan: _RowScan, z: int) -> list[int]:
+    """The survivor offsets a, ascending, whose row-z translate is prime.
+
+    Presieve: every translate with a prime factor q in (x, PRESIEVE_LIMIT]
+    other than itself is struck on a window-wide mask.  The rest are
+    tested: below DETERMINISTIC_MR_LIMIT by the is_prime proof, above it
+    by BPSW, so the verdicts above the limit are probable and carry no
+    evidence.
+    """
+    frame, qs = scan.frame, scan.qs
+    width = frame.y - frame.x
+    start = frame.row_value(z, frame.x + 1)  # the translate at mask slot 0
+    r = (
+        _residues(z, qs, scan.limb_mod) * scan.modulus_mod
+        + scan.offset_mod + (frame.x + 1)
+    ) % qs
+    first = -r % qs  # first slot whose translate q divides
+    if start <= PRESIEVE_LIMIT:
+        # a translate equal to q is the prime q itself: skip to q's next multiple
+        first = np.where(start + first == qs, first + qs, first)
+    hit = first < width
+    q, first = qs[hit], first[hit]
+    # the slots first, first + q, ... below width, for every q in one pass
+    counts = (width - 1 - first) // q + 1
+    group_start = np.cumsum(counts) - counts
+    slots = np.repeat(first - group_start * q, counts) + np.arange(
+        int(counts.sum())
+    ) * np.repeat(q, counts)
+    alive = np.ones(width, dtype=bool)
+    alive[slots] = False
+    base = start - (frame.x + 1)
+    out = []
+    for a in scan.offsets[alive[scan.offsets - (frame.x + 1)]].tolist():
+        value = base + a
+        if bpsw(value) if value >= DETERMINISTIC_MR_LIMIT else is_prime(value):
+            out.append(a)
+    return out
 
 
 @dataclass(frozen=True)
@@ -214,13 +302,17 @@ def sample_rows(
 
     Uses the stdlib Random generator because row indices are arbitrary
     precision.  Pair statistics cover PAIR_SAMPLE random survivor pairs,
-    chosen up front from the same generator.
+    chosen up front from the same generator.  Rows are scanned by
+    `_row_primes` (presieve, then BPSW above the deterministic limit);
+    mr_rounds is only recorded, as the round count a certificate from
+    this frame would carry.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _check_window(frame, T)
     Z = _check_row_space(frame)
-    offsets = [int(a) for a in T.members().tolist()]
+    scan = _row_scan(frame, T)
+    offsets = scan.offsets.tolist()
 
     pairs: list[tuple[int, int]] = []
     if len(offsets) >= 2:
@@ -239,7 +331,7 @@ def sample_rows(
     best: tuple[int, int, list[int]] = (-1, 0, [])
     for _ in range(trials):
         z = rng.randrange(1, Z + 1)
-        row_primes = _row_primes(frame, offsets, z, mr_rounds)
+        row_primes = _row_primes(scan, z)
         for a in row_primes:
             hit_counts[a] += 1
         hit_set = set(row_primes)
@@ -355,21 +447,37 @@ def find_gap_chain(
         raise ValueError("k must be at least 1")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
+    if not MIN_MR_ROUNDS <= mr_rounds <= MAX_MR_ROUNDS:
+        raise ValueError(
+            f"mr_rounds = {mr_rounds} outside [{MIN_MR_ROUNDS}, {MAX_MR_ROUNDS}], "
+            "the range the verifier accepts"
+        )
     _check_window(frame, T)
     Z = _check_row_space(frame)
-    offsets = [int(a) for a in T.members().tolist()]
-    survivor_set = set(offsets)
+    scan = _row_scan(frame, T)
+    survivor_set = set(scan.offsets.tolist())
     gap_demand = epsilon * frame.y
+
+    def min_gap_of(ps: list[int]) -> int | None:
+        return min((b - a for a, b in zip(ps, ps[1:])), default=None)
+
+    def certifies(ps: list[int]) -> bool:
+        return len(ps) >= k + 1 and min_gap_of(ps) >= gap_demand
 
     best: tuple[int, int, int | None] = (0, 0, None)  # count, z, min_gap
     for trial in range(1, trials + 1):
         z = rng.randrange(1, Z + 1)
-        row_primes = _row_primes(frame, offsets, z, mr_rounds)
-        gaps = [b - a for a, b in zip(row_primes, row_primes[1:])]
-        min_gap = min(gaps) if gaps else None
+        row_primes = _row_primes(scan, z)
+        if certifies(row_primes):
+            # the values a certificate lists get the full rounds, not BPSW
+            row_primes = [
+                a for a in row_primes
+                if is_prime(frame.row_value(z, a), mr_rounds)
+            ]
+        min_gap = min_gap_of(row_primes)
         if len(row_primes) > best[0]:
             best = (len(row_primes), z, min_gap)
-        if len(row_primes) >= k + 1 and min_gap is not None and min_gap >= gap_demand:
+        if certifies(row_primes):
             evidence = _build_evidence(
                 frame, z, row_primes, survivor_set, mr_rounds
             )
@@ -453,14 +561,27 @@ class VerificationOutcome:
         return self.accepted
 
 
+def _decimal(text: Any) -> int | None:
+    """The value of a string of ASCII digits; None for anything else."""
+    if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
     """Re-check a certificate from scratch; accept only if every step holds.
 
-    Recomputes the modulus from (x, excluded_prime), revalidates ranges,
-    re-tests every listed prime under the certificate's own policy,
-    recomputes the gap floor, and re-checks each evidence item, requiring
-    the evidence to cover exactly the non-listed integers between the
-    first and last listed primes.  Rejections name the first failure.
+    Checks every field's type, recomputes the modulus from
+    (x, excluded_prime), revalidates ranges, re-tests every listed prime
+    with the certificate's round count (at least MIN_MR_ROUNDS, at most
+    MAX_MR_ROUNDS), recomputes the gap floor, and re-checks each evidence
+    item, requiring the evidence to cover exactly the non-listed integers
+    between the first and last listed primes.  Rejections name the first
+    failure; the work is bounded by the row budget, the round cap and the
+    certificate's own length.
     """
 
     def reject(reason: str) -> VerificationOutcome:
@@ -468,11 +589,40 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
 
     if cert.version != CERTIFICATE_VERSION:
         return reject(f"unsupported certificate version {cert.version!r}")
+    for name in ("x", "y", "excluded_prime", "D", "k", "min_gap"):
+        value = getattr(cert, name)
+        if type(value) is not int:
+            return reject(f"{name} = {value!r} is not an integer")
+    if type(cert.epsilon) not in (int, float):
+        return reject(f"gap fraction epsilon = {cert.epsilon!r} is not a number")
+    if not (isinstance(cert.prime_offsets, list)
+            and all(type(a) is int for a in cert.prime_offsets)):
+        return reject("listed prime offsets are not a list of integers")
+    if not (isinstance(cert.evidence, list)
+            and all(isinstance(e, dict) and type(e.get("offset")) is int
+                    for e in cert.evidence)):
+        return reject("evidence is not a list of items with integer offsets")
     # the ranges find_gap_chain enforces on its own inputs
     if cert.k < 1:
         return reject(f"chain length k = {cert.k} is below 1")
     if not 0 < cert.epsilon < 1:
         return reject(f"gap fraction epsilon = {cert.epsilon} outside (0, 1)")
+    policy = cert.policy if isinstance(cert.policy, dict) else {}
+    if "mr_rounds" not in policy:
+        return reject("policy states no mr_rounds")
+    rounds = policy["mr_rounds"]
+    if type(rounds) is not int:
+        return reject(f"policy mr_rounds = {rounds!r} is not an integer")
+    if not MIN_MR_ROUNDS <= rounds <= MAX_MR_ROUNDS:
+        return reject(
+            f"policy mr_rounds = {rounds} outside "
+            f"[{MIN_MR_ROUNDS}, {MAX_MR_ROUNDS}]"
+        )
+    if cert.D < 1:
+        return reject(f"row exponent D = {cert.D} is below 1")
+    # the primes up to x alone carry more than x bits
+    if cert.x > DEFAULT_Z_BIT_BUDGET:
+        return reject(f"x = {cert.x} puts the modulus over the row budget")
 
     if cert.excluded_prime != 1 and not is_prime(cert.excluded_prime):
         return reject(f"excluded modulus {cert.excluded_prime} is not 1 or prime")
@@ -482,10 +632,19 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
             modulus *= int(p)
     if str(modulus) != cert.modulus_str:
         return reject("modulus does not match the primes up to x")
-    offset = int(cert.offset_str)
+    if modulus.bit_length() * cert.D > DEFAULT_Z_BIT_BUDGET:
+        return reject(
+            f"row space needs about {modulus.bit_length() * cert.D} bits, "
+            f"over the budget of {DEFAULT_Z_BIT_BUDGET}"
+        )
+    offset = _decimal(cert.offset_str)
+    if offset is None:
+        return reject(f"offset {cert.offset_str!r} is not a decimal integer")
     if not 0 <= offset < modulus:
         return reject("offset outside [0, modulus)")
-    z = int(cert.z_str)
+    z = _decimal(cert.z_str)
+    if z is None:
+        return reject(f"row index {cert.z_str!r} is not a decimal integer")
     if not 1 <= z <= modulus**cert.D:
         return reject("row index outside [1, modulus**D]")
 
@@ -497,7 +656,6 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
     if ps[0] <= cert.x or ps[-1] > cert.y:
         return reject("listed prime offsets leave the window (x, y]")
 
-    rounds = int(cert.policy.get("mr_rounds", 48))
     for a in ps:
         value = z * modulus + offset + a
         res = is_prime(value, rounds)
@@ -515,22 +673,30 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
             f"{cert.epsilon * cert.y:.6g}"
         )
 
-    needed = set(range(ps[0] + 1, ps[-1])) - set(ps)
-    covered = [int(e["offset"]) for e in cert.evidence]
-    if len(covered) != len(set(covered)):
+    # walked in the certificate's own length, never over the whole window
+    listed = set(ps)
+    covered = {e["offset"] for e in cert.evidence}
+    if len(covered) != len(cert.evidence):
         return reject("duplicate evidence offsets")
-    if set(covered) != needed:
-        missing = sorted(needed - set(covered))
-        extra = sorted(set(covered) - needed)
-        if missing:
-            return reject(f"no compositeness evidence for offset {missing[0]}")
-        return reject(f"evidence for offset {extra[0]} outside the window")
+    for a in sorted(covered):
+        if not ps[0] < a < ps[-1] or a in listed:
+            return reject(f"evidence for offset {a} outside the window")
+    if len(covered) + len(ps) != ps[-1] - ps[0] + 1:
+        a = ps[0] + 1
+        while a in listed or a in covered:
+            a += 1
+        return reject(f"no compositeness evidence for offset {a}")
 
     for e in cert.evidence:
-        a = int(e["offset"])
+        a = e["offset"]
         value = z * modulus + offset + a
-        witness = int(e["witness"])
-        kind = e["kind"]
+        kind = e.get("kind")
+        witness = _decimal(e.get("witness"))
+        if witness is None:
+            return reject(
+                f"witness {e.get('witness')!r} at offset {a} is not a "
+                "decimal integer"
+            )
         if kind == "gcd_with_modulus":
             if not (1 < witness < value and value % witness == 0
                     and modulus % witness == 0):

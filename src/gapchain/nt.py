@@ -5,7 +5,12 @@ experiments, certificate verification) is built on the functions here, so
 they favour exactness and explicitness over raw speed.  Densities are
 Fractions, primality verdicts carry their evidence, and the probabilistic
 primality path derives its bases deterministically from the number under
-test so that certificates can be re-checked bit for bit.
+test so that certificates can be re-checked bit for bit.  is_prime derives
+each base only when the previous one failed to witness compositeness.
+
+`bpsw` (a strong base-2 Miller-Rabin round plus a strong Lucas test) is
+the cheap probable-prime test for search; it carries no evidence, so any
+value that goes into a certificate is re-tested with `is_prime`.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ __all__ = [
     "is_prime",
     "mr_composite_witness",
     "derived_mr_bases",
+    "bpsw",
+    "strong_lucas",
     "DETERMINISTIC_MR_LIMIT",
     "DETERMINISTIC_MR_BASES",
     "NonCoprimeModuliError",
@@ -208,17 +215,99 @@ def mr_composite_witness(n: int, a: int) -> bool:
     return True
 
 
+def _derived_mr_base(n: int, i: int) -> int:
+    h = hashlib.sha256(f"{n}:{i}".encode()).digest()
+    return 2 + int.from_bytes(h, "big") % (n - 3)
+
+
 def derived_mr_bases(n: int, rounds: int) -> list[int]:
     """Deterministic pseudo-random Miller-Rabin bases for n.
 
     Base i is SHA-256(f"{n}:{i}") reduced into [2, n-2].  Deriving bases
     from n itself keeps certificates reproducible without shipping them.
     """
-    bases: list[int] = []
-    for i in range(rounds):
-        h = hashlib.sha256(f"{n}:{i}".encode()).digest()
-        bases.append(2 + int.from_bytes(h, "big") % (n - 3))
-    return bases
+    return [_derived_mr_base(n, i) for i in range(rounds)]
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def strong_lucas(n: int) -> bool:
+    """True iff odd n >= 3 is a strong Lucas probable prime.
+
+    Selfridge's parameters: D is the first of 5, -7, 9, -11, ... with
+    Jacobi symbol (D/n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 =
+    d * 2**s, n passes iff U_d = 0 or V_{d 2**r} = 0 (mod n) for some
+    0 <= r < s.  Every prime passes; perfect squares have no such D and
+    fail.
+    """
+    n = int(n)
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False  # gcd(D, n) is a proper factor
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # left-to-right binary ladder over d from (U_1, V_1, Q^1), with P = 1:
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k;
+    # U_k+1 = (U_k + V_k)/2, V_k+1 = (D U_k + V_k)/2 (halved mod odd n)
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def bpsw(n: int) -> bool:
+    """Baillie-PSW probable-prime test: strong base-2 Miller-Rabin plus
+    the strong Lucas test with Selfridge's parameters.
+
+    No composite is known to pass (none below 2**64 does), and a prime
+    costs about as much as four Miller-Rabin rounds.  The row search uses it
+    to find candidates; values that go into a certificate are re-tested
+    by is_prime with the full derived rounds.
+    """
+    n = int(n)
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    return not mr_composite_witness(n, 2) and strong_lucas(n)
 
 
 @dataclass(frozen=True)
@@ -274,12 +363,15 @@ def is_prime(n: int, rounds: int = 64) -> PrimalityResult:
         )
     if rounds < 1:
         raise ValueError("rounds must be positive for probabilistic testing")
-    bases = derived_mr_bases(n, rounds)
-    for a in bases:
+    # bases are derived one at a time: most composites fall to the first
+    bases: list[int] = []
+    for i in range(rounds):
+        a = _derived_mr_base(n, i)
         if mr_composite_witness(n, a):
             return PrimalityResult(
                 n, "composite", "miller_rabin", witness=a, rounds=rounds
             )
+        bases.append(a)
     return PrimalityResult(
         n,
         "probable_prime",

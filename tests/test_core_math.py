@@ -11,6 +11,7 @@ import gapchain as g
 from gapchain.nt import (
     DETERMINISTIC_MR_LIMIT,
     LogDomainError,
+    bpsw,
     derived_mr_bases,
     factorize,
     iter_prime_segments,
@@ -21,6 +22,17 @@ from gapchain.nt import (
     smallest_prime_factor_table,
     smooth_count,
     smooth_estimate,
+    strong_lucas,
+)
+
+# OEIS A001262 and A217255 below 10**5
+BASE2_STRONG_PSEUDOPRIMES = (
+    2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281,
+    74665, 80581, 85489, 88357, 90751,
+)
+STRONG_LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+    75077, 97439,
 )
 
 
@@ -173,6 +185,72 @@ class TestPrimality:
         assert len(b1) == 12
         assert all(2 <= a <= n - 2 for a in b1)
         assert derived_mr_bases(n + 2, 12) != b1
+
+
+    def test_lazy_bases_match_eager_scan(self):
+        # is_prime derives bases one at a time; its verdict, witness, rounds
+        # and bases must equal a scan of the full derived_mr_bases list
+        rng = random.Random(11)
+        trial = math.prod(g.sieve_primes(1000).tolist())
+        values = []
+        while len(values) < 40:  # past trial division, into the MR path
+            n = rng.randrange(DETERMINISTIC_MR_LIMIT, 2**300)
+            if math.gcd(n, trial) == 1:
+                values.append(n)
+        values += [2**89 - 1, (2**89 - 1) * (2**61 - 1), 2**127 - 1]
+        for n in values:
+            for rounds in (1, 8, 48):
+                bases = derived_mr_bases(n, rounds)
+                witness = next(
+                    (a for a in bases if mr_composite_witness(n, a)), None
+                )
+                res = g.is_prime(n, rounds)
+                if witness is None:
+                    want = ("probable_prime", None, rounds, tuple(bases))
+                else:
+                    want = ("composite", witness, rounds, ())
+                assert (res.verdict, res.witness, res.rounds, res.bases) == want
+
+
+class TestBpsw:
+    def test_rejects_base2_strong_pseudoprimes(self):
+        mask = prime_mask(10**5)
+        found = [n for n in range(3, 10**5, 2)
+                 if not mask[n] and not mr_composite_witness(n, 2)]
+        assert found == list(BASE2_STRONG_PSEUDOPRIMES)
+        for n in BASE2_STRONG_PSEUDOPRIMES:
+            assert not strong_lucas(n) and not bpsw(n)
+
+    def test_rejects_strong_lucas_pseudoprimes_and_squares(self):
+        # the strong Lucas test alone passes exactly these composites
+        mask = prime_mask(10**5)
+        found = [n for n in range(3, 10**5, 2) if not mask[n] and strong_lucas(n)]
+        assert found == list(STRONG_LUCAS_PSEUDOPRIMES)
+        for n in STRONG_LUCAS_PSEUDOPRIMES:
+            assert mr_composite_witness(n, 2) and not bpsw(n)
+        for r in (3, 5, 7, 11, 101, 1009, 2**31 - 1, 2**89 - 1):
+            assert not strong_lucas(r * r) and not bpsw(r * r)
+
+    def test_agrees_with_sieve_below_a_million(self):
+        mask = prime_mask(10**6)
+        assert [n for n in range(-3, 10**6) if bpsw(n) != mask[max(n, 0)]] == []
+
+    def test_agrees_with_full_rounds_on_large_values(self):
+        rng = random.Random(29)
+
+        def next_prime(n):
+            n |= 1
+            while not g.is_prime(n, 48):
+                n += 2
+            return n
+
+        values = [rng.randrange(2**299, 2**500) | 1 for _ in range(150)]
+        for _ in range(6):
+            p = next_prime(rng.randrange(2**150, 2**250))
+            values += [p, p * next_prime(p + 2)]
+        verdicts = [(bpsw(n), bool(g.is_prime(n, 48))) for n in values]
+        assert all(a == b for a, b in verdicts)
+        assert sum(a for a, _ in verdicts) >= 6
 
 
 class TestCrt:

@@ -4,9 +4,11 @@ The verifier tests work by mutating a genuine certificate's JSON form one
 field at a time and asserting both the rejection and the named reason.
 """
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import gapchain as g
@@ -21,8 +23,17 @@ from gapchain import (
     sift_interval,
     verify_certificate,
 )
-from gapchain.maier import CERTIFICATE_VERSION
-from gapchain.nt import primes_in_range
+from gapchain import maier
+from gapchain.maier import (
+    CERTIFICATE_VERSION,
+    MAX_MR_ROUNDS,
+    MIN_MR_ROUNDS,
+    PRESIEVE_LIMIT,
+    _row_primes,
+    _row_scan,
+)
+from gapchain.nt import DETERMINISTIC_MR_LIMIT, primes_in_range
+from gapchain.sieving import SievedSet
 from gapchain.seeds import derive_random, derive_rng
 
 
@@ -189,6 +200,69 @@ class TestRowSampling:
             sample_rows(toy_frame, off_window, trials=1, rng=rng)
 
 
+def random_system(x, seed):
+    rng = derive_rng(seed, "maier-classes")
+    entries = {
+        int(p): int(rng.integers(0, int(p))) for p in primes_in_range(1, x).tolist()
+    }
+    return ResidueSystem(entries, validate=False)
+
+
+def oracle_row(frame, T, z):
+    return [
+        a for a in T.members().tolist() if g.is_prime(frame.row_value(z, a), 48)
+    ]
+
+
+class TestRowScan:
+    def test_presieve_keeps_row_values_equal_to_their_prime(self):
+        # rows of these frames hold values below PRESIEVE_LIMIT, some of them
+        # primes in (x, PRESIEVE_LIMIT]; only their proper multiples may go.
+        # Modulus 30: all 30 rows; modulus 30030: the later rows cross it.
+        for x, y, rows in ((5.5, 40.0, range(1, 31)), (13.0, 60.0, range(1, 13))):
+            for seed in (None, 1, 2, 3):
+                system = zero_system(x) if seed is None else random_system(x, seed)
+                frame = assemble_frame(system, FrameWindow(x=x, y=y))
+                everything = SievedSet(
+                    lo=frame.x, hi=frame.y,
+                    bitmap=np.ones(frame.y - frame.x, dtype=bool),
+                )
+                for T in (sift_interval(frame.x, frame.y, system), everything):
+                    scan = _row_scan(frame, T)
+                    assert frame.row_value(1, frame.y) < PRESIEVE_LIMIT
+                    for z in rows:
+                        assert _row_primes(scan, z) == oracle_row(frame, T, z)
+
+    @pytest.mark.parametrize("x, y, seed", [(36.0, 120.0, 5), (150.0, 600.0, 5)])
+    def test_row_primes_match_is_prime(self, x, y, seed, monkeypatch):
+        system = random_system(x, seed)
+        frame = assemble_frame(system, FrameWindow(x=x, y=y))
+        T = sift_interval(frame.x, frame.y, system)
+        scan = _row_scan(frame, T)
+        rng = derive_random(seed, "row-scan-oracle")
+        rows = [rng.randrange(1, frame.row_space() + 1) for _ in range(6)]
+        for z in rows:
+            assert _row_primes(scan, z) == oracle_row(frame, T, z)
+
+        # exactly the translates with no prime factor in (x, PRESIEVE_LIMIT]
+        # reach a primality test: the proof at x=36, BPSW at x=150
+        tested = []
+        for name in ("is_prime", "bpsw"):
+            test = getattr(maier, name)
+            monkeypatch.setattr(
+                maier, name, lambda n, test=test: tested.append(n) or test(n)
+            )
+        presieve = math.prod(primes_in_range(frame.x, PRESIEVE_LIMIT).tolist())
+        for z in rows:
+            tested.clear()
+            _row_primes(scan, z)
+            values = [frame.row_value(z, a) for a in T.members().tolist()]
+            assert tested == [v for v in values if math.gcd(v, presieve) == 1]
+            assert len(tested) < 0.6 * len(values)
+            over = [v > DETERMINISTIC_MR_LIMIT for v in values]
+            assert all(over) if x == 150.0 else not any(over)
+
+
 class TestGapChainSearch:
     def test_certificate_contents(self, toy_frame, toy_certificate):
         cert = toy_certificate
@@ -257,8 +331,35 @@ class TestGapChainSearch:
         assert 0 <= out.best_prime_count < 19
         int(out.best_z_str)  # decimal string
 
+    def test_listed_primes_get_the_full_rounds(self, monkeypatch):
+        # with a search-time test that calls every presieve survivor prime,
+        # only the full-round confirmation keeps composites off the list
+        system = random_system(150.0, 5)
+        frame = assemble_frame(system, FrameWindow(x=150.0, y=600.0))
+        T = sift_interval(frame.x, frame.y, system)
+
+        def search():
+            return find_gap_chain(
+                frame, T, k=3, epsilon=0.001, trials=400,
+                rng=derive_random(5, "maier-search"), seed=5,
+            )
+
+        honest = search()
+        assert isinstance(honest, GapChainCertificate)
+        monkeypatch.setattr(maier, "bpsw", lambda n: True)
+        assert search() == honest
+        assert verify_certificate(honest)
+        z = int(honest.z_str)
+        for a in honest.prime_offsets:
+            res = g.is_prime(frame.row_value(z, a), 48)
+            assert res.verdict == "probable_prime" and res.rounds == 48
+
     def test_search_validation(self, toy_frame, toy_sieved):
         rng = derive_random(0, "maier-bad")
+        for rounds in (0, MIN_MR_ROUNDS - 1, MAX_MR_ROUNDS + 1):
+            with pytest.raises(ValueError, match="mr_rounds"):
+                find_gap_chain(toy_frame, toy_sieved, k=2, epsilon=0.01,
+                               trials=1, rng=rng, mr_rounds=rounds)
         with pytest.raises(ValueError):
             find_gap_chain(toy_frame, toy_sieved, k=0, epsilon=0.01, trials=1, rng=rng)
         with pytest.raises(ValueError):
@@ -403,3 +504,44 @@ class TestVerifierRejections:
             r["evidence"][0]["kind"] = "oracle"
 
         rejects(mutated(toy_certificate, rename), "unknown evidence kind")
+
+    def test_round_policy(self, toy_certificate):
+        def policy(**kw):
+            return mutated(toy_certificate, lambda r: r.update(policy=kw))
+
+        rejects(policy(), "policy states no mr_rounds")
+        rejects(mutated(toy_certificate, lambda r: r.update(policy=[48])),
+                "policy states no mr_rounds")
+        for rounds in ("48", 48.0, True, None):
+            rejects(policy(mr_rounds=rounds), "is not an integer")
+        for rounds in (0, 1, MIN_MR_ROUNDS - 1, MAX_MR_ROUNDS + 1):
+            rejects(policy(mr_rounds=rounds), f"mr_rounds = {rounds} outside")
+        # a certificate may raise the round count, never lower it
+        for rounds in (MIN_MR_ROUNDS + 16, MAX_MR_ROUNDS):
+            assert verify_certificate(policy(mr_rounds=rounds))
+
+    def test_field_types(self, toy_certificate):
+        replace = dataclasses.replace
+        for name, value in (("x", "36"), ("y", 120.0), ("D", "1"), ("k", None),
+                            ("excluded_prime", 1.0), ("min_gap", "7")):
+            rejects(replace(toy_certificate, **{name: value}),
+                    f"{name} = {value!r} is not an integer")
+        rejects(replace(toy_certificate, epsilon="0.01"), "is not a number")
+        rejects(replace(toy_certificate, prime_offsets=["37"]),
+                "not a list of integers")
+        rejects(replace(toy_certificate, evidence=[{"kind": "explicit_factor"}]),
+                "integer offsets")
+        rejects(replace(toy_certificate, offset_str="0x0"), "not a decimal integer")
+        rejects(replace(toy_certificate, z_str="-1"), "not a decimal integer")
+        for witness in ("not-a-number", "", "1e3", 7, None):
+            def edit(r, witness=witness):
+                r["evidence"][0]["witness"] = witness
+
+            rejects(mutated(toy_certificate, edit), "is not a decimal integer")
+
+    def test_row_budget(self, toy_certificate):
+        replace = dataclasses.replace
+        rejects(replace(toy_certificate, D=0), "D = 0 is below 1")
+        # 38 bits per row index times D = 600 is 22,800 bits
+        rejects(replace(toy_certificate, D=600), "over the budget")
+        rejects(replace(toy_certificate, x=10**9), "over the row budget")
