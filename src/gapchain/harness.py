@@ -30,6 +30,7 @@ from .covering import nibble_cover, subset_leftover, synth_instance
 from .maier import (
     FrameWindow,
     GapChainCertificate,
+    VerificationOutcome,
     assemble_frame,
     find_gap_chain,
     sample_rows,
@@ -524,12 +525,18 @@ def _run_weights(cfg: ExperimentConfig):
     agg_bound = cfg.getfloat("weights", "aggregate_bound", 0.1)
     mass_bound = cfg.getfloat("weights", "point_mass_bound", 1e-2)
     metrics = {"contracts": report.summary()}
-    checks = [
-        _check(
-            "row_sums_comparable",
-            report.row_sum_ratio <= ratio_bound,
-            f"max/min = {report.row_sum_ratio:.6f} vs bound {ratio_bound}",
-        ),
+    checks = []
+    if table.kind == "maynard":
+        # a uniform row covers the shifts that keep every translate in
+        # (x, y], a window that narrows as p grows, so its sums differ by design
+        checks.append(
+            _check(
+                "row_sums_comparable",
+                report.row_sum_ratio <= ratio_bound,
+                f"max/min = {report.row_sum_ratio:.6f} vs bound {ratio_bound}",
+            )
+        )
+    checks += [
         _check(
             "off_tuple_suppressed",
             report.off_on_aggregate_ratio <= agg_bound,
@@ -673,7 +680,6 @@ def _run_maier(cfg: ExperimentConfig):
             survivors,
             stat_trials,
             derive_random(cfg.seed, "maier-rows"),
-            mr_rounds=mr_rounds,
         )
     with _timed(timings, "search"):
         outcome = find_gap_chain(
@@ -707,6 +713,7 @@ def _run_maier(cfg: ExperimentConfig):
             "D": D,
             "modulus_bits": frame.modulus.bit_length(),
             "row_space_bits": frame.row_space_bits(),
+            "row_index_bits": frame.row_index_bound().bit_length(),
             "survivors": survivors.count,
         },
         "row_stats": stats.summary(),
@@ -769,19 +776,25 @@ def _run_verify(cfg: ExperimentConfig):
     if path is None:
         raise ValueError("verify mode needs [verify] certificate = <path>")
     with _timed(timings, "verify"):
-        cert = GapChainCertificate.from_json(Path(path).read_text())
-        outcome = verify_certificate(cert)
-    metrics = {
-        "certificate": {
-            "k": cert.k,
-            "epsilon": cert.epsilon,
-            "n_primes": len(cert.prime_offsets),
-            "min_gap": cert.min_gap,
-            "version": cert.version,
-        },
+        try:
+            cert = GapChainCertificate.from_json(Path(path).read_text())
+        except ValueError as exc:  # not JSON, or the wrong keys
+            cert, outcome = None, VerificationOutcome(False, str(exc))
+        else:
+            outcome = verify_certificate(cert)
+    metrics: dict[str, Any] = {
         "accepted": outcome.accepted,
         "reason": outcome.reason or "",
     }
+    if cert is not None:
+        ps = cert.prime_offsets
+        metrics["certificate"] = {
+            "k": cert.k,
+            "epsilon": cert.epsilon,
+            "n_primes": len(ps) if isinstance(ps, list) else None,
+            "min_gap": cert.min_gap,
+            "version": cert.version,
+        }
     checks = [
         _check("certificate_accepted", outcome.accepted, outcome.reason or "ok")
     ]

@@ -10,9 +10,14 @@ whose survivor translates contain k+1 primes with every consecutive gap
 of length at least epsilon*y witnesses a chain of k consecutive large
 prime gaps.
 
-Rows are only ever sampled (z uniform in [1, P**D]); nothing here scans
-the full row space.  A sampled row's survivor translates are presieved by
-the primes in (x, PRESIEVE_LIMIT] and the rest tested by BPSW (by the
+The translation holds for every z in [1, P**D], the row space that the
+counting argument needs.  A search only samples rows, some 10**4 at most,
+so it draws z uniformly from [1, R] with R the smaller of P**D and
+2**ROW_INDEX_BITS: still far more indices than any search visits, and a
+row value stays below P * 2**65 rather than near P**(D+1), so every
+primality test on it works on fewer bits.  Nothing here scans the full
+row space.  A sampled row's survivor translates are presieved by the
+primes in (x, PRESIEVE_LIMIT] and the rest tested by BPSW (by the
 Miller-Rabin proof below the deterministic limit).  A successful row is
 packaged as a self-contained certificate: its listed primes are first
 re-tested with the full Miller-Rabin rounds, and every integer strictly
@@ -27,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -61,6 +66,7 @@ CERTIFICATE_VERSION = "1"
 DEFAULT_Z_BIT_BUDGET = 20_000
 SPOT_CHECKS = 64  # window values re-checked against the frame both ways
 PAIR_SAMPLE = 8  # survivor pairs drawn for the pair statistics
+ROW_INDEX_BITS = 64  # searches draw z from [1, min(modulus**D, 2**this)]
 PRESIEVE_LIMIT = 1 << 18  # row values are presieved by the primes in (x, this]
 _LIMB_BITS = 30  # z mod q is folded in 30-bit limbs, so products fit in int64
 # round counts a certificate may ask of the verifier: the minimum is the
@@ -97,7 +103,8 @@ class MaierFrame:
 
     offset is the CRT solution of offset = -a_p (mod p) over the whole
     residue system, reduced into [0, modulus); with all-zero classes this
-    is plain 0.  Row indices z live in [1, modulus**D].
+    is plain 0.  Row indices z live in [1, modulus**D]; the searches draw
+    them from [1, row_index_bound()].
     """
 
     x: int
@@ -116,6 +123,10 @@ class MaierFrame:
 
     def row_space_bits(self) -> int:
         return self.modulus.bit_length() * self.D
+
+    def row_index_bound(self) -> int:
+        """The largest row index a search draws, 2**ROW_INDEX_BITS at most."""
+        return min(self.row_space(), 1 << ROW_INDEX_BITS)
 
 
 def assemble_frame(
@@ -174,7 +185,7 @@ def _check_row_space(frame: MaierFrame) -> int:
             f"row space needs about {frame.row_space_bits()} bits, over the "
             f"budget of {DEFAULT_Z_BIT_BUDGET}; lower x or D"
         )
-    return frame.row_space()
+    return frame.row_index_bound()
 
 
 def _check_window(frame: MaierFrame, T: SievedSet) -> None:
@@ -278,7 +289,6 @@ class RowStatistics:
     pair_counts: dict[tuple[int, int], int]
     best_z: int
     best_prime_offsets: list[int]
-    mr_rounds: int
 
     def summary(self) -> dict:
         return {
@@ -286,7 +296,6 @@ class RowStatistics:
             "mean_primes": self.mean_primes,
             "var_primes": self.var_primes,
             "best_prime_count": len(self.best_prime_offsets),
-            "mr_rounds": self.mr_rounds,
         }
 
 
@@ -295,17 +304,13 @@ def sample_rows(
     T: SievedSet,
     trials: int,
     rng: random.Random,
-    *,
-    mr_rounds: int = 48,
 ) -> RowStatistics:
     """Count primes among survivor translates for `trials` random rows.
 
     Uses the stdlib Random generator because row indices are arbitrary
     precision.  Pair statistics cover PAIR_SAMPLE random survivor pairs,
     chosen up front from the same generator.  Rows are scanned by
-    `_row_primes` (presieve, then BPSW above the deterministic limit);
-    mr_rounds is only recorded, as the round count a certificate from
-    this frame would carry.
+    `_row_primes` (presieve, then BPSW above the deterministic limit).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -353,7 +358,6 @@ def sample_rows(
         pair_counts=pair_counts,
         best_z=best[1],
         best_prime_offsets=best[2],
-        mr_rounds=mr_rounds,
     )
 
 
@@ -397,9 +401,23 @@ class GapChainCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "GapChainCertificate":
-        raw = json.loads(text)
-        raw["prime_offsets"] = [int(a) for a in raw["prime_offsets"]]
-        raw["evidence"] = [dict(e) for e in raw["evidence"]]
+        """Parse `to_json` text; ValueError names what is malformed.
+
+        Only the shape is checked here, a JSON object with exactly the
+        certificate's keys; judging the values is the verifier's job.
+        """
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"certificate is not JSON ({exc})") from None
+        if not isinstance(raw, dict):
+            raise ValueError("certificate is not a JSON object")
+        names = {f.name for f in fields(cls)}
+        missing, extra = sorted(names - raw.keys()), sorted(raw.keys() - names)
+        if missing or extra:
+            raise ValueError(
+                f"certificate keys: missing {missing}, unexpected {extra}"
+            )
         return cls(**raw)
 
 

@@ -234,7 +234,8 @@ def test_acceptance_concentration_bound():
 # differently would change them too.
 GOLDEN_DIGESTS = {
     "gk": "497381957cc9ca7bf29b85434529e0929d161c0bc72e611491a64b6bd2be22b1",
-    "maier": "be5bd78f7befd99868ff6bddd8fb3a0134a8b0ce85e482ffe385e4663809e962",
+    "maier": "45ed0f52f789c218160c44eb9d34ab383684a0bbb4ada2d148303ac766377121",
+    "maier150": "39e8e1bb07956d4d9ade8a2d9c33cf5d823eab0258a412df007f1031ef959bdb",
     "sieve": "267e53d860c2e36874927425e0475f596d3d37f26452ab61db93dc803ccbd288",
     "cover": "f506f60e161ca93f6577942d896ce6ea140d98fec6d7781d95414bca1ad841ae",
     "primes": "e3207b5f49c4d74dd1037cab53b56447eb11250adab874bc7ecf54818a7f5a68",
@@ -263,6 +264,9 @@ def test_acceptance_reproducible_metrics(
     gk_a, gk_b = run_gk(), run_gk()
     maier_a = run_experiment(ExperimentConfig(mode="maier", seed=5))
     maier_b = run_experiment(ExperimentConfig(mode="maier", seed=5))
+    maier150 = ExperimentConfig(mode="maier", seed=5)
+    maier150.set("maier", "x", 150.0)
+    maier150.set("maier", "y", 600.0)
     cover_a = run_experiment(ExperimentConfig(mode="cover", seed=2))
     cover_b = run_experiment(ExperimentConfig(mode="cover", seed=2))
     gk_ok = gk_a.metrics_json() == gk_b.metrics_json()
@@ -273,6 +277,7 @@ def test_acceptance_reproducible_metrics(
     reports = {
         "gk": gk_a,
         "maier": maier_a,
+        "maier150": run_experiment(maier150),
         "sieve": run_experiment(ExperimentConfig(mode="sieve")),
         "cover": cover_a,
         "primes": run_experiment(ExperimentConfig(mode="primes")),

@@ -261,6 +261,7 @@ class TestModeRunners:
         frame = report.metrics["frame"]
         assert frame["x"] == 36 and frame["y"] == 120
         assert frame["modulus_bits"] == 38
+        assert frame["row_index_bits"] == 38  # the whole row space
         cert = report.metrics["certificate"]
         assert cert["k"] == 2
         sound = report.metrics["soundness"]
@@ -336,6 +337,37 @@ class TestCli:
         assert "[FAIL] certificate_accepted" in out
         assert "differs from recomputed" in out
         assert main(["verify", "--certificate", str(cert_file)]) == 0
+
+    def test_verify_subcommand_rejects_malformed_files(self, tmp_path, capsys):
+        main(["maier", "--seed", "5", "--out", str(tmp_path / "run")])
+        raw = json.loads((tmp_path / "run" / "certificate.json").read_text())
+        no_seed = dict(raw)
+        del no_seed["seed"]
+        cases = {
+            "missing.json": (json.dumps(no_seed), "missing ['seed']"),
+            "extra.json": (json.dumps({**raw, "note": 1}), "unexpected ['note']"),
+            "text.json": ("certificate: yes", "not JSON"),
+            "list.json": (json.dumps([raw]), "not a JSON object"),
+        }
+        capsys.readouterr()
+        for name, (text, reason) in cases.items():
+            path = tmp_path / name
+            path.write_text(text)
+            assert main(["verify", "--certificate", str(path),
+                         "--out", str(tmp_path / name[:-5])]) == 1
+            out = capsys.readouterr().out
+            assert "[FAIL] certificate_accepted" in out and reason in out
+            metrics = json.loads((tmp_path / name[:-5] / "metrics.json").read_text())
+            assert metrics["metrics"]["accepted"] is False
+            assert "certificate" not in metrics["metrics"]
+
+    def test_weights_row_sum_check_applies_to_maynard_rows(self, capsys):
+        assert main(["weights", "--kind", "uniform", "--x", "400"]) == 0
+        out = capsys.readouterr().out
+        assert "row_sums_comparable" not in out
+        assert "all 3 checks passed" in out
+        main(["weights", "--kind", "maynard", "--x", "400"])
+        assert "[PASS] row_sums_comparable" in capsys.readouterr().out
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"

@@ -28,7 +28,9 @@ from gapchain.maier import (
     CERTIFICATE_VERSION,
     MAX_MR_ROUNDS,
     MIN_MR_ROUNDS,
+    PAIR_SAMPLE,
     PRESIEVE_LIMIT,
+    ROW_INDEX_BITS,
     _row_primes,
     _row_scan,
 )
@@ -240,7 +242,9 @@ class TestRowScan:
         T = sift_interval(frame.x, frame.y, system)
         scan = _row_scan(frame, T)
         rng = derive_random(seed, "row-scan-oracle")
-        rows = [rng.randrange(1, frame.row_space() + 1) for _ in range(6)]
+        # the range the searches draw from: 2**64 at x=150, where a z of
+        # up to 65 bits still spans three 30-bit limbs
+        rows = [rng.randrange(1, frame.row_index_bound() + 1) for _ in range(6)]
         for z in rows:
             assert _row_primes(scan, z) == oracle_row(frame, T, z)
 
@@ -261,6 +265,50 @@ class TestRowScan:
             assert len(tested) < 0.6 * len(values)
             over = [v > DETERMINISTIC_MR_LIMIT for v in values]
             assert all(over) if x == 150.0 else not any(over)
+
+
+def drawn_rows(monkeypatch):
+    """Record every z that the searches hand to the row scan."""
+    seen = []
+    scan_row = maier._row_primes
+    monkeypatch.setattr(
+        maier, "_row_primes", lambda scan, z: seen.append(z) or scan_row(scan, z)
+    )
+    return seen
+
+
+class TestShortRows:
+    def test_row_index_bound(self, toy_frame):
+        assert ROW_INDEX_BITS == 64
+        # 38-bit modulus: the whole row space is drawn from
+        assert toy_frame.row_index_bound() == toy_frame.row_space()
+        deep = assemble_frame(toy_frame.system, FrameWindow(x=36.0, y=120.0), D=2)
+        assert deep.row_space_bits() == 76
+        assert deep.row_index_bound() == 2**64
+
+    @pytest.mark.parametrize("x, y, bound", [
+        (36.0, 120.0, 200560490130),  # the whole row space: the old stream
+        (150.0, 600.0, 2**64),  # a 190-bit row space, capped
+    ])
+    def test_searches_draw_from_the_bound(self, x, y, bound, monkeypatch):
+        system = random_system(x, 5)
+        frame = assemble_frame(system, FrameWindow(x=x, y=y))
+        T = sift_interval(frame.x, frame.y, system)
+        assert frame.row_index_bound() == bound
+        seen = drawn_rows(monkeypatch)
+        sample_rows(frame, T, trials=12, rng=derive_random(5, "maier-rows"))
+        find_gap_chain(frame, T, k=40, epsilon=0.01, trials=12,
+                       rng=derive_random(5, "maier-search"))
+        # sample_rows draws its survivor pairs first, then one z per row
+        rng = derive_random(5, "maier-rows")
+        for _ in range(PAIR_SAMPLE):
+            rng.sample(T.members().tolist(), 2)
+        want = [rng.randrange(1, bound + 1) for _ in range(12)]
+        rng = derive_random(5, "maier-search")
+        want += [rng.randrange(1, bound + 1) for _ in range(12)]
+        assert seen == want
+        assert all(1 <= z <= bound for z in seen)
+        assert max(seen) > bound >> 4  # spread over the range, not a corner
 
 
 class TestGapChainSearch:
@@ -303,6 +351,14 @@ class TestGapChainSearch:
         again = GapChainCertificate.from_json(text)
         assert again == toy_certificate
         assert verify_certificate(again)
+
+    def test_from_json_leaves_values_to_the_verifier(self, toy_certificate):
+        # the parser checks the key set only (see the CLI tests); a value
+        # of the wrong type reaches the verifier and is rejected there
+        raw = json.loads(toy_certificate.to_json())
+        raw["prime_offsets"] = "37"
+        rejects(GapChainCertificate.from_json(json.dumps(raw)),
+                "not a list of integers")
 
     def test_search_reproducible(self, toy_frame, toy_sieved, toy_certificate):
         again = find_gap_chain(
