@@ -778,6 +778,11 @@ def _run_verify(cfg: ExperimentConfig):
     with _timed(timings, "verify"):
         try:
             cert = GapChainCertificate.from_json(Path(path).read_text())
+        except OSError as exc:  # missing, a directory, unreadable
+            cert = None
+            outcome = VerificationOutcome(
+                False, f"cannot read certificate {path} ({exc.strerror})"
+            )
         except ValueError as exc:  # not JSON, or the wrong keys
             cert, outcome = None, VerificationOutcome(False, str(exc))
         else:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -625,6 +626,12 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
         return reject(f"chain length k = {cert.k} is below 1")
     if not 0 < cert.epsilon < 1:
         return reject(f"gap fraction epsilon = {cert.epsilon} outside (0, 1)")
+    # the search holds y as a float and demands gaps of epsilon * y in
+    # floats; a larger y would overflow that product
+    if cert.y > sys.float_info.max:
+        return reject(
+            f"window end y has {cert.y.bit_length()} bits, beyond a float"
+        )
     policy = cert.policy if isinstance(cert.policy, dict) else {}
     if "mr_rounds" not in policy:
         return reject("policy states no mr_rounds")

@@ -237,7 +237,7 @@ GOLDEN_DIGESTS = {
     "maier": "45ed0f52f789c218160c44eb9d34ab383684a0bbb4ada2d148303ac766377121",
     "maier150": "39e8e1bb07956d4d9ade8a2d9c33cf5d823eab0258a412df007f1031ef959bdb",
     "sieve": "267e53d860c2e36874927425e0475f596d3d37f26452ab61db93dc803ccbd288",
-    "cover": "f506f60e161ca93f6577942d896ce6ea140d98fec6d7781d95414bca1ad841ae",
+    "cover": "61da05ddc3154863bb2c8d37006eacaaadbbca1d0a37c7f7d683c45063c47055",
     "primes": "e3207b5f49c4d74dd1037cab53b56447eb11250adab874bc7ecf54818a7f5a68",
     "contracts": "ec9a75a6f2671bff64aa3efcb09312e85abd19aba038d040600a6c4b220c95e0",
     "construction": "55d58261e8d5943f19c48cd6b27662728dc8ccc2373c681f680bde5426d40783",

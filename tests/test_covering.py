@@ -1,10 +1,12 @@
 """Synthetic covering instances and the m-round nibble leftover law."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from gapchain import covering
 from gapchain.covering import (
     COVERAGE_FLOOR,
     CoveringInstance,
@@ -27,6 +29,17 @@ def make_instance(**overrides):
     return CoveringInstance(**base)
 
 
+def split_edges(values, sizes):
+    """The concatenated edges of a block draw, one array each."""
+    return np.split(values, np.cumsum(sizes)[:-1])
+
+
+def kept_parts(result):
+    """Cover index -> kept part, from the flat storage of a nibble result."""
+    parts = split_edges(result.kept_values, result.kept_sizes)
+    return dict(zip(result.edge_order.tolist(), parts))
+
+
 class TestInstanceValidation:
     @pytest.mark.parametrize(
         "overrides",
@@ -36,10 +49,29 @@ class TestInstanceValidation:
             dict(profile="uniform"),
             dict(n_covers=100, coverage=150.0),  # inclusion prob > 1
             dict(paper_mode=True, coverage=1.2 * math.log(5)),
+            dict(r_cap=0),
+            dict(coverage=0.0),
+            dict(forced_edges={0: (3, 3)}),
+            dict(forced_edges={0: (1_000,)}),
         ],
     )
     def test_rejects(self, overrides):
         with pytest.raises(ValueError):
+            make_instance(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (dict(r_cap=-1), "r_cap = -1"),
+            (dict(coverage=float("nan")), "coverage nan"),
+            (dict(coverage=float("inf")), "coverage inf"),
+            (dict(coverage=-1.0), "coverage -1.0"),
+        ],
+    )
+    def test_rejection_names_the_value(self, overrides, named):
+        # r_cap = -1 used to drop one element per edge, coverage nan gave
+        # a nan inclusion probability
+        with pytest.raises(ValueError, match=named):
             make_instance(**overrides)
 
     def test_synth_guards(self):
@@ -69,11 +101,50 @@ class TestEdgeDrawing:
             assert np.all(np.diff(edge) > 0)
             assert edge.size == 0 or (0 <= edge.min() and edge.max() < 1_000)
 
+    @pytest.mark.parametrize("profile", ["poisson", "fixed-size"])
+    def test_block_edges_are_sorted_distinct(self, profile):
+        # 20 elements and edges of 15 force many redraws of repeats
+        inst = CoveringInstance(
+            n_elements=20, n_covers=40, coverage=30.0, profile=profile
+        )
+        values, sizes, truncated = inst.draw_edges(
+            np.arange(40), derive_rng(0, "block-edges")
+        )
+        assert truncated == 0 and sizes.sum() == values.size
+        for edge in split_edges(values, sizes):
+            assert np.all(np.diff(edge) > 0)
+            assert edge.size == 0 or (0 <= edge.min() and edge.max() < 20)
+
+    def test_block_draw_is_uniform_over_elements(self):
+        inst = CoveringInstance(
+            n_elements=20, n_covers=1, coverage=0.75, profile="fixed-size"
+        )
+        assert inst.fixed_edge_size == 15
+        values, sizes, _ = inst.draw_edges(
+            np.zeros(4_000, dtype=np.int64), derive_rng(0, "uniform")
+        )
+        assert set(sizes.tolist()) == {15}
+        # each element lies in a uniform 15-subset of 20 with probability 3/4
+        freq = np.bincount(values, minlength=20) / 4_000
+        se = math.sqrt(0.75 * 0.25 / 4_000)
+        assert np.abs(freq - 0.75).max() < 5 * se
+
+    def test_poisson_sizes_are_binomial(self):
+        inst = make_instance()
+        n, p = inst.n_elements, inst.inclusion_prob
+        ids = np.tile(np.arange(inst.n_covers), 40)
+        _, sizes, _ = inst.draw_edges(ids, derive_rng(0, "sizes"))
+        mean, var = n * p, n * p * (1 - p)
+        assert abs(sizes.mean() - mean) < 5 * math.sqrt(var / sizes.size)
+        assert abs(sizes.var(ddof=1) / var - 1) < 5 * math.sqrt(2 / sizes.size)
+
     def test_fixed_size_profile(self):
         inst = make_instance(profile="fixed-size")
         rng = derive_rng(0, "edges-fixed")
         sizes = {inst.draw_edge(p, rng)[0].size for p in range(10)}
         assert sizes == {inst.fixed_edge_size}
+        _, block_sizes, _ = inst.draw_edges(np.arange(100), rng)
+        assert set(block_sizes.tolist()) == {inst.fixed_edge_size}
 
     def test_saturated_inclusion_takes_everything(self):
         inst = CoveringInstance(
@@ -81,6 +152,12 @@ class TestEdgeDrawing:
         )
         edge, _ = inst.draw_edge(0, derive_rng(0, "full"))
         assert edge.tolist() == list(range(10))
+        rng = derive_rng(0, "full-block")
+        state = copy.deepcopy(rng.bit_generator.state)
+        values, sizes, _ = inst.draw_edges(np.zeros(3, dtype=np.int64), rng)
+        assert values.tolist() == list(range(10)) * 3
+        assert sizes.tolist() == [10, 10, 10]
+        assert rng.bit_generator.state == state  # no draw at all
 
     def test_forced_edges_override_randomness(self):
         inst = make_instance(forced_edges={3: (9, 2, 5)})
@@ -88,6 +165,11 @@ class TestEdgeDrawing:
             edge, truncated = inst.draw_edge(3, derive_rng(trial, "forced"))
             assert edge.tolist() == [2, 5, 9]
             assert not truncated
+        values, sizes, truncated = inst.draw_edges(
+            np.arange(8), derive_rng(0, "forced-block")
+        )
+        assert split_edges(values, sizes)[3].tolist() == [2, 5, 9]
+        assert truncated == 0
 
     def test_r_cap_truncates_even_forced_edges(self):
         inst = make_instance(forced_edges={0: tuple(range(10))}, r_cap=4)
@@ -96,19 +178,63 @@ class TestEdgeDrawing:
         assert np.all(np.diff(edge) > 0)
         assert set(edge.tolist()) <= set(range(10))
 
+    def test_r_cap_count_in_a_block(self):
+        # random edges of 32 and a forced edge of 10 exceed the cap of 5;
+        # the forced edge of 3 does not
+        inst = make_instance(
+            profile="fixed-size",
+            r_cap=5,
+            forced_edges={0: tuple(range(10, 20)), 1: (7, 3, 1)},
+        )
+        assert inst.fixed_edge_size == 32
+        values, sizes, truncated = inst.draw_edges(
+            np.arange(12), derive_rng(0, "cap-block")
+        )
+        assert truncated == 11
+        assert sizes.tolist() == [5, 3] + [5] * 10
+        edges = split_edges(values, sizes)
+        assert set(edges[0].tolist()) <= set(range(10, 20))
+        assert np.all(np.diff(edges[0]) > 0)
+        assert edges[1].tolist() == [1, 3, 7]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(profile="fixed-size"),
+            dict(forced_edges={5: (8, 1, 4)}),
+            dict(forced_edges={5: tuple(range(40))}, r_cap=6),
+            dict(profile="fixed-size", r_cap=6),
+        ],
+    )
+    def test_draw_edge_is_the_one_edge_block_draw(self, overrides):
+        inst = make_instance(**overrides)
+        for seed in range(3):
+            one = derive_rng(seed, "one-edge")
+            block = derive_rng(seed, "one-edge")
+            edge, truncated = inst.draw_edge(5, one)
+            values, sizes, cut = inst.draw_edges(np.array([5]), block)
+            assert np.array_equal(edge, values)
+            assert sizes.tolist() == [edge.size]
+            assert truncated == (cut == 1)
+            assert one.bit_generator.state == block.bit_generator.state
+
 
 class TestNibbleCover:
     def test_partition_into_kept_and_leftover(self):
         inst = make_instance()
         result = nibble_cover(inst, m=2, rng=derive_rng(1, "nibble"))
+        assert sorted(result.edge_order.tolist()) == list(range(inst.n_covers))
+        assert result.kept_sizes.size == inst.n_covers
+        assert result.kept_sizes.sum() == result.kept_values.size
+        for part in kept_parts(result).values():
+            assert np.all(np.diff(part) > 0)
         covered = np.zeros(inst.n_elements, dtype=bool)
-        for part in result.kept_edges.values():
-            covered[part] = True
+        covered[result.kept_values] = True
         leftover_mask = np.zeros(inst.n_elements, dtype=bool)
         leftover_mask[result.leftover] = True
         assert not (covered & leftover_mask).any()
         assert (covered | leftover_mask).all()
-        assert len(result.kept_edges) == inst.n_covers
         assert result.leftover_fraction == result.leftover.size / 1_000
 
     def test_bitwise_reproducible(self):
@@ -117,11 +243,46 @@ class TestNibbleCover:
         b = nibble_cover(inst, m=3, rng=derive_rng(5, "nibble"))
         c = nibble_cover(inst, m=3, rng=derive_rng(6, "nibble"))
         assert np.array_equal(a.leftover, b.leftover)
-        assert all(
-            np.array_equal(a.kept_edges[p], b.kept_edges[p])
-            for p in a.kept_edges
-        )
+        for name in ("edge_order", "kept_sizes", "kept_values"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
         assert not np.array_equal(a.leftover, c.leftover)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rounds_keep_what_was_alive_at_round_start(self, m, monkeypatch):
+        # chunks of a few edges, so each round spans several chunks; every
+        # chunk must meet the survivors as they stood at the round's start
+        monkeypatch.setattr(covering, "_CHUNK_BYTES", 8 * 32 * 4)
+        draws = []
+        draw_edges = CoveringInstance.draw_edges
+
+        def recording(self, ids, rng):
+            values, sizes, truncated = draw_edges(self, ids, rng)
+            draws.append((ids.copy(), values.copy(), sizes.copy()))
+            return values, sizes, truncated
+
+        monkeypatch.setattr(CoveringInstance, "draw_edges", recording)
+        inst = make_instance(coverage=m * math.log(5))
+        result = nibble_cover(inst, m=m, rng=derive_rng(7, "rounds"))
+        assert np.array_equal(
+            np.concatenate([ids for ids, _, _ in draws]), result.edge_order
+        )
+        kept = kept_parts(result)
+        alive = np.ones(inst.n_elements, dtype=bool)
+        for block in np.array_split(result.edge_order, m):
+            in_round = [d for d in draws if np.isin(d[0], block).all()]
+            assert len(in_round) > 1
+            at_start = alive.copy()
+            alive_pairs = kept_total = 0
+            for ids, values, sizes in in_round:
+                for p, edge in zip(ids.tolist(), split_edges(values, sizes)):
+                    assert np.array_equal(kept[p], edge[at_start[edge]])
+                    alive_pairs += int(at_start[edge].sum())
+                    kept_total += kept[p].size
+                alive[values] = False
+            assert kept_total == alive_pairs
+            round_kept = np.concatenate([kept[p] for p in block.tolist()])
+            assert round_kept.size > np.unique(round_kept).size  # overlaps
+        assert np.array_equal(np.flatnonzero(alive), result.leftover)
 
     def test_schedule_guards(self):
         inst = make_instance(n_covers=3, coverage=1.5)
@@ -135,7 +296,7 @@ class TestNibbleCover:
         assert inst.fixed_edge_size > 10
         result = nibble_cover(inst, m=2, rng=derive_rng(2, "cap-count"))
         assert result.truncated_draws == inst.n_covers
-        assert all(part.size <= 10 for part in result.kept_edges.values())
+        assert result.kept_sizes.max() <= 10
 
     def test_leftover_law_single_seed_smoke(self):
         # per-round coverage log 5 should leave about 5**-2 of the ground set
@@ -163,8 +324,14 @@ class TestSubsetLeftover:
         assert subset_leftover(result, []) == 0
 
     def test_range_guard(self):
+        empty = np.empty(0, dtype=np.int64)
         result = CoverResult(
-            n_elements=100, m=1, kept_edges={}, leftover=np.arange(3)
+            n_elements=100,
+            m=1,
+            edge_order=empty,
+            kept_sizes=empty,
+            kept_values=empty,
+            leftover=np.arange(3),
         )
         with pytest.raises(ValueError):
             subset_leftover(result, [-1])

@@ -361,6 +361,18 @@ class TestCli:
             assert metrics["metrics"]["accepted"] is False
             assert "certificate" not in metrics["metrics"]
 
+    def test_verify_subcommand_reports_unreadable_files(self, tmp_path, capsys):
+        # a missing file used to end in a FileNotFoundError traceback
+        for path in (tmp_path / "missing.json", tmp_path):
+            out_dir = tmp_path / "out"
+            assert main(["verify", "--certificate", str(path),
+                         "--out", str(out_dir)]) == 1
+            out = capsys.readouterr().out
+            assert "[FAIL] certificate_accepted" in out
+            assert f"cannot read certificate {path}" in out
+            metrics = json.loads((out_dir / "metrics.json").read_text())
+            assert metrics["metrics"]["accepted"] is False
+
     def test_weights_row_sum_check_applies_to_maynard_rows(self, capsys):
         assert main(["weights", "--kind", "uniform", "--x", "400"]) == 0
         out = capsys.readouterr().out

@@ -595,6 +595,17 @@ class TestVerifierRejections:
 
             rejects(mutated(toy_certificate, edit), "is not a decimal integer")
 
+    def test_gap_demand(self, toy_certificate):
+        # epsilon * y as a float product overflowed for y beyond 1e308
+        huge = dataclasses.replace(toy_certificate, y=10**400)
+        rejects(huge, "window end y has 1329 bits, beyond a float")
+        # the demand is the search's float product: 0.01 * 100 g rounds to
+        # g, although the binary 0.01 times 100 g exceeds g
+        g = toy_certificate.min_gap
+        assert 0.01 * (100 * g) == g
+        at_demand = dataclasses.replace(toy_certificate, y=100 * g)
+        assert verify_certificate(at_demand)
+
     def test_row_budget(self, toy_certificate):
         replace = dataclasses.replace
         rejects(replace(toy_certificate, D=0), "D = 0 is below 1")
