@@ -16,8 +16,9 @@ One run proceeds in four moves:
      splitting each target's incoming mass into the on-tuple main part
      and the near-window off-tuple error part.
 
-Exactness discipline: survival masses use compensated summation and are
-re-derived through an independent numpy reduction each run; the two must
+Exactness discipline: survival masses are exact sums, math.fsum of each
+masked row bit for bit (weights.exact_row_sums), and are re-derived
+through an independent numpy pairwise reduction each run; the two must
 agree to 1e-12 relative or the run aborts.
 """
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .seeds import derive_rng
 from .sieving import SmallClassVector, sifted_mask, strike_classes
-from .weights import WeightTable, draw_shift, gathered_sums
+from .weights import WeightTable, draw_shift, exact_row_sums, gathered_sums
 
 __all__ = [
     "sample_small_classes",
@@ -116,7 +117,7 @@ def tuple_survival_mass(
     if row.row_sum <= 0:
         raise ValueError(f"zero weight row for p = {p}")
     keep = survival_mask(table, p, small_classes)
-    return math.fsum(row.values[keep].tolist()) / row.row_sum
+    return float(exact_row_sums((row.values * keep)[None])[0]) / row.row_sum
 
 
 def select_stable_primes(
@@ -197,15 +198,19 @@ def run_construction(
     sigma_r = float(part.sigma ** table.tuple.r)
     survival: dict[int, float] = {}
     zero_rows: list[int] = []
+    chosen: dict[int, int] = {}
     max_rel = 0.0
     for i, p in enumerate(ps.tolist()):
+        chosen[p] = 0
         if sums[i] <= 0:
             zero_rows.append(p)
             continue
-        masked = W[i][mask[i]]
-        xp = math.fsum(masked.tolist()) / float(sums[i])
+        # one masked row feeds the exact sum, the numpy sum and the draw
+        vals = W[i] * mask[i]
+        xp = float(exact_row_sums(vals[None])[0]) / float(sums[i])
         # independent reduction path: plain numpy pairwise sum
-        xp_np = float((W[i] * mask[i]).sum() / sums[i])
+        total_np = vals.sum()
+        xp_np = float(total_np / sums[i])
         denom = max(abs(xp), 1e-300)
         rel = abs(xp_np - xp) / denom
         max_rel = max(max_rel, rel)
@@ -215,23 +220,16 @@ def run_construction(
                 f"{xp} vs {xp_np} (rel {rel:.3e})"
             )
         survival[p] = xp
+        if select_stable_primes({p: xp}, sigma_r, eta):
+            if total_np <= 0:
+                raise ValueError(
+                    f"stable prime {p} has zero conditional mass; eta too loose"
+                )
+            chosen[p] = draw_shift(
+                vals, table.n_min, derive_rng(seed, "offset", str(p))
+            )
 
     stable = select_stable_primes(survival, sigma_r, eta)
-    stable_set = set(stable)
-
-    chosen: dict[int, int] = {}
-    for i, p in enumerate(ps.tolist()):
-        if p not in stable_set:
-            chosen[p] = 0
-            continue
-        vals = W[i] * mask[i]
-        if vals.sum() <= 0:
-            raise ValueError(
-                f"stable prime {p} has zero conditional mass; eta too loose"
-            )
-        chosen[p] = draw_shift(
-            vals, table.n_min, derive_rng(seed, "offset", str(p))
-        )
 
     return ConstructionRun(
         table=table,
@@ -341,12 +339,12 @@ def target_coverage_report(
     )
     if good_idx.size == 0:
         raise ValueError("no stable primes; nothing covers the targets")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Z = np.where(
-            sums[good_idx, None] > 0,
-            W[good_idx] * run.mask_matrix[good_idx] / sums[good_idx, None],
-            0.0,
-        )
+    # conditional laws of the stable rows, with gathered_sums' zero column
+    Z = np.zeros((good_idx.size, W.shape[1] + 1))
+    for k, i in enumerate(good_idx.tolist()):
+        if sums[i] > 0:
+            np.multiply(W[i], run.mask_matrix[i], out=Z[k, :-1])
+            Z[k, :-1] /= sums[i]
     p_vec = ps[good_idx].astype(np.int64)
 
     inv_sigma_r = 1.0 / run.sigma_r

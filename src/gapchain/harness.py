@@ -410,12 +410,14 @@ def _tuple_from_config(cfg: ExperimentConfig) -> AdmissibleTuple:
 
 
 def _build_table(cfg: ExperimentConfig, partition: PrimePartition):
-    return build_weights(
+    table = build_weights(
         partition,
         _tuple_from_config(cfg),
         kind=cfg.get("weights", "kind", "maynard"),
         theta=cfg.getfloat("weights", "theta", 1.0),
     )
+    table.matrix()  # build the rows now, so they are timed as "table"
+    return table
 
 
 def _run_primes(cfg: ExperimentConfig):

@@ -29,6 +29,11 @@ term left out would add exactly +-0.0, so the rows equal that dense sum
 bit for bit.  Single points are evaluated independently by factoring the
 r translates.  The two paths agree to floating round-off and are
 cross-checked in the tests.
+
+Row sums are exact: exact_row_sums buckets each row's entries by binary
+exponent, splits each entry into two parts that every bucket sums without
+rounding, and rounds the exact total once, which is math.fsum of the row
+bit for bit at a fraction of its cost.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ __all__ = [
     "WeightTable",
     "build_weights",
     "draw_shift",
+    "exact_row_sums",
     "sample_weighted_offset",
     "gathered_sums",
     "WeightContractReport",
@@ -63,6 +69,11 @@ __all__ = [
 _BATCH_BYTES = 1 << 22
 # Larger dense allocations are refused up front.
 _MAX_BYTES = 1 << 30
+# exact_row_sums splits each entry after its top 27 significant bits; a
+# bucket of one binary exponent then sums exactly while it holds fewer
+# than 2**26 terms, so longer rows are refused.
+_LOW_BITS = 26
+_MAX_ROW_TERMS = 1 << 26
 
 
 def is_admissible(offsets: Sequence[int]) -> bool:
@@ -116,6 +127,55 @@ def first_primes_tuple(r: int) -> AdmissibleTuple:
     return AdmissibleTuple(primes_after(r, r))
 
 
+def exact_row_sums(A: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a nonnegative, finite float64 matrix, bit for bit.
+
+    Each entry x splits exactly into hi, its bit pattern with the low 26
+    mantissa bits cleared, and lo = x - hi.  Among entries of one binary
+    exponent every hi is a multiple of 2**26 ulps and every lo is below
+    2**26 ulps, so with fewer than 2**26 entries per row one float64
+    bincount per part, keyed by (row, exponent), sums every bucket
+    exactly.  fsum of a row's nonzero bucket sums then rounds the exact
+    total once, which is what fsum of the row returns.  Rows are taken in
+    chunks of about _BATCH_BYTES.
+    """
+    A = np.asarray(A)
+    if A.ndim != 2 or A.dtype != np.float64:
+        raise ValueError(f"need a 2-D float64 matrix, not {A.ndim}-D {A.dtype}")
+    n_rows, n_cols = A.shape
+    if n_cols >= _MAX_ROW_TERMS:
+        raise ValueError(
+            f"rows of {n_cols} entries reach 2**26: a bucket sum could round"
+        )
+    out = np.zeros(n_rows)
+    step = max(1, _BATCH_BYTES // (8 * max(n_cols, 1)))
+    for k in range(0, n_rows, step):
+        block = A[k : k + step]
+        if not np.isfinite(block).all():
+            raise ValueError("exact_row_sums got a NaN or infinite entry")
+        if (block < 0).any():
+            raise ValueError("exact_row_sums got a negative entry")
+        bits = block.view(np.int64)
+        # biased exponent, with -0.0 sent to the bucket of +0.0
+        key = (bits >> 52) & 0x7FF
+        key += 2048 * np.arange(block.shape[0])[:, None]
+        hi = (bits & (-1 << _LOW_BITS)).view(np.float64)
+        lo = block - hi
+        n_keys = 2048 * block.shape[0]
+        parts = np.concatenate(
+            (
+                np.bincount(key.ravel(), hi.ravel(), n_keys).reshape(-1, 2048),
+                np.bincount(key.ravel(), lo.ravel(), n_keys).reshape(-1, 2048),
+            ),
+            axis=1,
+        )
+        if np.isinf(parts).any():
+            raise OverflowError("a row sum overflows float64")
+        for i, row in enumerate(parts):
+            out[k + i] = math.fsum(row[row != 0].tolist())
+    return out
+
+
 @dataclass(frozen=True)
 class WeightRow:
     """One prime's row of a table's matrix: values[j] = w(p, n_min + j).
@@ -132,9 +192,10 @@ class WeightTable:
     """Rows w(p, .) for every weighted prime, held in one dense matrix.
 
     Rows live on the common shift grid [-floor(y), floor(y)].  Row sums
-    use compensated summation and are stored once; all normalized
-    quantities divide by the stored sums.  The first call to matrix() or
-    row() builds every row; the matrix is read-only from then on.
+    are exact_row_sums, each row's exact sum rounded once, and are stored
+    once; all normalized quantities divide by the stored sums.  The first
+    call to matrix() or row() builds every row; the matrix is read-only
+    from then on.
     """
 
     def __init__(
@@ -242,8 +303,7 @@ class WeightTable:
             view[each, :, cls2] += ((sign * f) * mult2)[:, :, None]
             stack.append((j + 1, m2, -sign, cls2, mult2))
         np.multiply(lam[:, :length], lam[:, :length], out=W)
-        for i in range(R):
-            sums[i] = math.fsum(W[i].tolist())
+        sums[:] = exact_row_sums(W)
 
     def row(self, p: int) -> WeightRow:
         """p's row of matrix(), as a read-only view, with its sum."""
@@ -494,15 +554,17 @@ def gathered_sums(
 ) -> np.ndarray:
     """For each q: sum over rows i of M[i, q - h p_i - n_min].
 
-    M is a row-normalized matrix on the shift grid starting at n_min, so
-    each term is the law of row i at the shift q - h p_i; shifts off the
-    grid contribute 0.
+    M is a C-contiguous, row-normalized matrix on the shift grid starting
+    at n_min, plus one last column that must be zero: each term is the law
+    of row i at the shift q - h p_i, and a shift off the grid reads that
+    zero column, so it contributes 0.
     """
-    idx = q_arr[:, None] - h * p_arr[None, :] - n_min
-    ok = (idx >= 0) & (idx < M.shape[1])
-    safe = np.where(ok, idx, 0)
-    vals = M[np.arange(p_arr.size)[None, :], safe]
-    return np.where(ok, vals, 0.0).sum(axis=1)
+    width = M.shape[1] - 1
+    idx = q_arr[:, None] - (h * p_arr + n_min)[None, :]
+    np.clip(idx, -1, width, out=idx)
+    idx[idx < 0] = width
+    idx += np.arange(p_arr.size) * M.shape[1]
+    return np.take(M, idx).sum(axis=1)
 
 
 def weight_contract_report(
@@ -559,8 +621,9 @@ def weight_contract_report(
         if bad:
             raise ValueError(f"off-tuple shifts {bad} are tuple offsets")
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        M = np.where(keep[:, None], W / sums[:, None], 0.0)
+    # normalized rows, zero rows left zero, with gathered_sums' zero column
+    M = np.zeros((W.shape[0], W.shape[1] + 1))
+    np.divide(W, sums[:, None], out=M[:, :-1], where=keep[:, None])
     p_arr = ps.astype(np.int64)
     on = np.stack(
         [gathered_sums(M, p_arr, q_arr, h, table.n_min) for h in offs], axis=1

@@ -1,11 +1,13 @@
 """Experiment harness: config round trips, reports, every mode runner, CLI."""
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gapchain import harness
 from gapchain.cli import main
 from gapchain.harness import (
     MODES,
@@ -18,6 +20,7 @@ from gapchain.harness import (
 )
 from gapchain.maier import GapChainCertificate, verify_certificate
 from gapchain.seeds import derive_rng
+from gapchain.weights import WeightTable
 
 
 def make_config(mode, seed=0, **sections):
@@ -246,6 +249,39 @@ class TestModeRunners:
         assert report.metrics["coverage"]["n_q_sampled"] <= 64
         assert report.config["sections"]["construct"]["eta"] == "0.3"
         assert "out_dir" not in report.config
+
+    @pytest.mark.parametrize("mode", ["weights", "construct"])
+    def test_rows_are_built_in_the_table_span(self, monkeypatch, mode):
+        # the first matrix() call builds every row; it must happen while
+        # the "table" span is open, so timings.json bills the rows to it
+        open_spans, calls = [], []
+        real_timed, real_matrix = harness._timed, WeightTable.matrix
+
+        @contextmanager
+        def timed(timings, name):
+            open_spans.append(name)
+            try:
+                with real_timed(timings, name):
+                    yield
+            finally:
+                open_spans.pop()
+
+        def matrix(table):
+            calls.append(tuple(open_spans))
+            return real_matrix(table)
+
+        monkeypatch.setattr(harness, "_timed", timed)
+        monkeypatch.setattr(WeightTable, "matrix", matrix)
+        cfg = make_config(
+            mode,
+            seed=1,
+            partition={"x": 400},
+            weights={"theta": 0.5},
+            construct={"max_q": 64},
+        )
+        report = run_experiment(cfg)
+        assert calls and calls[0][-1] == "table"  # the innermost open span
+        assert "table" in report.timings
 
     def test_cover_mode(self):
         report = run_experiment(make_config("cover"))

@@ -8,9 +8,12 @@ or recursive accumulation tricks.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gapchain as g
 from gapchain import (
@@ -23,6 +26,7 @@ from gapchain import (
 )
 from gapchain import weights as weights_mod
 from gapchain.seeds import derive_rng
+from gapchain.weights import exact_row_sums, gathered_sums
 
 
 def brute_subset_weight(table, p, n):
@@ -65,6 +69,40 @@ def grid_classes(table, p, primes):
         sum(a * (m // s) * pow(m // s, -1, s) for s, a in zip(primes, combo)) % m
         for combo in itertools.product(*per)
     }
+
+
+def masked_gather(M, p_arr, q_arr, h, n_min):
+    """Oracle for gathered_sums on an unpadded M: every shift off the grid
+    is masked to 0 by np.where before the same row-wise sum."""
+    idx = q_arr[:, None] - h * p_arr[None, :] - n_min
+    ok = (idx >= 0) & (idx < M.shape[1])
+    safe = np.where(ok, idx, 0)
+    vals = M[np.arange(p_arr.size)[None, :], safe]
+    return np.where(ok, vals, 0.0).sum(axis=1)
+
+
+def fsum_rows(A):
+    return np.array([math.fsum(row.tolist()) for row in A], dtype=np.float64)
+
+
+# entries for exact_row_sums: zeros, subnormals, the smallest normals and
+# magnitudes spread over +-300 decades
+_entries = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 2.3e-308, allow_subnormal=True),
+    st.floats(0.0, 1.0),
+    st.builds(
+        lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-300, 300)
+    ),
+)
+
+
+@st.composite
+def _matrices(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 24))
+    flat = draw(st.lists(_entries, min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat, dtype=np.float64).reshape(rows, cols)
 
 
 class TestAdmissibility:
@@ -290,7 +328,7 @@ class TestDivisorSumRows:
             row = small_table.row(p)
             assert np.array_equal(W[i], row.values)
             assert sums[i] == row.row_sum
-            assert row.row_sum == pytest.approx(math.fsum(row.values.tolist()))
+            assert row.row_sum == math.fsum(row.values.tolist())
         with pytest.raises(ValueError):
             W[0, 0] = 1.0
 
@@ -415,3 +453,124 @@ class TestContractReport:
             weight_contract_report(small_table, q_sample=5)  # rng missing
         with pytest.raises(ValueError):
             weight_contract_report(small_table, off_offsets=[7])  # in tuple
+
+
+class TestExactRowSums:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(A=_matrices(), rows_per_chunk=st.sampled_from([1, 2, 3, None]))
+    def test_equals_fsum_bit_for_bit(self, A, rows_per_chunk):
+        # rows_per_chunk None keeps the default chunk, which holds every row
+        batch = weights_mod._BATCH_BYTES
+        if rows_per_chunk is not None:
+            batch = 8 * A.shape[1] * rows_per_chunk
+        with mock.patch.object(weights_mod, "_BATCH_BYTES", batch):
+            got = exact_row_sums(A)
+        want = fsum_rows(A)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.zeros((3, 5)),
+            np.full((2, 4), 5e-324),  # the smallest subnormal
+            np.array([[1e-300, 1e300, 1e-300, 3.0]]),
+            np.array([[0.1]]),
+            np.array([[0.1], [1e300], [0.0]]),
+            np.array([[-0.0, 0.0, 2.0, -0.0]]),
+            np.zeros((2, 0)),
+            np.zeros((0, 3)),
+        ],
+    )
+    def test_edge_shapes_and_values(self, A):
+        got = exact_row_sums(A)
+        assert got.shape == (A.shape[0],)
+        assert np.array_equal(got.view(np.int64), fsum_rows(A).view(np.int64))
+
+    def test_table_rows_span_several_chunks(self, small_table):
+        _, W, sums = small_table.matrix()
+        width = W.shape[1]
+        with mock.patch.object(weights_mod, "_BATCH_BYTES", 8 * width * 3):
+            got = exact_row_sums(W)
+        assert np.array_equal(got.view(np.int64), fsum_rows(W).view(np.int64))
+        assert np.array_equal(got, sums)
+
+    def test_column_views_and_one_row_views(self):
+        rng = derive_rng(0, "exact-row-sums-views")
+        A = rng.random((6, 50)) ** 8
+        for view in (A[:, ::3], A[::2], A[2:3], A.T):
+            got = exact_row_sums(view)
+            assert np.array_equal(got.view(np.int64), fsum_rows(view).view(np.int64))
+
+    @pytest.mark.parametrize(
+        "bad, fault",
+        [
+            (-1e-300, "negative"),
+            (-5.0, "negative"),
+            (math.nan, "NaN or infinite"),
+            (math.inf, "NaN or infinite"),
+            (-math.inf, "NaN or infinite"),
+        ],
+    )
+    def test_rejects_entries_outside_the_domain(self, bad, fault):
+        A = np.ones((4, 6))
+        A[3, 5] = bad
+        with mock.patch.object(weights_mod, "_BATCH_BYTES", 8 * 6):
+            with pytest.raises(ValueError, match=fault):
+                exact_row_sums(A)  # the bad entry sits in the last chunk
+
+    def test_rejects_rows_of_2_to_the_26_entries(self):
+        # a zero-strided view: no memory behind the long row
+        long_row = np.broadcast_to(np.float64(1.0), (1, 1 << 26))
+        with pytest.raises(ValueError, match="2\\*\\*26"):
+            exact_row_sums(long_row)
+        short = np.broadcast_to(np.float64(1.0), (1, (1 << 26) - 1))
+        assert weights_mod._MAX_ROW_TERMS == short.shape[1] + 1
+        with pytest.raises(ValueError, match="2-D float64"):
+            exact_row_sums(np.ones(3))
+        with pytest.raises(ValueError, match="2-D float64"):
+            exact_row_sums(np.ones((2, 2), dtype=np.float32))
+
+
+class TestGatheredSums:
+    @pytest.fixture(scope="class")
+    def normalized(self, small_table):
+        ps, W, sums = small_table.matrix()
+        M = W / sums[:, None]
+        padded = np.zeros((M.shape[0], M.shape[1] + 1))
+        padded[:, :-1] = M
+        q = small_table.partition.target_primes.astype(np.int64)
+        return M, padded, ps.astype(np.int64), q
+
+    @pytest.mark.parametrize(
+        "h, on_grid",
+        [(0, "all"), (5, "all"), (13, "all"), (30, "some"), (-5, "some"),
+         (100, "none"), (-100, "none")],
+    )
+    def test_padded_gather_equals_masked_oracle(
+        self, small_table, normalized, h, on_grid
+    ):
+        M, padded, p, q = normalized
+        idx = q[:, None] - h * p[None, :] - small_table.n_min
+        inside = (idx >= 0) & (idx < M.shape[1])
+        assert {"all": inside.all(), "none": not inside.any(),
+                "some": inside.any() and not inside.all()}[on_grid]
+        got = gathered_sums(padded, p, q, h, small_table.n_min)
+        want = masked_gather(M, p, q, h, small_table.n_min)
+        assert got.shape == (q.size,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if on_grid == "none":
+            assert not got.any()
+
+    def test_contract_report_uses_the_padded_gather(self, small_table, normalized):
+        M, _, p, q = normalized
+        report = weight_contract_report(small_table)
+        want = np.stack(
+            [masked_gather(M, p, q, h, small_table.n_min)
+             for h in small_table.tuple.offsets],
+            axis=1,
+        )
+        assert np.array_equal(report.on_sums, want)
+        for h in report.off_offsets[:: max(1, len(report.off_offsets) // 8)]:
+            t = masked_gather(M, p, q, h, small_table.n_min)
+            assert report.off_means[h] == float(t.mean())
+        assert report.max_point_mass == float(M.max())
