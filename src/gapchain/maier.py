@@ -18,19 +18,25 @@ row value stays below P * 2**65 rather than near P**(D+1), so every
 primality test on it works on fewer bits.  Nothing here scans the full
 row space.  A sampled row's survivor translates are presieved by the
 primes in (x, PRESIEVE_LIMIT] and the rest tested by BPSW (by the
-Miller-Rabin proof below the deterministic limit).  A successful row is
-packaged as a self-contained certificate: its listed primes are first
-re-tested with the full Miller-Rabin rounds, and every integer strictly
-between them carries deterministically checkable compositeness evidence
-(a shared factor with the modulus, an explicit factor, or a Miller-Rabin
-witness base), so an independent verifier needs no access to the search.
-The verifier applies its own minimum round count, MIN_MR_ROUNDS.
+Miller-Rabin proof below the deterministic limit).  Rows are independent,
+so `sample_rows` draws all of its row indices first and scans them in
+forked worker processes, one contiguous block of rows per usable CPU, and
+aggregates them in draw order: the statistics are the same bytes as a
+one-by-one scan.  The gap-chain search stops at its first certifying row,
+so it scans its rows one at a time.  A successful row is packaged as a
+self-contained certificate: its listed primes are first re-tested with
+the full Miller-Rabin rounds, and every integer strictly between them
+carries deterministically checkable compositeness evidence (a shared
+factor with the modulus, an explicit factor, or a Miller-Rabin witness
+base), so an independent verifier needs no access to the search.  The
+verifier applies its own minimum round count, MIN_MR_ROUNDS.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass, field, fields
@@ -94,6 +100,11 @@ class FrameWindow:
             raise ValueError("window start must exceed 2")
         if not self.y > self.x:
             raise ValueError("window end must exceed its start")
+        # a prime above x would divide no modulus a frame builds
+        if self.excluded_prime > self.x:
+            raise ValueError(
+                f"excluded modulus {self.excluded_prime} exceeds x = {self.x}"
+            )
         if self.excluded_prime != 1 and not is_prime(self.excluded_prime):
             raise ValueError("excluded modulus must be 1 or a prime")
 
@@ -279,6 +290,63 @@ def _row_primes(scan: _RowScan, z: int) -> list[int]:
     return out
 
 
+_worker_scan: _RowScan | None = None  # set only in `_scan_rows`' pool workers
+
+
+def _start_worker(scan: _RowScan) -> None:
+    global _worker_scan
+    _worker_scan = scan
+
+
+def _scan_block(zs: list[int]) -> list[list[int]]:
+    return [_row_primes(_worker_scan, z) for z in zs]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _scan_rows(scan: _RowScan, zs: list[int]) -> list[list[int]]:
+    """`_row_primes(scan, z)` for every z, in the order of zs.
+
+    zs is split into one contiguous block per worker, min(usable CPUs,
+    len(zs)) workers, forked so that they inherit the scan (a forked
+    worker's initializer arguments are not pickled); only blocks of z go
+    out and lists of offsets come back.  The rows are scanned here, one
+    after another, when there is one worker, when the platform cannot
+    fork, when this process is itself a daemonic pool worker, when other
+    threads are alive (forking a threaded process can deadlock) or when
+    starting the pool fails.
+    """
+    import multiprocessing
+    import threading
+
+    workers = min(_usable_cpus(), len(zs))
+    if (
+        workers > 1
+        and "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+        and threading.active_count() == 1
+    ):
+        size, extra = divmod(len(zs), workers)
+        bounds = [i * size + min(i, extra) for i in range(workers + 1)]
+        blocks = [zs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        try:
+            pool = multiprocessing.get_context("fork").Pool(
+                workers, _start_worker, (scan,)
+            )
+        except OSError:  # no process could be started: scan here instead
+            pass
+        else:
+            with pool:
+                done = pool.map(_scan_block, blocks, 1)
+            return [row for block in done for row in block]
+    return [_row_primes(scan, z) for z in zs]
+
+
 @dataclass(frozen=True)
 class RowStatistics:
     """Primality statistics over sampled rows of the translation frame."""
@@ -310,8 +378,14 @@ def sample_rows(
 
     Uses the stdlib Random generator because row indices are arbitrary
     precision.  Pair statistics cover PAIR_SAMPLE random survivor pairs,
-    chosen up front from the same generator.  Rows are scanned by
-    `_row_primes` (presieve, then BPSW above the deterministic limit).
+    chosen up front from the same generator; then all `trials` row
+    indices are drawn, in the order a row-by-row loop would draw them.
+    The rows are scanned by `_row_primes` (presieve, then BPSW above the
+    deterministic limit) in forked workers, one contiguous block of rows
+    per usable CPU, and aggregated in draw order, so the statistics do
+    not depend on the worker count.  The scan stays in this process with
+    one usable CPU, without the fork start method, inside a daemonic pool
+    worker, while other threads are alive, or when the pool cannot start.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -335,9 +409,8 @@ def sample_rows(
     total = 0
     total_sq = 0
     best: tuple[int, int, list[int]] = (-1, 0, [])
-    for _ in range(trials):
-        z = rng.randrange(1, Z + 1)
-        row_primes = _row_primes(scan, z)
+    zs = [rng.randrange(1, Z + 1) for _ in range(trials)]
+    for z, row_primes in zip(zs, _scan_rows(scan, zs)):
         for a in row_primes:
             hit_counts[a] += 1
         hit_set = set(row_primes)
@@ -649,6 +722,13 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
     if cert.x > DEFAULT_Z_BIT_BUDGET:
         return reject(f"x = {cert.x} puts the modulus over the row budget")
 
+    # a prime above x never meets the modulus recomputation, and testing
+    # an arbitrarily long one would be unbounded work
+    if cert.excluded_prime != 1 and not 2 <= cert.excluded_prime <= cert.x:
+        return reject(
+            f"excluded modulus of {cert.excluded_prime.bit_length()} bits is "
+            f"neither 1 nor in [2, x = {cert.x}]"
+        )
     if cert.excluded_prime != 1 and not is_prime(cert.excluded_prime):
         return reject(f"excluded modulus {cert.excluded_prime} is not 1 or prime")
     modulus = 1

@@ -7,6 +7,9 @@ field at a time and asserting both the rejection and the named reason.
 import dataclasses
 import json
 import math
+import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from gapchain.maier import (
     ROW_INDEX_BITS,
     _row_primes,
     _row_scan,
+    _scan_rows,
 )
 from gapchain.nt import DETERMINISTIC_MR_LIMIT, primes_in_range
 from gapchain.sieving import SievedSet
@@ -91,6 +95,9 @@ class TestFrameAssembly:
             FrameWindow(x=10.0, y=10.0)
         with pytest.raises(ValueError):
             FrameWindow(x=10.0, y=20.0, excluded_prime=4)
+        # a prime above x divides no modulus, so no frame may name it
+        with pytest.raises(ValueError, match="exceeds x"):
+            FrameWindow(x=10.0, y=20.0, excluded_prime=11)
         FrameWindow(x=10.0, y=20.0, excluded_prime=7)
 
     def test_tiny_frame_translation_invariant(self):
@@ -268,9 +275,19 @@ class TestRowScan:
 
 
 def drawn_rows(monkeypatch):
-    """Record every z that the searches hand to the row scan."""
+    """Record every z that the searches hand to the row scan.
+
+    sample_rows hands all of its rows to `_scan_rows` at once, whose
+    forked workers call `_row_primes`, so a spy there alone would record
+    in the workers; find_gap_chain calls `_row_primes` here, row by row.
+    The `_scan_rows` spy scans its rows in this process.
+    """
     seen = []
     scan_row = maier._row_primes
+    monkeypatch.setattr(
+        maier, "_scan_rows",
+        lambda scan, zs: seen.extend(zs) or [scan_row(scan, z) for z in zs],
+    )
     monkeypatch.setattr(
         maier, "_row_primes", lambda scan, z: seen.append(z) or scan_row(scan, z)
     )
@@ -309,6 +326,108 @@ class TestShortRows:
         assert seen == want
         assert all(1 <= z <= bound for z in seen)
         assert max(seen) > bound >> 4  # spread over the range, not a corner
+
+
+def random_frame(x, y):
+    system = random_system(x, 5)
+    frame = assemble_frame(system, FrameWindow(x=x, y=y))
+    return frame, sift_interval(frame.x, frame.y, system)
+
+
+def parent_scans(monkeypatch):
+    """Count the `_row_primes` calls made in this process, not in workers."""
+    calls = []
+    scan_row = maier._row_primes
+    monkeypatch.setattr(
+        maier, "_row_primes", lambda scan, z: calls.append(z) or scan_row(scan, z)
+    )
+    return calls
+
+
+def stats_in_daemon_worker(x, y, trials):
+    frame, T = random_frame(x, y)
+    calls = []
+    scan_row = maier._row_primes
+    maier._row_primes = lambda scan, z: calls.append(z) or scan_row(scan, z)
+    stats = sample_rows(frame, T, trials, derive_random(5, "maier-rows"))
+    return stats, len(calls)
+
+
+class TestParallelRowScan:
+    @pytest.mark.parametrize("x, y", [(36.0, 120.0), (150.0, 600.0)])
+    def test_blocks_come_back_in_row_order(self, x, y, monkeypatch):
+        frame, T = random_frame(x, y)
+        scan = _row_scan(frame, T)
+        rng = derive_random(9, "parallel-scan")
+        zs = [rng.randrange(1, frame.row_index_bound() + 1) for _ in range(25)]
+        want = [_row_primes(scan, z) for z in zs]
+        calls = parent_scans(monkeypatch)
+        # 3 workers split 25 rows unevenly, on any number of CPUs
+        for cpus in (1, maier._usable_cpus(), 3):
+            monkeypatch.setattr(maier, "_usable_cpus", lambda cpus=cpus: cpus)
+            calls.clear()
+            assert _scan_rows(scan, zs) == want
+            # one CPU scans here; more fork workers and scan nothing here
+            assert len(calls) == (len(zs) if cpus == 1 else 0)
+
+    @pytest.mark.parametrize("x, y, trials", [(36.0, 120.0, 200), (150.0, 600.0, 48)])
+    def test_statistics_do_not_depend_on_the_cpus(self, x, y, trials, monkeypatch):
+        frame, T = random_frame(x, y)
+        got = {}
+        for cpus in (1, maier._usable_cpus(), 3):
+            monkeypatch.setattr(maier, "_usable_cpus", lambda cpus=cpus: cpus)
+            got[cpus] = sample_rows(frame, T, trials, derive_random(5, "maier-rows"))
+        serial = got.pop(1)
+        for stats in got.values():
+            for f in dataclasses.fields(stats):
+                assert getattr(stats, f.name) == getattr(serial, f.name), f.name
+
+    def test_daemonic_worker_scans_serially(self):
+        x, y, trials = 36.0, 120.0, 40
+        frame, T = random_frame(x, y)
+        want = sample_rows(frame, T, trials, derive_random(5, "maier-rows"))
+        # pool workers are daemonic and may not start processes of their own
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            job = pool.apply_async(stats_in_daemon_worker, (x, y, trials))
+            stats, calls = job.get(timeout=60)
+        assert stats == want
+        assert calls == trials
+
+    def test_other_fallbacks_scan_serially(self, monkeypatch):
+        frame, T = random_frame(36.0, 120.0)
+        scan = _row_scan(frame, T)
+        zs = list(range(1, 13))
+        want = [_row_primes(scan, z) for z in zs]
+        calls = parent_scans(monkeypatch)
+        monkeypatch.setattr(maier, "_usable_cpus", lambda: 3)
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no processes left")
+
+        with monkeypatch.context() as m:
+            m.setattr(multiprocessing.context.BaseContext, "Pool", no_pool)
+            assert _scan_rows(scan, zs) == want
+        assert calls == zs
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            assert _scan_rows(scan, zs) == want
+        assert calls == zs
+        calls.clear()
+        # forking while another thread runs can deadlock the child
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert _scan_rows(scan, zs) == want
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert calls == zs
+        calls.clear()
+        assert _scan_rows(scan, zs) == want
+        assert calls == []
 
 
 class TestGapChainSearch:
@@ -445,6 +564,13 @@ class TestVerifierRejections:
         # a prime below x shrinks the recomputed primorial product
         wrong = mutated(toy_certificate, lambda r: r.update(excluded_prime=31))
         rejects(wrong, "modulus does not match")
+        # primes above x never meet the modulus recomputation: rejected by
+        # range before any primality test, however long they are
+        for prime in (37, 2**4253 - 1):  # the next prime after x; a Mersenne prime
+            above = mutated(toy_certificate, lambda r: r.update(excluded_prime=prime))
+            t0 = time.perf_counter()
+            rejects(above, "neither 1 nor in [2, x = 36]")
+            assert time.perf_counter() - t0 < 0.1
 
     def test_modulus_and_offset_ranges(self, toy_certificate):
         bad = mutated(
