@@ -23,11 +23,8 @@ from .construction import (
 from .covering import CoveringInstance, CoverResult, nibble_cover, subset_leftover, synth_instance
 from .harness import (
     MODES,
-    ConcentrationDesign,
-    ConcentrationReport,
     ExperimentConfig,
     Report,
-    concentration_check,
     run_experiment,
 )
 from .maier import (

@@ -1,12 +1,15 @@
 """Command line front end: one subcommand per experiment mode.
 
 Exit status is 0 exactly when every check in the run's report passed, so
-the tool can sit directly in shell pipelines and CI jobs.
+the tool can sit directly in shell pipelines and CI jobs.  A config file
+that cannot be read or parsed, or an option value the run rejects, is a
+usage error: exit status 2 and a one-line message, no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import sys
 from pathlib import Path
@@ -96,7 +99,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.config is not None:
         try:
             cfg = ExperimentConfig.from_file(args.config)
-        except ValueError as exc:
+        except OSError as exc:  # missing, a directory, unreadable
+            parser.error(f"{args.config}: cannot read ({exc.strerror})")
+        except (ValueError, configparser.Error) as exc:
             parser.error(f"{args.config}: {exc}")
     else:
         cfg = ExperimentConfig()
@@ -110,7 +115,10 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None:
             cfg.set(section, key, value)
 
-    report = run_experiment(cfg)
+    try:
+        report = run_experiment(cfg)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     print(f"gapchain {report.mode} (seed {cfg.seed})")
     for check in report.checks:

@@ -16,8 +16,7 @@ reproducible bit for bit per seed.
 Total coverage is deliberately scaled as C = m log 5: holding C fixed
 while m grows (the sharper regime) needs a conditioning mechanism outside
 this package's scope, and the scaled form still exercises the leftover
-law's shape honestly.  Instances carry a paper_mode flag that enforces
-the C >= (5/4) log 5 floor when set.
+law's shape honestly.
 """
 
 from __future__ import annotations
@@ -35,9 +34,6 @@ __all__ = [
     "nibble_cover",
     "subset_leftover",
 ]
-
-COVERAGE_FLOOR = 1.25 * math.log(5)  # paper-mode minimum total coverage
-
 
 # A round's edges are drawn in chunks of about this many bytes of int64
 # elements (a chunk holds at least one edge).  On a 2-core Xeon, a nibble
@@ -87,7 +83,6 @@ class CoveringInstance:
     coverage: float
     profile: str
     r_cap: int | None = None
-    paper_mode: bool = False
     forced_edges: dict[int, tuple[int, ...]] | None = None
 
     def __post_init__(self) -> None:
@@ -115,11 +110,6 @@ class CoveringInstance:
             raise ValueError(
                 f"per-edge inclusion probability {self.inclusion_prob:.4g} "
                 "exceeds 1; raise n_covers or lower coverage"
-            )
-        if self.paper_mode and self.coverage < COVERAGE_FLOOR:
-            raise ValueError(
-                f"coverage {self.coverage:.4g} below the paper-mode floor "
-                f"{COVERAGE_FLOOR:.4g}"
             )
 
     @property
@@ -190,7 +180,6 @@ def synth_instance(
     profile: str = "poisson",
     *,
     r_cap: int | None = None,
-    paper_mode: bool = False,
 ) -> CoveringInstance:
     """Instance scaled for an m-round nibble: total coverage m * log 5."""
     if n_covers < m:
@@ -203,7 +192,6 @@ def synth_instance(
         coverage=m * math.log(5),
         profile=profile,
         r_cap=r_cap,
-        paper_mode=paper_mode,
     )
 
 

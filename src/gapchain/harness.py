@@ -1,6 +1,6 @@
 """Experiment harness: INI-configured runs producing reproducible reports.
 
-Every experiment is described by an ExperimentConfig (round-trippable to
+Every experiment is described by an ExperimentConfig (read from
 configparser INI text) and executed by run_experiment, which returns a
 Report.  The report's metrics JSON deliberately excludes wall-clock
 timings and sorts every key, so re-running the same configuration with
@@ -51,9 +51,6 @@ __all__ = [
     "ExperimentConfig",
     "Report",
     "run_experiment",
-    "ConcentrationDesign",
-    "ConcentrationReport",
-    "concentration_check",
 ]
 
 MODES = (
@@ -119,9 +116,9 @@ class ExperimentConfig:
     sections: dict[str, dict[str, str]] = field(default_factory=dict)
 
     @classmethod
-    def from_ini(cls, text: str) -> "ExperimentConfig":
+    def from_ini(cls, text: str, source: str = "<string>") -> "ExperimentConfig":
         parser = configparser.ConfigParser(interpolation=None)
-        parser.read_string(text)
+        parser.read_string(text, source)
         sections = {
             name: dict(parser.items(name)) for name in parser.sections()
         }
@@ -142,19 +139,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_ini(Path(path).read_text())
-
-    def to_ini(self) -> str:
-        parser = configparser.ConfigParser(interpolation=None)
-        run: dict[str, str] = {"mode": self.mode, "seed": str(self.seed)}
-        if self.out_dir is not None:
-            run["out"] = self.out_dir
-        parser["run"] = run
-        for name in sorted(self.sections):
-            parser[name] = dict(sorted(self.sections[name].items()))
-        buf = io.StringIO()
-        parser.write(buf)
-        return buf.getvalue()
+        return cls.from_ini(Path(path).read_text(), str(path))
 
     def set(self, section: str, key: str, value: Any) -> None:
         self.sections.setdefault(section, {})[key] = str(value)
@@ -172,17 +157,6 @@ class ExperimentConfig:
     def getfloat(self, section: str, key: str, default: float) -> float:
         raw = self.get(section, key)
         return default if raw is None else float(raw)
-
-    def getbool(self, section: str, key: str, default: bool) -> bool:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ValueError(f"unrecognized boolean {raw!r} for [{section}] {key}")
 
     def getints(
         self, section: str, key: str, default: tuple[int, ...] | None
@@ -267,111 +241,16 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# concentration testbed
-
-
-@dataclass(frozen=True)
-class ConcentrationDesign:
-    """Synthetic two-level design for the second-moment concentration bound.
-
-    n_groups groups alternate success probability alpha - spread and
-    alpha + spread; each contributes pairs_per_group conditionally
-    independent draw pairs (f, f').  deterministic=True replaces the
-    Bernoulli draws by their conditional means, making spread=0 the exact
-    zero-variance regime.
-    """
-
-    alpha: float = 0.5
-    spread: float = 0.02
-    n_groups: int = 200
-    pairs_per_group: int = 400
-    theta: float = 0.06
-    deterministic: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not 0 <= self.spread <= min(self.alpha, 1 - self.alpha):
-            raise ValueError("spread must keep both group levels inside [0, 1]")
-        if self.n_groups < 2 or self.pairs_per_group < 1:
-            raise ValueError("need at least 2 groups and 1 pair per group")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    design: ConcentrationDesign
-    alpha_hat: float
-    pair_moment: float
-    epsilon_hat: float
-    bound: float
-    n_violations: int
-    violation_freq: float
-
-    @property
-    def passed(self) -> bool:
-        return self.violation_freq <= self.bound
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "pair_moment": self.pair_moment,
-            "epsilon_hat": self.epsilon_hat,
-            "theta": self.design.theta,
-            "bound": self.bound,
-            "n_violations": self.n_violations,
-            "violation_freq": self.violation_freq,
-            "passed": self.passed,
-        }
-
-
-def concentration_check(
-    design: ConcentrationDesign, rng: np.random.Generator
-) -> ConcentrationReport:
-    """Estimate the deviation bound from paired draws and test it.
-
-    alpha is estimated from all draws, the second moment from the paired
-    products f * f' (the pair members are independent given the group, so
-    the product mean estimates the across-group second moment).  The
-    excess epsilon_hat = max(0, moment/alpha^2 - 1) feeds the Chebyshev
-    style bound 3 * epsilon * alpha^2 / theta^2 on the frequency of
-    groups whose f-mean strays from alpha by more than theta.
-    """
-    g, n = design.n_groups, design.pairs_per_group
-    levels = np.where(
-        np.arange(g) % 2 == 0,
-        design.alpha - design.spread,
-        design.alpha + design.spread,
-    )
-    if design.deterministic:
-        f = np.tile(levels[:, None], (1, n))
-        f_prime = f
-    else:
-        f = (rng.random((g, n)) < levels[:, None]).astype(np.float64)
-        f_prime = (rng.random((g, n)) < levels[:, None]).astype(np.float64)
-
-    alpha_hat = float((f.mean() + f_prime.mean()) / 2)
-    pair_moment = float((f * f_prime).mean())
-    epsilon_hat = (
-        max(0.0, pair_moment / alpha_hat**2 - 1.0) if alpha_hat > 0 else 0.0
-    )
-    bound = 3.0 * epsilon_hat * alpha_hat**2 / design.theta**2
-    group_means = f.mean(axis=1)
-    n_violations = int(np.count_nonzero(np.abs(group_means - alpha_hat) > design.theta))
-    return ConcentrationReport(
-        design=design,
-        alpha_hat=alpha_hat,
-        pair_moment=pair_moment,
-        epsilon_hat=epsilon_hat,
-        bound=bound,
-        n_violations=n_violations,
-        violation_freq=n_violations / g,
-    )
-
-
-# ---------------------------------------------------------------------------
 # mode runners
+
+# Check bounds are fixed, so no config can loosen a verdict: the Maynard
+# row sums' max/min, the off-tuple over on-tuple aggregate mass, the
+# largest point mass of one row, and the cover leftover's relative
+# distance from 5^-m.
+ROW_SUM_RATIO_BOUND = 1.1
+AGGREGATE_BOUND = 0.1
+POINT_MASS_BOUND = 1e-2
+LEFTOVER_TOLERANCE = 0.5
 
 
 def _build_partition(cfg: ExperimentConfig) -> PrimePartition:
@@ -523,9 +402,6 @@ def _run_weights(cfg: ExperimentConfig):
             q_sample=q_sample or None,
             rng=derive_rng(cfg.seed, "weights-q") if q_sample else None,
         )
-    ratio_bound = cfg.getfloat("weights", "row_sum_ratio_bound", 1.1)
-    agg_bound = cfg.getfloat("weights", "aggregate_bound", 0.1)
-    mass_bound = cfg.getfloat("weights", "point_mass_bound", 1e-2)
     metrics = {"contracts": report.summary()}
     checks = []
     if table.kind == "maynard":
@@ -534,21 +410,22 @@ def _run_weights(cfg: ExperimentConfig):
         checks.append(
             _check(
                 "row_sums_comparable",
-                report.row_sum_ratio <= ratio_bound,
-                f"max/min = {report.row_sum_ratio:.6f} vs bound {ratio_bound}",
+                report.row_sum_ratio <= ROW_SUM_RATIO_BOUND,
+                f"max/min = {report.row_sum_ratio:.6f} "
+                f"vs bound {ROW_SUM_RATIO_BOUND}",
             )
         )
     checks += [
         _check(
             "off_tuple_suppressed",
-            report.off_on_aggregate_ratio <= agg_bound,
+            report.off_on_aggregate_ratio <= AGGREGATE_BOUND,
             f"aggregate off/on = {report.off_on_aggregate_ratio:.6f} "
-            f"vs bound {agg_bound}",
+            f"vs bound {AGGREGATE_BOUND}",
         ),
         _check(
             "no_point_concentration",
-            report.max_point_mass <= mass_bound,
-            f"max mass = {report.max_point_mass:.3e} vs bound {mass_bound}",
+            report.max_point_mass <= POINT_MASS_BOUND,
+            f"max mass = {report.max_point_mass:.3e} vs bound {POINT_MASS_BOUND}",
         ),
         _check("no_zero_rows", report.zero_rows == 0, f"{report.zero_rows} zero rows"),
     ]
@@ -608,7 +485,6 @@ def _run_cover(cfg: ExperimentConfig):
         m,
         profile=profile,
         r_cap=int(r_cap_raw) if r_cap_raw is not None else None,
-        paper_mode=cfg.getbool(sec, "paper_mode", False),
     )
     rng = derive_rng(cfg.seed, "cover")
     with _timed(timings, "nibble"):
@@ -618,7 +494,6 @@ def _run_cover(cfg: ExperimentConfig):
     expected = 5.0**-m
     lf = result.leftover_fraction
     sub_frac = sub_count / subset.size
-    tol = cfg.getfloat(sec, "tolerance", 0.5)
     metrics = {
         "instance": {
             "n_elements": n_elements,
@@ -640,7 +515,7 @@ def _run_cover(cfg: ExperimentConfig):
     checks = [
         _check(
             "leftover_near_expected",
-            abs(lf / expected - 1.0) <= tol,
+            abs(lf / expected - 1.0) <= LEFTOVER_TOLERANCE,
             f"fraction {lf:.6f} vs 5^-{m} = {expected:.6f}",
         ),
         _check(

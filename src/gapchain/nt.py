@@ -46,7 +46,6 @@ __all__ = [
     "LogDomainError",
     "log_iterates",
     "smooth_count",
-    "smooth_estimate",
     "chain_gap_record",
 ]
 
@@ -499,18 +498,6 @@ def smooth_count(y: float, z: float) -> int:
                 break
             stack.append((nv, j))
     return count
-
-
-def smooth_estimate(y: float, z: float) -> float:
-    """First-order smooth-count estimate y * exp(-u log u), u = log y/log z.
-
-    Crude by design (no Dickman rho); used only to sanity-scale counts,
-    never as an expected value in assertions.
-    """
-    if y <= 1 or z <= 1:
-        raise ValueError("smooth_estimate requires y > 1 and z > 1")
-    u = math.log(y) / math.log(z)
-    return y * math.exp(-u * math.log(u)) if u > 0 else float(y)
 
 
 # ---------------------------------------------------------------------------

@@ -61,13 +61,11 @@ class ResidueSystem:
 
     entries maps each prime p to the class a_p in [0, p) that the sieve
     removes.  `excluded` is the one modulus (1 for none) that must never
-    appear as a key.  Set validate=False only when the caller constructed
-    the keys from a prime sieve itself.
+    appear as a key.  Every key is checked for primality.
     """
 
     entries: dict[int, int]
     excluded: int = 1
-    validate: bool = True
 
     def __post_init__(self) -> None:
         if self.excluded in self.entries:
@@ -77,14 +75,10 @@ class ResidueSystem:
         for p, a in self.entries.items():
             if not 0 <= a < p:
                 raise ValueError(f"class {a} not reduced modulo {p}")
-        if self.validate:
-            _check_prime_keys(self.entries.keys())
+        _check_prime_keys(self.entries.keys())
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def moduli(self) -> np.ndarray:
-        return np.array(sorted(self.entries), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -116,27 +110,6 @@ class SievedSet:
     def members(self) -> np.ndarray:
         """Surviving values themselves, ascending."""
         return np.nonzero(self.bitmap)[0].astype(np.int64) + self.lo + 1
-
-    def count_between(self, a: float, b: float) -> int:
-        """Number of survivors n with a <= n <= b."""
-        lo_i = max(0, math.ceil(a) - self.lo - 1)
-        hi_i = min(self.bitmap.shape[0], math.floor(b) - self.lo)
-        if hi_i <= lo_i:
-            return 0
-        return int(self.bitmap[lo_i:hi_i].sum())
-
-    def runs(self) -> list[tuple[int, int]]:
-        """Run-length encoding of the members as (start_value, length)."""
-        idx = np.nonzero(self.bitmap)[0]
-        if idx.size == 0:
-            return []
-        breaks = np.nonzero(np.diff(idx) > 1)[0]
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [idx.size - 1]))
-        return [
-            (int(idx[s]) + self.lo + 1, int(idx[e] - idx[s]) + 1)
-            for s, e in zip(starts, ends)
-        ]
 
 
 def strike_classes(
@@ -219,9 +192,7 @@ def assemble_full_system(
             entries[p] = int(chosen_offsets[p]) % p
         else:
             entries[p] = 0
-    return ResidueSystem(
-        entries=entries, excluded=partition.excluded_prime, validate=False
-    )
+    return ResidueSystem(entries=entries, excluded=partition.excluded_prime)
 
 
 @dataclass(frozen=True)
@@ -343,6 +314,4 @@ def greedy_rankin(
         a = int(np.argmax(counts))
         entries[p] = a
         strike_classes(alive, start, [(p, a)])
-    return ResidueSystem(
-        entries=entries, excluded=partition.excluded_prime, validate=False
-    )
+    return ResidueSystem(entries=entries, excluded=partition.excluded_prime)

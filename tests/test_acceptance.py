@@ -14,12 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 import gapchain as g
-from gapchain.harness import (
-    ConcentrationDesign,
-    ExperimentConfig,
-    concentration_check,
-    run_experiment,
-)
+from gapchain.harness import ExperimentConfig, run_experiment
 from gapchain.maier import GapChainCertificate, verify_certificate
 from gapchain.seeds import derive_rng, derive_seed
 
@@ -210,18 +205,6 @@ def test_acceptance_translation_certificate():
         "translation_certificate",
         found and tampers_caught == 3,
         f"chain found, verified, and {tampers_caught}/3 tampers rejected",
-    )
-
-
-def test_acceptance_concentration_bound():
-    report = concentration_check(
-        ConcentrationDesign(), derive_rng(0, "concentration")
-    )
-    _verdict(
-        "concentration_bound",
-        report.passed and report.bound < 1.0,
-        f"violation rate {report.violation_freq:.4f} <= "
-        f"bound {report.bound:.4f}",
     )
 
 

@@ -21,7 +21,6 @@ from gapchain.nt import (
     primes_after,
     smallest_prime_factor_table,
     smooth_count,
-    smooth_estimate,
     strong_lucas,
 )
 
@@ -325,16 +324,6 @@ class TestSmoothCounts:
     def test_degenerate(self):
         assert smooth_count(0, 10) == 0
         assert smooth_count(10, 1) == 1  # only n = 1 has no prime factor
-
-    def test_estimate_is_a_scale_not_a_value(self):
-        exact = smooth_count(10_000, 20)
-        est = smooth_estimate(10_000, 20)
-        assert est > 0
-        assert 0.05 < exact / est < 20
-        with pytest.raises(ValueError):
-            smooth_estimate(1.0, 10.0)
-        with pytest.raises(ValueError):
-            smooth_estimate(100.0, 1.0)
 
 
 class TestGapRecords:

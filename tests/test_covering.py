@@ -8,7 +8,6 @@ import pytest
 
 from gapchain import covering
 from gapchain.covering import (
-    COVERAGE_FLOOR,
     CoveringInstance,
     CoverResult,
     nibble_cover,
@@ -48,7 +47,7 @@ class TestInstanceValidation:
             dict(n_covers=0),
             dict(profile="uniform"),
             dict(n_covers=100, coverage=150.0),  # inclusion prob > 1
-            dict(paper_mode=True, coverage=1.2 * math.log(5)),
+            dict(forced_edges={0: (-1,)}),
             dict(r_cap=0),
             dict(coverage=0.0),
             dict(forced_edges={0: (3, 3)}),
@@ -79,10 +78,6 @@ class TestInstanceValidation:
             synth_instance(100, 1, m=2)
         with pytest.raises(ValueError, match="at least 1"):
             synth_instance(100, 5, m=0)
-        with pytest.raises(ValueError):
-            synth_instance(100, 50, m=1, paper_mode=True)
-        inst = synth_instance(100, 50, m=2, paper_mode=True)
-        assert inst.coverage >= COVERAGE_FLOOR
 
     def test_synthesized_scaling(self):
         inst = synth_instance(20_000, 2_000, m=3)

@@ -9,17 +9,8 @@ import pytest
 
 from gapchain import harness
 from gapchain.cli import main
-from gapchain.harness import (
-    MODES,
-    ConcentrationDesign,
-    ExperimentConfig,
-    Report,
-    _jsonable,
-    concentration_check,
-    run_experiment,
-)
+from gapchain.harness import MODES, ExperimentConfig, Report, _jsonable, run_experiment
 from gapchain.maier import GapChainCertificate, verify_certificate
-from gapchain.seeds import derive_rng
 from gapchain.weights import WeightTable
 
 
@@ -32,30 +23,16 @@ def make_config(mode, seed=0, **sections):
 
 
 class TestExperimentConfig:
-    def test_ini_round_trip(self):
-        cfg = make_config(
-            "weights", seed=7, weights={"theta": 0.5}, partition={"x": 400}
-        )
-        cfg.out_dir = "out/here"
-        again = ExperimentConfig.from_ini(cfg.to_ini())
-        assert again == cfg
-
     def test_typed_getters(self):
         cfg = make_config(
             "gk",
             gk={"limit": "2000", "blank": "  "},
-            flags={"on": "Yes", "off": "0", "bad": "maybe"},
             lists={"orders": "1, 2 5"},
         )
         assert cfg.getint("gk", "limit", 7) == 2_000
         assert cfg.getint("gk", "missing", 7) == 7
         assert cfg.get("gk", "blank", "fallback") == "fallback"
         assert cfg.getfloat("gk", "limit", 0.0) == 2_000.0
-        assert cfg.getbool("flags", "on", False) is True
-        assert cfg.getbool("flags", "off", True) is False
-        assert cfg.getbool("flags", "missing", True) is True
-        with pytest.raises(ValueError):
-            cfg.getbool("flags", "bad", True)
         assert cfg.getints("lists", "orders", None) == (1, 2, 5)
         assert cfg.getints("lists", "missing", (9,)) == (9,)
 
@@ -142,52 +119,6 @@ class TestReport:
         assert (tmp_path / "metrics.json").read_text().endswith("\n")
 
 
-class TestConcentration:
-    def test_design_validation(self):
-        with pytest.raises(ValueError):
-            ConcentrationDesign(alpha=0.0)
-        with pytest.raises(ValueError):
-            ConcentrationDesign(alpha=0.9, spread=0.2)
-        with pytest.raises(ValueError):
-            ConcentrationDesign(n_groups=1)
-        with pytest.raises(ValueError):
-            ConcentrationDesign(theta=0.0)
-
-    def test_deterministic_zero_spread(self):
-        design = ConcentrationDesign(spread=0.0, deterministic=True)
-        report = concentration_check(design, derive_rng(0, "unused"))
-        assert report.alpha_hat ==pytest.approx(design.alpha)
-        assert report.epsilon_hat == 0.0
-        assert report.bound == 0.0
-        assert report.n_violations == 0
-        assert report.passed
-
-    def test_deterministic_spread_saturates(self):
-        design = ConcentrationDesign(
-            spread=0.02, theta=0.01, deterministic=True
-        )
-        report = concentration_check(design, derive_rng(0, "unused"))
-        # every group mean sits exactly spread away from alpha
-        assert report.violation_freq == 1.0
-        assert report.epsilon_hat == pytest.approx(
-            0.02**2 / 0.5**2, rel=1e-9
-        )
-        assert report.bound == pytest.approx(
-            3 * report.epsilon_hat * report.alpha_hat**2 / 0.01**2
-        )
-        assert report.passed
-
-    def test_random_design_reproducible_and_passing(self):
-        design = ConcentrationDesign()
-        a = concentration_check(design, derive_rng(0, "concentration"))
-        b = concentration_check(design, derive_rng(0, "concentration"))
-        assert a == b
-        assert a.passed
-        assert 0.0 < a.violation_freq < 0.2
-        s = a.summary()
-        assert s["n_violations"] / design.n_groups == s["violation_freq"]
-
-
 class TestModeRunners:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
@@ -219,21 +150,43 @@ class TestModeRunners:
         }
 
     def test_weights_mode(self):
-        cfg = make_config(
-            "weights",
-            partition={"x": 400},
-            weights={
-                "theta": 0.5,
-                "row_sum_ratio_bound": 10,
-                "aggregate_bound": 10,
-                "point_mass_bound": 1,
-            },
-        )
+        cfg = make_config("weights", partition={"x": 400}, weights={"theta": 0.5})
         report = run_experiment(cfg)
-        assert report.all_passed
+        verdicts = {c["name"]: c["passed"] for c in report.checks}
+        assert verdicts == {
+            "row_sums_comparable": True,
+            "off_tuple_suppressed": False,
+            "no_point_concentration": True,
+            "no_zero_rows": True,
+        }
+        # at x = 400 the off-tuple mass is 0.133 of the on-tuple mass,
+        # above the fixed bound; the check reports it, nothing loosens it
+        (agg,) = [c for c in report.checks if c["name"] == "off_tuple_suppressed"]
+        assert agg["detail"] == "aggregate off/on = 0.133098 vs bound 0.1"
         contracts = report.metrics["contracts"]
         assert contracts["kind"] == "maynard" and contracts["r"] == 4
         assert contracts["zero_rows"] == 0
+
+    @pytest.mark.parametrize(
+        "ini, removed",
+        [
+            (
+                "[run]\nmode = weights\n[partition]\nx = 400\n"
+                "[weights]\ntheta = 0.5\n",
+                "row_sum_ratio_bound = 0.5\naggregate_bound = 10\n"
+                "point_mass_bound = 0\n",
+            ),
+            ("[run]\nmode = cover\n[cover]\nm = 1\n", "tolerance = 0\n"),
+        ],
+        ids=["weights", "cover"],
+    )
+    def test_removed_keys_change_no_verdict(self, ini, removed):
+        # the check bounds were INI keys; nothing reads them now, so an
+        # INI that still sets them cannot move a verdict
+        plain = run_experiment(ExperimentConfig.from_ini(ini))
+        keyed = run_experiment(ExperimentConfig.from_ini(ini + removed))
+        assert keyed.checks == plain.checks
+        assert keyed.metrics == plain.metrics
 
     def test_construct_mode(self):
         cfg = make_config(
@@ -446,6 +399,51 @@ class TestCli:
             main(["gk", "--config", str(ini)])
         assert exit_info.value.code == 2
         assert "unknown [run] key(s) sed" in capsys.readouterr().err
+
+    def test_missing_config_file_exits(self, tmp_path, capsys):
+        # used to end in a FileNotFoundError traceback
+        ini = tmp_path / "missing.ini"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gk", "--config", str(ini)])
+        assert exit_info.value.code == 2
+        assert f"{ini}: cannot read (No such file or directory)" in (
+            capsys.readouterr().err
+        )
+
+    def test_config_that_is_not_ini_exits(self, tmp_path, capsys):
+        # used to end in a MissingSectionHeaderError traceback
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[run\nmode = gk\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gk", "--config", str(ini)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{ini}: File contains no section headers" in err
+        assert f"file: '{ini}'" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify"], "verify mode needs [verify] certificate"),
+            (["gk", "--k", "0", "--limit", "100"], "k must be at least 1"),
+            (["cover", "--m", "0"], "m must be at least 1"),
+        ],
+    )
+    def test_rejected_option_value_exits(self, argv, message, capsys):
+        # each used to end in a ValueError traceback
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"gapchain: error: {message}" in capsys.readouterr().err
+
+    def test_assertion_error_propagates(self, monkeypatch):
+        # a broken invariant is a bug, not a usage error
+        def broken(cfg):
+            raise AssertionError("invariant broken")
+
+        monkeypatch.setitem(harness._RUNNERS, "gk", broken)
+        with pytest.raises(AssertionError, match="invariant broken"):
+            main(["gk"])
 
     def test_unknown_mode_exits(self):
         with pytest.raises(SystemExit):

@@ -47,7 +47,7 @@ def zero_system(x, excluded=1):
     entries = {
         int(p): 0 for p in primes_in_range(1, x).tolist() if p != excluded
     }
-    return ResidueSystem(entries, excluded=excluded, validate=False)
+    return ResidueSystem(entries, excluded=excluded)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +127,7 @@ class TestFrameAssembly:
                 for p in primes_in_range(1, 20).tolist()
             }
             frame = assemble_frame(
-                ResidueSystem(entries, validate=False), window
+                ResidueSystem(entries), window
             )
             assert 0 <= frame.offset < frame.modulus
             for p, a in entries.items():
@@ -138,11 +138,11 @@ class TestFrameAssembly:
         short = zero_system(13).entries.copy()
         short.pop(7)
         with pytest.raises(ValueError, match="missing"):
-            assemble_frame(ResidueSystem(short, validate=False), window)
+            assemble_frame(ResidueSystem(short), window)
         extra = zero_system(13).entries.copy()
         extra[17] = 0
         with pytest.raises(ValueError, match="extra"):
-            assemble_frame(ResidueSystem(extra, validate=False), window)
+            assemble_frame(ResidueSystem(extra), window)
         with pytest.raises(ValueError):
             assemble_frame(zero_system(13), window, D=0)
 
@@ -214,7 +214,7 @@ def random_system(x, seed):
     entries = {
         int(p): int(rng.integers(0, int(p))) for p in primes_in_range(1, x).tolist()
     }
-    return ResidueSystem(entries, validate=False)
+    return ResidueSystem(entries)
 
 
 def oracle_row(frame, T, z):

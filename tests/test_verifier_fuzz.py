@@ -34,9 +34,7 @@ FIELDS = [f.name for f in dataclasses.fields(GapChainCertificate)]
 
 @pytest.fixture(scope="module")
 def genuine():
-    system = ResidueSystem(
-        {int(p): 0 for p in primes_in_range(1, 36).tolist()}, validate=False
-    )
+    system = ResidueSystem({int(p): 0 for p in primes_in_range(1, 36).tolist()})
     frame = assemble_frame(system, FrameWindow(x=36.0, y=120.0))
     found = find_gap_chain(
         frame,
