@@ -98,16 +98,37 @@ def _jsonable(obj: Any) -> Any:
 
 
 _RUN_KEYS = frozenset({"mode", "seed", "out"})
+# The keys each mode section may set.  configparser lowercases INI keys,
+# and ExperimentConfig stores and looks up every key in lower case.
+_SECTION_KEYS = {
+    "primes": frozenset({"limit", "gk_limit", "gk_orders"}),
+    "partition": frozenset(
+        {"x", "y", "z", "small_low", "small_high", "r", "epsilon", "c", "a",
+         "c0", "r0", "excluded"}
+    ),
+    "sieve": frozenset({"medium_high"}),
+    "weights": frozenset({"kind", "theta", "r", "offsets", "q_sample"}),
+    "construct": frozenset({"eta", "max_q"}),
+    "cover": frozenset({"n_elements", "n_covers", "m", "profile", "r_cap"}),
+    "maier": frozenset(
+        {"x", "y", "excluded", "k", "epsilon", "trials", "stat_trials", "d",
+         "mr_rounds", "soundness_draws"}
+    ),
+    "gk": frozenset({"limit", "k"}),
+    "verify": frozenset({"certificate"}),
+}
 
 
 @dataclass
 class ExperimentConfig:
     """One experiment: a mode plus INI-style per-module option sections.
 
-    The [run] section of the INI carries mode/seed/out and rejects any
-    other key; every other section is kept verbatim in `sections` and read
-    through the typed getters, so unknown keys there are preserved (and
-    echoed) rather than rejected.
+    The [run] section of the INI carries mode/seed/out; every other
+    section is one of _SECTION_KEYS and is kept in `sections`, read
+    through the typed getters.  from_ini rejects an unknown section or
+    key by name, so a misspelt key cannot run at its default.  Keys are
+    case-insensitive: set and the getters lowercase them, as configparser
+    does.
     """
 
     mode: str = ""
@@ -123,13 +144,27 @@ class ExperimentConfig:
             name: dict(parser.items(name)) for name in parser.sections()
         }
         run = sections.pop("run", {})
-        # configparser copies [DEFAULT] keys into every section
-        unknown = sorted(set(run) - _RUN_KEYS - set(parser.defaults()))
+        # configparser copies [DEFAULT] keys into every section: each must
+        # be known to some section, and is not checked section by section
+        known = {"run": _RUN_KEYS, **_SECTION_KEYS}
+        defaults = set(parser.defaults())
+        for name, keys in [("run", run), *sections.items()]:
+            if name not in known:
+                raise ValueError(
+                    f"unknown section [{name}]; known: "
+                    + ", ".join(f"[{k}]" for k in known)
+                )
+            unknown = sorted(set(keys) - defaults - known[name])
+            if unknown:
+                raise ValueError(
+                    f"unknown [{name}] key(s) {', '.join(unknown)}; "
+                    f"known: {', '.join(sorted(known[name]))}"
+                )
+        unknown = sorted(
+            key for key in defaults if not any(key in v for v in known.values())
+        )
         if unknown:
-            raise ValueError(
-                f"unknown [run] key(s) {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(_RUN_KEYS))}"
-            )
+            raise ValueError(f"unknown [DEFAULT] key(s) {', '.join(unknown)}")
         return cls(
             mode=run.get("mode", ""),
             seed=int(run.get("seed", "0")),
@@ -142,10 +177,10 @@ class ExperimentConfig:
         return cls.from_ini(Path(path).read_text(), str(path))
 
     def set(self, section: str, key: str, value: Any) -> None:
-        self.sections.setdefault(section, {})[key] = str(value)
+        self.sections.setdefault(section, {})[key.lower()] = str(value)
 
     def get(self, section: str, key: str, default: str | None = None) -> str | None:
-        raw = self.sections.get(section, {}).get(key)
+        raw = self.sections.get(section, {}).get(key.lower())
         if raw is None or raw.strip() == "":
             return default
         return raw.strip()

@@ -19,10 +19,9 @@ primality test on it works on fewer bits.  Nothing here scans the full
 row space.  A sampled row's survivor translates are presieved by the
 primes in (x, PRESIEVE_LIMIT] and the rest tested by BPSW (by the
 Miller-Rabin proof below the deterministic limit).  Rows are independent,
-so `sample_rows` draws all of its row indices first and scans them in
-forked worker processes, one contiguous block of rows per usable CPU, and
-aggregates them in draw order: the statistics are the same bytes as a
-one-by-one scan.  The gap-chain search stops at its first certifying row,
+so `sample_rows` draws all of its row indices first, hands them one at a
+time to forked worker processes, one per usable CPU, and aggregates them
+in draw order: the statistics are the same bytes as a one-by-one scan.  The gap-chain search stops at its first certifying row,
 so it scans its rows one at a time.  A successful row is packaged as a
 self-contained certificate: its listed primes are first re-tested with
 the full Miller-Rabin rounds, and every integer strictly between them
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import sys
 from dataclasses import dataclass, field, fields
@@ -44,6 +42,7 @@ from typing import Any
 
 import numpy as np
 
+from . import _fork
 from .nt import (
     DETERMINISTIC_MR_LIMIT,
     bpsw,
@@ -290,61 +289,14 @@ def _row_primes(scan: _RowScan, z: int) -> list[int]:
     return out
 
 
-_worker_scan: _RowScan | None = None  # set only in `_scan_rows`' pool workers
-
-
-def _start_worker(scan: _RowScan) -> None:
-    global _worker_scan
-    _worker_scan = scan
-
-
-def _scan_block(zs: list[int]) -> list[list[int]]:
-    return [_row_primes(_worker_scan, z) for z in zs]
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _scan_rows(scan: _RowScan, zs: list[int]) -> list[list[int]]:
     """`_row_primes(scan, z)` for every z, in the order of zs.
 
-    zs is split into one contiguous block per worker, min(usable CPUs,
-    len(zs)) workers, forked so that they inherit the scan (a forked
-    worker's initializer arguments are not pickled); only blocks of z go
-    out and lists of offsets come back.  The rows are scanned here, one
-    after another, when there is one worker, when the platform cannot
-    fork, when this process is itself a daemonic pool worker, when other
-    threads are alive (forking a threaded process can deadlock) or when
-    starting the pool fails.
+    The rows go one at a time to `_fork.fork_map`'s workers, one per
+    usable CPU, which inherit the scan: only z goes out and lists of
+    offsets come back.
     """
-    import multiprocessing
-    import threading
-
-    workers = min(_usable_cpus(), len(zs))
-    if (
-        workers > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon
-        and threading.active_count() == 1
-    ):
-        size, extra = divmod(len(zs), workers)
-        bounds = [i * size + min(i, extra) for i in range(workers + 1)]
-        blocks = [zs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        try:
-            pool = multiprocessing.get_context("fork").Pool(
-                workers, _start_worker, (scan,)
-            )
-        except OSError:  # no process could be started: scan here instead
-            pass
-        else:
-            with pool:
-                done = pool.map(_scan_block, blocks, 1)
-            return [row for block in done for row in block]
-    return [_row_primes(scan, z) for z in zs]
+    return _fork.fork_map(_row_primes, zs, scan)
 
 
 @dataclass(frozen=True)
@@ -381,11 +333,10 @@ def sample_rows(
     chosen up front from the same generator; then all `trials` row
     indices are drawn, in the order a row-by-row loop would draw them.
     The rows are scanned by `_row_primes` (presieve, then BPSW above the
-    deterministic limit) in forked workers, one contiguous block of rows
-    per usable CPU, and aggregated in draw order, so the statistics do
-    not depend on the worker count.  The scan stays in this process with
-    one usable CPU, without the fork start method, inside a daemonic pool
-    worker, while other threads are alive, or when the pool cannot start.
+    deterministic limit) in forked workers, one per usable CPU, and
+    aggregated in draw order, so the statistics do not depend on the
+    worker count.  The scan stays in this process
+    wherever `_fork.fork_map` cannot fork.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

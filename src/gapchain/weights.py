@@ -26,9 +26,12 @@ walking the m depth-first in increasing prime order and adding each term
 on those classes alone, for a batch of rows at once.  Every shift receives
 its terms in the order a dense pass over all m would add them, and each
 term left out would add exactly +-0.0, so the rows equal that dense sum
-bit for bit.  Single points are evaluated independently by factoring the
-r translates.  The two paths agree to floating round-off and are
-cross-checked in the tests.
+bit for bit.  Batches depend on nothing but the table, so matrix() builds
+them on every usable CPU: forked workers (`_fork.fork_map`) each take
+whole batches and write rows and sums into one shared mapping, and every
+row is the same bits whichever worker built it.  Single points are
+evaluated independently by factoring the r translates.  The two paths
+agree to floating round-off and are cross-checked in the tests.
 
 Row sums are exact: exact_row_sums buckets each row's entries by binary
 exponent, splits each entry into two parts that every bucket sums without
@@ -39,11 +42,13 @@ bit for bit at a fraction of its cost.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _fork
 from .nt import factorize, primes_after, sieve_primes, smallest_prime_factor_table
 from .partition import PrimePartition
 
@@ -63,9 +68,11 @@ __all__ = [
 ]
 
 # Maynard rows are built in batches whose padded work buffer stays within
-# this many bytes (a batch holds at least one row).  Small batches keep the
-# fancy-indexed updates near the cache: on a 2-core Xeon, the 97 rows of
-# x = 1400, theta = 1 took ~0.85 s in batches of 12 and ~1.2 s as one batch.
+# this many bytes (a batch holds at least one row); each build worker holds
+# one such buffer at a time.  Small batches keep the fancy-indexed updates
+# near the cache: built serially on one core of a 2-core Xeon, the 97 rows
+# of x = 1400, theta = 1 took ~0.85 s in batches of 12 and ~1.2 s as one
+# batch.
 _BATCH_BYTES = 1 << 22
 # Larger dense allocations are refused up front.
 _MAX_BYTES = 1 << 30
@@ -322,32 +329,37 @@ class WeightTable:
         """(primes, dense weight matrix on the full grid, row sums).
 
         Matrix shape is (#weighted primes, n_max - n_min + 1); a uniform
-        row is zero outside its window.  Built on the first call.
+        row is zero outside its window.  Built on the first call.  The
+        matrix and the sums share one anonymous shared mapping, so the
+        Maynard batches are built by `_fork.fork_map` on every usable CPU:
+        each worker writes its batches' rows and sums in place, and
+        nothing comes back.
         """
         if self._matrix is None:
             ps = self.partition.weighted_primes.astype(np.int64)
+            n = ps.size
             width = self.n_max - self.n_min + 1
-            est_bytes = ps.size * width * 8
+            est_bytes = 8 * n * width
             if self.kind == "maynard":
-                step, padded = self._maynard_batches(ps.size)
-                est_bytes += step * padded * 8
+                step, padded = self._maynard_batches(n)
+                starts = list(range(0, n, step))
+                # every worker holds one padded batch buffer at a time
+                workers = min(_fork.usable_cpus(), len(starts))
+                est_bytes += workers * step * padded * 8
             if est_bytes > _MAX_BYTES:
                 raise MemoryError(
-                    f"dense weight matrix and its build buffer would need "
+                    f"dense weight matrix and its build buffers would need "
                     f"{est_bytes / 2**30:.1f} GiB; lower y, theta or the "
                     "number of weighted primes"
                 )
-            W = np.zeros((ps.size, width), dtype=np.float64)
-            sums = np.zeros(ps.size, dtype=np.float64)
-            plist = ps.tolist()
+            shared = mmap.mmap(-1, 8 * n * (width + 1))
+            W = np.frombuffer(shared, np.float64, n * width).reshape(n, width)
+            sums = np.frombuffer(shared, np.float64, n, 8 * n * width)
             if self.kind == "uniform":
-                self._uniform_rows(plist, W, sums)
+                self._uniform_rows(ps.tolist(), W, sums)
             else:
-                for k in range(0, ps.size, step):
-                    self._maynard_rows(
-                        plist[k : k + step], W[k : k + step],
-                        sums[k : k + step], padded,
-                    )
+                state = (self, ps, W, sums, step, padded)
+                _fork.fork_map(_build_batch, starts, state)
             W.setflags(write=False)
             sums.setflags(write=False)
             self._matrix = (ps, W, sums)
@@ -421,6 +433,14 @@ class WeightTable:
         if row_sum <= 0:
             raise ValueError(f"zero weight row for p = {p}")
         return self.weight_at(p, n) / row_sum
+
+
+def _build_batch(state: tuple, k: int) -> None:
+    """Build the Maynard batch of rows k, k + 1, ... into the shared matrix."""
+    table, ps, W, sums, step, padded = state
+    table._maynard_rows(
+        ps[k : k + step].tolist(), W[k : k + step], sums[k : k + step], padded
+    )
 
 
 def build_weights(

@@ -48,11 +48,78 @@ class TestExperimentConfig:
             ExperimentConfig.from_ini("[run]\nmode = gk\nsed = 5\n")
         with pytest.raises(ValueError, match="toy"):
             ExperimentConfig.from_ini("[run]\nmode = gk\ntoy = false\n")
-        # other sections keep unknown keys, and [DEFAULT] keys reach them
+        # [DEFAULT] keys reach the sections that know them
         cfg = ExperimentConfig.from_ini(
-            "[DEFAULT]\nlimit = 9\n\n[run]\nmode = gk\n\n[gk]\nextra = 1\n"
+            "[DEFAULT]\nlimit = 9\n\n[run]\nmode = gk\n\n[gk]\nk = 2\n"
         )
-        assert cfg.get("gk", "extra") == "1" and cfg.getint("gk", "limit", 0) == 9
+        assert cfg.getint("gk", "limit", 0) == 9 and cfg.getint("gk", "k", 0) == 2
+
+    @pytest.mark.parametrize(
+        "ini, message",
+        [
+            ("[weights]\nthetta = 0.5\n", "unknown [weights] key(s) thetta"),
+            ("[gk]\nextra = 1\nlimit = 9\n", "unknown [gk] key(s) extra;"),
+            ("[maier]\nx = 150\nseed = 5\n", "unknown [maier] key(s) seed"),
+            ("[weigths]\ntheta = 0.5\n", "unknown section [weigths]"),
+            ("[DEFAULT]\nlimt = 9\n", "unknown [DEFAULT] key(s) limt"),
+        ],
+    )
+    def test_unknown_section_key_is_rejected(self, ini, message):
+        # a misspelt key must not run at its default without a word
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.from_ini("[run]\nmode = gk\n" + ini)
+        assert message in str(info.value)
+
+    def test_known_keys_are_the_keys_the_modes_read(self, tmp_path, monkeypatch):
+        reads = set()
+        get = ExperimentConfig.get
+
+        def recorded(cfg, section, key, default=None):
+            reads.add((section, key.lower()))
+            return get(cfg, section, key, default)
+
+        monkeypatch.setattr(ExperimentConfig, "get", recorded)
+        small = {
+            "primes": {"primes": {"limit": 2000, "gk_limit": 500}},
+            "sieve": {"partition": {"x": 200}},
+            "weights": {"partition": {"x": 200}, "weights": {"theta": 0.5}},
+            "construct": {
+                "partition": {"x": 200},
+                "weights": {"theta": 0.5},
+                "construct": {"max_q": 16},
+            },
+            "cover": {"cover": {"n_elements": 500, "n_covers": 50}},
+            "maier": {"maier": {"trials": 5, "stat_trials": 5, "soundness_draws": 10}},
+            "gk": {"gk": {"limit": 500}},
+            "verify": {"verify": {"certificate": tmp_path / "missing.json"}},
+        }
+        assert set(small) == set(MODES)
+        for mode, sections in small.items():
+            run_experiment(make_config(mode, **sections))
+        assert reads == {
+            (name, key) for name, keys in harness._SECTION_KEYS.items() for key in keys
+        }
+
+    def test_keys_are_case_insensitive(self, monkeypatch):
+        # configparser lowercases INI keys; set and the getters follow it
+        ini = ExperimentConfig.from_ini("[run]\nmode = sieve\n[partition]\nA = 9\n")
+        assert ini.sections["partition"] == {"a": "9"}
+        flag = make_config("sieve", partition={"A": 9})
+        assert flag.sections == ini.sections
+        for cfg in (ini, flag):
+            assert cfg.getfloat("partition", "A", 4.0) == 9.0
+            assert cfg.getfloat("partition", "a", 4.0) == 9.0
+        # and the value reaches derive_parameters
+        seen = []
+        derive = harness.derive_parameters
+
+        def recorded(x, c, A, **kwargs):
+            seen.append(A)
+            return derive(x, c, A, **kwargs)
+
+        monkeypatch.setattr(harness, "derive_parameters", recorded)
+        harness._build_partition(ini)
+        assert seen == [9.0]
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -182,11 +249,11 @@ class TestModeRunners:
     )
     def test_removed_keys_change_no_verdict(self, ini, removed):
         # the check bounds were INI keys; nothing reads them now, so an
-        # INI that still sets them cannot move a verdict
-        plain = run_experiment(ExperimentConfig.from_ini(ini))
-        keyed = run_experiment(ExperimentConfig.from_ini(ini + removed))
-        assert keyed.checks == plain.checks
-        assert keyed.metrics == plain.metrics
+        # INI that still sets them is rejected by name and runs nothing
+        ExperimentConfig.from_ini(ini)
+        keys = sorted(line.split(" = ")[0] for line in removed.splitlines())
+        with pytest.raises(ValueError, match=f"key\\(s\\) {', '.join(keys)};"):
+            ExperimentConfig.from_ini(ini + removed)
 
     def test_construct_mode(self):
         cfg = make_config(
@@ -399,6 +466,16 @@ class TestCli:
             main(["gk", "--config", str(ini)])
         assert exit_info.value.code == 2
         assert "unknown [run] key(s) sed" in capsys.readouterr().err
+
+    def test_config_with_unknown_section_key_exits(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[weights]\nthetta = 0.5\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["weights", "--config", str(ini)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{ini}: unknown [weights] key(s) thetta" in err
+        assert "Traceback" not in err
 
     def test_missing_config_file_exits(self, tmp_path, capsys):
         # used to end in a FileNotFoundError traceback

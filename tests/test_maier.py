@@ -26,7 +26,7 @@ from gapchain import (
     sift_interval,
     verify_certificate,
 )
-from gapchain import maier
+from gapchain import _fork, maier
 from gapchain.maier import (
     CERTIFICATE_VERSION,
     MAX_MR_ROUNDS,
@@ -362,9 +362,9 @@ class TestParallelRowScan:
         zs = [rng.randrange(1, frame.row_index_bound() + 1) for _ in range(25)]
         want = [_row_primes(scan, z) for z in zs]
         calls = parent_scans(monkeypatch)
-        # 3 workers split 25 rows unevenly, on any number of CPUs
-        for cpus in (1, maier._usable_cpus(), 3):
-            monkeypatch.setattr(maier, "_usable_cpus", lambda cpus=cpus: cpus)
+        # 3 workers share 25 rows, on any number of CPUs
+        for cpus in (1, _fork.usable_cpus(), 3):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
             calls.clear()
             assert _scan_rows(scan, zs) == want
             # one CPU scans here; more fork workers and scan nothing here
@@ -374,8 +374,8 @@ class TestParallelRowScan:
     def test_statistics_do_not_depend_on_the_cpus(self, x, y, trials, monkeypatch):
         frame, T = random_frame(x, y)
         got = {}
-        for cpus in (1, maier._usable_cpus(), 3):
-            monkeypatch.setattr(maier, "_usable_cpus", lambda cpus=cpus: cpus)
+        for cpus in (1, _fork.usable_cpus(), 3):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
             got[cpus] = sample_rows(frame, T, trials, derive_random(5, "maier-rows"))
         serial = got.pop(1)
         for stats in got.values():
@@ -399,7 +399,7 @@ class TestParallelRowScan:
         zs = list(range(1, 13))
         want = [_row_primes(scan, z) for z in zs]
         calls = parent_scans(monkeypatch)
-        monkeypatch.setattr(maier, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 3)
 
         def no_pool(*args, **kwargs):
             raise OSError("no processes left")

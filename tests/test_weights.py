@@ -8,6 +8,8 @@ or recursive accumulation tricks.
 
 import itertools
 import math
+import multiprocessing
+import threading
 from unittest import mock
 
 import numpy as np
@@ -24,6 +26,7 @@ from gapchain import (
     sample_weighted_offset,
     weight_contract_report,
 )
+from gapchain import _fork
 from gapchain import weights as weights_mod
 from gapchain.seeds import derive_rng
 from gapchain.weights import exact_row_sums, gathered_sums
@@ -294,16 +297,20 @@ class TestDivisorSumRows:
             table.matrix()  # the matrix alone would fit
         with pytest.raises(MemoryError, match="build buffer"):
             table.row(int(small_partition.weighted_primes[0]))  # so does row()
-        # with one row per batch the buffer is one padded row
+        # with one row per batch each worker's buffer is one padded row,
+        # and every worker holds one
         monkeypatch.setattr(weights_mod, "_BATCH_BYTES", 1)
         padded = width + math.ceil(table.level)
-        monkeypatch.setattr(weights_mod, "_MAX_BYTES", 8 * (n * width + padded) - 1)
-        with pytest.raises(MemoryError, match="build buffer"):
-            table.matrix()
-        monkeypatch.setattr(weights_mod, "_MAX_BYTES", 8 * (n * width + padded))
-        _, W, sums = table.matrix()
-        assert np.array_equal(W, small_table.matrix()[1])
-        assert np.array_equal(sums, small_table.matrix()[2])
+        for cpus in (1, 3):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
+            cap = 8 * (n * width + cpus * padded)
+            monkeypatch.setattr(weights_mod, "_MAX_BYTES", cap - 1)
+            with pytest.raises(MemoryError, match="build buffers"):
+                table.matrix()
+            monkeypatch.setattr(weights_mod, "_MAX_BYTES", cap)
+            _, W, sums = fresh_table(small_partition).matrix()
+            assert np.array_equal(W, small_table.matrix()[1])
+            assert np.array_equal(sums, small_table.matrix()[2])
 
     @pytest.mark.parametrize("kind", ["maynard", "uniform"])
     def test_rows_are_read_only_views_of_matrix(self, small_partition, kind):
@@ -340,6 +347,127 @@ class TestDivisorSumRows:
         )
         assert small_table.weight_at(307, small_table.n_max + 1) == 0.0
         assert small_table.normalized_at(307, small_table.n_min - 5) == 0.0
+
+
+def fresh_table(partition, kind="maynard"):
+    """A theta = 0.5 table whose rows are not built yet."""
+    return build_weights(partition, first_primes_tuple(4), kind=kind, theta=0.5)
+
+
+def parent_builds(monkeypatch):
+    """The batches (lists of primes) built in this process, not in workers."""
+    calls = []
+    build = g.WeightTable._maynard_rows
+
+    def counted(table, ps, W, sums, padded):
+        calls.append(ps)
+        return build(table, ps, W, sums, padded)
+
+    monkeypatch.setattr(g.WeightTable, "_maynard_rows", counted)
+    return calls
+
+
+def matrix_in_daemon_worker(partition):
+    calls = []
+    build = g.WeightTable._maynard_rows
+    g.WeightTable._maynard_rows = lambda *args: calls.append(args[1]) or build(*args)
+    _, W, sums = fresh_table(partition).matrix()
+    return W.tobytes(), sums.tobytes(), len(calls)
+
+
+class TestParallelRowBuild:
+    @pytest.fixture(autouse=True)
+    def five_row_batches(self, small_partition, monkeypatch):
+        # the 32 rows of the small table build in 7 batches, split
+        # unevenly over 3 workers; forked workers inherit the setting
+        padded = fresh_table(small_partition)._maynard_batches(1)[1]
+        monkeypatch.setattr(weights_mod, "_BATCH_BYTES", 8 * padded * 5)
+
+    @pytest.fixture
+    def serial(self, small_partition, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(_fork, "usable_cpus", lambda: 1)
+            _, W, sums = fresh_table(small_partition).matrix()
+        return W.tobytes(), sums.tobytes()
+
+    def test_matrix_does_not_depend_on_the_cpus(
+        self, small_partition, small_table, serial, monkeypatch
+    ):
+        # the batches give the one-batch table's rows bit for bit
+        assert serial == (
+            small_table.matrix()[1].tobytes(), small_table.matrix()[2].tobytes()
+        )
+        calls = parent_builds(monkeypatch)
+        for cpus in (1, _fork.usable_cpus(), 3):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
+            calls.clear()
+            table = fresh_table(small_partition)
+            _, W, sums = table.matrix()
+            assert (W.tobytes(), sums.tobytes()) == serial
+            # one CPU builds every batch here; more fork workers, which
+            # write straight into the matrix and build nothing here
+            assert len(calls) == (7 if cpus == 1 else 0)
+            # each row is a read-only view into the shared matrix
+            row = table.row(int(small_partition.weighted_primes[11]))
+            assert np.shares_memory(row.values, W[11])
+            assert row.row_sum == sums[11]
+            for array in (row.values, W, sums):
+                with pytest.raises(ValueError):
+                    array[0] = 5.0
+
+    def test_daemonic_worker_builds_here(self, small_partition, serial):
+        # pool workers are daemonic and may not start processes of their own
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            job = pool.apply_async(matrix_in_daemon_worker, (small_partition,))
+            W, sums, calls = job.get(timeout=60)
+        assert (W, sums) == serial
+        assert calls == 7
+
+    def test_other_fallbacks_build_here(self, small_partition, serial, monkeypatch):
+        calls = parent_builds(monkeypatch)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 3)
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no processes left")
+
+        def built_here():
+            calls.clear()
+            _, W, sums = fresh_table(small_partition).matrix()
+            assert (W.tobytes(), sums.tobytes()) == serial
+            return len(calls)
+
+        with monkeypatch.context() as m:
+            m.setattr(multiprocessing.context.BaseContext, "Pool", no_pool)
+            assert built_here() == 7
+        with monkeypatch.context() as m:
+            m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            assert built_here() == 7
+        # forking while another thread runs can deadlock the child
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert built_here() == 7
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert built_here() == 0
+
+    def test_uniform_rows_build_here_on_any_cpus(self, small_partition, monkeypatch):
+        # uniform rows take no batches; their bytes are pinned by the
+        # acceptance digest of the uniform matrix
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a uniform table started a pool")
+
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", no_pool)
+        built = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
+            _, W, sums = fresh_table(small_partition, kind="uniform").matrix()
+            built.append((W.tobytes(), sums.tobytes()))
+        assert built[0] == built[1]
+        assert not W.flags.writeable and not sums.flags.writeable
 
 
 class TestUniformRows:
