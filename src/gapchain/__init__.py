@@ -9,6 +9,9 @@ sieved window along an arithmetic progression, and certify any chain of
 consecutive large prime gaps the translation exposes.
 """
 
+# the one version source: pyproject reads it, certificates record it
+__version__ = "0.1.0"
+
 from .construction import (
     ConstructionRun,
     TargetCoverageReport,
@@ -83,5 +86,3 @@ from .weights import (
     sample_weighted_offset,
     weight_contract_report,
 )
-
-__version__ = "0.1.0"

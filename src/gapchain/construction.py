@@ -31,8 +31,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .nt import strike_classes
 from .seeds import derive_rng
-from .sieving import SmallClassVector, sifted_mask, strike_classes
+from .sieving import SmallClassVector, sifted_mask
 from .weights import WeightTable, draw_shift, exact_row_sums, gathered_sums
 
 __all__ = [

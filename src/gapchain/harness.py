@@ -53,17 +53,6 @@ __all__ = [
     "run_experiment",
 ]
 
-MODES = (
-    "primes",
-    "sieve",
-    "weights",
-    "construct",
-    "cover",
-    "maier",
-    "gk",
-    "verify",
-)
-
 _SCALARS = (str, int, float, bool, type(None))
 
 
@@ -728,6 +717,7 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig], tuple]] = {
     "gk": _run_gk,
     "verify": _run_verify,
 }
+MODES = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:

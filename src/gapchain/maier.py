@@ -42,7 +42,7 @@ from typing import Any
 
 import numpy as np
 
-from . import _fork
+from . import __version__, _fork
 from .nt import (
     DETERMINISTIC_MR_LIMIT,
     bpsw,
@@ -458,15 +458,6 @@ class MissReport:
     best_min_gap: int | None
 
 
-def _library_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("gapchain")
-    except Exception:
-        return "unknown"
-
-
 def find_gap_chain(
     frame: MaierFrame,
     T: SievedSet,
@@ -488,6 +479,8 @@ def find_gap_chain(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if not MIN_MR_ROUNDS <= mr_rounds <= MAX_MR_ROUNDS:
@@ -526,7 +519,7 @@ def find_gap_chain(
             )
             return GapChainCertificate(
                 version=CERTIFICATE_VERSION,
-                library_version=_library_version(),
+                library_version=__version__,
                 x=frame.x,
                 y=frame.y,
                 excluded_prime=frame.excluded_prime,

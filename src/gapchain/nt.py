@@ -24,13 +24,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 __all__ = [
-    "prime_mask",
+    "strike_classes",
     "sieve_primes",
     "primes_in_range",
     "iter_prime_segments",
     "prime_count",
     "primes_after",
-    "smallest_prime_factor_table",
     "factorize",
     "PrimalityResult",
     "is_prime",
@@ -54,25 +53,17 @@ __all__ = [
 # sieves
 
 
-def prime_mask(limit: int) -> np.ndarray:
-    """Boolean array m of length limit+1 with m[n] true iff n is prime."""
-    limit = int(limit)
-    if limit < 1:
-        return np.zeros(max(limit + 1, 1), dtype=bool)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[: min(2, limit + 1)] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return mask
+def strike_classes(
+    alive: np.ndarray, start: int, classes: Iterable[tuple[int, int]]
+) -> None:
+    """Clear alive[j] wherever start + j = a (mod p), for each (p, a)."""
+    for p, a in classes:
+        alive[(a - start) % p :: p] = False
 
 
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (empty for limit < 2)."""
-    limit = int(limit)
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    return np.nonzero(prime_mask(limit))[0].astype(np.int64)
+    return primes_in_range(1, limit)
 
 
 def iter_prime_segments(
@@ -96,19 +87,20 @@ def iter_prime_segments(
 
 
 def primes_in_range(lo: int, hi: int) -> np.ndarray:
-    """Primes p with lo < p <= hi, as an int64 array."""
+    """Primes p with lo < p <= hi, as an int64 array.
+
+    Strikes class 0 of every prime up to sqrt(hi), then restores those
+    base primes that lie in the window themselves.
+    """
     lo, hi = int(lo), int(hi)
     if hi <= max(lo, 1):
         return np.empty(0, dtype=np.int64)
-    root = math.isqrt(hi)
-    base = sieve_primes(root)
     start = max(lo + 1, 2)
-    mask = np.ones(hi - start + 1, dtype=bool)
-    for p in base.tolist():
-        first = max(p * p, ((start + p - 1) // p) * p)
-        if first <= hi:
-            mask[first - start :: p] = False
-    return (np.nonzero(mask)[0] + start).astype(np.int64)
+    base = sieve_primes(math.isqrt(hi))
+    alive = np.ones(hi - start + 1, dtype=bool)
+    strike_classes(alive, start, ((p, 0) for p in base.tolist()))
+    alive[base[base >= start] - start] = True
+    return (np.nonzero(alive)[0] + start).astype(np.int64)
 
 
 def prime_count(limit: int) -> int:
@@ -131,40 +123,16 @@ def primes_after(bound: int, count: int) -> tuple[int, ...]:
     return tuple(out[:count])
 
 
-def smallest_prime_factor_table(limit: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n for 2 <= n <= limit.
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorisation of n >= 1 as {prime: exponent}, by trial division.
 
-    spf[0] and spf[1] are set to 0 and 1 and must not be used as factors.
-    """
-    limit = int(limit)
-    spf = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            np.minimum(sl, p, out=sl)
-    return spf
-
-
-def factorize(n: int, spf: np.ndarray | None = None) -> dict[int, int]:
-    """Prime factorisation of n >= 1 as {prime: exponent}.
-
-    Uses the supplied smallest-prime-factor table when n fits in it,
-    otherwise plain trial division (adequate for the modest sizes this
-    package factors outside of certificates).
+    Adequate for the modest sizes this package factors outside of
+    certificates.
     """
     n = int(n)
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out: dict[int, int] = {}
-    if spf is not None and n < spf.shape[0]:
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
-        return out
     d = 2
     while d * d <= n:
         if n % d == 0:

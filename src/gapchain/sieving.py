@@ -23,14 +23,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .nt import is_prime, prime_mask, primes_in_range
+from .nt import factorize, is_prime, primes_in_range, strike_classes
 from .partition import PrimePartition
 
 __all__ = [
     "ResidueSystem",
     "SievedSet",
     "SmallClassVector",
-    "strike_classes",
     "sift_interval",
     "sifted_membership",
     "sifted_mask",
@@ -42,15 +41,7 @@ __all__ = [
 
 
 def _check_prime_keys(keys: Iterable[int]) -> None:
-    ks = sorted(int(k) for k in keys)
-    if not ks:
-        return
-    top = ks[-1]
-    if top <= 100_000_000:
-        mask = prime_mask(top)
-        bad = [k for k in ks if not mask[k]]
-    else:
-        bad = [k for k in ks if not is_prime(k)]
+    bad = sorted(int(k) for k in keys if not is_prime(k))
     if bad:
         raise ValueError(f"non-prime moduli in residue system: {bad[:10]}")
 
@@ -110,14 +101,6 @@ class SievedSet:
     def members(self) -> np.ndarray:
         """Surviving values themselves, ascending."""
         return np.nonzero(self.bitmap)[0].astype(np.int64) + self.lo + 1
-
-
-def strike_classes(
-    alive: np.ndarray, start: int, classes: Iterable[tuple[int, int]]
-) -> None:
-    """Clear alive[j] wherever start + j = a (mod p), for each (p, a)."""
-    for p, a in classes:
-        alive[(a - start) % p :: p] = False
 
 
 def sift_interval(lo: int, hi: int, system: ResidueSystem) -> SievedSet:
@@ -217,18 +200,6 @@ class ResidualReport:
         return len(self.residual)
 
 
-def _is_smooth_times_excluded(n: int, cut: float, b0: int) -> bool:
-    if b0 > 1:
-        while n % b0 == 0:
-            n //= b0
-    d = 2
-    while d * d <= n and d <= cut:
-        while n % d == 0:
-            n //= d
-        d += 1 if d == 2 else 2
-    return n == 1 or n <= cut
-
-
 def residual_smooth_set(
     T: SievedSet, partition: PrimePartition
 ) -> tuple[set[int], ResidualReport]:
@@ -264,7 +235,7 @@ def residual_smooth_set(
             -u * math.log(max(u, 1e-12))
         )
     classifications = [
-        (n, _is_smooth_times_excluded(n, partition.small_high, b0))
+        (n, all(p <= partition.small_high or p == b0 for p in factorize(n)))
         for n in residual
     ]
     return set(residual), ResidualReport(

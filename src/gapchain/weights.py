@@ -49,7 +49,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _fork
-from .nt import factorize, primes_after, sieve_primes, smallest_prime_factor_table
+from .nt import factorize, primes_after, sieve_primes
 from .partition import PrimePartition
 
 __all__ = [
@@ -221,7 +221,6 @@ class WeightTable:
         self.n_min = -ny
         self.n_max = ny
         self._matrix: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._spf: np.ndarray | None = None
         # primes allowed into divisor products: r < s < R, s != excluded
         r = tuple_.r
         cap = math.ceil(self.level) - 1
@@ -367,14 +366,6 @@ class WeightTable:
 
     # -- point evaluation ----------------------------------------------------
 
-    def _spf_table(self) -> np.ndarray:
-        if self._spf is None:
-            top = self.n_max + self.tuple.offsets[-1] * int(
-                self.partition.weighted_primes.max()
-            )
-            self._spf = smallest_prime_factor_table(max(top, 3))
-        return self._spf
-
     def _maynard_point(self, p: int, n: int) -> float:
         r = self.tuple.r
         level = self.level
@@ -390,10 +381,9 @@ class WeightTable:
                     1 for v in translates if v != 0 and v % s == 0
                 )
         else:
-            spf = self._spf_table()
             counts = {}
             for v in translates:
-                for s in factorize(abs(v), spf):
+                for s in factorize(abs(v)):
                     if s <= r or s == b0 or not s < level:
                         continue
                     counts[s] = counts.get(s, 0) + 1

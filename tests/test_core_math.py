@@ -17,9 +17,7 @@ from gapchain.nt import (
     iter_prime_segments,
     log_iterates,
     mr_composite_witness,
-    prime_mask,
     primes_after,
-    smallest_prime_factor_table,
     smooth_count,
     strong_lucas,
 )
@@ -41,6 +39,13 @@ def brute_is_prime(n: int) -> bool:
     return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+def sieve_mask(limit: int) -> np.ndarray:
+    """m[n] true iff n is prime, for 0 <= n <= limit, from sieve_primes."""
+    mask = np.zeros(limit + 1, dtype=bool)
+    mask[g.sieve_primes(limit)] = True
+    return mask
+
+
 def brute_smooth_count(y: int, z: int) -> int:
     count = 0
     for n in range(1, y + 1):
@@ -55,14 +60,13 @@ def brute_smooth_count(y: int, z: int) -> int:
 
 class TestPrimeSieves:
     def test_mask_matches_trial_division(self):
-        mask = prime_mask(500)
+        mask = sieve_mask(500)
         for n in range(501):
             assert bool(mask[n]) == brute_is_prime(n)
 
     def test_degenerate_limits(self):
-        assert prime_mask(0).sum() == 0
-        assert prime_mask(1).sum() == 0
-        assert g.sieve_primes(1).size == 0
+        for limit in (-3, 0, 1):
+            assert g.sieve_primes(limit).size == 0
         assert g.sieve_primes(2).tolist() == [2]
 
     def test_segment_iteration_equals_one_shot(self):
@@ -90,12 +94,19 @@ class TestPrimeSieves:
 
     def test_primes_in_range_random_windows(self):
         rng = random.Random(1)
-        mask = prime_mask(5_000)
+        windows = []
         for _ in range(200):
             lo = rng.randrange(0, 4_000)
-            hi = lo + rng.randrange(0, 900)
+            windows.append((lo, lo + rng.randrange(0, 900)))
+        # windows that straddle base primes (lo < sqrt(hi)): the sieve
+        # strikes every multiple of each base prime and must restore the
+        # base primes that lie in the window
+        for _ in range(50):
+            hi = rng.randrange(4, 5_000)
+            windows.append((rng.randrange(-2, math.isqrt(hi)), hi))
+        for lo, hi in windows:
             got = g.primes_in_range(lo, hi).tolist()
-            want = [n for n in range(lo + 1, hi + 1) if mask[n]]
+            want = [n for n in range(lo + 1, hi + 1) if brute_is_prime(n)]
             assert got == want
 
     def test_primes_after(self):
@@ -107,18 +118,11 @@ class TestPrimeSieves:
 
 
 class TestFactorization:
-    def test_spf_table(self):
-        spf = smallest_prime_factor_table(1_000)
-        for n in range(2, 1_001):
-            first = next(d for d in range(2, n + 1) if n % d == 0)
-            assert int(spf[n]) == first
-
     def test_factorize_round_trip(self):
-        spf = smallest_prime_factor_table(10_000)
         rng = random.Random(2)
         for _ in range(300):
-            n = rng.randrange(1, 10_000)
-            fac = factorize(n, spf)
+            n = rng.randrange(1, 100_000)
+            fac = factorize(n)
             back = 1
             for p, e in fac.items():
                 assert brute_is_prime(p) and e >= 1
@@ -213,7 +217,7 @@ class TestPrimality:
 
 class TestBpsw:
     def test_rejects_base2_strong_pseudoprimes(self):
-        mask = prime_mask(10**5)
+        mask = sieve_mask(10**5)
         found = [n for n in range(3, 10**5, 2)
                  if not mask[n] and not mr_composite_witness(n, 2)]
         assert found == list(BASE2_STRONG_PSEUDOPRIMES)
@@ -222,7 +226,7 @@ class TestBpsw:
 
     def test_rejects_strong_lucas_pseudoprimes_and_squares(self):
         # the strong Lucas test alone passes exactly these composites
-        mask = prime_mask(10**5)
+        mask = sieve_mask(10**5)
         found = [n for n in range(3, 10**5, 2) if not mask[n] and strong_lucas(n)]
         assert found == list(STRONG_LUCAS_PSEUDOPRIMES)
         for n in STRONG_LUCAS_PSEUDOPRIMES:
@@ -231,7 +235,7 @@ class TestBpsw:
             assert not strong_lucas(r * r) and not bpsw(r * r)
 
     def test_agrees_with_sieve_below_a_million(self):
-        mask = prime_mask(10**6)
+        mask = sieve_mask(10**6)
         assert [n for n in range(-3, 10**6) if bpsw(n) != mask[max(n, 0)]] == []
 
     def test_agrees_with_full_rounds_on_large_values(self):

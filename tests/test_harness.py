@@ -504,6 +504,8 @@ class TestCli:
             (["verify"], "verify mode needs [verify] certificate"),
             (["gk", "--k", "0", "--limit", "100"], "k must be at least 1"),
             (["cover", "--m", "0"], "m must be at least 1"),
+            (["maier", "--trials", "0"], "trials must be at least 1"),
+            (["maier", "--trials", "-3"], "trials must be at least 1"),
         ],
     )
     def test_rejected_option_value_exits(self, argv, message, capsys):

@@ -431,6 +431,11 @@ class TestParallelRowScan:
 
 
 class TestGapChainSearch:
+    def test_library_version_is_the_package_version(self, toy_certificate):
+        # one version source: an installed and a checked-out gapchain must
+        # write the same certificate bytes
+        assert toy_certificate.library_version == g.__version__
+
     def test_certificate_contents(self, toy_frame, toy_certificate):
         cert = toy_certificate
         assert cert.version == CERTIFICATE_VERSION
@@ -541,6 +546,10 @@ class TestGapChainSearch:
             find_gap_chain(toy_frame, toy_sieved, k=2, epsilon=1.0, trials=1, rng=rng)
         with pytest.raises(ValueError):
             find_gap_chain(toy_frame, toy_sieved, k=2, epsilon=0.0, trials=1, rng=rng)
+        for trials in (0, -3):
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                find_gap_chain(toy_frame, toy_sieved, k=2, epsilon=0.01,
+                               trials=trials, rng=rng)
 
 
 class TestVerifierRejections:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gapchain as g
-from gapchain.nt import prime_mask
+from gapchain.nt import is_prime
 from gapchain.partition import TOY_MODE_MIN_X
 
 
@@ -92,13 +92,12 @@ class TestBuildPartition:
     def test_window_membership_exact(self):
         params = g.derive_parameters(1_400, y=21_000.0, z=80.0, small_low=32.0)
         part = g.build_partition(params)
-        mask = prime_mask(21_000)
 
         def window(lo, hi):
             return [
                 n
                 for n in range(math.floor(lo) + 1, math.floor(hi) + 1)
-                if mask[n]
+                if is_prime(n)
             ]
 
         assert part.small_primes.tolist() == window(32, 80)
