@@ -2,8 +2,9 @@
 
 Exit status is 0 exactly when every check in the run's report passed, so
 the tool can sit directly in shell pipelines and CI jobs.  A config file
-that cannot be read or parsed, or an option value the run rejects, is a
-usage error: exit status 2 and a one-line message, no traceback.
+that cannot be read or parsed, or an option value the run rejects, or
+whose weight matrix it refuses up front as too large, is a usage error:
+exit status 2 and a one-line message, no traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .harness import MODES, ExperimentConfig, run_experiment
+from .weights import MatrixTooLarge
 
 _HELP = {
     "primes": "exact prime counts and gap-run records over small ranges",
@@ -117,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run_experiment(cfg)
-    except ValueError as exc:
+    except (ValueError, MatrixTooLarge) as exc:
         parser.error(str(exc))
 
     print(f"gapchain {report.mode} (seed {cfg.seed})")

@@ -85,9 +85,12 @@ def correlation_probability(
     return out
 
 
-def _strike_shifts(
-    keep: np.ndarray, table: WeightTable, p: int, small_classes: SmallClassVector
-) -> None:
+def survival_mask(
+    table: WeightTable, p: int, small_classes: SmallClassVector
+) -> np.ndarray:
+    """Boolean mask over the table's shift grid: shifts whose tuple is sifted."""
+    p = int(p)
+    keep = np.ones(table.n_max - table.n_min + 1, dtype=bool)
     # shift n survives iff every translate n + h p avoids every chosen
     # class a_s (mod s), i.e. iff n avoids a_s - h p (mod s) for all s, h
     strike_classes(
@@ -99,14 +102,6 @@ def _strike_shifts(
             for h in table.tuple.offsets
         ],
     )
-
-
-def survival_mask(
-    table: WeightTable, p: int, small_classes: SmallClassVector
-) -> np.ndarray:
-    """Boolean mask over the table's shift grid: shifts whose tuple is sifted."""
-    keep = np.ones(table.n_max - table.n_min + 1, dtype=bool)
-    _strike_shifts(keep, table, int(p), small_classes)
     return keep
 
 
@@ -139,7 +134,8 @@ class ConstructionRun:
     chosen_offsets maps every weighted prime to its drawn shift, with the
     conventional sentinel 0 for primes outside the stable set (and for
     zero-weight rows, which can never be stable).  The survival matrix is
-    the boolean sifted-tuple mask aligned with table.matrix() rows.
+    the boolean sifted-tuple mask aligned with table.matrix() rows, each
+    row followed in memory by one False as the matrix rows are by one 0.0.
     """
 
     table: WeightTable
@@ -192,9 +188,12 @@ def run_construction(
     small_classes = sample_small_classes(part.small_primes, rng_small)
 
     ps, W, sums = table.matrix()
-    mask = np.ones(W.shape, dtype=bool)
+    # laid out like the matrix, each row followed by one False
+    mask = np.ones((W.shape[0], W.shape[1] + 1), dtype=bool)
+    mask[:, -1] = False
+    mask = mask[:, :-1]
     for i, p in enumerate(ps.tolist()):
-        _strike_shifts(mask[i], table, p, small_classes)
+        mask[i] = survival_mask(table, p, small_classes)
 
     sigma_r = float(part.sigma ** table.tuple.r)
     survival: dict[int, float] = {}
@@ -334,25 +333,19 @@ def target_coverage_report(
     q_arr = q_sifted[::stride]
 
     ps, W, sums = table.matrix()
-    stable_set = set(run.stable_primes)
-    good_idx = np.array(
-        [i for i, p in enumerate(ps.tolist()) if p in stable_set], dtype=np.int64
-    )
+    good_idx = np.flatnonzero(np.isin(ps, run.stable_primes))
     if good_idx.size == 0:
         raise ValueError("no stable primes; nothing covers the targets")
-    # conditional laws of the stable rows, with gathered_sums' zero column
-    Z = np.zeros((good_idx.size, W.shape[1] + 1))
-    for k, i in enumerate(good_idx.tolist()):
-        if sums[i] > 0:
-            np.multiply(W[i], run.mask_matrix[i], out=Z[k, :-1])
-            Z[k, :-1] /= sums[i]
-    p_vec = ps[good_idx].astype(np.int64)
 
-    inv_sigma_r = 1.0 / run.sigma_r
-    main = np.zeros(q_arr.size)
-    for h in table.tuple.offsets:
-        main += gathered_sums(Z, p_vec, q_arr, h, table.n_min)
-    main *= inv_sigma_r
+    def incoming(offsets: Sequence[int]) -> np.ndarray:
+        # sigma**-r times the conditional laws of the stable rows, that is
+        # their masked rows over their sums, summed over the offsets (the
+        # axis-0 sum adds one offset after another)
+        terms = gathered_sums(
+            W, sums, good_idx, ps[good_idx], q_arr, offsets, table.n_min,
+            run.mask_matrix,
+        )
+        return terms.sum(axis=0) * (1.0 / run.sigma_r)
 
     h_window = math.floor(part.y / part.x)
     err_offsets = [
@@ -360,10 +353,8 @@ def target_coverage_report(
         for h in range(-h_window, h_window + 1)
         if h not in table.tuple.offsets
     ]
-    error = np.zeros(q_arr.size)
-    for h in err_offsets:
-        error += gathered_sums(Z, p_vec, q_arr, h, table.n_min)
-    error *= inv_sigma_r
+    main = incoming(table.tuple.offsets)
+    error = incoming(err_offsets)
 
     main_mean = float(main.mean())
     rel_dev = (

@@ -200,7 +200,8 @@ class CoverResult:
     """Outcome of a nibble run: kept edge parts and the uncovered leftover.
 
     The kept parts are stored flat, in draw order: edge edge_order[i] kept
-    kept_sizes[i] elements, the i-th run of kept_values, sorted.
+    kept_sizes[i] elements, the i-th run of kept_values, sorted.  leftover
+    holds the uncovered elements in increasing order.
     """
 
     n_elements: int
@@ -274,8 +275,14 @@ def nibble_cover(
 
 
 def subset_leftover(result: CoverResult, subset: Iterable[int]) -> int:
-    """How many elements of the given subset the cover failed to touch."""
-    sub = np.asarray(sorted(set(int(q) for q in subset)), dtype=np.int64)
-    if sub.size and (sub.min() < 0 or sub.max() >= result.n_elements):
+    """How many distinct elements of the subset the cover failed to touch."""
+    if not isinstance(subset, np.ndarray):
+        subset = np.fromiter(subset, np.int64)
+    sub = np.sort(subset.astype(np.int64, copy=False), axis=None)
+    if sub.size and (sub[0] < 0 or sub[-1] >= result.n_elements):
         raise ValueError("subset leaves the ground set")
-    return int(np.isin(sub, result.leftover).sum())
+    # leftover is sorted; the sentinel -1 answers searches past its end
+    at = np.searchsorted(result.leftover, sub)
+    hit = np.append(result.leftover, -1)[at] == sub
+    hit[1:] &= sub[1:] != sub[:-1]  # each distinct element once
+    return int(hit.sum())

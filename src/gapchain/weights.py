@@ -3,7 +3,9 @@
 A weight table assigns to every middle prime p a nonnegative row
 w(p, n) over integer shifts n in [-y, y].  Rows are used exclusively in
 normalized form w(p, n)/rowsum(p), i.e. as the law of a random shift, so
-every downstream claim is scale-free.  Two surrogate kinds are provided:
+every downstream claim is scale-free.  No normalized copy is made: the
+matrix stores each row followed by one 0.0, and gathered_sums reads raw
+rows through it and divides by the row sum.  Two surrogate kinds exist:
 
   uniform   w = 1 exactly on the shifts n for which every translate
             n + h_i p lands in the target interval (x, y]
@@ -58,6 +60,7 @@ __all__ = [
     "is_admissible",
     "WeightRow",
     "WeightTable",
+    "MatrixTooLarge",
     "build_weights",
     "draw_shift",
     "exact_row_sums",
@@ -74,13 +77,17 @@ __all__ = [
 # of x = 1400, theta = 1 took ~0.85 s in batches of 12 and ~1.2 s as one
 # batch.
 _BATCH_BYTES = 1 << 22
-# Larger dense allocations are refused up front.
+# Larger dense allocations are refused up front, with MatrixTooLarge.
 _MAX_BYTES = 1 << 30
 # exact_row_sums splits each entry after its top 27 significant bits; a
 # bucket of one binary exponent then sums exactly while it holds fewer
 # than 2**26 terms, so longer rows are refused.
 _LOW_BITS = 26
 _MAX_ROW_TERMS = 1 << 26
+
+
+class MatrixTooLarge(MemoryError):
+    """A weight matrix refused before any allocation: lower y, theta or x."""
 
 
 def is_admissible(offsets: Sequence[int]) -> bool:
@@ -320,16 +327,13 @@ class WeightTable:
             raise KeyError(f"{p} is not a weighted prime of this partition")
         return WeightRow(p, W[i], float(sums[i]))
 
-    def row_sums(self) -> dict[int, float]:
-        ps, _, sums = self.matrix()
-        return dict(zip(ps.tolist(), sums.tolist()))
-
     def matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(primes, dense weight matrix on the full grid, row sums).
 
         Matrix shape is (#weighted primes, n_max - n_min + 1); a uniform
-        row is zero outside its window.  Built on the first call.  The
-        matrix and the sums share one anonymous shared mapping, so the
+        row is zero outside its window.  Built on the first call.  Each
+        row is followed in memory by one 0.0 (see gathered_sums); rows,
+        zeros and sums share one anonymous shared mapping, so the
         Maynard batches are built by `_fork.fork_map` on every usable CPU:
         each worker writes its batches' rows and sums in place, and
         nothing comes back.
@@ -338,7 +342,7 @@ class WeightTable:
             ps = self.partition.weighted_primes.astype(np.int64)
             n = ps.size
             width = self.n_max - self.n_min + 1
-            est_bytes = 8 * n * width
+            est_bytes = 8 * n * (width + 2)  # rows, a zero after each, sums
             if self.kind == "maynard":
                 step, padded = self._maynard_batches(n)
                 starts = list(range(0, n, step))
@@ -346,14 +350,15 @@ class WeightTable:
                 workers = min(_fork.usable_cpus(), len(starts))
                 est_bytes += workers * step * padded * 8
             if est_bytes > _MAX_BYTES:
-                raise MemoryError(
+                raise MatrixTooLarge(
                     f"dense weight matrix and its build buffers would need "
                     f"{est_bytes / 2**30:.1f} GiB; lower y, theta or the "
                     "number of weighted primes"
                 )
-            shared = mmap.mmap(-1, 8 * n * (width + 1))
-            W = np.frombuffer(shared, np.float64, n * width).reshape(n, width)
-            sums = np.frombuffer(shared, np.float64, n, 8 * n * width)
+            shared = mmap.mmap(-1, 8 * n * (width + 2))
+            flat = np.frombuffer(shared, np.float64, n * (width + 1))
+            W = flat.reshape(n, width + 1)[:, :width]
+            sums = np.frombuffer(shared, np.float64, n, 8 * n * (width + 1))
             if self.kind == "uniform":
                 self._uniform_rows(ps.tolist(), W, sums)
             else:
@@ -556,25 +561,57 @@ class WeightContractReport:
 
 
 def gathered_sums(
-    M: np.ndarray,
+    W: np.ndarray,
+    sums: np.ndarray,
+    rows: np.ndarray,
     p_arr: np.ndarray,
     q_arr: np.ndarray,
-    h: int,
+    offsets: Sequence[int],
     n_min: int,
+    mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """For each q: sum over rows i of M[i, q - h p_i - n_min].
+    """out[k, j] = sum over t of W[i, q_j - h p_arr[t] - n_min] / sums[i].
 
-    M is a C-contiguous, row-normalized matrix on the shift grid starting
-    at n_min, plus one last column that must be zero: each term is the law
-    of row i at the shift q - h p_i, and a shift off the grid reads that
-    zero column, so it contributes 0.
+    Here h = offsets[k] and i = rows[t]: each term is row i's law at the
+    shift q_j - h p_arr[t].  W stores each row followed by one 0 slot, as
+    WeightTable.matrix() does: a shift off the grid reads it, so it adds
+    0, as does a zero row.  A boolean mask of that layout multiplies each
+    raw entry before the division.  One set of buffers serves every h.
     """
-    width = M.shape[1] - 1
-    idx = q_arr[:, None] - (h * p_arr + n_min)[None, :]
-    np.clip(idx, -1, width, out=idx)
-    idx[idx < 0] = width
-    idx += np.arange(p_arr.size) * M.shape[1]
-    return np.take(M, idx).sum(axis=1)
+    n, width = W.shape
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise IndexError(f"rows must lie in [0, {n})")
+    padded = _with_zero_slots(W)
+    hits = None if mask is None else _with_zero_slots(mask)
+    starts = rows * (width + 1)
+    row_sums = sums[rows]
+    denom = np.where(row_sums > 0, row_sums, 1.0)  # a zero row reads zeros
+    idx = np.empty((q_arr.size, rows.size), dtype=np.int64)
+    vals = np.empty(idx.shape)
+    out = np.empty((len(offsets), q_arr.size))
+    for k, h in enumerate(offsets):
+        np.subtract.outer(q_arr, h * p_arr + n_min, out=idx)
+        # read as unsigned, a negative index exceeds width too: one
+        # minimum sends every shift off the grid to the zero slot
+        np.minimum(idx.view(np.uint64), width, out=idx.view(np.uint64))
+        idx += starts
+        # every index is in range, so "clip" never clips: it only spares
+        # take the copy of out that "raise" makes
+        np.take(padded, idx, out=vals, mode="clip")
+        if hits is not None:
+            vals *= np.take(hits, idx, mode="clip")
+        vals /= denom
+        vals.sum(axis=1, out=out[k])
+    return out
+
+
+def _with_zero_slots(A: np.ndarray) -> np.ndarray:
+    """A read-only view of the (n, width) rows A and the zero after each."""
+    n, width = A.shape
+    padded = np.lib.stride_tricks.as_strided(A, (n, width + 1), writeable=False)
+    if A.strides != ((width + 1) * A.itemsize, A.itemsize) or padded[:, -1].any():
+        raise ValueError("each row must be followed by one zero slot")
+    return padded
 
 
 def weight_contract_report(
@@ -631,26 +668,17 @@ def weight_contract_report(
         if bad:
             raise ValueError(f"off-tuple shifts {bad} are tuple offsets")
 
-    # normalized rows, zero rows left zero, with gathered_sums' zero column
-    M = np.zeros((W.shape[0], W.shape[1] + 1))
-    np.divide(W, sums[:, None], out=M[:, :-1], where=keep[:, None])
-    p_arr = ps.astype(np.int64)
-    on = np.stack(
-        [gathered_sums(M, p_arr, q_arr, h, table.n_min) for h in offs], axis=1
-    )
+    rows = np.arange(ps.size)
+    on = gathered_sums(W, sums, rows, ps, q_arr, offs, table.n_min).T.copy()
     on_mean = float(on.mean())
     on_std = float(on.std())
     on_max_rel_dev = (
         float(np.abs(on - on_mean).max() / on_mean) if on_mean > 0 else math.inf
     )
 
-    off_means: dict[int, float] = {}
-    off_all: list[np.ndarray] = []
-    for h in off_list:
-        t = gathered_sums(M, p_arr, q_arr, h, table.n_min)
-        off_means[h] = float(t.mean())
-        off_all.append(t)
-    off_mean = float(np.concatenate(off_all).mean()) if off_all else 0.0
+    off = gathered_sums(W, sums, rows, ps, q_arr, off_list, table.n_min)
+    off_means = {h: float(t.mean()) for h, t in zip(off_list, off)}
+    off_mean = float(off.ravel().mean()) if off_list else 0.0
     off_max_mean = max(off_means.values()) if off_means else 0.0
 
     pair_ratio = off_mean / on_mean if on_mean > 0 else math.inf
@@ -661,9 +689,7 @@ def weight_contract_report(
         r=r,
         theta=table.theta,
         row_sums={int(p): float(s) for p, s in zip(ps.tolist(), sums.tolist())},
-        row_sum_ratio=(
-            float(sums[keep].max() / sums[keep].min()) if keep.any() else math.inf
-        ),
+        row_sum_ratio=float(sums[keep].max() / sums[keep].min()),
         zero_rows=zero_rows,
         q_used=[int(q) for q in q_arr.tolist()],
         on_mean=on_mean,
@@ -676,6 +702,7 @@ def weight_contract_report(
         off_max_mean=off_max_mean,
         off_on_pair_ratio=pair_ratio,
         off_on_aggregate_ratio=agg_ratio,
-        max_point_mass=float(M.max()),
+        # division by a positive sum is monotone: M.max() bit for bit
+        max_point_mass=float((W.max(axis=1)[keep] / sums[keep]).max()),
         on_sums=on,
     )

@@ -318,6 +318,39 @@ class TestSubsetLeftover:
         assert subset_leftover(result, subset) == len(set(subset) & left)
         assert subset_leftover(result, []) == 0
 
+    @pytest.mark.parametrize(
+        "as_input", [list, set, np.array, lambda xs: (x for x in xs)],
+        ids=["list", "set", "ndarray", "generator"],
+    )
+    def test_every_iterable_counts_distinct_members(self, as_input):
+        inst = make_instance()
+        result = nibble_cover(inst, m=2, rng=derive_rng(4, "subset"))
+        left = set(result.leftover.tolist())
+        rng = derive_rng(1, "subset-dupes")
+        # with repeats, and with the ends of the ground set
+        picks = rng.integers(0, inst.n_elements, size=400).tolist()
+        picks += result.leftover[:5].tolist() * 3 + [0, inst.n_elements - 1]
+        assert len(picks) > len(set(picks))
+        want = len(set(picks) & left)
+        assert want > 0
+        assert subset_leftover(result, as_input(picks)) == want
+        assert subset_leftover(result, as_input([])) == 0
+        for bad in ([5, -1, 5], [inst.n_elements, 0]):
+            with pytest.raises(ValueError):
+                subset_leftover(result, as_input(bad))
+
+    def test_empty_leftover(self):
+        empty = np.empty(0, dtype=np.int64)
+        result = CoverResult(
+            n_elements=10,
+            m=1,
+            edge_order=empty,
+            kept_sizes=empty,
+            kept_values=empty,
+            leftover=empty,
+        )
+        assert subset_leftover(result, [0, 9, 9]) == 0
+
     def test_range_guard(self):
         empty = np.empty(0, dtype=np.int64)
         result = CoverResult(

@@ -506,6 +506,10 @@ class TestCli:
             (["cover", "--m", "0"], "m must be at least 1"),
             (["maier", "--trials", "0"], "trials must be at least 1"),
             (["maier", "--trials", "-3"], "trials must be at least 1"),
+            # refused before any allocation; each used to end in a
+            # MemoryError traceback and exit status 1
+            (["weights", "--x", "60000"], "dense weight matrix and its build"),
+            (["construct", "--x", "60000"], "dense weight matrix and its build"),
         ],
     )
     def test_rejected_option_value_exits(self, argv, message, capsys):
@@ -522,6 +526,15 @@ class TestCli:
 
         monkeypatch.setitem(harness._RUNNERS, "gk", broken)
         with pytest.raises(AssertionError, match="invariant broken"):
+            main(["gk"])
+
+    def test_memory_error_of_an_allocation_propagates(self, monkeypatch):
+        # only the up-front refusal of a weight matrix is a usage error
+        def out_of_memory(cfg):
+            raise MemoryError("allocation failed")
+
+        monkeypatch.setitem(harness._RUNNERS, "gk", out_of_memory)
+        with pytest.raises(MemoryError, match="allocation failed"):
             main(["gk"])
 
     def test_unknown_mode_exits(self):

@@ -10,6 +10,7 @@ import itertools
 import math
 import multiprocessing
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -82,6 +83,11 @@ def masked_gather(M, p_arr, q_arr, h, n_min):
     safe = np.where(ok, idx, 0)
     vals = M[np.arange(p_arr.size)[None, :], safe]
     return np.where(ok, vals, 0.0).sum(axis=1)
+
+
+def with_zero_slots(A):
+    """The (n, width + 1) view of A's rows and the memory slot after each."""
+    return np.lib.stride_tricks.as_strided(A, (A.shape[0], A.shape[1] + 1), A.strides)
 
 
 def fsum_rows(A):
@@ -292,7 +298,9 @@ class TestDivisorSumRows:
         )
         n = small_partition.weighted_primes.size
         width = table.n_max - table.n_min + 1
-        monkeypatch.setattr(weights_mod, "_MAX_BYTES", 8 * n * width)
+        # the rows, the zero slot after each row, and the sums
+        matrix_bytes = 8 * n * (width + 2)
+        monkeypatch.setattr(weights_mod, "_MAX_BYTES", matrix_bytes)
         with pytest.raises(MemoryError, match="build buffer"):
             table.matrix()  # the matrix alone would fit
         with pytest.raises(MemoryError, match="build buffer"):
@@ -303,7 +311,7 @@ class TestDivisorSumRows:
         padded = width + math.ceil(table.level)
         for cpus in (1, 3):
             monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
-            cap = 8 * (n * width + cpus * padded)
+            cap = matrix_bytes + 8 * cpus * padded
             monkeypatch.setattr(weights_mod, "_MAX_BYTES", cap - 1)
             with pytest.raises(MemoryError, match="build buffers"):
                 table.matrix()
@@ -325,6 +333,17 @@ class TestDivisorSumRows:
             row.values[0] = 5.0
         with pytest.raises(KeyError):
             table.row(5)  # not a weighted prime
+
+    @pytest.mark.parametrize("kind", ["maynard", "uniform"])
+    def test_every_row_is_followed_by_a_read_only_zero(self, small_partition, kind):
+        _, W, _ = fresh_table(small_partition, kind).matrix()
+        n, width = W.shape
+        assert W.strides == (8 * (width + 1), 8)
+        slots = with_zero_slots(W)[:, width]
+        assert slots.shape == (n,) and np.array_equal(slots, np.zeros(n))
+        assert np.signbit(slots).sum() == 0
+        with pytest.raises(ValueError):
+            slots[0] = 1.0
 
     def test_matrix_reassembles_rows(self, small_table):
         ps, W, sums = small_table.matrix()
@@ -517,7 +536,7 @@ class TestUniformRows:
         table = build_weights(
             part, first_primes_tuple(4), kind="uniform", theta=0.5
         )
-        assert all(s == 0.0 for s in table.row_sums().values())
+        assert not table.matrix()[2].any()
         with pytest.raises(ValueError):
             sample_weighted_offset(table, 53, derive_rng(0, "zero-row"))
         with pytest.raises(ValueError):
@@ -662,12 +681,11 @@ class TestExactRowSums:
 class TestGatheredSums:
     @pytest.fixture(scope="class")
     def normalized(self, small_table):
+        # the test-only normalized copy that the oracle gathers from
         ps, W, sums = small_table.matrix()
         M = W / sums[:, None]
-        padded = np.zeros((M.shape[0], M.shape[1] + 1))
-        padded[:, :-1] = M
         q = small_table.partition.target_primes.astype(np.int64)
-        return M, padded, ps.astype(np.int64), q
+        return M, ps, q
 
     @pytest.mark.parametrize(
         "h, on_grid",
@@ -677,20 +695,68 @@ class TestGatheredSums:
     def test_padded_gather_equals_masked_oracle(
         self, small_table, normalized, h, on_grid
     ):
-        M, padded, p, q = normalized
+        M, p, q = normalized
+        _, W, sums = small_table.matrix()
         idx = q[:, None] - h * p[None, :] - small_table.n_min
         inside = (idx >= 0) & (idx < M.shape[1])
         assert {"all": inside.all(), "none": not inside.any(),
                 "some": inside.any() and not inside.all()}[on_grid]
-        got = gathered_sums(padded, p, q, h, small_table.n_min)
+        rows = np.arange(p.size)
+        got = gathered_sums(W, sums, rows, p, q, [h], small_table.n_min)
         want = masked_gather(M, p, q, h, small_table.n_min)
-        assert got.shape == (q.size,)
+        assert got.shape == (1, q.size)
+        got = got[0]
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         if on_grid == "none":
             assert not got.any()
 
+    def test_masked_subset_gather_equals_oracle(self, small_table, normalized):
+        # a subset of rows, each masked, over its unmasked sum: the terms
+        # of the construction's conditional laws; one call takes every
+        # offset through the same buffers
+        _, p, q = normalized
+        ps, W, sums = small_table.matrix()
+        n, width = W.shape
+        rng = derive_rng(0, "gather-mask")
+        mask_buf = np.zeros((n, width + 1), dtype=bool)
+        mask_buf[:, :width] = rng.random((n, width)) < 0.3
+        mask = mask_buf[:, :width]
+        rows = np.array([0, 3, 4, 17, 31])
+        Z = W[rows] * mask[rows] / sums[rows, None]
+        offsets = [0, 13, 100, 30, -5]
+        got = gathered_sums(
+            W, sums, rows, ps[rows], q, offsets, small_table.n_min, mask
+        )
+        assert got.shape == (len(offsets), q.size)
+        for h, row in zip(offsets, got):
+            want = masked_gather(Z, ps[rows], q, h, small_table.n_min)
+            assert np.array_equal(row.view(np.int64), want.view(np.int64))
+
+    def test_zero_rows_gather_zero(self, small_table, normalized):
+        _, p, q = normalized
+        _, W, _ = small_table.matrix()
+        sums = np.zeros(p.size)
+        zero_W = np.zeros((p.size, W.shape[1] + 1))[:, :-1]
+        rows = np.arange(p.size)
+        with np.errstate(all="raise"):
+            got = gathered_sums(zero_W, sums, rows, p, q, [0], small_table.n_min)
+        assert not got.any()
+
+    def test_refuses_rows_without_zero_slots(self, small_table, normalized):
+        _, p, q = normalized
+        _, W, sums = small_table.matrix()
+        rows = np.arange(p.size)
+        with pytest.raises(ValueError, match="one zero slot"):
+            gathered_sums(np.ascontiguousarray(W), sums, rows, p, q, [0], 0)
+        ones = np.ones((p.size, W.shape[1] + 1))
+        with pytest.raises(ValueError, match="one zero slot"):
+            gathered_sums(ones[:, :-1], sums, rows, p, q, [0], 0)
+        for bad in ([0, p.size], [-1, 0]):
+            with pytest.raises(IndexError):
+                gathered_sums(W, sums, np.array(bad), p[:2], q, [0], 0)
+
     def test_contract_report_uses_the_padded_gather(self, small_table, normalized):
-        M, _, p, q = normalized
+        M, p, q = normalized
         report = weight_contract_report(small_table)
         want = np.stack(
             [masked_gather(M, p, q, h, small_table.n_min)
@@ -702,3 +768,22 @@ class TestGatheredSums:
             t = masked_gather(M, p, q, h, small_table.n_min)
             assert report.off_means[h] == float(t.mean())
         assert report.max_point_mass == float(M.max())
+
+    def test_reports_make_no_matrix_sized_copy(self, small_table):
+        # numpy reports its buffers to tracemalloc; the shared mapping
+        # under the matrix is built before tracing starts
+        _, W, _ = small_table.matrix()
+        run = g.run_construction(small_table, seed=0, eta=0.1)
+        assert run.stable_primes
+        target = small_table.partition.coverage_target
+        for report in (
+            lambda: weight_contract_report(small_table),
+            lambda: g.target_coverage_report(run, target),
+        ):
+            tracemalloc.start()
+            try:
+                report()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < W.nbytes / 2
