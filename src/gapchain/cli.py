@@ -4,7 +4,7 @@ Exit status is 0 exactly when every check in the run's report passed, so
 the tool can sit directly in shell pipelines and CI jobs.  A config file
 that cannot be read or parsed, or an option value the run rejects, or
 whose weight matrix it refuses up front as too large, is a usage error:
-exit status 2 and a one-line message, no traceback.
+the subcommand's usage, a one-line message and exit status 2, no traceback.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in MODES:
         p = sub.add_parser(mode, help=_HELP[mode])
+        p.set_defaults(mode_parser=p)  # run-time usage errors name the mode
         p.add_argument(
             "--config",
             type=Path,
@@ -96,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parser = args.mode_parser
     if args.config is not None:
         try:
             cfg = ExperimentConfig.from_file(args.config)

@@ -92,8 +92,7 @@ _RUN_KEYS = frozenset({"mode", "seed", "out"})
 _SECTION_KEYS = {
     "primes": frozenset({"limit", "gk_limit", "gk_orders"}),
     "partition": frozenset(
-        {"x", "y", "z", "small_low", "small_high", "r", "epsilon", "c", "a",
-         "c0", "r0", "excluded"}
+        {"x", "y", "z", "small_low", "small_high", "excluded"}
     ),
     "sieve": frozenset({"medium_high"}),
     "weights": frozenset({"kind", "theta", "r", "offsets", "q_sample"}),
@@ -285,22 +284,13 @@ def _build_partition(cfg: ExperimentConfig) -> PrimePartition:
     # below x ~ 1e15 its formulas give y <= x.
     sec = "partition"
     x = cfg.getfloat(sec, "x", 1400.0)
-    kwargs: dict[str, Any] = {
-        "y": cfg.getfloat(sec, "y", 15.0 * x),
-        "z": cfg.getfloat(sec, "z", 80.0),
-        "small_low": cfg.getfloat(sec, "small_low", 32.0),
-    }
-    for key, conv in (("r", int), ("epsilon", float), ("small_high", float)):
-        raw = cfg.get(sec, key)
-        if raw is not None:
-            kwargs[key] = conv(raw)
+    z = cfg.getfloat(sec, "z", 80.0)
     params = derive_parameters(
         x,
-        cfg.getfloat(sec, "c", 0.1),
-        cfg.getfloat(sec, "A", 4.0),
-        c0=cfg.getfloat(sec, "c0", 0.5),
-        r0=cfg.getint(sec, "r0", 1),
-        **kwargs,
+        y=cfg.getfloat(sec, "y", 15.0 * x),
+        z=z,
+        small_low=cfg.getfloat(sec, "small_low", 32.0),
+        small_high=cfg.getfloat(sec, "small_high", z),
     )
     return build_partition(params, cfg.getint(sec, "excluded", 1))
 

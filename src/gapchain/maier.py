@@ -21,14 +21,15 @@ primes in (x, PRESIEVE_LIMIT] and the rest tested by BPSW (by the
 Miller-Rabin proof below the deterministic limit).  Rows are independent,
 so `sample_rows` draws all of its row indices first, hands them one at a
 time to forked worker processes, one per usable CPU, and aggregates them
-in draw order: the statistics are the same bytes as a one-by-one scan.  The gap-chain search stops at its first certifying row,
-so it scans its rows one at a time.  A successful row is packaged as a
-self-contained certificate: its listed primes are first re-tested with
-the full Miller-Rabin rounds, and every integer strictly between them
-carries deterministically checkable compositeness evidence (a shared
-factor with the modulus, an explicit factor, or a Miller-Rabin witness
-base), so an independent verifier needs no access to the search.  The
-verifier applies its own minimum round count, MIN_MR_ROUNDS.
+in draw order: the statistics are the same bytes as a one-by-one scan.
+The gap-chain search stops at its first certifying row, so it scans its
+rows one at a time.  A successful row is packaged as a self-contained
+certificate: its listed primes are first re-tested with the full
+Miller-Rabin rounds, and every integer strictly between them carries
+deterministically checkable compositeness evidence (a shared factor with
+the modulus, an explicit factor, or a Miller-Rabin witness base), so an
+independent verifier needs no access to the search.  The verifier
+applies its own minimum round count, MIN_MR_ROUNDS.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .nt import (
     mr_composite_witness,
     primes_in_range,
 )
-from .partition import PrimePartition
+from .partition import PrimePartition, check_excluded_prime
 from .sieving import ResidueSystem, SievedSet
 
 __all__ = [
@@ -99,13 +100,7 @@ class FrameWindow:
             raise ValueError("window start must exceed 2")
         if not self.y > self.x:
             raise ValueError("window end must exceed its start")
-        # a prime above x would divide no modulus a frame builds
-        if self.excluded_prime > self.x:
-            raise ValueError(
-                f"excluded modulus {self.excluded_prime} exceeds x = {self.x}"
-            )
-        if self.excluded_prime != 1 and not is_prime(self.excluded_prime):
-            raise ValueError("excluded modulus must be 1 or a prime")
+        check_excluded_prime(self.excluded_prime, self.x)
 
 
 @dataclass(frozen=True)
@@ -335,8 +330,8 @@ def sample_rows(
     The rows are scanned by `_row_primes` (presieve, then BPSW above the
     deterministic limit) in forked workers, one per usable CPU, and
     aggregated in draw order, so the statistics do not depend on the
-    worker count.  The scan stays in this process
-    wherever `_fork.fork_map` cannot fork.
+    worker count.  The scan stays in this process wherever
+    `_fork.fork_map` cannot fork.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -1,8 +1,7 @@
 """Run parameters and the three-way prime partition they induce.
 
-A run is governed by a scale x and a handful of shape constants.  From
-these we derive the interval end y, the smoothness cut z, the weight
-dimension r, and a target coverage level, then split the primes at or
+A run is governed by a scale x.  From it we derive the interval end y
+and the smoothness cut z of the sieve window, then split the primes at or
 below y into three disjoint working sets:
 
   small_primes     sieving primes in (small_low, small_high]
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +32,7 @@ __all__ = [
     "derive_parameters",
     "PrimePartition",
     "build_partition",
+    "check_excluded_prime",
 ]
 
 # Smallest x whose third log iterate exceeds 1; below this the parameter
@@ -44,158 +44,82 @@ TOY_MODE_MIN_X = 100.0
 
 @dataclass(frozen=True)
 class Params:
-    """Derived run parameters plus per-field provenance.
-
-    provenance[name] is "formula", "override", "default", or "clamped" so
-    reports can state exactly which knobs a toy run turned.  sigma here is
-    a float preview over the small window ignoring the excluded modulus;
-    the partition recomputes it exactly.
-    """
+    """The sieve window of one run: x, y, z, u = log y / log z, and the
+    small-prime window (small_low, small_high]."""
 
     x: float
-    c: float
-    A: float
-    c0: float
-    r0: int
     y: float
     z: float
     u: float
-    r: int
-    epsilon: float
-    sigma: float
-    C_target: float
     small_low: float
     small_high: float
-    toy_mode: bool
-    provenance: dict[str, str] = field(default_factory=dict)
-
-
-def _small_window_sigma(small_low: float, small_high: float) -> float:
-    lo, hi = math.floor(small_low), math.floor(small_high)
-    if hi <= lo:
-        return 1.0
-    return float(mertens_density(int(p) for p in primes_in_range(lo, hi)))
 
 
 def derive_parameters(
     x: float,
     c: float = 0.1,
-    A: float = 4.0,
     *,
-    c0: float = 0.5,
-    r0: int = 1,
     y: float | None = None,
     z: float | None = None,
-    r: int | None = None,
-    epsilon: float | None = None,
     small_low: float | None = None,
     small_high: float | None = None,
 ) -> Params:
-    """Derive all run parameters from x, c, A and optional overrides.
+    """Derive the sieve window from x and c, with optional overrides.
 
     With no overrides, requires x > FORMULA_MODE_MIN_X and evaluates
 
         y = c * x * log x * log_3 x / log_2 x
         z = x ** (log_3 x / (4 log_2 x))
-        r = floor((log x)**c0), clamped up to r0
-        epsilon = min(1/2, 1/(4 A**2))
+        small window = (log x ** 20, z]
         u = log y / log z
 
     Any explicit keyword switches to toy mode (x >= 100), where missing
-    fields still fall back to the formulas.
+    fields still fall back to the formulas.  An overridden small window
+    that is empty raises; a formula one may be empty (see build_partition).
     """
     x = float(x)
     if not 0 < c < 0.5:
         raise ValueError(f"c = {c!r} must lie in (0, 1/2)")
-    if A < 1:
-        raise ValueError(f"A = {A!r} must be at least 1")
-    if r0 < 1:
-        raise ValueError(f"r0 = {r0!r} must be at least 1")
-
-    overrides = {
-        "y": y, "z": z, "r": r, "epsilon": epsilon,
-        "small_low": small_low, "small_high": small_high,
-    }
-    toy_mode = any(v is not None for v in overrides.values())
-    if toy_mode:
-        if x < TOY_MODE_MIN_X:
+    if all(v is None for v in (y, z, small_low, small_high)):
+        if x <= FORMULA_MODE_MIN_X:
             raise ValueError(
-                f"x = {x!r} is below the toy-mode minimum {TOY_MODE_MIN_X}"
+                f"x = {x!r} needs three positive log iterates "
+                f"(x > {FORMULA_MODE_MIN_X:.6g}); pass overrides for a toy run"
             )
-    elif x <= FORMULA_MODE_MIN_X:
-        raise ValueError(
-            f"x = {x!r} needs three positive log iterates "
-            f"(x > {FORMULA_MODE_MIN_X:.6g}); pass overrides for a toy run"
-        )
+    elif x < TOY_MODE_MIN_X:
+        raise ValueError(f"x = {x!r} is below the toy-mode minimum {TOY_MODE_MIN_X}")
 
     l1, l2, l3 = log_iterates(x, 3)
-    prov: dict[str, str] = {}
-
-    if y is None:
-        y = c * x * l1 * l3 / l2
-        prov["y"] = "formula"
-    else:
-        y = float(y)
-        prov["y"] = "override"
+    y = c * x * l1 * l3 / l2 if y is None else float(y)
     if y <= x:
         raise ValueError(f"y = {y!r} must exceed x = {x!r}")
-
-    if z is None:
-        z = x ** (l3 / (4 * l2))
-        prov["z"] = "formula"
-    else:
-        z = float(z)
-        prov["z"] = "override"
+    z = x ** (l3 / (4 * l2)) if z is None else float(z)
     if z <= 1:
         raise ValueError(f"z = {z!r} must exceed 1")
 
-    u = math.log(y) / math.log(z)
-
-    if r is None:
-        r_formula = math.floor(l1**c0)
-        if r_formula < r0:
-            r = r0
-            prov["r"] = "clamped"
-        else:
-            r = r_formula
-            prov["r"] = "formula"
-    else:
-        r = int(r)
-        if r < 1:
-            raise ValueError(f"r = {r!r} must be at least 1")
-        prov["r"] = "override"
-
-    if epsilon is None:
-        epsilon = min(0.5, 1.0 / (4 * A * A))
-        prov["epsilon"] = "default"
-    else:
-        epsilon = float(epsilon)
-        if not 0 < epsilon < 0.5:
-            raise ValueError(f"epsilon = {epsilon!r} must lie in (0, 1/2)")
-        prov["epsilon"] = "override"
-
-    if small_low is None:
-        small_low = l1**20
-        prov["small_low"] = "formula"
-    else:
-        small_low = float(small_low)
-        prov["small_low"] = "override"
-    if small_high is None:
-        small_high = z
-        prov["small_high"] = "formula"
-    else:
-        small_high = float(small_high)
-        prov["small_high"] = "override"
-
-    sigma = _small_window_sigma(small_low, small_high)
-    C_target = (u / sigma) * (x / (2 * y))
-
+    window_overridden = small_low is not None or small_high is not None
+    small_low = l1**20 if small_low is None else float(small_low)
+    small_high = z if small_high is None else float(small_high)
+    if window_overridden and small_low >= small_high:
+        raise ValueError(
+            f"overridden small window ({small_low!r}, {small_high!r}] is empty"
+        )
     return Params(
-        x=x, c=c, A=A, c0=c0, r0=r0, y=y, z=z, u=u, r=r,
-        epsilon=epsilon, sigma=sigma, C_target=C_target,
+        x=x, y=y, z=z, u=math.log(y) / math.log(z),
         small_low=small_low, small_high=small_high,
-        toy_mode=toy_mode, provenance=prov,
     )
+
+
+def check_excluded_prime(excluded_prime: int, x: float) -> None:
+    """Raise unless the excluded modulus is 1 or a prime at most x.
+
+    A prime above x divides no modulus a frame builds, and in a partition
+    it would silently drop a target prime.
+    """
+    if excluded_prime > x:
+        raise ValueError(f"excluded modulus {excluded_prime} exceeds x = {x}")
+    if excluded_prime != 1 and not is_prime(excluded_prime):
+        raise ValueError(f"excluded modulus {excluded_prime} must be 1 or a prime")
 
 
 @dataclass(eq=False)
@@ -251,34 +175,24 @@ def _drop_excluded(arr: np.ndarray, b0: int) -> np.ndarray:
 def build_partition(params: Params, excluded_prime: int = 1) -> PrimePartition:
     """Sieve out the three prime sets described by params.
 
-    Raises if the excluded modulus is neither 1 nor prime, if an
-    explicitly overridden small window is inverted or collides with the
-    middle window, or if no target primes exist.  A window that the
-    formulas themselves leave empty only warns: that is the expected state
-    at realistic x and the sieving machinery runs fine with no small
-    primes.
+    Raises if the excluded modulus is neither 1 nor a prime at most x, if
+    the small window reaches the weighted window, or if no target primes
+    exist.  A small window that is empty or holds no primes only warns:
+    derive_parameters already refused an empty overridden one, and a
+    formula window is empty at every realistic x, where the sieving
+    machinery runs fine with no small primes.
     """
     b0 = int(excluded_prime)
-    if b0 != 1 and not is_prime(b0):
-        raise ValueError(f"excluded_prime = {b0} must be 1 or a prime")
+    check_excluded_prime(b0, params.x)
 
     x, y = params.x, params.y
     small_low, small_high = params.small_low, params.small_high
-    window_overridden = (
-        params.provenance.get("small_low") == "override"
-        or params.provenance.get("small_high") == "override"
-    )
     if small_high > x / 2:
         raise ValueError(
             f"small_high = {small_high!r} exceeds x/2 = {x / 2!r}; "
             "the small window would collide with the weighted window"
         )
     if small_low >= small_high:
-        if window_overridden:
-            raise ValueError(
-                f"overridden small window ({small_low!r}, {small_high!r}] "
-                "is empty"
-            )
         warnings.warn(
             f"formula small window ({small_low:.4g}, {small_high:.4g}] is "
             "empty at this x; proceeding with no small primes",

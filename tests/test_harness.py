@@ -102,24 +102,26 @@ class TestExperimentConfig:
 
     def test_keys_are_case_insensitive(self, monkeypatch):
         # configparser lowercases INI keys; set and the getters follow it
-        ini = ExperimentConfig.from_ini("[run]\nmode = sieve\n[partition]\nA = 9\n")
-        assert ini.sections["partition"] == {"a": "9"}
-        flag = make_config("sieve", partition={"A": 9})
+        ini = ExperimentConfig.from_ini(
+            "[run]\nmode = sieve\n[partition]\nSmall_Low = 40\n"
+        )
+        assert ini.sections["partition"] == {"small_low": "40"}
+        flag = make_config("sieve", partition={"Small_Low": 40})
         assert flag.sections == ini.sections
         for cfg in (ini, flag):
-            assert cfg.getfloat("partition", "A", 4.0) == 9.0
-            assert cfg.getfloat("partition", "a", 4.0) == 9.0
+            assert cfg.getfloat("partition", "Small_Low", 32.0) == 40.0
+            assert cfg.getfloat("partition", "small_low", 32.0) == 40.0
         # and the value reaches derive_parameters
         seen = []
         derive = harness.derive_parameters
 
-        def recorded(x, c, A, **kwargs):
-            seen.append(A)
-            return derive(x, c, A, **kwargs)
+        def recorded(x, **kwargs):
+            seen.append(kwargs["small_low"])
+            return derive(x, **kwargs)
 
         monkeypatch.setattr(harness, "derive_parameters", recorded)
         harness._build_partition(ini)
-        assert seen == [9.0]
+        assert seen == [40.0]
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -244,16 +246,34 @@ class TestModeRunners:
                 "point_mass_bound = 0\n",
             ),
             ("[run]\nmode = cover\n[cover]\nm = 1\n", "tolerance = 0\n"),
+            (
+                "[run]\nmode = sieve\n[partition]\nx = 400\n",
+                "r = 6\nepsilon = 0.1\nc = 0.2\na = 9\nc0 = 0.4\nr0 = 3\n",
+            ),
         ],
-        ids=["weights", "cover"],
+        ids=["weights", "cover", "partition"],
     )
     def test_removed_keys_change_no_verdict(self, ini, removed):
-        # the check bounds were INI keys; nothing reads them now, so an
-        # INI that still sets them is rejected by name and runs nothing
+        # the check bounds and the partition's r, epsilon, c, A, c0 and r0
+        # were INI keys; nothing reads them now, so an INI that still sets
+        # them is rejected by name and runs nothing
         ExperimentConfig.from_ini(ini)
         keys = sorted(line.split(" = ")[0] for line in removed.splitlines())
         with pytest.raises(ValueError, match=f"key\\(s\\) {', '.join(keys)};"):
             ExperimentConfig.from_ini(ini + removed)
+
+    def test_every_partition_key_changes_the_output(self):
+        # a [partition] key that changes no metric is a knob nobody turns
+        base = {"x": 400}
+        variants = {
+            "x": 500, "y": 5_000, "z": 60, "small_low": 40, "small_high": 70,
+            "excluded": 37,
+        }
+        assert set(variants) == harness._SECTION_KEYS["partition"]
+        before = run_experiment(make_config("sieve", partition=base)).metrics
+        for key, value in variants.items():
+            cfg = make_config("sieve", partition={**base, key: value})
+            assert run_experiment(cfg).metrics != before, key
 
     def test_construct_mode(self):
         cfg = make_config(
@@ -513,11 +533,14 @@ class TestCli:
         ],
     )
     def test_rejected_option_value_exits(self, argv, message, capsys):
-        # each used to end in a ValueError traceback
+        # each used to end in a ValueError traceback; the usage and the
+        # error name the subcommand, not the top-level parser
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert f"gapchain: error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: gapchain {argv[0]} [-h]")
+        assert f"gapchain {argv[0]}: error: {message}" in err
 
     def test_assertion_error_propagates(self, monkeypatch):
         # a broken invariant is a bug, not a usage error

@@ -19,22 +19,14 @@ class TestDeriveParameters:
         l1 = math.log(x)
         l2 = math.log(l1)
         l3 = math.log(l2)
-        assert not params.toy_mode
         assert params.y == pytest.approx(0.1 * x * l1 * l3 / l2, rel=1e-14)
         assert params.y > x
         assert params.z == pytest.approx(x ** (l3 / (4 * l2)), rel=1e-14)
         assert params.u == pytest.approx(
             math.log(params.y) / math.log(params.z), rel=1e-14
         )
-        assert params.r == math.floor(math.sqrt(l1))
-        assert params.epsilon == 1.0 / 64.0
         assert params.small_low == pytest.approx(l1**20)
         assert params.small_high == params.z
-        assert params.C_target == pytest.approx(
-            (params.u / params.sigma) * (x / (2 * params.y))
-        )
-        assert params.provenance["y"] == "formula"
-        assert params.provenance["epsilon"] == "default"
 
     def test_formula_mode_floor(self):
         with pytest.raises(ValueError):
@@ -45,21 +37,11 @@ class TestDeriveParameters:
 
     def test_any_override_switches_to_toy_mode(self):
         p = g.derive_parameters(1_400, y=21_000.0, z=80.0, small_low=32.0)
-        assert p.toy_mode
         assert p.x < TOY_MODE_MIN_X * 100
-        assert p.provenance["y"] == "override"
-        assert p.provenance["z"] == "override"
-        assert p.provenance["small_low"] == "override"
+        assert (p.y, p.z, p.small_low) == (21_000.0, 80.0, 32.0)
+        assert p.u == math.log(21_000.0) / math.log(80.0)
         # untouched knobs still come from the formulas
-        assert p.provenance["small_high"] == "formula"
         assert p.small_high == p.z
-        assert p.provenance["r"] == "formula"
-        assert p.r == math.floor(math.sqrt(math.log(1_400)))
-
-    def test_r_clamps_up_to_r0(self):
-        p = g.derive_parameters(100, y=300.0, r0=5)
-        assert p.r == 5
-        assert p.provenance["r"] == "clamped"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -67,15 +49,9 @@ class TestDeriveParameters:
             dict(c=0.0),
             dict(c=0.5),
             dict(c=-0.1),
-            dict(A=0.5),
-            dict(r0=0),
             dict(y=90.0),
             dict(z=1.0),
             dict(z=0.5),
-            dict(epsilon=0.0),
-            dict(epsilon=0.5),
-            dict(epsilon=0.7),
-            dict(r=0),
         ],
     )
     def test_rejects_bad_inputs(self, kwargs):
@@ -122,26 +98,34 @@ class TestBuildPartition:
         assert 37 in base.small_primes
         assert 37 not in part.small_primes
         assert part.sigma * Fraction(36, 37) == base.sigma
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="1 or a prime"):
             g.build_partition(params, excluded_prime=6)
+        # 409 is a target prime above x = 400: excluding it would drop it
+        # from the targets without a word, so it is refused like a frame's
+        with pytest.raises(ValueError, match="exceeds x"):
+            g.build_partition(params, excluded_prime=409)
+        g.build_partition(params, excluded_prime=397)  # the largest prime <= x
 
     def test_overridden_empty_small_window_raises(self):
-        params = g.derive_parameters(
-            400, y=6_000.0, small_low=50.0, small_high=40.0
-        )
-        with pytest.raises(ValueError):
-            g.build_partition(params)
+        with pytest.raises(ValueError, match="overridden small window"):
+            g.derive_parameters(400, y=6_000.0, small_low=50.0, small_high=40.0)
+        # one overridden end is enough: the formula low end exceeds 40
+        with pytest.raises(ValueError, match="overridden small window"):
+            g.derive_parameters(400, y=6_000.0, small_high=40.0)
 
     def test_small_window_may_not_reach_the_weighted_window(self):
-        params = g.derive_parameters(400, y=6_000.0, small_high=300.0)
-        with pytest.raises(ValueError):
+        # (32, 300] is a valid window, so derive_parameters accepts it
+        params = g.derive_parameters(
+            400, y=6_000.0, small_low=32.0, small_high=300.0
+        )
+        with pytest.raises(ValueError, match="exceeds x/2"):
             g.build_partition(params)  # 300 > x/2 = 200
 
     def test_formula_empty_small_window_warns(self):
         # only y overridden: the small window keeps its formula values,
         # which are inverted at this x, so the build warns and proceeds
         params = g.derive_parameters(400, y=6_000.0)
-        assert params.provenance["small_low"] == "formula"
+        assert params.small_low == pytest.approx(math.log(400) ** 20)
         with pytest.warns(UserWarning):
             part = g.build_partition(params)
         assert part.small_primes.size == 0
