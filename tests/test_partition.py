@@ -49,9 +49,11 @@ class TestDeriveParameters:
             dict(c=0.0),
             dict(c=0.5),
             dict(c=-0.1),
+            dict(y=1e7),  # y must exceed x, not equal it
+            dict(y=2e7, small_low=50.0, small_high=40.0),
             dict(y=90.0),
-            dict(z=1.0),
-            dict(z=0.5),
+            dict(y=2e7, z=1.0),
+            dict(y=2e7, z=0.5),
         ],
     )
     def test_rejects_bad_inputs(self, kwargs):
