@@ -17,11 +17,9 @@ from .construction import (
     TargetCoverageReport,
     correlation_probability,
     run_construction,
-    sample_conditional_offset,
     sample_small_classes,
     select_stable_primes,
     target_coverage_report,
-    tuple_survival_mass,
 )
 from .covering import CoveringInstance, CoverResult, nibble_cover, subset_leftover, synth_instance
 from .harness import (
@@ -83,6 +81,5 @@ from .weights import (
     build_weights,
     first_primes_tuple,
     is_admissible,
-    sample_weighted_offset,
     weight_contract_report,
 )

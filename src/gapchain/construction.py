@@ -40,11 +40,9 @@ __all__ = [
     "sample_small_classes",
     "correlation_probability",
     "survival_mask",
-    "tuple_survival_mass",
     "select_stable_primes",
     "ConstructionRun",
     "run_construction",
-    "sample_conditional_offset",
     "TargetCoverageReport",
     "target_coverage_report",
 ]
@@ -103,17 +101,6 @@ def survival_mask(
         ],
     )
     return keep
-
-
-def tuple_survival_mass(
-    small_classes: SmallClassVector, table: WeightTable, p: int
-) -> float:
-    """Normalized weight mass on the shifts that keep the tuple sifted."""
-    row = table.row(int(p))
-    if row.row_sum <= 0:
-        raise ValueError(f"zero weight row for p = {p}")
-    keep = survival_mask(table, p, small_classes)
-    return float(exact_row_sums((row.values * keep)[None])[0]) / row.row_sum
 
 
 def select_stable_primes(
@@ -245,24 +232,6 @@ def run_construction(
         normalization_max_rel_err=max_rel,
         mask_matrix=mask,
     )
-
-
-def sample_conditional_offset(
-    run: ConstructionRun, p: int, rng: np.random.Generator
-) -> int:
-    """Draw a fresh shift from the conditional (sifted-tuple) law for p.
-
-    Primes outside the stable set return the sentinel 0.  Every returned
-    shift n satisfies: each translate n + h_i p avoids every chosen small
-    class.
-    """
-    p = int(p)
-    if p not in set(run.stable_primes):
-        return 0
-    table = run.table
-    ps, W, sums = table.matrix()
-    i = int(np.nonzero(ps == p)[0][0])
-    return draw_shift(W[i] * run.mask_matrix[i], table.n_min, rng)
 
 
 @dataclass(frozen=True)

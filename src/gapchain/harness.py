@@ -179,7 +179,12 @@ class ExperimentConfig:
 
     def getfloat(self, section: str, key: str, default: float) -> float:
         raw = self.get(section, key)
-        return default if raw is None else float(raw)
+        if raw is None:
+            return default
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"[{section}] {key} = {raw} is not a finite number")
+        return value
 
     def getints(
         self, section: str, key: str, default: tuple[int, ...] | None

@@ -28,6 +28,7 @@ from .nt import is_prime, log_iterates, mertens_density, primes_in_range
 
 __all__ = [
     "FORMULA_MODE_MIN_X",
+    "TOY_MODE_MIN_X",
     "Params",
     "derive_parameters",
     "PrimePartition",

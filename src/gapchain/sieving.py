@@ -68,9 +68,6 @@ class ResidueSystem:
                 raise ValueError(f"class {a} not reduced modulo {p}")
         _check_prime_keys(self.entries.keys())
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class SievedSet:
@@ -123,9 +120,6 @@ class SmallClassVector:
         for s, a in self.residues.items():
             if not 0 <= a < s:
                 raise ValueError(f"class {a} not reduced modulo {s}")
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.residues))
 
 
 def sifted_membership(n: int, small_classes: SmallClassVector) -> bool:

@@ -58,13 +58,11 @@ __all__ = [
     "AdmissibleTuple",
     "first_primes_tuple",
     "is_admissible",
-    "WeightRow",
     "WeightTable",
     "MatrixTooLarge",
     "build_weights",
     "draw_shift",
     "exact_row_sums",
-    "sample_weighted_offset",
     "gathered_sums",
     "WeightContractReport",
     "weight_contract_report",
@@ -190,26 +188,14 @@ def exact_row_sums(A: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class WeightRow:
-    """One prime's row of a table's matrix: values[j] = w(p, n_min + j).
-
-    values is a read-only view of the matrix row and row_sum its stored sum.
-    """
-
-    p: int
-    values: np.ndarray
-    row_sum: float
-
-
 class WeightTable:
     """Rows w(p, .) for every weighted prime, held in one dense matrix.
 
     Rows live on the common shift grid [-floor(y), floor(y)].  Row sums
     are exact_row_sums, each row's exact sum rounded once, and are stored
-    once; all normalized quantities divide by the stored sums.  The first
-    call to matrix() or row() builds every row; the matrix is read-only
-    from then on.
+    once; all normalized quantities divide by the stored sums.  matrix()
+    is the one row accessor: its first call builds every row, and the
+    matrix is read-only from then on.
     """
 
     def __init__(
@@ -223,6 +209,14 @@ class WeightTable:
         self.tuple = tuple_
         self.kind = kind
         self.theta = float(theta)
+        # the support sieve below takes one byte per integer below the
+        # level; compare logs, so that no theta can overflow x**theta
+        if not self.theta * math.log(partition.x) <= math.log(_MAX_BYTES):
+            raise MatrixTooLarge(
+                f"divisor level x**theta = {partition.x:g}**{self.theta:g} "
+                f"needs a prime sieve above {_MAX_BYTES / 2**30:.1f} GiB; "
+                "lower theta or x"
+            )
         self.level = float(partition.x) ** self.theta
         ny = math.floor(partition.y)
         self.n_min = -ny
@@ -317,15 +311,6 @@ class WeightTable:
             stack.append((j + 1, m2, -sign, cls2, mult2))
         np.multiply(lam[:, :length], lam[:, :length], out=W)
         sums[:] = exact_row_sums(W)
-
-    def row(self, p: int) -> WeightRow:
-        """p's row of matrix(), as a read-only view, with its sum."""
-        ps, W, sums = self.matrix()
-        p = int(p)
-        i = int(np.searchsorted(ps, p))
-        if i == ps.size or ps[i] != p:
-            raise KeyError(f"{p} is not a weighted prime of this partition")
-        return WeightRow(p, W[i], float(sums[i]))
 
     def matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(primes, dense weight matrix on the full grid, row sums).
@@ -423,12 +408,6 @@ class WeightTable:
             return 1.0 if ok else 0.0
         return self._maynard_point(p, n)
 
-    def normalized_at(self, p: int, n: int) -> float:
-        row_sum = self.row(p).row_sum
-        if row_sum <= 0:
-            raise ValueError(f"zero weight row for p = {p}")
-        return self.weight_at(p, n) / row_sum
-
 
 def _build_batch(state: tuple, k: int) -> None:
     """Build the Maynard batch of rows k, k + 1, ... into the shared matrix."""
@@ -452,7 +431,7 @@ def build_weights(
     """
     if kind not in ("uniform", "maynard"):
         raise ValueError(f"unknown weight kind {kind!r}")
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError(f"theta = {theta!r} must be positive")
     r = tuple_.r
     if not 1 <= r <= 16:
@@ -464,39 +443,16 @@ def build_weights(
     return WeightTable(partition, tuple_, kind, theta)
 
 
-def draw_shift(
-    values: np.ndarray,
-    n_start: int,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw shift(s) n_start + j with probability values[j] / sum(values).
+def draw_shift(values: np.ndarray, n_start: int, rng: np.random.Generator) -> int:
+    """Draw the shift n_start + j with probability values[j] / sum(values).
 
-    values must be nonnegative with a positive total.  Returns a single
-    int when size is None, else an int64 array.
+    values must be nonnegative with a positive total.
     """
     cum = np.cumsum(values)
-    idx = np.searchsorted(cum, rng.random(size) * float(cum[-1]), side="right")
-    if size is None:
-        return n_start + int(idx)
-    return (n_start + idx).astype(np.int64)
-
-
-def sample_weighted_offset(
-    table: WeightTable,
-    p: int,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw shift(s) n from the normalized row law w(p, .)/rowsum(p).
-
-    Returns a single int when size is None, else an int64 array.
-    """
-    p = int(p)
-    row = table.row(p)
-    if row.row_sum <= 0:
-        raise ValueError(f"zero weight row for p = {p}; nothing to sample")
-    return draw_shift(row.values, table.n_min, rng, size)
+    if not cum[-1] > 0:
+        raise ValueError("a row with no positive total has no shift to draw")
+    idx = np.searchsorted(cum, rng.random() * float(cum[-1]), side="right")
+    return n_start + int(idx)
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,7 @@ def test_acceptance_normalization_cross_check(pinned_table, pinned_run):
         mass_err = max(mass_err, abs(law_total - xp) / xp)
     # identity 2: stored row sums equal a from-scratch compensated total
     row_err = max(
-        abs(math.fsum(pinned_table.row(int(p)).values.tolist()) - s) / s
-        for p, s in zip(ps.tolist(), sums.tolist())
+        abs(math.fsum(row.tolist()) - s) / s for row, s in zip(W, sums.tolist())
     )
     ok = mass_err <= 1e-12 and row_err <= 1e-12
     _verdict(

@@ -12,14 +12,13 @@ import gapchain as g
 from gapchain import (
     correlation_probability,
     run_construction,
-    sample_conditional_offset,
     sample_small_classes,
     select_stable_primes,
     target_coverage_report,
 )
-from gapchain.construction import survival_mask, tuple_survival_mass
+from gapchain.construction import survival_mask
 from gapchain.seeds import derive_rng, derive_seed
-from gapchain.sieving import SmallClassVector, sifted_membership
+from gapchain.sieving import SmallClassVector, sifted_mask, sifted_membership
 
 
 class TestSmallClassSampling:
@@ -77,10 +76,11 @@ class TestSurvival:
             )}
         )
         p = 307
-        row = small_table.row(p)
+        width = small_table.matrix()[1].shape[1]
         mask = survival_mask(small_table, p, classes)
+        assert mask.shape == (width,)
         rng = random.Random(derive_seed(0, "mask-check"))
-        for j in rng.sample(range(row.values.shape[0]), 300):
+        for j in rng.sample(range(width), 300):
             n = small_table.n_min + j
             want = all(
                 sifted_membership(n + h * p, classes)
@@ -88,17 +88,27 @@ class TestSurvival:
             )
             assert bool(mask[j]) == want
 
-    def test_mass_matches_direct_quotient(self, small_table):
-        classes = sample_small_classes(
-            small_table.partition.small_primes, derive_rng(9, "mass")
-        )
-        for p in (211, 307, 397):
-            row = small_table.row(p)
-            mask = survival_mask(small_table, p, classes)
-            want = float(row.values[mask].sum() / row.row_sum)
-            got = tuple_survival_mass(classes, small_table, p)
-            assert got == pytest.approx(want, rel=1e-12)
-            assert got == math.fsum(row.values[mask].tolist()) / row.row_sum
+    def test_mass_matches_direct_quotient(self, small_table, pinned_run):
+        # each run's survival mass is the fsum of its row over the shifts
+        # whose translates are all sifted, over the row sum, bit for bit
+        small_run = run_construction(small_table, seed=9, eta=0.1)
+        for run, primes in (
+            (small_run, (211, 307, 397)),
+            (pinned_run, pinned_run.partition.weighted_primes[:3].tolist()),
+        ):
+            table = run.table
+            ps, W, sums = table.matrix()
+            shifts = np.arange(table.n_min, table.n_max + 1)
+            for p in primes:
+                i = ps.tolist().index(p)
+                sifted = np.ones(shifts.size, dtype=bool)
+                for h in table.tuple.offsets:
+                    sifted &= sifted_mask(shifts + h * p, run.small_classes)
+                want = math.fsum(W[i][sifted].tolist()) / sums[i]
+                assert run.survival_mass[p] == want
+                assert want == pytest.approx(
+                    float(W[i][sifted].sum() / sums[i]), rel=1e-12
+                )
 
     def test_stable_selection(self):
         mass = {2: 1.0, 3: 1.05, 5: 1.2, 7: 0.95, 11: 0.7}
@@ -127,6 +137,7 @@ class TestConstructionRun:
         assert run.n_unstable == len(run.survival_mass) - len(run.stable_primes)
         assert run.normalization_max_rel_err <= 1e-12
         stable = set(run.stable_primes)
+        assert stable, "pinned run lost every prime; fixture is miscalibrated"
         for p in weighted:
             n = run.chosen_offsets[p]
             if p not in stable:
@@ -143,12 +154,6 @@ class TestConstructionRun:
             else:
                 assert abs(xp / run.sigma_r - 1) > run.eta
 
-    def test_masses_match_standalone_function(self, pinned_table, pinned_run):
-        for p in list(pinned_run.survival_mass)[:3]:
-            assert pinned_run.survival_mass[p] == tuple_survival_mass(
-                pinned_run.small_classes, pinned_table, p
-            )
-
     def test_summary_consistent(self, pinned_run):
         s = pinned_run.summary()
         xs = list(pinned_run.survival_mass.values())
@@ -157,33 +162,6 @@ class TestConstructionRun:
         assert s["survival_mass_mean"] == pytest.approx(np.mean(xs))
         assert s["survival_mass_min"] == min(xs)
         assert s["survival_mass_max"] == max(xs)
-
-    def test_conditional_resampling(self, pinned_run):
-        stable = pinned_run.stable_primes
-        assert stable, "pinned run lost every prime; fixture is miscalibrated"
-        p = stable[len(stable) // 2]
-        a = sample_conditional_offset(pinned_run, p, derive_rng(2, "re"))
-        b = sample_conditional_offset(pinned_run, p, derive_rng(2, "re"))
-        assert a == b
-        draws = [
-            sample_conditional_offset(pinned_run, p, derive_rng(i, "re"))
-            for i in range(20)
-        ]
-        for n in draws:
-            assert pinned_run.table.weight_at(p, n) > 0.0
-            assert all(
-                sifted_membership(n + h * p, pinned_run.small_classes)
-                for h in pinned_run.table.tuple.offsets
-            )
-        unstable = [
-            p
-            for p in pinned_run.table.partition.weighted_primes.tolist()
-            if p not in set(stable)
-        ]
-        if unstable:
-            assert sample_conditional_offset(
-                pinned_run, unstable[0], derive_rng(0, "re")
-            ) == 0
 
 
 class TestTargetCoverage:

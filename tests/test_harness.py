@@ -1,12 +1,18 @@
-"""Experiment harness: config round trips, reports, every mode runner, CLI."""
+"""Experiment harness: config round trips, reports, every mode runner, CLI,
+and the package's public surface."""
 
+import ast
+import importlib
 import json
+import pkgutil
+from pathlib import Path
 from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import gapchain
 from gapchain import harness
 from gapchain.cli import main
 from gapchain.harness import MODES, ExperimentConfig, Report, _jsonable, run_experiment
@@ -530,6 +536,11 @@ class TestCli:
             # MemoryError traceback and exit status 1
             (["weights", "--x", "60000"], "dense weight matrix and its build"),
             (["construct", "--x", "60000"], "dense weight matrix and its build"),
+            # refused by name: a non-finite value, a level past the sieve cap
+            (["maier", "--y", "1e400"], "[maier] y = inf is not a finite number"),
+            (["sieve", "--y", "inf"], "[partition] y = inf is not a finite number"),
+            (["weights", "--theta", "inf"], "[weights] theta = inf is not a finite"),
+            (["weights", "--theta", "1e300"], "divisor level x**theta = 1400**1e+300"),
         ],
     )
     def test_rejected_option_value_exits(self, argv, message, capsys):
@@ -563,3 +574,25 @@ class TestCli:
     def test_unknown_mode_exits(self):
         with pytest.raises(SystemExit):
             main(["transmute"])
+
+
+class TestPublicSurface:
+    def test_every_listed_name_exists(self):
+        for info in pkgutil.iter_modules(gapchain.__path__):
+            module = importlib.import_module(f"gapchain.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{info.name}.__all__: {name}"
+
+    def test_every_reexport_is_listed(self):
+        tree = ast.parse(Path(gapchain.__file__).read_text())
+        imports = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        ]
+        assert imports
+        for node in imports:
+            module = importlib.import_module(f"gapchain.{node.module}")
+            for alias in node.names:
+                assert alias.name in module.__all__, f"{node.module}: {alias.name}"
+                assert getattr(gapchain, alias.name) is getattr(module, alias.name)

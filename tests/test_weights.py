@@ -24,13 +24,12 @@ from gapchain import (
     build_weights,
     first_primes_tuple,
     is_admissible,
-    sample_weighted_offset,
     weight_contract_report,
 )
 from gapchain import _fork
 from gapchain import weights as weights_mod
 from gapchain.seeds import derive_rng
-from gapchain.weights import exact_row_sums, gathered_sums
+from gapchain.weights import draw_shift, exact_row_sums, gathered_sums
 
 
 def brute_subset_weight(table, p, n):
@@ -150,8 +149,25 @@ class TestBuildValidation:
             build_weights(small_partition, t, kind="selberg")
         with pytest.raises(ValueError):
             build_weights(small_partition, t, theta=0.0)
+        with pytest.raises(ValueError, match="positive"):
+            build_weights(small_partition, t, theta=math.nan)
         with pytest.raises(ValueError, match="outside"):
             build_weights(small_partition, first_primes_tuple(17))  # r > 16
+
+    def test_divisor_level_refused_before_its_sieve(
+        self, small_partition, monkeypatch
+    ):
+        # level 400**0.5 = 20: its support sieve takes about 20 bytes
+        t = first_primes_tuple(4)
+        monkeypatch.setattr(weights_mod, "_MAX_BYTES", 19)
+        with pytest.raises(weights_mod.MatrixTooLarge, match="divisor level"):
+            build_weights(small_partition, t, theta=0.5)
+        monkeypatch.setattr(weights_mod, "_MAX_BYTES", 21)
+        assert build_weights(small_partition, t, theta=0.5).level < 21
+        # x**theta would overflow a float; the refusal compares logs
+        monkeypatch.undo()
+        with pytest.raises(weights_mod.MatrixTooLarge, match="divisor level"):
+            build_weights(small_partition, t, theta=1e300)
 
     def test_offset_bound(self, small_partition):
         wide = AdmissibleTuple((0, 40))  # leaves [0, 2 r^2] = [0, 8]
@@ -164,30 +180,35 @@ class TestDivisorSumRows:
         # level 20 leaves six support primes, so the oracle enumerates all
         assert small_table.support_primes == [5, 7, 11, 13, 17, 19]
         rng = derive_rng(0, "weights-small-oracle")
+        ps, W, _ = small_table.matrix()
         for p in (211, 307, 397):
-            row = small_table.row(p)
-            picks = rng.integers(row.values.shape[0], size=12)
+            row = W[ps.tolist().index(p)]
+            picks = rng.integers(row.shape[0], size=12)
             for j in picks.tolist():
                 n = small_table.n_min + j
                 want = brute_subset_weight(small_table, p, n)
-                assert row.values[j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+                assert row[j] == pytest.approx(want, rel=1e-12, abs=1e-12)
                 assert small_table.weight_at(p, n) == pytest.approx(
                     want, rel=1e-12, abs=1e-12
                 )
+        # off the grid a point weighs nothing
+        assert small_table.weight_at(307, small_table.n_max + 1) == 0.0
+        assert small_table.weight_at(307, small_table.n_min - 5) == 0.0
 
     def test_zero_translate_counts_every_support_prime(self, small_table):
         n = -5 * 211  # first translate lands exactly on zero
         want = brute_subset_weight(small_table, 211, n)
         assert small_table.weight_at(211, n) == pytest.approx(want, rel=1e-12)
-        row = small_table.row(211)
-        assert row.values[n - small_table.n_min] == pytest.approx(want, rel=1e-12)
+        ps, W, _ = small_table.matrix()
+        row = W[ps.tolist().index(211)]
+        assert row[n - small_table.n_min] == pytest.approx(want, rel=1e-12)
 
     def test_deep_level_rows_match_oracle(self, pinned_table):
         # level 1400: restrict to shifts whose translates carry few
         # support divisors, where full subset enumeration stays feasible
         support = set(pinned_table.support_primes)
-        p = int(pinned_table.partition.weighted_primes[0])
-        row = pinned_table.row(p)
+        ps, W, _ = pinned_table.matrix()
+        p, row = int(ps[0]), W[0]
         zeros = {-h * p for h in pinned_table.tuple.offsets}
         cases = []
         for n in range(100, 4_000, 37):
@@ -206,17 +227,17 @@ class TestDivisorSumRows:
         assert len(cases) >= 5
         for n in cases:
             want = brute_subset_weight(pinned_table, p, n)
-            assert row.values[n - pinned_table.n_min] == pytest.approx(want, rel=1e-9)
+            assert row[n - pinned_table.n_min] == pytest.approx(want, rel=1e-9)
 
     def test_point_and_row_paths_agree(self, pinned_table):
         rng = derive_rng(0, "weights-point-vs-row")
-        ps = pinned_table.partition.weighted_primes
-        for p in rng.choice(ps, size=4, replace=False).tolist():
-            row = pinned_table.row(int(p))
-            for j in rng.integers(row.values.shape[0], size=20).tolist():
+        ps, W, _ = pinned_table.matrix()
+        for i in rng.choice(ps.size, size=4, replace=False).tolist():
+            p = int(ps[i])
+            for j in rng.integers(W.shape[1], size=20).tolist():
                 n = pinned_table.n_min + j
-                assert pinned_table.weight_at(int(p), n) == pytest.approx(
-                    row.values[j], rel=1e-9, abs=1e-12
+                assert pinned_table.weight_at(p, n) == pytest.approx(
+                    W[i, j], rel=1e-9, abs=1e-12
                 )
 
     def test_rows_above_grid_width_match_oracle(self):
@@ -233,8 +254,9 @@ class TestDivisorSumRows:
         assert table.level > width
         support = set(table.support_primes)
         ps = part.weighted_primes[:3].tolist()
+        _, W, sums = table.matrix()
         rng = derive_rng(0, "weights-above-width")
-        for p in ps:
+        for i, p in enumerate(ps):
             on = [
                 s
                 for s in table.support_primes
@@ -246,11 +268,10 @@ class TestDivisorSumRows:
                 for s, u in itertools.combinations(on, 2)
                 if s * u < table.level
             )
-            row = table.row(p)
             oracle_checked = 0
             for j in rng.integers(width, size=40).tolist():
                 n = table.n_min + j
-                assert row.values[j] == pytest.approx(
+                assert W[i, j] == pytest.approx(
                     table.weight_at(p, n), rel=1e-9, abs=1e-12
                 )
                 translates = [n + h * p for h in table.tuple.offsets]
@@ -261,12 +282,11 @@ class TestDivisorSumRows:
                 }
                 if len(union) <= 12:
                     want = brute_subset_weight(table, p, n)
-                    assert row.values[j] == pytest.approx(want, rel=1e-9, abs=1e-12)
+                    assert W[i, j] == pytest.approx(want, rel=1e-9, abs=1e-12)
                     oracle_checked += 1
             assert oracle_checked >= 10
         # a row built alone prunes products its batch keeps, yet equals its
         # row of the matrix bit for bit
-        _, W, sums = table.matrix()
         padded = table._maynard_batches(1)[1]
         for i, p in enumerate(ps):
             alone, alone_sum = np.empty((1, width)), np.empty(1)
@@ -303,8 +323,6 @@ class TestDivisorSumRows:
         monkeypatch.setattr(weights_mod, "_MAX_BYTES", matrix_bytes)
         with pytest.raises(MemoryError, match="build buffer"):
             table.matrix()  # the matrix alone would fit
-        with pytest.raises(MemoryError, match="build buffer"):
-            table.row(int(small_partition.weighted_primes[0]))  # so does row()
         # with one row per batch each worker's buffer is one padded row,
         # and every worker holds one
         monkeypatch.setattr(weights_mod, "_BATCH_BYTES", 1)
@@ -325,14 +343,13 @@ class TestDivisorSumRows:
         table = build_weights(
             small_partition, first_primes_tuple(4), kind=kind, theta=0.5
         )
-        row = table.row(int(small_partition.weighted_primes[1]))
         _, W, sums = table.matrix()
-        assert np.shares_memory(row.values, W[1])
-        assert row.row_sum == sums[1]
-        with pytest.raises(ValueError):
-            row.values[0] = 5.0
-        with pytest.raises(KeyError):
-            table.row(5)  # not a weighted prime
+        row = W[1]
+        assert row.base is not None and np.shares_memory(row, W)
+        assert sums[1] == math.fsum(row.tolist())
+        for array, i in ((row, 0), (sums, 1)):
+            with pytest.raises(ValueError):
+                array[i] = 5.0
 
     @pytest.mark.parametrize("kind", ["maynard", "uniform"])
     def test_every_row_is_followed_by_a_read_only_zero(self, small_partition, kind):
@@ -350,22 +367,11 @@ class TestDivisorSumRows:
         assert small_table.matrix()[1] is W  # cached
         assert ps.tolist() == small_table.partition.weighted_primes.tolist()
         assert W.shape == (ps.size, small_table.n_max - small_table.n_min + 1)
-        for i, p in enumerate(ps.tolist()):
-            row = small_table.row(p)
-            assert np.array_equal(W[i], row.values)
-            assert sums[i] == row.row_sum
-            assert row.row_sum == math.fsum(row.values.tolist())
+        assert sums.shape == (ps.size,)
+        for i in range(ps.size):
+            assert sums[i] == math.fsum(W[i].tolist())
         with pytest.raises(ValueError):
             W[0, 0] = 1.0
-
-    def test_normalized_at(self, small_table):
-        row = small_table.row(307)
-        n = small_table.n_min + 1_000
-        assert small_table.normalized_at(307, n) == pytest.approx(
-            row.values[1_000] / row.row_sum, rel=1e-12
-        )
-        assert small_table.weight_at(307, small_table.n_max + 1) == 0.0
-        assert small_table.normalized_at(307, small_table.n_min - 5) == 0.0
 
 
 def fresh_table(partition, kind="maynard"):
@@ -426,11 +432,8 @@ class TestParallelRowBuild:
             # one CPU builds every batch here; more fork workers, which
             # write straight into the matrix and build nothing here
             assert len(calls) == (7 if cpus == 1 else 0)
-            # each row is a read-only view into the shared matrix
-            row = table.row(int(small_partition.weighted_primes[11]))
-            assert np.shares_memory(row.values, W[11])
-            assert row.row_sum == sums[11]
-            for array in (row.values, W, sums):
+            # the shared matrix, each of its rows and the sums are read-only
+            for array in (W[11], W, sums):
                 with pytest.raises(ValueError):
                     array[0] = 5.0
 
@@ -500,35 +503,36 @@ class TestUniformRows:
         table = build_weights(
             part, AdmissibleTuple((1,)), kind="uniform", theta=0.5
         )
-        for p in part.weighted_primes.tolist():
-            row = table.row(p)
+        ps, W, sums = table.matrix()
+        for i, p in enumerate(ps.tolist()):
             want = [
                 n
                 for n in range(table.n_min, table.n_max + 1)
                 if 100 < n + p <= 104
             ]
-            got = [table.n_min + j for j in np.nonzero(row.values)[0].tolist()]
+            got = [table.n_min + j for j in np.nonzero(W[i])[0].tolist()]
             assert got == want
-            assert row.row_sum == float(len(want))
+            assert sums[i] == float(len(want))
         # every row spans the whole grid; p = 53 is 1 exactly on [48, 51]
-        row = table.row(53)
-        assert row.values.size == table.n_max - table.n_min + 1
-        assert row.values[48 - table.n_min : 52 - table.n_min].tolist() == [1.0] * 4
-        assert row.values.sum() == 4.0
+        row = W[ps.tolist().index(53)]
+        assert row.size == table.n_max - table.n_min + 1
+        assert row[48 - table.n_min : 52 - table.n_min].tolist() == [1.0] * 4
+        assert row.sum() == 4.0
 
     def test_sampler_frequencies(self):
         part = self.freq_partition()
         table = build_weights(
             part, AdmissibleTuple((1,)), kind="uniform", theta=0.5
         )
+        ps, W, _ = table.matrix()
+        row = W[ps.tolist().index(53)]
         rng = derive_rng(0, "sampler-freq")
-        draws = sample_weighted_offset(table, 53, rng, size=20_000)
+        draws = [draw_shift(row, table.n_min, rng) for _ in range(20_000)]
+        assert all(type(n) is int for n in draws)
         values, counts = np.unique(draws, return_counts=True)
         assert values.tolist() == [48, 49, 50, 51]
         slack = 4 * math.sqrt(20_000 * 0.25 * 0.75)
         assert np.all(np.abs(counts - 5_000) <= slack)
-        one = sample_weighted_offset(table, 53, rng)
-        assert isinstance(one, int) and 48 <= one <= 51
 
     def test_all_zero_rows_fail_loudly(self):
         part = self.freq_partition()
@@ -536,13 +540,16 @@ class TestUniformRows:
         table = build_weights(
             part, first_primes_tuple(4), kind="uniform", theta=0.5
         )
-        assert not table.matrix()[2].any()
-        with pytest.raises(ValueError):
-            sample_weighted_offset(table, 53, derive_rng(0, "zero-row"))
-        with pytest.raises(ValueError):
-            table.normalized_at(53, 0)
+        ps, W, sums = table.matrix()
+        assert not sums.any()
+        with pytest.raises(ValueError, match="no shift to draw"):
+            draw_shift(W[0], table.n_min, derive_rng(0, "zero-row"))
         with pytest.raises(ValueError):
             weight_contract_report(table)
+        # the construction draws no shift from a zero row
+        run = g.run_construction(table, seed=0)
+        assert run.zero_rows == ps.tolist()
+        assert set(run.chosen_offsets.values()) == {0}
 
 
 class TestContractReport:
@@ -551,11 +558,12 @@ class TestContractReport:
         report = weight_contract_report(
             small_table, q_values=[q0], off_offsets=[4, 23]
         )
-        ps = small_table.partition.weighted_primes.tolist()
+        ps, _, sums = small_table.matrix()
 
         def gathered(h):
             return sum(
-                small_table.normalized_at(p, q0 - h * p) for p in ps
+                small_table.weight_at(p, q0 - h * p) / s
+                for p, s in zip(ps.tolist(), sums.tolist())
             )
 
         on_vals = [gathered(h) for h in small_table.tuple.offsets]
@@ -584,10 +592,8 @@ class TestContractReport:
         assert report.q_used == sorted(report.q_used)
         targets = set(small_table.partition.target_primes.tolist())
         assert set(report.q_used) <= targets
-        point = max(
-            small_table.row(p).values.max() / small_table.row(p).row_sum
-            for p in report.row_sums
-        )
+        _, W, sums = small_table.matrix()
+        point = max(W[i].max() / sums[i] for i in range(sums.size))
         assert report.max_point_mass == pytest.approx(point, rel=1e-12)
         assert not set(report.off_offsets) & set(small_table.tuple.offsets)
         assert report.off_offsets == sorted(report.off_offsets)
