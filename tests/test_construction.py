@@ -154,6 +154,15 @@ class TestConstructionRun:
             else:
                 assert abs(xp / run.sigma_r - 1) > run.eta
 
+    def test_masses_match_standalone_function(self, pinned_table, pinned_run):
+        # the run's masses agree with the public survival_mask, summed apart
+        ps, W, sums = pinned_table.matrix()
+        for p in list(pinned_run.survival_mass)[:3]:
+            i = ps.tolist().index(p)
+            mask = survival_mask(pinned_table, p, pinned_run.small_classes)
+            want = math.fsum(W[i][mask].tolist()) / float(sums[i])
+            assert pinned_run.survival_mass[p] == want
+
     def test_summary_consistent(self, pinned_run):
         s = pinned_run.summary()
         xs = list(pinned_run.survival_mass.values())
