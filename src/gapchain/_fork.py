@@ -41,11 +41,13 @@ def fork_map(
     The items go to min(usable CPUs, len(items)) forked workers, one at a
     time as each worker gets free.  func and state reach the workers by
     fork (a forked worker's initializer arguments are not pickled), so
-    func may write into memory that state shares with this process.  The
-    items are run here, one after another, when there is one worker, when
-    the platform cannot fork, when this process is itself a daemonic pool
-    worker, when other threads are alive (forking a threaded process can
-    deadlock) or when starting the pool fails.
+    func may write into memory that state shares with this process.  A
+    worker that dies (a kill, the OOM killer) raises BrokenProcessPool
+    here once the other workers are stopped.  The items are run here, one
+    after another, when there is one worker, when the platform cannot
+    fork, when this process is itself a daemonic pool worker, when other
+    threads are alive (forking a threaded process can deadlock) or when
+    starting the pool fails.
     """
     import multiprocessing
     import threading
@@ -57,13 +59,22 @@ def fork_map(
         and not multiprocessing.current_process().daemon
         and threading.active_count() == 1
     ):
+        from concurrent.futures import ProcessPoolExecutor
+
+        ctx = multiprocessing.get_context("fork")
         try:
-            pool = multiprocessing.get_context("fork").Pool(
-                workers, _start_worker, (func, state)
-            )
-        except OSError:  # no process could be started: run here instead
+            pool = ProcessPoolExecutor(workers, ctx, _start_worker, (func, state))
+        except OSError:  # no pipe or lock for the pool: run here instead
             pass
         else:
             with pool:
-                return pool.map(_run_item, items, 1)
+                try:  # the first item forks every worker
+                    futures = [pool.submit(_run_item, items[0])]
+                except OSError:  # a fork failed: stop the workers that started
+                    for proc in pool._processes.values():
+                        proc.terminate()
+                        proc.join()
+                else:
+                    futures += [pool.submit(_run_item, item) for item in items[1:]]
+                    return [future.result() for future in futures]
     return [func(state, item) for item in items]

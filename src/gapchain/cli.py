@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from .harness import MODES, ExperimentConfig, run_experiment
-from .weights import MatrixTooLarge
 
 _HELP = {
     "primes": "exact prime counts and gap-run records over small ranges",
@@ -120,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run_experiment(cfg)
-    except (ValueError, MatrixTooLarge) as exc:
+    except ValueError as exc:  # MatrixTooLarge is one too
         parser.error(str(exc))
 
     print(f"gapchain {report.mode} (seed {cfg.seed})")

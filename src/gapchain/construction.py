@@ -170,6 +170,8 @@ def run_construction(
     substreams derived from (seed, label), so results do not depend on
     iteration order or on how many other draws happened in between.
     """
+    if not eta >= 0:
+        raise ValueError(f"eta = {eta:g} must be nonnegative")
     part = table.partition
     rng_small = derive_rng(seed, "small-classes")
     small_classes = sample_small_classes(part.small_primes, rng_small)

@@ -20,31 +20,16 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from . import nt
-from .construction import run_construction, target_coverage_report
 from .covering import nibble_cover, subset_leftover, synth_instance
-from .maier import (
-    FrameWindow,
-    GapChainCertificate,
-    VerificationOutcome,
-    assemble_frame,
-    find_gap_chain,
-    sample_rows,
-    verify_certificate,
-)
-from .partition import PrimePartition, build_partition, derive_parameters
-from .seeds import derive_random, derive_rng
-from .sieving import ResidueSystem, greedy_rankin, residual_smooth_set, sift_interval
-from .weights import (
-    AdmissibleTuple,
-    build_weights,
-    first_primes_tuple,
-    weight_contract_report,
-)
+
+if TYPE_CHECKING:
+    from .partition import PrimePartition
+    from .weights import AdmissibleTuple
 
 __all__ = [
     "MODES",
@@ -269,7 +254,7 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# mode runners
+# mode runners: each imports the stages it uses, so a run loads only those
 
 # Check bounds are fixed, so no config can loosen a verdict: the Maynard
 # row sums' max/min, the off-tuple over on-tuple aggregate mass, the
@@ -282,6 +267,8 @@ LEFTOVER_TOLERANCE = 0.5
 
 
 def _build_partition(cfg: ExperimentConfig) -> PrimePartition:
+    from .partition import build_partition, derive_parameters
+
     # desk-scale defaults: the window must fit every tuple translate (y/x
     # above the largest offset) and the small primes must sit above the
     # tuple difference scale 2 r^2, or the survival masses cannot track
@@ -301,6 +288,8 @@ def _build_partition(cfg: ExperimentConfig) -> PrimePartition:
 
 
 def _tuple_from_config(cfg: ExperimentConfig) -> AdmissibleTuple:
+    from .weights import AdmissibleTuple, first_primes_tuple
+
     offsets = cfg.getints("weights", "offsets", None)
     if offsets is not None:
         return AdmissibleTuple(offsets)
@@ -308,6 +297,8 @@ def _tuple_from_config(cfg: ExperimentConfig) -> AdmissibleTuple:
 
 
 def _build_table(cfg: ExperimentConfig, partition: PrimePartition):
+    from .weights import build_weights
+
     table = build_weights(
         partition,
         _tuple_from_config(cfg),
@@ -355,6 +346,8 @@ def _run_primes(cfg: ExperimentConfig):
 
 
 def _run_sieve(cfg: ExperimentConfig):
+    from .sieving import greedy_rankin, residual_smooth_set, sift_interval
+
     timings: dict[str, float] = {}
     part = _build_partition(cfg)
     x, y = math.floor(part.x), math.floor(part.y)
@@ -410,6 +403,9 @@ def _run_sieve(cfg: ExperimentConfig):
 
 
 def _run_weights(cfg: ExperimentConfig):
+    from .seeds import derive_rng
+    from .weights import weight_contract_report
+
     timings: dict[str, float] = {}
     part = _build_partition(cfg)
     with _timed(timings, "table"):
@@ -452,6 +448,8 @@ def _run_weights(cfg: ExperimentConfig):
 
 
 def _run_construct(cfg: ExperimentConfig):
+    from .construction import run_construction, target_coverage_report
+
     timings: dict[str, float] = {}
     part = _build_partition(cfg)
     with _timed(timings, "table"):
@@ -491,6 +489,8 @@ def _run_construct(cfg: ExperimentConfig):
 
 
 def _run_cover(cfg: ExperimentConfig):
+    from .seeds import derive_rng
+
     timings: dict[str, float] = {}
     sec = "cover"
     n_elements = cfg.getint(sec, "n_elements", 20_000)
@@ -547,6 +547,11 @@ def _run_cover(cfg: ExperimentConfig):
 
 
 def _run_maier(cfg: ExperimentConfig):
+    from .maier import FrameWindow, GapChainCertificate, assemble_frame
+    from .maier import find_gap_chain, sample_rows, verify_certificate
+    from .seeds import derive_random, derive_rng
+    from .sieving import ResidueSystem, sift_interval
+
     timings: dict[str, float] = {}
     sec = "maier"
     x = cfg.getfloat(sec, "x", 36.0)
@@ -667,6 +672,8 @@ def _run_gk(cfg: ExperimentConfig):
 
 
 def _run_verify(cfg: ExperimentConfig):
+    from .maier import GapChainCertificate, VerificationOutcome, verify_certificate
+
     timings: dict[str, float] = {}
     path = cfg.get("verify", "certificate")
     if path is None:

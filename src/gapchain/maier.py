@@ -100,6 +100,9 @@ class FrameWindow:
             raise ValueError("window start must exceed 2")
         if not self.y > self.x:
             raise ValueError("window end must exceed its start")
+        # the primes up to x alone carry more than x bits
+        if self.x > DEFAULT_Z_BIT_BUDGET:
+            raise ValueError(f"x = {self.x:g} puts the modulus over the row budget")
         check_excluded_prime(self.excluded_prime, self.x)
 
 

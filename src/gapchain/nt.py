@@ -52,6 +52,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # sieves
 
+# a prime sieve takes one byte per integer of its window: larger windows
+# are refused, as weights refuses a matrix over the same 1 GiB
+_SIEVE_MAX_BYTES = 1 << 30
+
 
 def strike_classes(
     alive: np.ndarray, start: int, classes: Iterable[tuple[int, int]]
@@ -90,12 +94,19 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     """Primes p with lo < p <= hi, as an int64 array.
 
     Strikes class 0 of every prime up to sqrt(hi), then restores those
-    base primes that lie in the window themselves.
+    base primes that lie in the window themselves.  A window of more than
+    2**30 integers is refused with ValueError.
     """
     lo, hi = int(lo), int(hi)
     if hi <= max(lo, 1):
         return np.empty(0, dtype=np.int64)
     start = max(lo + 1, 2)
+    if hi - start >= _SIEVE_MAX_BYTES:  # before the base primes' own sieve
+        a, b = (  # a bound past the float range is named by its bit length
+            f"{v:.6g}" if v.bit_length() < 1000 else f"~2**{v.bit_length()}"
+            for v in (lo, hi)
+        )
+        raise ValueError(f"prime sieve window ({a}, {b}] is over the 1 GiB cap")
     base = sieve_primes(math.isqrt(hi))
     alive = np.ones(hi - start + 1, dtype=bool)
     strike_classes(alive, start, ((p, 0) for p in base.tolist()))

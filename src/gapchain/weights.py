@@ -84,8 +84,8 @@ _LOW_BITS = 26
 _MAX_ROW_TERMS = 1 << 26
 
 
-class MatrixTooLarge(MemoryError):
-    """A weight matrix refused before any allocation: lower y, theta or x."""
+class MatrixTooLarge(MemoryError, ValueError):
+    """A value refused before allocating its weight matrix: lower y, theta or x."""
 
 
 def is_admissible(offsets: Sequence[int]) -> bool:

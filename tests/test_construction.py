@@ -127,6 +127,11 @@ class TestConstructionRun:
         other = run_construction(pinned_table, seed=12, eta=0.1)
         assert other.small_classes.residues != pinned_run.small_classes.residues
 
+    def test_negative_eta_is_refused_by_name(self, pinned_table):
+        # it used to select no stable primes, which hid the cause
+        with pytest.raises(ValueError, match="eta = -1 must be nonnegative"):
+            run_construction(pinned_table, seed=11, eta=-1.0)
+
     def test_run_invariants(self, pinned_table, pinned_run):
         run = pinned_run
         part = run.partition

@@ -109,6 +109,17 @@ class TestPrimeSieves:
             want = [n for n in range(lo + 1, hi + 1) if brute_is_prime(n)]
             assert got == want
 
+    def test_window_over_the_byte_cap_is_refused(self):
+        # one byte per integer, at most 2**30 of them; a huge window, or a
+        # short one whose base primes would need a huge sieve, is refused
+        # before any allocation
+        with pytest.raises(ValueError, match=r"\(0, 1\.07374e\+09\] is over the"):
+            g.primes_in_range(0, 2**30 + 2)
+        with pytest.raises(ValueError, match=r"\(1, 1e\+150\] is over the 1 GiB"):
+            g.primes_in_range(10**300 - 10, 10**300)
+        with pytest.raises(ValueError, match=r"\(0, ~2\*\*1329\] is over the"):
+            g.primes_in_range(0, 10**400)
+
     def test_primes_after(self):
         assert primes_after(4, 4) == (5, 7, 11, 13)
         assert primes_after(1, 3) == (2, 3, 5)

@@ -1,10 +1,13 @@
 """Experiment harness: config round trips, reports, every mode runner, CLI,
 and the package's public surface."""
 
-import ast
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
+import time
 from pathlib import Path
 from contextlib import contextmanager
 from fractions import Fraction
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 import gapchain
+import gapchain.partition as partition_mod
 from gapchain import harness
 from gapchain.cli import main
 from gapchain.harness import MODES, ExperimentConfig, Report, _jsonable, run_experiment
@@ -117,15 +121,16 @@ class TestExperimentConfig:
         for cfg in (ini, flag):
             assert cfg.getfloat("partition", "Small_Low", 32.0) == 40.0
             assert cfg.getfloat("partition", "small_low", 32.0) == 40.0
-        # and the value reaches derive_parameters
+        # and the value reaches derive_parameters, which the sieve runner
+        # imports from partition when it runs
         seen = []
-        derive = harness.derive_parameters
+        derive = partition_mod.derive_parameters
 
         def recorded(x, **kwargs):
             seen.append(kwargs["small_low"])
             return derive(x, **kwargs)
 
-        monkeypatch.setattr(harness, "derive_parameters", recorded)
+        monkeypatch.setattr(partition_mod, "derive_parameters", recorded)
         harness._build_partition(ini)
         assert seen == [40.0]
 
@@ -541,6 +546,14 @@ class TestCli:
             (["sieve", "--y", "inf"], "[partition] y = inf is not a finite number"),
             (["weights", "--theta", "inf"], "[weights] theta = inf is not a finite"),
             (["weights", "--theta", "1e300"], "divisor level x**theta = 1400**1e+300"),
+            # refused before a prime sieve over 1 GiB: the first two ended in
+            # MemoryError tracebacks, the last two ran for minutes
+            (["sieve", "--x", "1e13"], "prime sieve window (5e+12, 1e+13]"),
+            (["weights", "--x", "1e300"], "prime sieve window (5e+299, 1e+300]"),
+            (["sieve", "--y", "1e300"], "prime sieve window (1400, 1e+300]"),
+            (["construct", "--x", "1e300"], "prime sieve window (5e+299, 1e+300]"),
+            # used to blame the stable set: "no stable primes"
+            (["construct", "--eta", "-1"], "eta = -1 must be nonnegative"),
         ],
     )
     def test_rejected_option_value_exits(self, argv, message, capsys):
@@ -552,6 +565,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: gapchain {argv[0]} [-h]")
         assert f"gapchain {argv[0]}: error: {message}" in err
+
+    def test_maier_x_over_the_row_budget_is_refused_at_once(self, capsys):
+        # validating the 664,579 classes up to x = 1e7 took over 30 s
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["maier", "--x", "1e7", "--y", "2e7"])
+        assert exit_info.value.code == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert "x = 1e+07 puts the modulus over the row budget" in (
+            capsys.readouterr().err
+        )
 
     def test_assertion_error_propagates(self, monkeypatch):
         # a broken invariant is a bug, not a usage error
@@ -584,15 +608,93 @@ class TestPublicSurface:
                 assert hasattr(module, name), f"{info.name}.__all__: {name}"
 
     def test_every_reexport_is_listed(self):
-        tree = ast.parse(Path(gapchain.__file__).read_text())
-        imports = [
-            node
-            for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1
+        # the package's name -> submodule table, read on first access
+        table = gapchain._SUBMODULE
+        assert table
+        for name, submodule in table.items():
+            module = importlib.import_module(f"gapchain.{submodule}")
+            assert name in module.__all__, f"{submodule}: {name}"
+            assert getattr(gapchain, name) is getattr(module, name)
+
+    def test_names_resolve_on_first_use(self):
+        # dir() and the star import list every name of the table; the
+        # first read of a name imports its submodule and caches the object
+        table = gapchain._SUBMODULE
+        assert set(table) <= set(dir(gapchain))
+        star: dict = {}
+        exec("from gapchain import *", star)
+        assert set(star) - {"__builtins__"} == set(table) == set(gapchain.__all__)
+        with pytest.raises(AttributeError, match="'gapchain' has no attribute 'nope'"):
+            gapchain.nope
+        for name, submodule in table.items():
+            module = sys.modules[f"gapchain.{submodule}"]
+            assert vars(gapchain)[name] is vars(module)[name]
+
+
+def stages_loaded_after(code: str) -> list:
+    """The gapchain submodules a fresh interpreter holds after code runs."""
+    script = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m.split('.')[1] for m in sys.modules "
+        "if m.startswith('gapchain.'))))\n"
+    )
+    src = str(Path(gapchain.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportGraph:
+    """Each mode loads only its own stages; harness, covering and nt are eager."""
+
+    def test_import_loads_harness_covering_and_nt(self):
+        assert stages_loaded_after("import gapchain") == ["covering", "harness", "nt"]
+        # the command line adds itself alone
+        assert stages_loaded_after("import gapchain.cli") == [
+            "cli", "covering", "harness", "nt"
         ]
-        assert imports
-        for node in imports:
-            module = importlib.import_module(f"gapchain.{node.module}")
-            for alias in node.names:
-                assert alias.name in module.__all__, f"{node.module}: {alias.name}"
-                assert getattr(gapchain, alias.name) is getattr(module, alias.name)
+
+    def test_cover_run_adds_only_seeds(self):
+        code = (
+            "import gapchain as g\n"
+            "cfg = g.ExperimentConfig(mode='cover', seed=2)\n"
+            "for key, value in (('n_elements', 2000), ('n_covers', 200), ('m', 2)):\n"
+            "    cfg.set('cover', key, value)\n"
+            "assert g.run_experiment(cfg).all_passed\n"
+        )
+        assert stages_loaded_after(code) == ["covering", "harness", "nt", "seeds"]
+
+    def test_maier_and_certify_names_load_no_weights(self):
+        # the names the maier and certify benchmark paths read, then a run
+        names = (
+            "derive_rng ResidueSystem FrameWindow assemble_frame sift_interval "
+            "sample_rows derive_random find_gap_chain GapChainCertificate "
+            "verify_certificate"
+        )
+        code = (
+            "import gapchain as g\n"
+            f"for name in {names!r}.split(): getattr(g, name)\n"
+            "cfg = g.ExperimentConfig(mode='maier', seed=5)\n"
+            "cfg.set('maier', 'stat_trials', 8)\n"
+            "assert g.run_experiment(cfg).all_passed\n"
+        )
+        loaded = stages_loaded_after(code)
+        assert "maier" in loaded
+        assert "weights" not in loaded and "construction" not in loaded
+
+    def test_construct_names_load_no_maier(self):
+        names = (
+            "derive_parameters build_partition build_weights first_primes_tuple "
+            "weight_contract_report run_construction target_coverage_report"
+        )
+        code = (
+            "import gapchain as g\n"
+            f"for name in {names!r}.split(): getattr(g, name)\n"
+        )
+        loaded = stages_loaded_after(code)
+        assert "construction" in loaded and "weights" in loaded
+        assert "maier" not in loaded

@@ -8,8 +8,13 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +104,10 @@ class TestFrameAssembly:
         with pytest.raises(ValueError, match="exceeds x"):
             FrameWindow(x=10.0, y=20.0, excluded_prime=11)
         FrameWindow(x=10.0, y=20.0, excluded_prime=7)
+        # the primes up to x carry more than x bits: refused before any class
+        # is drawn, as the verifier refuses such a certificate
+        with pytest.raises(ValueError, match="x = 20001 puts the modulus over"):
+            FrameWindow(x=20001.0, y=30000.0)
 
     def test_tiny_frame_translation_invariant(self):
         frame = assemble_frame(zero_system(13), FrameWindow(x=13.0, y=60.0))
@@ -405,9 +414,26 @@ class TestParallelRowScan:
             raise OSError("no processes left")
 
         with monkeypatch.context() as m:
-            m.setattr(multiprocessing.context.BaseContext, "Pool", no_pool)
+            m.setattr(multiprocessing.context.ForkContext, "Process", no_pool)
             assert _scan_rows(scan, zs) == want
         assert calls == zs
+        calls.clear()
+        # a fork that fails after one worker started: that worker is
+        # stopped and the rows are scanned here
+        started = []
+        fork_process = multiprocessing.context.ForkProcess
+
+        def second_fork_fails(ctx, *args, **kwargs):
+            if started:
+                raise OSError("no processes left")
+            started.append(fork_process(*args, **kwargs))
+            return started[0]
+
+        with monkeypatch.context() as m:
+            m.setattr(multiprocessing.context.ForkContext, "Process", second_fork_fails)
+            assert _scan_rows(scan, zs) == want
+        assert calls == zs
+        assert len(started) == 1 and started[0].exitcode is not None
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
@@ -428,6 +454,39 @@ class TestParallelRowScan:
         calls.clear()
         assert _scan_rows(scan, zs) == want
         assert calls == []
+
+    def test_a_dying_worker_raises_and_leaves_no_child(self):
+        # nothing finishes the item a killed worker held, so a pool that
+        # missed the death would wait forever: a child process with a
+        # timeout turns such a hang into a failure
+        code = textwrap.dedent(
+            """
+            import multiprocessing, os, signal
+            from concurrent.futures.process import BrokenProcessPool
+            from gapchain import _fork
+
+            _fork.usable_cpus = lambda: 2
+
+            def item_3_kills_its_worker(state, item):
+                if item == 3:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return state * item
+
+            try:
+                _fork.fork_map(item_3_kills_its_worker, list(range(8)), 10)
+            except BrokenProcessPool:
+                print("raised", len(multiprocessing.active_children()))
+            print(_fork.fork_map(item_3_kills_its_worker, [1, 2], 10))
+            """
+        )
+        src = str(Path(g.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # no child left running, and the next map still runs
+        assert proc.stdout.splitlines() == ["raised 0", "[10, 20]"]
 
 
 class TestGapChainSearch:

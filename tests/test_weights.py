@@ -459,7 +459,7 @@ class TestParallelRowBuild:
             return len(calls)
 
         with monkeypatch.context() as m:
-            m.setattr(multiprocessing.context.BaseContext, "Pool", no_pool)
+            m.setattr(multiprocessing.context.ForkContext, "Process", no_pool)
             assert built_here() == 7
         with monkeypatch.context() as m:
             m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
@@ -482,7 +482,7 @@ class TestParallelRowBuild:
         def no_pool(*args, **kwargs):
             raise AssertionError("a uniform table started a pool")
 
-        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing.context.ForkContext, "Process", no_pool)
         built = []
         for cpus in (1, 3):
             monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
