@@ -39,7 +39,7 @@ _SUBMODULE = {
         "nt": (
             "NonCoprimeModuliError", "PrimalityResult", "chain_gap_record",
             "crt_combine", "factorize", "is_prime", "mertens_density",
-            "prime_count", "primes_in_range", "sieve_primes", "smooth_count",
+            "primes_in_range", "sieve_primes", "smooth_count",
         ),
         "partition": (
             "FORMULA_MODE_MIN_X", "TOY_MODE_MIN_X", "Params", "PrimePartition",

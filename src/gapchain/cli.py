@@ -18,7 +18,6 @@ from pathlib import Path
 from .harness import MODES, ExperimentConfig, run_experiment
 
 _HELP = {
-    "primes": "exact prime counts and gap-run records over small ranges",
     "sieve": "greedy residue-class sieve of the target interval",
     "weights": "build a weight table and test its contracts",
     "construct": "random residue construction with stability selection",
@@ -30,7 +29,6 @@ _HELP = {
 
 # flag, section, key, type -- thin shortcuts over the INI sections
 _EXTRA: dict[str, tuple[tuple[str, str, str, type], ...]] = {
-    "primes": (("--limit", "primes", "limit", int),),
     "sieve": (
         ("--x", "partition", "x", float),
         ("--y", "partition", "y", float),
@@ -51,7 +49,6 @@ _EXTRA: dict[str, tuple[tuple[str, str, str, type], ...]] = {
         ("--m", "cover", "m", int),
         ("--n-elements", "cover", "n_elements", int),
         ("--n-covers", "cover", "n_covers", int),
-        ("--profile", "cover", "profile", str),
     ),
     "maier": (
         ("--x", "maier", "x", float),

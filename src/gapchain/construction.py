@@ -161,6 +161,16 @@ class ConstructionRun:
         }
 
 
+def _check_eta(eta: float) -> None:
+    if not eta >= 0:
+        raise ValueError(f"eta = {eta:g} must be nonnegative")
+
+
+def _check_max_q(max_q: int) -> None:
+    if max_q < 1:
+        raise ValueError(f"max_q = {max_q} must be at least 1")
+
+
 def run_construction(
     table: WeightTable, seed: int, eta: float = 0.1
 ) -> ConstructionRun:
@@ -170,8 +180,7 @@ def run_construction(
     substreams derived from (seed, label), so results do not depend on
     iteration order or on how many other draws happened in between.
     """
-    if not eta >= 0:
-        raise ValueError(f"eta = {eta:g} must be nonnegative")
+    _check_eta(eta)
     part = table.partition
     rng_small = derive_rng(seed, "small-classes")
     small_classes = sample_small_classes(part.small_primes, rng_small)
@@ -293,6 +302,7 @@ def target_coverage_report(
     Sampling is deterministic and stratified: every stride-th surviving
     target, stride chosen so at most max_q targets are scored.
     """
+    _check_max_q(max_q)
     table = run.table
     part = run.partition
     q_all = part.target_primes.astype(np.int64)

@@ -72,40 +72,22 @@ class CoveringInstance:
 
     Every element belongs to every edge independently with probability
     inclusion_prob = coverage / n_covers, so per-element coverage sums to
-    exactly `coverage` with no exceptional elements.  Edges larger than
-    r_cap (when set) are truncated by uniform subsampling; truncations
-    are surfaced by the cover result.  forced_edges pins specific edges
-    to fixed sets of distinct elements, for degenerate-case tests.
+    exactly `coverage` with no exceptional elements.
     """
 
     n_elements: int
     n_covers: int
     coverage: float
-    profile: str
-    r_cap: int | None = None
-    forced_edges: dict[int, tuple[int, ...]] | None = None
 
     def __post_init__(self) -> None:
         if self.n_elements < 10:
             raise ValueError("need at least 10 elements")
         if self.n_covers < 1:
             raise ValueError("need at least one edge")
-        if self.profile not in ("poisson", "fixed-size"):
-            raise ValueError(f"unknown profile {self.profile!r}")
         if not (math.isfinite(self.coverage) and self.coverage > 0):
             raise ValueError(
                 f"coverage {self.coverage!r} is not a positive finite number"
             )
-        if self.r_cap is not None and self.r_cap < 1:
-            raise ValueError(f"r_cap = {self.r_cap} is below 1")
-        for p, edge in (self.forced_edges or {}).items():
-            if len(set(edge)) != len(edge) or not all(
-                0 <= q < self.n_elements for q in edge
-            ):
-                raise ValueError(
-                    f"forced edge {p} is not a set of distinct elements "
-                    f"of range({self.n_elements})"
-                )
         if self.inclusion_prob > 1:
             raise ValueError(
                 f"per-edge inclusion probability {self.inclusion_prob:.4g} "
@@ -116,82 +98,43 @@ class CoveringInstance:
     def inclusion_prob(self) -> float:
         return self.coverage / self.n_covers
 
-    @property
-    def fixed_edge_size(self) -> int:
-        return round(self.n_elements * self.inclusion_prob)
-
     def draw_edges(
         self, ids: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The edges of cover indices ids, drawn together.
 
-        Returns (values, sizes, truncated): the edges, each sorted,
-        concatenated in the order of ids; the size of each; and how many
-        were cut to r_cap.  A forced edge is used as given, and an edge as
-        large as its ground set is that set, with no draw.
+        Returns (values, sizes): the edges, each sorted, concatenated in
+        the order of ids, and the size of each.  An edge as large as the
+        ground set is that set, with no draw.
         """
         n = self.n_elements
-        if self.profile == "poisson":
-            sizes = rng.binomial(n, self.inclusion_prob, size=ids.size)
-        else:
-            sizes = np.full(ids.size, self.fixed_edge_size, dtype=np.int64)
-        forced: dict[int, np.ndarray] = {}
-        for p, edge in (self.forced_edges or {}).items():
-            for slot in np.flatnonzero(ids == p).tolist():
-                forced[slot] = np.array(sorted(edge), dtype=np.int64)
-                sizes[slot] = len(edge)
-        truncated = 0
-        if self.r_cap is not None:
-            over = sizes > self.r_cap
-            truncated = int(over.sum())
-            sizes[over] = self.r_cap
+        sizes = rng.binomial(n, self.inclusion_prob, size=ids.size)
         plain = sizes < n
-        plain[list(forced)] = False
         values = _distinct_sorted(rng, n, sizes[plain])
         if plain.all():
-            return values, sizes, truncated
-        # forced and whole-set edges: rare, placed one at a time
+            return values, sizes
+        # whole-set edges: possible only when inclusion_prob is near 1
         out = np.empty(int(sizes.sum()), dtype=np.int64)
         out[np.repeat(plain, sizes)] = values
-        ends = np.cumsum(sizes)
-        for slot in np.flatnonzero(~plain).tolist():
-            edge = forced[slot] if slot in forced else np.arange(n, dtype=np.int64)
-            k = int(sizes[slot])
-            if k < edge.size:
-                edge = edge[_distinct_sorted(rng, edge.size, sizes[slot : slot + 1])]
-            out[ends[slot] - k : ends[slot]] = edge
-        return out, sizes, truncated
+        out[np.repeat(~plain, sizes)] = np.tile(np.arange(n), int((~plain).sum()))
+        return out, sizes
 
-    def draw_edge(
-        self, p: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, bool]:
-        """One edge for cover index p: (sorted element indices, truncated?).
+    def draw_edge(self, p: int, rng: np.random.Generator) -> np.ndarray:
+        """The sorted element indices of one edge for cover index p.
 
         The one-edge case of draw_edges, with the same random stream.
         """
-        values, _, truncated = self.draw_edges(np.array([p]), rng)
-        return values, truncated > 0
+        return self.draw_edges(np.array([p]), rng)[0]
 
 
-def synth_instance(
-    n_elements: int,
-    n_covers: int,
-    m: int,
-    profile: str = "poisson",
-    *,
-    r_cap: int | None = None,
-) -> CoveringInstance:
+def synth_instance(n_elements: int, n_covers: int, m: int) -> CoveringInstance:
     """Instance scaled for an m-round nibble: total coverage m * log 5."""
     if n_covers < m:
         raise ValueError(f"n_covers = {n_covers} cannot fill {m} blocks")
     if m < 1:
         raise ValueError("m must be at least 1")
     return CoveringInstance(
-        n_elements=n_elements,
-        n_covers=n_covers,
-        coverage=m * math.log(5),
-        profile=profile,
-        r_cap=r_cap,
+        n_elements=n_elements, n_covers=n_covers, coverage=m * math.log(5)
     )
 
 
@@ -210,7 +153,6 @@ class CoverResult:
     kept_sizes: np.ndarray = field(repr=False)
     kept_values: np.ndarray = field(repr=False)
     leftover: np.ndarray = field(repr=False)
-    truncated_draws: int = 0
 
     @property
     def leftover_fraction(self) -> float:
@@ -240,19 +182,15 @@ def nibble_cover(
     if any(b.size == 0 for b in blocks):
         raise ValueError("empty block in nibble schedule")
     mean_size = instance.n_elements * instance.inclusion_prob
-    if instance.r_cap is not None:
-        mean_size = min(mean_size, instance.r_cap)
     chunk = max(1, int(_CHUNK_BYTES // (8 * max(1.0, mean_size))))
 
     alive = np.ones(instance.n_elements, dtype=bool)
     kept_values: list[np.ndarray] = []
     kept_sizes: list[np.ndarray] = []
-    truncated = 0
     for block in blocks:
         alive_at_round_start = alive.copy()
         for lo in range(0, block.size, chunk):
-            values, sizes, cut = instance.draw_edges(block[lo : lo + chunk], rng)
-            truncated += cut
+            values, sizes = instance.draw_edges(block[lo : lo + chunk], rng)
             keep = alive_at_round_start[values]
             alive[values] = False
             owner = np.repeat(np.arange(sizes.size), sizes)
@@ -270,7 +208,6 @@ def nibble_cover(
         kept_sizes=np.concatenate(kept_sizes),
         kept_values=kept,
         leftover=np.flatnonzero(alive).astype(np.int64),
-        truncated_draws=truncated,
     )
 
 

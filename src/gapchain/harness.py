@@ -75,17 +75,16 @@ _RUN_KEYS = frozenset({"mode", "seed", "out"})
 # The keys each mode section may set.  configparser lowercases INI keys,
 # and ExperimentConfig stores and looks up every key in lower case.
 _SECTION_KEYS = {
-    "primes": frozenset({"limit", "gk_limit", "gk_orders"}),
     "partition": frozenset(
         {"x", "y", "z", "small_low", "small_high", "excluded"}
     ),
     "sieve": frozenset({"medium_high"}),
-    "weights": frozenset({"kind", "theta", "r", "offsets", "q_sample"}),
+    "weights": frozenset({"kind", "theta", "r", "offsets"}),
     "construct": frozenset({"eta", "max_q"}),
-    "cover": frozenset({"n_elements", "n_covers", "m", "profile", "r_cap"}),
+    "cover": frozenset({"n_elements", "n_covers", "m"}),
     "maier": frozenset(
         {"x", "y", "excluded", "k", "epsilon", "trials", "stat_trials", "d",
-         "mr_rounds", "soundness_draws"}
+         "soundness_draws"}
     ),
     "gk": frozenset({"limit", "k"}),
     "verify": frozenset({"certificate"}),
@@ -140,7 +139,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown [DEFAULT] key(s) {', '.join(unknown)}")
         return cls(
             mode=run.get("mode", ""),
-            seed=int(run.get("seed", "0")),
+            seed=_parse("run", "seed", run.get("seed", "0"), int, "an integer"),
             out_dir=run.get("out", None),
             sections=sections,
         )
@@ -160,13 +159,13 @@ class ExperimentConfig:
 
     def getint(self, section: str, key: str, default: int) -> int:
         raw = self.get(section, key)
-        return default if raw is None else int(raw)
+        return default if raw is None else _parse(section, key, raw, int, "an integer")
 
     def getfloat(self, section: str, key: str, default: float) -> float:
         raw = self.get(section, key)
         if raw is None:
             return default
-        value = float(raw)
+        value = _parse(section, key, raw, float, "a number")
         if not math.isfinite(value):
             raise ValueError(f"[{section}] {key} = {raw} is not a finite number")
         return value
@@ -177,7 +176,20 @@ class ExperimentConfig:
         raw = self.get(section, key)
         if raw is None:
             return default
-        return tuple(int(part) for part in raw.replace(",", " ").split())
+        return _parse(
+            section, key, raw, lambda t: tuple(map(int, t.replace(",", " ").split())),
+            "a list of integers",
+        )
+
+
+def _parse(
+    section: str, key: str, raw: str, parse: Callable[[str], Any], kind: str
+) -> Any:
+    """parse(raw); a ValueError names the option as [section] key = raw."""
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"[{section}] {key} = {raw} is not {kind}") from None
 
 
 @dataclass
@@ -309,42 +321,6 @@ def _build_table(cfg: ExperimentConfig, partition: PrimePartition):
     return table
 
 
-def _run_primes(cfg: ExperimentConfig):
-    timings: dict[str, float] = {}
-    limit = cfg.getint("primes", "limit", 1_000_000)
-    gk_limit = cfg.getint("primes", "gk_limit", 10_000)
-    orders = cfg.getints("primes", "gk_orders", (1, 2))
-    with _timed(timings, "count"):
-        count = nt.prime_count(limit)
-        recount = sum(
-            int(seg.size)
-            for seg in nt.iter_prime_segments(limit, segment_size=1 << 16)
-        )
-    with _timed(timings, "gap_records"):
-        records = {str(k): nt.chain_gap_record(gk_limit, k) for k in sorted(orders)}
-    metrics = {
-        "limit": limit,
-        "prime_count": count,
-        "segmented_recount": recount,
-        "gk_limit": gk_limit,
-        "gap_records": records,
-    }
-    values = [records[str(k)] for k in sorted(orders)]
-    checks = [
-        _check(
-            "segmented_recount_matches",
-            recount == count,
-            f"{recount} vs {count}",
-        ),
-        _check(
-            "gap_records_nonincreasing",
-            all(b <= a for a, b in zip(values, values[1:])),
-            f"records {values} over orders {sorted(orders)}",
-        ),
-    ]
-    return metrics, checks, timings
-
-
 def _run_sieve(cfg: ExperimentConfig):
     from .sieving import greedy_rankin, residual_smooth_set, sift_interval
 
@@ -403,20 +379,14 @@ def _run_sieve(cfg: ExperimentConfig):
 
 
 def _run_weights(cfg: ExperimentConfig):
-    from .seeds import derive_rng
     from .weights import weight_contract_report
 
     timings: dict[str, float] = {}
     part = _build_partition(cfg)
     with _timed(timings, "table"):
         table = _build_table(cfg, part)
-    q_sample = cfg.getint("weights", "q_sample", 0)
     with _timed(timings, "contracts"):
-        report = weight_contract_report(
-            table,
-            q_sample=q_sample or None,
-            rng=derive_rng(cfg.seed, "weights-q") if q_sample else None,
-        )
+        report = weight_contract_report(table)
     metrics = {"contracts": report.summary()}
     checks = []
     if table.kind == "maynard":
@@ -448,22 +418,21 @@ def _run_weights(cfg: ExperimentConfig):
 
 
 def _run_construct(cfg: ExperimentConfig):
+    from .construction import _check_eta, _check_max_q
     from .construction import run_construction, target_coverage_report
 
     timings: dict[str, float] = {}
+    eta = cfg.getfloat("construct", "eta", 0.1)
+    max_q = cfg.getint("construct", "max_q", 512)
+    _check_eta(eta)  # both refused before the table is built
+    _check_max_q(max_q)
     part = _build_partition(cfg)
     with _timed(timings, "table"):
         table = _build_table(cfg, part)
     with _timed(timings, "construction"):
-        run = run_construction(
-            table, cfg.seed, eta=cfg.getfloat("construct", "eta", 0.1)
-        )
+        run = run_construction(table, cfg.seed, eta=eta)
     with _timed(timings, "coverage"):
-        coverage = target_coverage_report(
-            run,
-            part.coverage_target,
-            max_q=cfg.getint("construct", "max_q", 512),
-        )
+        coverage = target_coverage_report(run, part.coverage_target, max_q=max_q)
     metrics = {
         "construction": run.summary(),
         "coverage": coverage.summary(),
@@ -496,15 +465,7 @@ def _run_cover(cfg: ExperimentConfig):
     n_elements = cfg.getint(sec, "n_elements", 20_000)
     n_covers = cfg.getint(sec, "n_covers", 2_000)
     m = cfg.getint(sec, "m", 2)
-    profile = cfg.get(sec, "profile", "poisson")
-    r_cap_raw = cfg.get(sec, "r_cap")
-    instance = synth_instance(
-        n_elements,
-        n_covers,
-        m,
-        profile=profile,
-        r_cap=int(r_cap_raw) if r_cap_raw is not None else None,
-    )
+    instance = synth_instance(n_elements, n_covers, m)
     rng = derive_rng(cfg.seed, "cover")
     with _timed(timings, "nibble"):
         result = nibble_cover(instance, m, rng)
@@ -518,9 +479,7 @@ def _run_cover(cfg: ExperimentConfig):
             "n_elements": n_elements,
             "n_covers": n_covers,
             "m": m,
-            "profile": profile,
             "coverage": instance.coverage,
-            "truncated_draws": result.truncated_draws,
         },
         "leftover": {
             "fraction": lf,
@@ -562,7 +521,6 @@ def _run_maier(cfg: ExperimentConfig):
     trials = cfg.getint(sec, "trials", 400)
     stat_trials = cfg.getint(sec, "stat_trials", 200)
     D = cfg.getint(sec, "D", 1)
-    mr_rounds = cfg.getint(sec, "mr_rounds", 48)
 
     window = FrameWindow(x=x, y=y, excluded_prime=b0)
     class_rng = derive_rng(cfg.seed, "maier-classes")
@@ -575,13 +533,8 @@ def _run_maier(cfg: ExperimentConfig):
     with _timed(timings, "frame"):
         frame = assemble_frame(system, window, D)
         survivors = sift_interval(math.floor(x), math.floor(y), system)
-    with _timed(timings, "row_stats"):
-        stats = sample_rows(
-            frame,
-            survivors,
-            stat_trials,
-            derive_random(cfg.seed, "maier-rows"),
-        )
+    # the search first: it refuses a bad k, epsilon or trials before the
+    # row sample's work; the two read separate streams, so order is free
     with _timed(timings, "search"):
         outcome = find_gap_chain(
             frame,
@@ -590,8 +543,14 @@ def _run_maier(cfg: ExperimentConfig):
             epsilon,
             trials,
             derive_random(cfg.seed, "maier-search"),
-            mr_rounds=mr_rounds,
             seed=cfg.seed,
+        )
+    with _timed(timings, "row_stats"):
+        stats = sample_rows(
+            frame,
+            survivors,
+            stat_trials,
+            derive_random(cfg.seed, "maier-rows"),
         )
 
     soundness_rng = derive_random(cfg.seed, "maier-soundness")
@@ -710,7 +669,6 @@ def _run_verify(cfg: ExperimentConfig):
 
 
 _RUNNERS: dict[str, Callable[[ExperimentConfig], tuple]] = {
-    "primes": _run_primes,
     "sieve": _run_sieve,
     "weights": _run_weights,
     "construct": _run_construct,

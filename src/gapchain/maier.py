@@ -77,7 +77,7 @@ ROW_INDEX_BITS = 64  # searches draw z from [1, min(modulus**D, 2**this)]
 PRESIEVE_LIMIT = 1 << 18  # row values are presieved by the primes in (x, this]
 _LIMB_BITS = 30  # z mod q is folded in 30-bit limbs, so products fit in int64
 # round counts a certificate may ask of the verifier: the minimum is the
-# verifier's own policy, the cap bounds its work
+# search's count and the verifier's own policy, the cap bounds its work
 MIN_MR_ROUNDS = 48
 MAX_MR_ROUNDS = 1024
 
@@ -464,7 +464,6 @@ def find_gap_chain(
     trials: int,
     rng: random.Random,
     *,
-    mr_rounds: int = 48,
     seed: int | None = None,
 ) -> GapChainCertificate | MissReport:
     """Sample rows until one certifies k consecutive gaps of size >= eps*y.
@@ -481,11 +480,6 @@ def find_gap_chain(
         raise ValueError("trials must be at least 1")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    if not MIN_MR_ROUNDS <= mr_rounds <= MAX_MR_ROUNDS:
-        raise ValueError(
-            f"mr_rounds = {mr_rounds} outside [{MIN_MR_ROUNDS}, {MAX_MR_ROUNDS}], "
-            "the range the verifier accepts"
-        )
     _check_window(frame, T)
     Z = _check_row_space(frame)
     scan = _row_scan(frame, T)
@@ -506,15 +500,13 @@ def find_gap_chain(
             # the values a certificate lists get the full rounds, not BPSW
             row_primes = [
                 a for a in row_primes
-                if is_prime(frame.row_value(z, a), mr_rounds)
+                if is_prime(frame.row_value(z, a), MIN_MR_ROUNDS)
             ]
         min_gap = min_gap_of(row_primes)
         if len(row_primes) > best[0]:
             best = (len(row_primes), z, min_gap)
         if certifies(row_primes):
-            evidence = _build_evidence(
-                frame, z, row_primes, survivor_set, mr_rounds
-            )
+            evidence = _build_evidence(frame, z, row_primes, survivor_set)
             return GapChainCertificate(
                 version=CERTIFICATE_VERSION,
                 library_version=__version__,
@@ -532,7 +524,7 @@ def find_gap_chain(
                 evidence=evidence,
                 seed=seed,
                 policy={
-                    "mr_rounds": mr_rounds,
+                    "mr_rounds": MIN_MR_ROUNDS,
                     "deterministic_limit": str(DETERMINISTIC_MR_LIMIT),
                 },
                 trials_used=trial,
@@ -552,7 +544,6 @@ def _build_evidence(
     z: int,
     row_primes: list[int],
     survivor_set: set[int],
-    mr_rounds: int,
 ) -> list[dict[str, Any]]:
     evidence: list[dict[str, Any]] = []
     listed = set(row_primes)
@@ -571,7 +562,7 @@ def _build_evidence(
                 {"offset": a, "kind": "gcd_with_modulus", "witness": str(g)}
             )
             continue
-        res = is_prime(value, mr_rounds)
+        res = is_prime(value, MIN_MR_ROUNDS)
         if res.verdict != "composite":
             raise AssertionError(
                 f"survivor translate at offset {a} is prime but was not "

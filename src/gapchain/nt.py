@@ -28,7 +28,6 @@ __all__ = [
     "sieve_primes",
     "primes_in_range",
     "iter_prime_segments",
-    "prime_count",
     "primes_after",
     "factorize",
     "PrimalityResult",
@@ -112,11 +111,6 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     strike_classes(alive, start, ((p, 0) for p in base.tolist()))
     alive[base[base >= start] - start] = True
     return (np.nonzero(alive)[0] + start).astype(np.int64)
-
-
-def prime_count(limit: int) -> int:
-    """pi(limit): number of primes <= limit."""
-    return sum(int(seg.size) for seg in iter_prime_segments(limit))
 
 
 def primes_after(bound: int, count: int) -> tuple[int, ...]:

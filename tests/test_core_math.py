@@ -82,8 +82,8 @@ class TestPrimeSieves:
                 next(iter_prime_segments(10, segment_size=size))
 
     def test_prime_count_anchors(self):
-        assert g.prime_count(100) == 25
-        assert g.prime_count(10_000) == 1229
+        assert g.sieve_primes(100).size == 25
+        assert g.sieve_primes(10_000).size == 1229
 
     def test_primes_in_range_half_open(self):
         # the window is (lo, hi]: lo excluded, hi included

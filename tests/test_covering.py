@@ -1,6 +1,5 @@
 """Synthetic covering instances and the m-round nibble leftover law."""
 
-import copy
 import math
 
 import numpy as np
@@ -18,12 +17,7 @@ from gapchain.seeds import derive_rng
 
 
 def make_instance(**overrides):
-    base = dict(
-        n_elements=1_000,
-        n_covers=100,
-        coverage=2 * math.log(5),
-        profile="poisson",
-    )
+    base = dict(n_elements=1_000, n_covers=100, coverage=2 * math.log(5))
     base.update(overrides)
     return CoveringInstance(**base)
 
@@ -45,13 +39,13 @@ class TestInstanceValidation:
         [
             dict(n_elements=9),
             dict(n_covers=0),
-            dict(profile="uniform"),
+            dict(n_covers=-1),
             dict(n_covers=100, coverage=150.0),  # inclusion prob > 1
-            dict(forced_edges={0: (-1,)}),
-            dict(r_cap=0),
+            dict(n_elements=10, n_covers=1, coverage=1.0 + 1e-12),  # just over 1
+            dict(coverage=-0.0),
             dict(coverage=0.0),
-            dict(forced_edges={0: (3, 3)}),
-            dict(forced_edges={0: (1_000,)}),
+            dict(coverage=float("-inf")),
+            dict(n_elements=-1_000),
         ],
     )
     def test_rejects(self, overrides):
@@ -61,15 +55,17 @@ class TestInstanceValidation:
     @pytest.mark.parametrize(
         "overrides, named",
         [
-            (dict(r_cap=-1), "r_cap = -1"),
+            (
+                dict(n_covers=100, coverage=150.0),
+                "inclusion probability 1.5 exceeds 1",
+            ),
             (dict(coverage=float("nan")), "coverage nan"),
             (dict(coverage=float("inf")), "coverage inf"),
             (dict(coverage=-1.0), "coverage -1.0"),
         ],
     )
     def test_rejection_names_the_value(self, overrides, named):
-        # r_cap = -1 used to drop one element per edge, coverage nan gave
-        # a nan inclusion probability
+        # coverage nan used to give a nan inclusion probability
         with pytest.raises(ValueError, match=named):
             make_instance(**overrides)
 
@@ -83,7 +79,6 @@ class TestInstanceValidation:
         inst = synth_instance(20_000, 2_000, m=3)
         assert inst.coverage == pytest.approx(3 * math.log(5))
         assert inst.inclusion_prob == pytest.approx(inst.coverage / 2_000)
-        assert inst.fixed_edge_size == round(20_000 * inst.inclusion_prob)
 
 
 class TestEdgeDrawing:
@@ -91,35 +86,33 @@ class TestEdgeDrawing:
         inst = make_instance()
         rng = derive_rng(0, "edges")
         for p in range(20):
-            edge, truncated = inst.draw_edge(p, rng)
-            assert not truncated
+            edge = inst.draw_edge(p, rng)
             assert np.all(np.diff(edge) > 0)
             assert edge.size == 0 or (0 <= edge.min() and edge.max() < 1_000)
 
-    @pytest.mark.parametrize("profile", ["poisson", "fixed-size"])
-    def test_block_edges_are_sorted_distinct(self, profile):
-        # 20 elements and edges of 15 force many redraws of repeats
-        inst = CoveringInstance(
-            n_elements=20, n_covers=40, coverage=30.0, profile=profile
-        )
-        values, sizes, truncated = inst.draw_edges(
-            np.arange(40), derive_rng(0, "block-edges")
-        )
-        assert truncated == 0 and sizes.sum() == values.size
+    @pytest.mark.parametrize(
+        "coverage", [30.0, 39.0], ids=["poisson", "near-whole-set"]
+    )
+    def test_block_edges_are_sorted_distinct(self, coverage):
+        # 20 elements and edges of about 15 force many redraws of repeats;
+        # at coverage 39 most edges are the whole ground set
+        inst = CoveringInstance(n_elements=20, n_covers=40, coverage=coverage)
+        values, sizes = inst.draw_edges(np.arange(40), derive_rng(0, "block-edges"))
+        assert sizes.sum() == values.size
         for edge in split_edges(values, sizes):
             assert np.all(np.diff(edge) > 0)
             assert edge.size == 0 or (0 <= edge.min() and edge.max() < 20)
 
     def test_block_draw_is_uniform_over_elements(self):
-        inst = CoveringInstance(
-            n_elements=20, n_covers=1, coverage=0.75, profile="fixed-size"
-        )
-        assert inst.fixed_edge_size == 15
-        values, sizes, _ = inst.draw_edges(
+        inst = CoveringInstance(n_elements=20, n_covers=4, coverage=3.0)
+        assert inst.inclusion_prob == 0.75
+        values, sizes = inst.draw_edges(
             np.zeros(4_000, dtype=np.int64), derive_rng(0, "uniform")
         )
-        assert set(sizes.tolist()) == {15}
-        # each element lies in a uniform 15-subset of 20 with probability 3/4
+        # 0.75**20 of the edges are the whole ground set, drawn without
+        # a subset draw; the rest are uniform subsets of their size
+        assert (sizes == 20).any() and (sizes < 20).any()
+        # so each element lies in an edge with probability 3/4
         freq = np.bincount(values, minlength=20) / 4_000
         se = math.sqrt(0.75 * 0.25 / 4_000)
         assert np.abs(freq - 0.75).max() < 5 * se
@@ -128,78 +121,36 @@ class TestEdgeDrawing:
         inst = make_instance()
         n, p = inst.n_elements, inst.inclusion_prob
         ids = np.tile(np.arange(inst.n_covers), 40)
-        _, sizes, _ = inst.draw_edges(ids, derive_rng(0, "sizes"))
+        _, sizes = inst.draw_edges(ids, derive_rng(0, "sizes"))
         mean, var = n * p, n * p * (1 - p)
         assert abs(sizes.mean() - mean) < 5 * math.sqrt(var / sizes.size)
         assert abs(sizes.var(ddof=1) / var - 1) < 5 * math.sqrt(2 / sizes.size)
 
-    def test_fixed_size_profile(self):
-        inst = make_instance(profile="fixed-size")
-        rng = derive_rng(0, "edges-fixed")
-        sizes = {inst.draw_edge(p, rng)[0].size for p in range(10)}
-        assert sizes == {inst.fixed_edge_size}
-        _, block_sizes, _ = inst.draw_edges(np.arange(100), rng)
-        assert set(block_sizes.tolist()) == {inst.fixed_edge_size}
-
     def test_saturated_inclusion_takes_everything(self):
-        inst = CoveringInstance(
-            n_elements=10, n_covers=1, coverage=1.0, profile="fixed-size"
-        )
-        edge, _ = inst.draw_edge(0, derive_rng(0, "full"))
-        assert edge.tolist() == list(range(10))
+        # coverage equal to n_covers: every element enters every edge
+        inst = CoveringInstance(n_elements=10, n_covers=3, coverage=3.0)
+        assert inst.draw_edge(0, derive_rng(0, "full")).tolist() == list(range(10))
         rng = derive_rng(0, "full-block")
-        state = copy.deepcopy(rng.bit_generator.state)
-        values, sizes, _ = inst.draw_edges(np.zeros(3, dtype=np.int64), rng)
+        sizes_only = derive_rng(0, "full-block")
+        sizes_only.binomial(10, 1.0, size=3)
+        values, sizes = inst.draw_edges(np.zeros(3, dtype=np.int64), rng)
         assert values.tolist() == list(range(10)) * 3
         assert sizes.tolist() == [10, 10, 10]
-        assert rng.bit_generator.state == state  # no draw at all
-
-    def test_forced_edges_override_randomness(self):
-        inst = make_instance(forced_edges={3: (9, 2, 5)})
-        for trial in range(3):
-            edge, truncated = inst.draw_edge(3, derive_rng(trial, "forced"))
-            assert edge.tolist() == [2, 5, 9]
-            assert not truncated
-        values, sizes, truncated = inst.draw_edges(
-            np.arange(8), derive_rng(0, "forced-block")
-        )
-        assert split_edges(values, sizes)[3].tolist() == [2, 5, 9]
-        assert truncated == 0
-
-    def test_r_cap_truncates_even_forced_edges(self):
-        inst = make_instance(forced_edges={0: tuple(range(10))}, r_cap=4)
-        edge, truncated = inst.draw_edge(0, derive_rng(0, "cap"))
-        assert truncated and edge.size == 4
-        assert np.all(np.diff(edge) > 0)
-        assert set(edge.tolist()) <= set(range(10))
-
-    def test_r_cap_count_in_a_block(self):
-        # random edges of 32 and a forced edge of 10 exceed the cap of 5;
-        # the forced edge of 3 does not
-        inst = make_instance(
-            profile="fixed-size",
-            r_cap=5,
-            forced_edges={0: tuple(range(10, 20)), 1: (7, 3, 1)},
-        )
-        assert inst.fixed_edge_size == 32
-        values, sizes, truncated = inst.draw_edges(
-            np.arange(12), derive_rng(0, "cap-block")
-        )
-        assert truncated == 11
-        assert sizes.tolist() == [5, 3] + [5] * 10
-        edges = split_edges(values, sizes)
-        assert set(edges[0].tolist()) <= set(range(10, 20))
-        assert np.all(np.diff(edges[0]) > 0)
-        assert edges[1].tolist() == [1, 3, 7]
+        # the sizes are the only draw: no element is drawn
+        assert rng.bit_generator.state == sizes_only.bit_generator.state
+        result = nibble_cover(inst, m=1, rng=derive_rng(0, "full-cover"))
+        assert result.leftover.size == 0
+        # one round keeps each edge's part alive at its start: all of it
+        assert result.kept_sizes.tolist() == [10, 10, 10]
 
     @pytest.mark.parametrize(
         "overrides",
         [
             dict(),
-            dict(profile="fixed-size"),
-            dict(forced_edges={5: (8, 1, 4)}),
-            dict(forced_edges={5: tuple(range(40))}, r_cap=6),
-            dict(profile="fixed-size", r_cap=6),
+            dict(coverage=30.0),  # edges of about 300 of 1000
+            dict(n_elements=10, n_covers=1, coverage=1.0),  # the whole set
+            dict(n_elements=10, n_covers=10, coverage=9.5),  # often the whole set
+            dict(coverage=0.01),  # mostly empty
         ],
     )
     def test_draw_edge_is_the_one_edge_block_draw(self, overrides):
@@ -207,11 +158,10 @@ class TestEdgeDrawing:
         for seed in range(3):
             one = derive_rng(seed, "one-edge")
             block = derive_rng(seed, "one-edge")
-            edge, truncated = inst.draw_edge(5, one)
-            values, sizes, cut = inst.draw_edges(np.array([5]), block)
+            edge = inst.draw_edge(5, one)
+            values, sizes = inst.draw_edges(np.array([5]), block)
             assert np.array_equal(edge, values)
             assert sizes.tolist() == [edge.size]
-            assert truncated == (cut == 1)
             assert one.bit_generator.state == block.bit_generator.state
 
 
@@ -251,9 +201,9 @@ class TestNibbleCover:
         draw_edges = CoveringInstance.draw_edges
 
         def recording(self, ids, rng):
-            values, sizes, truncated = draw_edges(self, ids, rng)
+            values, sizes = draw_edges(self, ids, rng)
             draws.append((ids.copy(), values.copy(), sizes.copy()))
-            return values, sizes, truncated
+            return values, sizes
 
         monkeypatch.setattr(CoveringInstance, "draw_edges", recording)
         inst = make_instance(coverage=m * math.log(5))
@@ -285,13 +235,6 @@ class TestNibbleCover:
             nibble_cover(inst, m=0, rng=derive_rng(0, "bad"))
         with pytest.raises(ValueError):
             nibble_cover(inst, m=4, rng=derive_rng(0, "bad"))
-
-    def test_truncation_is_counted(self):
-        inst = make_instance(profile="fixed-size", r_cap=10)
-        assert inst.fixed_edge_size > 10
-        result = nibble_cover(inst, m=2, rng=derive_rng(2, "cap-count"))
-        assert result.truncated_draws == inst.n_covers
-        assert result.kept_sizes.max() <= 10
 
     def test_leftover_law_single_seed_smoke(self):
         # per-round coverage log 5 should leave about 5**-2 of the ground set

@@ -32,6 +32,16 @@ def make_config(mode, seed=0, **sections):
     return cfg
 
 
+def write_config_text(argv, tmp_path, monkeypatch):
+    """argv with the text after --config written to exp.ini, in tmp_path."""
+    if "--config" not in argv:
+        return argv
+    monkeypatch.chdir(tmp_path)
+    at = argv.index("--config") + 1
+    Path("exp.ini").write_text(argv[at])
+    return [*argv[:at], "exp.ini", *argv[at + 1 :]]
+
+
 class TestExperimentConfig:
     def test_typed_getters(self):
         cfg = make_config(
@@ -45,12 +55,22 @@ class TestExperimentConfig:
         assert cfg.getfloat("gk", "limit", 0.0) == 2_000.0
         assert cfg.getints("lists", "orders", None) == (1, 2, 5)
         assert cfg.getints("lists", "missing", (9,)) == (9,)
+        # a malformed value names its option
+        bad = make_config("gk", gk={"limit": "ten"}, lists={"orders": "1 x"})
+        with pytest.raises(ValueError, match=r"^\[gk\] limit = ten is not an integer$"):
+            bad.getint("gk", "limit", 7)
+        with pytest.raises(ValueError, match=r"^\[gk\] limit = ten is not a number$"):
+            bad.getfloat("gk", "limit", 0.0)
+        with pytest.raises(ValueError, match="orders = 1 x is not a list of integers"):
+            bad.getints("lists", "orders", None)
 
     def test_run_section_parsing(self):
         cfg = ExperimentConfig.from_ini(
-            "[run]\nmode = primes\nseed = 4\nout = somewhere\n"
+            "[run]\nmode = gk\nseed = 4\nout = somewhere\n"
         )
-        assert (cfg.mode, cfg.seed, cfg.out_dir) == ("primes", 4, "somewhere")
+        assert (cfg.mode, cfg.seed, cfg.out_dir) == ("gk", 4, "somewhere")
+        with pytest.raises(ValueError, match=r"^\[run\] seed = 1.5 is not an integer$"):
+            ExperimentConfig.from_ini("[run]\nmode = gk\nseed = 1.5\n")
 
     def test_unknown_run_key_is_rejected(self):
         # a misspelt seed must not fall back to seed 0 without a word
@@ -72,6 +92,8 @@ class TestExperimentConfig:
             ("[maier]\nx = 150\nseed = 5\n", "unknown [maier] key(s) seed"),
             ("[weigths]\ntheta = 0.5\n", "unknown section [weigths]"),
             ("[DEFAULT]\nlimt = 9\n", "unknown [DEFAULT] key(s) limt"),
+            # the primes mode is gone, and its section with it
+            ("[primes]\nlimit = 2000\n", "unknown section [primes]"),
         ],
     )
     def test_unknown_section_key_is_rejected(self, ini, message):
@@ -90,7 +112,6 @@ class TestExperimentConfig:
 
         monkeypatch.setattr(ExperimentConfig, "get", recorded)
         small = {
-            "primes": {"primes": {"limit": 2000, "gk_limit": 500}},
             "sieve": {"partition": {"x": 200}},
             "weights": {"partition": {"x": 200}, "weights": {"theta": 0.5}},
             "construct": {
@@ -204,18 +225,6 @@ class TestModeRunners:
         with pytest.raises(ValueError, match="unknown mode"):
             run_experiment(make_config("transmute"))
 
-    def test_primes_mode_anchors(self):
-        cfg = make_config(
-            "primes",
-            primes={"limit": 20_000, "gk_limit": 2_000, "gk_orders": "1 2"},
-        )
-        report = run_experiment(cfg)
-        assert report.all_passed
-        assert report.metrics["prime_count"] == 2_262
-        assert report.metrics["segmented_recount"] == 2_262
-        assert report.metrics["gap_records"]["1"] == 34
-        assert report.metrics["gap_records"]["2"] <= 34
-
     def test_sieve_mode(self):
         report = run_experiment(make_config("sieve", partition={"x": 400}))
         assert report.all_passed
@@ -261,13 +270,21 @@ class TestModeRunners:
                 "[run]\nmode = sieve\n[partition]\nx = 400\n",
                 "r = 6\nepsilon = 0.1\nc = 0.2\na = 9\nc0 = 0.4\nr0 = 3\n",
             ),
+            (
+                "[run]\nmode = cover\n[cover]\nm = 1\n",
+                "profile = fixed-size\nr_cap = 5\n",
+            ),
+            ("[run]\nmode = maier\n[maier]\nx = 36\n", "mr_rounds = 48\n"),
+            ("[run]\nmode = weights\n[weights]\ntheta = 0.5\n", "q_sample = 25\n"),
         ],
-        ids=["weights", "cover", "partition"],
+        ids=["weights", "cover", "partition", "cover-instance", "maier", "weights-q"],
     )
     def test_removed_keys_change_no_verdict(self, ini, removed):
-        # the check bounds and the partition's r, epsilon, c, A, c0 and r0
-        # were INI keys; nothing reads them now, so an INI that still sets
-        # them is rejected by name and runs nothing
+        # the check bounds, the partition's r, epsilon, c, A, c0 and r0, the
+        # cover profile and edge cap, the search's Miller-Rabin rounds and
+        # the contracts' target sample were INI keys; nothing reads them
+        # now, so an INI that still sets them is rejected by name and runs
+        # nothing
         ExperimentConfig.from_ini(ini)
         keys = sorted(line.split(" = ")[0] for line in removed.splitlines())
         with pytest.raises(ValueError, match=f"key\\(s\\) {', '.join(keys)};"):
@@ -384,7 +401,6 @@ class TestModeRunners:
 class TestCli:
     def test_every_mode_is_wired(self):
         assert set(MODES) == {
-            "primes",
             "sieve",
             "weights",
             "construct",
@@ -395,10 +411,22 @@ class TestCli:
         }
 
     def test_primes_subcommand(self, capsys):
-        assert main(["primes", "--limit", "2000"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS] segmented_recount_matches" in out
-        assert "all 2 checks passed" in out
+        # the primes mode is gone: gk computes its gap records, and the
+        # tests read pi(n) from sieve_primes
+        with pytest.raises(SystemExit) as exit_info:
+            main(["primes"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gapchain [-h]")
+        assert "invalid choice: 'primes'" in err
+
+    def test_cover_profile_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cover", "--profile", "fixed-size"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gapchain")
+        assert "unrecognized arguments: --profile fixed-size" in err
 
     def test_maier_writes_certificate(self, tmp_path, capsys):
         code = main(["maier", "--seed", "5", "--out", str(tmp_path / "run")])
@@ -554,17 +582,87 @@ class TestCli:
             (["construct", "--x", "1e300"], "prime sieve window (5e+299, 1e+300]"),
             # used to blame the stable set: "no stable primes"
             (["construct", "--eta", "-1"], "eta = -1 must be nonnegative"),
+            # a malformed value names its option; each used to print only
+            # "invalid literal for int() with base 10"
+            (
+                ["gk", "--config", "[gk]\nlimit = ten\n"],
+                "[gk] limit = ten is not an integer",
+            ),
+            (
+                ["gk", "--config", "[run]\nseed = 1.5\n"],
+                "exp.ini: [run] seed = 1.5 is not an integer",
+            ),
+            (
+                ["weights", "--offsets", "0 2 x"],
+                "[weights] offsets = 0 2 x is not a list of integers",
+            ),
+            (
+                ["maier", "--config", "[maier]\ny = six hundred\n"],
+                "[maier] y = six hundred is not a number",
+            ),
+            # the primes mode and four options no run set are gone
+            (
+                ["gk", "--config", "[primes]\nlimit = 2000\n"],
+                "exp.ini: unknown section [primes]",
+            ),
+            (
+                ["cover", "--config", "[cover]\nprofile = fixed-size\n"],
+                "exp.ini: unknown [cover] key(s) profile;",
+            ),
+            (
+                ["cover", "--config", "[cover]\nr_cap = 5\n"],
+                "exp.ini: unknown [cover] key(s) r_cap;",
+            ),
+            (
+                ["maier", "--config", "[maier]\nmr_rounds = 48\n"],
+                "exp.ini: unknown [maier] key(s) mr_rounds;",
+            ),
+            (
+                ["weights", "--config", "[weights]\nq_sample = 25\n"],
+                "exp.ini: unknown [weights] key(s) q_sample;",
+            ),
         ],
     )
-    def test_rejected_option_value_exits(self, argv, message, capsys):
+    def test_rejected_option_value_exits(
+        self, argv, message, capsys, tmp_path, monkeypatch
+    ):
         # each used to end in a ValueError traceback; the usage and the
         # error name the subcommand, not the top-level parser
+        argv = write_config_text(argv, tmp_path, monkeypatch)
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: gapchain {argv[0]} [-h]")
         assert f"gapchain {argv[0]}: error: {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["construct", "--eta", "-1"], "eta = -1 must be nonnegative"),
+            # 0 used to end in a ZeroDivisionError traceback
+            (["construct", "--config", "[construct]\nmax_q = 0\n"], "max_q = 0 must"),
+            (["construct", "--config", "[construct]\nmax_q = -5\n"], "max_q = -5 must"),
+            (["maier", "--x", "150", "--y", "600", "--k", "0"], "k must be at least 1"),
+            (["maier", "--x", "150", "--y", "600", "--epsilon", "1.5"], "epsilon must"),
+            (["maier", "--x", "150", "--y", "600", "--trials", "0"], "trials must be"),
+        ],
+    )
+    def test_bad_option_is_refused_before_the_work(
+        self, argv, message, capsys, tmp_path, monkeypatch
+    ):
+        # construct built all 97 Maynard rows, and maier scanned its 200
+        # sampled rows (12.6 s at x = 400), before refusing these values
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the option was checked")
+
+        monkeypatch.setattr("gapchain.weights.build_weights", no_work)
+        monkeypatch.setattr("gapchain.maier._row_primes", no_work)
+        argv = write_config_text(argv, tmp_path, monkeypatch)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_maier_x_over_the_row_budget_is_refused_at_once(self, capsys):
         # validating the 664,579 classes up to x = 1e7 took over 30 s

@@ -595,10 +595,6 @@ class TestGapChainSearch:
 
     def test_search_validation(self, toy_frame, toy_sieved):
         rng = derive_random(0, "maier-bad")
-        for rounds in (0, MIN_MR_ROUNDS - 1, MAX_MR_ROUNDS + 1):
-            with pytest.raises(ValueError, match="mr_rounds"):
-                find_gap_chain(toy_frame, toy_sieved, k=2, epsilon=0.01,
-                               trials=1, rng=rng, mr_rounds=rounds)
         with pytest.raises(ValueError):
             find_gap_chain(toy_frame, toy_sieved, k=0, epsilon=0.01, trials=1, rng=rng)
         with pytest.raises(ValueError):

@@ -584,7 +584,10 @@ class TestContractReport:
         )
 
     def test_scalar_summaries(self, small_table):
-        report = weight_contract_report(small_table, q_sample=25, rng=derive_rng(0, "wcr"))
+        picked = derive_rng(0, "wcr").choice(
+            small_table.partition.target_primes, size=25, replace=False
+        )
+        report = weight_contract_report(small_table, q_values=picked.tolist())
         sums = list(report.row_sums.values())
         assert report.row_sum_ratio == pytest.approx(max(sums) / min(sums))
         assert report.zero_rows == 0
@@ -603,9 +606,9 @@ class TestContractReport:
 
     def test_guards(self, small_table):
         with pytest.raises(ValueError):
-            weight_contract_report(small_table, q_sample=5)  # rng missing
-        with pytest.raises(ValueError):
             weight_contract_report(small_table, off_offsets=[7])  # in tuple
+        with pytest.raises(ValueError, match="no target primes"):
+            weight_contract_report(small_table, q_values=[])
 
 
 class TestExactRowSums:
