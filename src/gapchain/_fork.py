@@ -1,10 +1,12 @@
-"""One pool of forked workers for independent items of work.
+"""Forked workers and threads for independent items of work.
 
 The Maier row scan (one item per row) and the Maynard row build (one item
 per batch of rows) both split their work into items that depend on
 nothing but state fixed before the split.  `fork_map` runs such items on
 one forked worker per usable CPU.  The workers inherit the state by fork,
 so it is never pickled: only the items go out and the results come back.
+`thread_map` runs items on threads instead, for numpy work that drops
+the GIL (the weight gathers), and joins them all, so `fork_map` can fork.
 """
 
 from __future__ import annotations
@@ -78,3 +80,22 @@ def fork_map(
                     futures += [pool.submit(_run_item, item) for item in items[1:]]
                     return [future.result() for future in futures]
     return [func(state, item) for item in items]
+
+
+def thread_map(
+    func: Callable[[Any, Any], Any], items: Sequence[Any], state: Any
+) -> list[Any]:
+    """[func(state, item) for item in items], in the order of items.
+
+    The first item runs here, the others on min(usable CPUs, len(items)) - 1
+    threads, all joined before this returns or raises the first error in
+    the order of items.  With one usable CPU every item runs here.
+    """
+    n = min(usable_cpus(), len(items))
+    if n < 2:
+        return [func(state, item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(n - 1) as pool:  # leaving the block joins them
+        rest = [pool.submit(func, state, item) for item in items[1:]]
+        first = func(state, items[0])
+        return [first] + [future.result() for future in rest]

@@ -93,8 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     parser = args.mode_parser
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.config is not None:
         try:
             cfg = ExperimentConfig.from_file(args.config)

@@ -25,15 +25,19 @@ A_s(n) = #{i : s | n + h_i p}.  A_s depends on n only mod s, so the
 product is constant on each class mod m and nonzero only on the CRT
 combinations of the <= r classes of each prime factor.  Rows are built by
 walking the m depth-first in increasing prime order and adding each term
-on those classes alone, for a batch of rows at once.  Every shift receives
-its terms in the order a dense pass over all m would add them, and each
-term left out would add exactly +-0.0, so the rows equal that dense sum
-bit for bit.  Batches depend on nothing but the table, so matrix() builds
-them on every usable CPU: forked workers (`_fork.fork_map`) each take
-whole batches and write rows and sums into one shared mapping, and every
-row is the same bits whichever worker built it.  Single points are
-evaluated independently by factoring the r translates.  The two paths
-agree to floating round-off and are cross-checked in the tests.
+on those classes alone, for a batch of rows at once: a modulus that
+repeats at least _STRIDED_ROWS times on the grid adds each distinct class
+of a row as one strided slice, a larger one every class of the batch in
+one fancy-indexed += (a repeated class is added once either way).  Every
+shift receives its terms in the order a dense pass over all m would add
+them, and each term left out would add exactly +-0.0, so the rows equal
+that dense sum bit for bit.  Batches depend on nothing but the table, so
+matrix() builds them on every usable CPU: forked workers
+(`_fork.fork_map`) each take whole batches and write rows and sums into
+one shared mapping, and every row is the same bits whichever worker built
+it.  Single points are evaluated independently by factoring the r
+translates.  The two paths agree to floating round-off and are
+cross-checked in the tests.
 
 Row sums are exact: exact_row_sums buckets each row's entries by binary
 exponent, splits each entry into two parts that every bucket sums without
@@ -70,11 +74,15 @@ __all__ = [
 
 # Maynard rows are built in batches whose padded work buffer stays within
 # this many bytes (a batch holds at least one row); each build worker holds
-# one such buffer at a time.  Small batches keep the fancy-indexed updates
-# near the cache: built serially on one core of a 2-core Xeon, the 97 rows
-# of x = 1400, theta = 1 took ~0.85 s in batches of 12 and ~1.2 s as one
-# batch.
+# one such buffer at a time.  Small batches keep the row updates near the
+# cache: on one core of a 2-core Xeon, the 97 rows of x = 1400, theta = 1
+# took 0.57 s in batches of 12 and 1.44 s as one (medians of 9 builds).
 _BATCH_BYTES = 1 << 22
+# A Maynard modulus that repeats this often on the grid adds each class of
+# a row as one strided slice; larger ones take one fancy-indexed += (~8 ns
+# an entry).  Timed as above: 0.79 s at 60, 0.60 s at 125, 0.57 s at 250,
+# 0.59 s at 500, 0.60 s at 1000 and 0.69 s with no slices.
+_STRIDED_ROWS = 250
 # Larger dense allocations are refused up front, with MatrixTooLarge.
 _MAX_BYTES = 1 << 30
 # exact_row_sums splits each entry after its top 27 significant bits; a
@@ -284,10 +292,8 @@ class WeightTable:
         # order in which every grid entry receives its terms.  A frame
         # (j, m, sign, cls, mult) resumes m's children, whose Moebius sign
         # is sign, at hits[j]; cls and mult hold, per row, the classes mod m
-        # on which prod_{s | m} A_s is nonzero and its value there.  A class
-        # can repeat (e.g. when s = p every offset shares one class), but
-        # always with the same value, so the repeated writes of one
-        # fancy-indexed += agree.
+        # on which prod_{s | m} A_s is nonzero and its value there; a class
+        # that repeats (when s = p, every offset's) has one value, added once.
         stack = [(0, 1, -1, np.zeros((R, 1), np.int64), np.ones((R, 1), np.int64))]
         while stack:
             j, m, sign, cls, mult = stack.pop()
@@ -307,7 +313,13 @@ class WeightTable:
             f = (1.0 - math.log(m2) / log_level) ** r
             rows = -(-length // m2)
             view = lam[:, : rows * m2].reshape(R, rows, m2)
-            view[each, :, cls2] += ((sign * f) * mult2)[:, :, None]
+            terms = (sign * f) * mult2
+            if rows < _STRIDED_ROWS:
+                view[each, :, cls2] += terms[:, :, None]
+            else:  # each distinct class of a row once, as one strided slice
+                for i, (ci, ti) in enumerate(zip(cls2.tolist(), terms.tolist())):
+                    for c, term in dict(zip(ci, ti)).items():
+                        view[i, :, c] += term
             stack.append((j + 1, m2, -sign, cls2, mult2))
         np.multiply(lam[:, :length], lam[:, :length], out=W)
         sums[:] = exact_row_sums(W)
@@ -533,6 +545,9 @@ def gathered_sums(
     WeightTable.matrix() does: a shift off the grid reads it, so it adds
     0, as does a zero row.  A boolean mask of that layout multiplies each
     raw entry before the division.  One set of buffers serves every h.
+    The targets go in one contiguous block per usable CPU to
+    `_fork.thread_map` (numpy drops the GIL in take, the ufuncs and the
+    sums); each block fills its own columns, the same bits for any split.
     """
     n, width = W.shape
     if rows.size and (rows.min() < 0 or rows.max() >= n):
@@ -545,19 +560,26 @@ def gathered_sums(
     idx = np.empty((q_arr.size, rows.size), dtype=np.int64)
     vals = np.empty(idx.shape)
     out = np.empty((len(offsets), q_arr.size))
-    for k, h in enumerate(offsets):
-        np.subtract.outer(q_arr, h * p_arr + n_min, out=idx)
-        # read as unsigned, a negative index exceeds width too: one
-        # minimum sends every shift off the grid to the zero slot
-        np.minimum(idx.view(np.uint64), width, out=idx.view(np.uint64))
-        idx += starts
-        # every index is in range, so "clip" never clips: it only spares
-        # take the copy of out that "raise" makes
-        np.take(padded, idx, out=vals, mode="clip")
-        if hits is not None:
-            vals *= np.take(hits, idx, mode="clip")
-        vals /= denom
-        vals.sum(axis=1, out=out[k])
+    n_blocks = max(1, min(_fork.usable_cpus(), q_arr.size))
+
+    def gather(_: None, block: int) -> None:
+        a, b = (q_arr.size * t // n_blocks for t in (block, block + 1))
+        ix, vs = idx[a:b], vals[a:b]
+        for k, h in enumerate(offsets):
+            np.subtract.outer(q_arr[a:b], h * p_arr + n_min, out=ix)
+            # read as unsigned, a negative index exceeds width too: one
+            # minimum sends every shift off the grid to the zero slot
+            np.minimum(ix.view(np.uint64), width, out=ix.view(np.uint64))
+            ix += starts
+            # every index is in range, so "clip" never clips: it only spares
+            # take the copy of out that "raise" makes
+            np.take(padded, ix, out=vs, mode="clip")
+            if hits is not None:
+                vs *= np.take(hits, ix, mode="clip")
+            vs /= denom
+            vs.sum(axis=1, out=out[k, a:b])
+
+    _fork.thread_map(gather, range(n_blocks), None)
     return out
 
 

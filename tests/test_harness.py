@@ -425,7 +425,8 @@ class TestCli:
             main(["cover", "--profile", "fixed-size"])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: gapchain")
+        # the cover subcommand's usage, as for every other usage error
+        assert err.startswith("usage: gapchain cover")
         assert "unrecognized arguments: --profile fixed-size" in err
 
     def test_maier_writes_certificate(self, tmp_path, capsys):

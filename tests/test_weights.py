@@ -9,6 +9,7 @@ or recursive accumulation tricks.
 import itertools
 import math
 import multiprocessing
+import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -82,6 +83,38 @@ def masked_gather(M, p_arr, q_arr, h, n_min):
     safe = np.where(ok, idx, 0)
     vals = M[np.arange(p_arr.size)[None, :], safe]
     return np.where(ok, vals, 0.0).sum(axis=1)
+
+
+def fancy_indexed_rows(table, ps):
+    """Oracle for the Maynard rows of ps, squared: the depth-first walk over
+    squarefree m with one fancy-indexed += per node, whatever its modulus,
+    and no pruning (a pruned node adds only past the grid's end)."""
+    R, r, n0 = len(ps), table.tuple.r, table.n_min
+    length = table.n_max - n0 + 1
+    log_level = math.log(table.level)
+    base = -np.outer(ps, table.tuple.offsets) - n0
+    hits = []
+    for s in table.support_primes:
+        cls = base % s
+        hits.append((s, cls, (cls[:, :, None] == cls[:, None, :]).sum(axis=2)))
+    lam = np.ones((R, length + math.ceil(table.level)))
+    each = np.arange(R)[:, None]
+    stack = [(0, 1, -1, np.zeros((R, 1), np.int64), np.ones((R, 1), np.int64))]
+    while stack:
+        j, m, sign, cls, mult = stack.pop()
+        if j == len(hits) or m * hits[j][0] >= table.level:
+            continue
+        s, cs, ks = hits[j]
+        stack.append((j + 1, m, sign, cls, mult))
+        t = ((cs[:, None, :] - cls[:, :, None]) * pow(m, -1, s)) % s
+        cls2 = (cls[:, :, None] + m * t).reshape(R, -1)
+        mult2 = (mult[:, :, None] * ks[:, None, :]).reshape(R, -1)
+        f = (1.0 - math.log(m * s) / log_level) ** r
+        rows = -(-length // (m * s))
+        view = lam[:, : rows * m * s].reshape(R, rows, m * s)
+        view[each, :, cls2] += ((sign * f) * mult2)[:, :, None]
+        stack.append((j + 1, m * s, -sign, cls2, mult2))
+    return lam[:, :length] * lam[:, :length]
 
 
 def with_zero_slots(A):
@@ -294,6 +327,30 @@ class TestDivisorSumRows:
             assert np.array_equal(alone[0], W[i])
             assert alone_sum[0] == sums[i]
 
+    def test_strided_and_fancy_nodes_match_the_fancy_oracle(
+        self, small_partition, pinned_table
+    ):
+        # x = 400 at level 400 (all 32 rows) and the first batch at x = 1400:
+        # the smallest support prime repeats often enough on the grid to be
+        # added by strided slices, the largest does not.  The offsets
+        # (0, 2, 6, 12) share a class mod 5 (2 and 12), so a strided node
+        # meets a repeated class, which must be added once.
+        x400 = [
+            build_weights(small_partition, t, kind="maynard", theta=1.0)
+            for t in (first_primes_tuple(4), AdmissibleTuple((0, 2, 6, 12)))
+        ]
+        batch = pinned_table._maynard_batches(97)[0]
+        for table, n in ((x400[0], 32), (x400[1], 32), (pinned_table, batch)):
+            length = table.n_max - table.n_min + 1
+            s = table.support_primes
+            assert -(-length // s[0]) >= weights_mod._STRIDED_ROWS
+            assert -(-length // s[-1]) < weights_mod._STRIDED_ROWS
+            ps, W, sums = table.matrix()
+            assert ps.size == (97 if table is pinned_table else 32)
+            want = fancy_indexed_rows(table, ps[:n].tolist())
+            assert W[:n].tobytes() == want.tobytes()
+            assert sums[:n].tobytes() == exact_row_sums(want).tobytes()
+
     def test_batch_size_leaves_rows_unchanged(self, small_partition, monkeypatch):
         t4 = first_primes_tuple(4)
         ref = build_weights(small_partition, t4, kind="maynard", theta=0.5)
@@ -436,6 +493,20 @@ class TestParallelRowBuild:
             for array in (W[11], W, sums):
                 with pytest.raises(ValueError):
                     array[0] = 5.0
+
+    def test_gather_threads_are_joined_before_a_fork(
+        self, small_partition, small_table, serial, monkeypatch
+    ):
+        # the contract gathers run on threads; every thread is joined when
+        # they return, so the next row build still forks its workers
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 3)
+        before = threading.active_count()
+        weight_contract_report(small_table)
+        assert threading.active_count() == before == 1
+        calls = parent_builds(monkeypatch)
+        _, W, sums = fresh_table(small_partition).matrix()
+        assert (W.tobytes(), sums.tobytes()) == serial
+        assert calls == []  # every batch was built in a forked worker
 
     def test_daemonic_worker_builds_here(self, small_partition, serial):
         # pool workers are daemonic and may not start processes of their own
@@ -687,6 +758,39 @@ class TestExactRowSums:
             exact_row_sums(np.ones((2, 2), dtype=np.float32))
 
 
+class TestThreadMap:
+    def test_results_come_back_in_item_order(self, monkeypatch):
+        here = threading.get_ident()
+        for cpus, shared in ((1, False), (3, True)):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
+            idents = {}
+
+            def work(state, item):
+                idents[item] = threading.get_ident()
+                return state * item
+
+            assert _fork.thread_map(work, range(7), 10) == [10 * i for i in range(7)]
+            assert threading.active_count() == 1  # every thread is joined
+            # the first item runs here; with one CPU every item does
+            assert idents[0] == here
+            assert (set(idents.values()) != {here}) == shared
+        assert _fork.thread_map(work, [], 10) == []
+
+    def test_error_in_a_worker_thread_is_raised_here(self, monkeypatch):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 3)
+        here = threading.get_ident()
+
+        def work(state, item):
+            if item in (2, 4):
+                raise ValueError(item, threading.get_ident())
+            return item
+
+        with pytest.raises(ValueError) as err:
+            _fork.thread_map(work, range(6), None)
+        item, ident = err.value.args
+        assert item == 2 and ident != here  # the first error in item order
+
+
 class TestGatheredSums:
     @pytest.fixture(scope="class")
     def normalized(self, small_table):
@@ -750,6 +854,41 @@ class TestGatheredSums:
         with np.errstate(all="raise"):
             got = gathered_sums(zero_W, sums, rows, p, q, [0], small_table.n_min)
         assert not got.any()
+
+    def test_gathers_do_not_depend_on_the_cpus(self, small_table, monkeypatch):
+        # the contract call (every row, the tuple's offsets) and the masked
+        # coverage call (a subset of rows, off-tuple offsets too), over
+        # every target, over 2 targets (3 CPUs leave a thread no block)
+        # and over 1
+        ps, W, sums = small_table.matrix()
+        n, width = W.shape
+        n_min = small_table.n_min
+        mask_buf = np.zeros((n, width + 1), dtype=bool)
+        mask_buf[:, :width] = derive_rng(1, "gather-mask").random((n, width)) < 0.5
+        rows = np.array([0, 3, 4, 17, 31])
+        offsets = list(small_table.tuple.offsets)
+        q_all = small_table.partition.target_primes.astype(np.int64)
+        mid = q_all.size // 2
+        real = _fork.usable_cpus()
+        for q in (q_all, q_all[mid : mid + 2], q_all[mid : mid + 1]):
+            calls = [
+                (W, sums, np.arange(n), ps, q, offsets, n_min),
+                (W, sums, rows, ps[rows], q, offsets + [-3, 2], n_min,
+                 mask_buf[:, :width]),
+            ]
+            got = {}
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # threads swap often mid-block
+            try:
+                for cpus in (1, real, 3):
+                    monkeypatch.setattr(_fork, "usable_cpus", lambda c=cpus: c)
+                    got[cpus] = [gathered_sums(*call) for call in calls]
+            finally:
+                sys.setswitchinterval(interval)
+            for sums_by_call in got.values():
+                for a, b in zip(sums_by_call, got[1]):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert all(s.any() for s in got[1])
 
     def test_refuses_rows_without_zero_slots(self, small_table, normalized):
         _, p, q = normalized
