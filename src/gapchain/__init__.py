@@ -23,8 +23,7 @@ _SUBMODULE = {
     for module, names in {
         "construction": (
             "ConstructionRun", "TargetCoverageReport", "correlation_probability",
-            "run_construction", "sample_small_classes", "select_stable_primes",
-            "target_coverage_report",
+            "run_construction", "select_stable_primes", "target_coverage_report",
         ),
         "covering": (
             "CoveringInstance", "CoverResult", "nibble_cover", "subset_leftover",
@@ -42,13 +41,13 @@ _SUBMODULE = {
             "primes_in_range", "sieve_primes", "smooth_count",
         ),
         "partition": (
-            "FORMULA_MODE_MIN_X", "TOY_MODE_MIN_X", "Params", "PrimePartition",
-            "build_partition", "derive_parameters",
+            "MIN_X", "Params", "PrimePartition", "build_partition",
+            "derive_parameters",
         ),
         "seeds": ("derive_random", "derive_rng", "derive_seed"),
         "sieving": (
-            "ResidualReport", "ResidueSystem", "SievedSet", "SmallClassVector",
-            "assemble_full_system", "greedy_rankin", "residual_smooth_set",
+            "ResidualReport", "ResidueSystem", "SievedSet", "assemble_full_system",
+            "greedy_rankin", "residual_smooth_set", "sample_classes",
             "sift_interval", "sifted_mask", "sifted_membership",
         ),
         "weights": (

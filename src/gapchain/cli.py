@@ -3,8 +3,9 @@
 Exit status is 0 exactly when every check in the run's report passed, so
 the tool can sit directly in shell pipelines and CI jobs.  A config file
 that cannot be read or parsed, or an option value the run rejects, or
-whose weight matrix it refuses up front as too large, is a usage error:
-the subcommand's usage, a one-line message and exit status 2, no traceback.
+whose weight matrix it refuses up front as too large, or an output path
+that is an existing file or cannot be written, is a usage error: the
+subcommand's usage, a one-line message and exit status 2, no traceback.
 """
 
 from __future__ import annotations
@@ -115,6 +116,9 @@ def main(argv: list[str] | None = None) -> int:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
         if value is not None:
             cfg.set(section, key, value)
+    out = None if cfg.out_dir is None else Path(cfg.out_dir)
+    if out is not None and out.exists() and not out.is_dir():  # before the run
+        parser.error(f"output directory {out} exists and is not a directory")
 
     try:
         report = run_experiment(cfg)
@@ -126,13 +130,16 @@ def main(argv: list[str] | None = None) -> int:
         status = "PASS" if check["passed"] else "FAIL"
         detail = f" ({check['detail']})" if check["detail"] else ""
         print(f"  [{status}] {check['name']}{detail}")
-    if cfg.out_dir is not None:
-        written = report.write(cfg.out_dir)
-        cert = report.metrics.get("certificate")
-        if cert is not None:
-            cert_path = Path(cfg.out_dir) / "certificate.json"
-            cert_path.write_text(json.dumps(cert, sort_keys=True, indent=1) + "\n")
-            written.append(cert_path)
+    if out is not None:
+        try:
+            written = report.write(out)
+            cert = report.metrics.get("certificate")
+            if cert is not None:
+                cert_path = out / "certificate.json"
+                cert_path.write_text(json.dumps(cert, sort_keys=True, indent=1) + "\n")
+                written.append(cert_path)
+        except OSError as exc:  # unwritable, or a file on the way
+            parser.error(f"output directory {out}: cannot write ({exc.strerror})")
         print("  wrote " + ", ".join(str(p) for p in written))
     failed = sum(1 for c in report.checks if not c["passed"])
     if failed:

@@ -2,8 +2,8 @@
 
 One run proceeds in four moves:
 
-  1. draw one uniform residue class per small prime (the small-class
-     vector), which carves out the sifted set;
+  1. draw one uniform residue class per small prime (a ResidueSystem
+     over the small primes), which carves out the sifted set;
   2. for every weighted prime p, compute exactly the survival mass:
      the normalized weight carried by shifts n for which every translate
      n + h_i p is sifted, i.e. the probability that a weighted random
@@ -33,11 +33,10 @@ import numpy as np
 
 from .nt import strike_classes
 from .seeds import derive_rng
-from .sieving import SmallClassVector, sifted_mask
+from .sieving import ResidueSystem, sample_classes, sifted_mask
 from .weights import WeightTable, draw_shift, exact_row_sums, gathered_sums
 
 __all__ = [
-    "sample_small_classes",
     "correlation_probability",
     "survival_mask",
     "select_stable_primes",
@@ -48,17 +47,6 @@ __all__ = [
 ]
 
 NORMALIZATION_RTOL = 1e-12
-
-
-def sample_small_classes(
-    small_primes: Iterable[int], rng: np.random.Generator
-) -> SmallClassVector:
-    """Independent uniform residue class for each small prime."""
-    residues = {
-        int(s): int(rng.integers(0, int(s)))
-        for s in sorted(int(s) for s in small_primes)
-    }
-    return SmallClassVector(residues)
 
 
 def correlation_probability(
@@ -84,7 +72,7 @@ def correlation_probability(
 
 
 def survival_mask(
-    table: WeightTable, p: int, small_classes: SmallClassVector
+    table: WeightTable, p: int, small_classes: ResidueSystem
 ) -> np.ndarray:
     """Boolean mask over the table's shift grid: shifts whose tuple is sifted."""
     p = int(p)
@@ -96,7 +84,7 @@ def survival_mask(
         table.n_min,
         [
             (s, (a - h * p) % s)
-            for s, a in small_classes.residues.items()
+            for s, a in small_classes.entries.items()
             for h in table.tuple.offsets
         ],
     )
@@ -128,7 +116,7 @@ class ConstructionRun:
     table: WeightTable
     seed: int
     eta: float
-    small_classes: SmallClassVector
+    small_classes: ResidueSystem
     sigma_r: float
     survival_mass: dict[int, float]
     stable_primes: list[int]
@@ -176,14 +164,16 @@ def run_construction(
 ) -> ConstructionRun:
     """Execute one full seeded run (draw classes, masses, stable shifts).
 
-    Determinism: the small-class vector and each prime's shift use
+    Determinism: the small classes and each prime's shift use
     substreams derived from (seed, label), so results do not depend on
     iteration order or on how many other draws happened in between.
     """
     _check_eta(eta)
     part = table.partition
-    rng_small = derive_rng(seed, "small-classes")
-    small_classes = sample_small_classes(part.small_primes, rng_small)
+    small_classes = sample_classes(
+        part.small_primes, derive_rng(seed, "small-classes"),
+        excluded=part.excluded_prime,
+    )
 
     ps, W, sums = table.matrix()
     # laid out like the matrix, each row followed by one False

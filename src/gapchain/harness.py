@@ -281,20 +281,13 @@ LEFTOVER_TOLERANCE = 0.5
 def _build_partition(cfg: ExperimentConfig) -> PrimePartition:
     from .partition import build_partition, derive_parameters
 
-    # desk-scale defaults: the window must fit every tuple translate (y/x
-    # above the largest offset) and the small primes must sit above the
-    # tuple difference scale 2 r^2, or the survival masses cannot track
-    # sigma^r.  Formula mode (no overrides) lives only in derive_parameters:
-    # below x ~ 1e15 its formulas give y <= x.
+    # a key the config does not set keeps derive_parameters' desk default
     sec = "partition"
-    x = cfg.getfloat(sec, "x", 1400.0)
-    z = cfg.getfloat(sec, "z", 80.0)
+    keys = ("y", "z", "small_low", "small_high")
+    overrides = {key: cfg.getfloat(sec, key, None) for key in keys}
     params = derive_parameters(
-        x,
-        y=cfg.getfloat(sec, "y", 15.0 * x),
-        z=z,
-        small_low=cfg.getfloat(sec, "small_low", 32.0),
-        small_high=cfg.getfloat(sec, "small_high", z),
+        cfg.getfloat(sec, "x", 1400.0),
+        **{key: v for key, v in overrides.items() if v is not None},
     )
     return build_partition(params, cfg.getint(sec, "excluded", 1))
 
@@ -509,7 +502,7 @@ def _run_maier(cfg: ExperimentConfig):
     from .maier import FrameWindow, GapChainCertificate, assemble_frame
     from .maier import find_gap_chain, sample_rows, verify_certificate
     from .seeds import derive_random, derive_rng
-    from .sieving import ResidueSystem, sift_interval
+    from .sieving import sample_classes, sift_interval
 
     timings: dict[str, float] = {}
     sec = "maier"
@@ -523,13 +516,11 @@ def _run_maier(cfg: ExperimentConfig):
     D = cfg.getint(sec, "D", 1)
 
     window = FrameWindow(x=x, y=y, excluded_prime=b0)
-    class_rng = derive_rng(cfg.seed, "maier-classes")
-    entries = {
-        int(p): int(class_rng.integers(0, int(p)))
-        for p in nt.primes_in_range(1, math.floor(x)).tolist()
-        if int(p) != b0
-    }
-    system = ResidueSystem(entries=entries, excluded=b0)
+    system = sample_classes(
+        nt.primes_in_range(1, math.floor(x)).tolist(),
+        derive_rng(cfg.seed, "maier-classes"),
+        excluded=b0,
+    )
     with _timed(timings, "frame"):
         frame = assemble_frame(system, window, D)
         survivors = sift_interval(math.floor(x), math.floor(y), system)

@@ -1,4 +1,4 @@
-"""Number-theoretic primitives: sieves, primality, CRT, iterated logs.
+"""Number-theoretic primitives: sieves, primality, CRT, Mertens products.
 
 Everything downstream (interval sieving, weight systems, covering
 experiments, certificate verification) is built on the functions here, so
@@ -41,8 +41,6 @@ __all__ = [
     "NonCoprimeModuliError",
     "crt_combine",
     "mertens_density",
-    "LogDomainError",
-    "log_iterates",
     "smooth_count",
     "chain_gap_record",
 ]
@@ -398,7 +396,7 @@ def crt_combine(congruences: Iterable[tuple[int, int]]) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# densities and logs
+# densities
 
 
 def mertens_density(primes: Iterable[int]) -> Fraction:
@@ -410,40 +408,6 @@ def mertens_density(primes: Iterable[int]) -> Fraction:
             raise ValueError(f"{p} is not a valid prime for a density product")
         out *= Fraction(p - 1, p)
     return out
-
-
-class LogDomainError(ValueError):
-    """An iterated logarithm left the positive domain."""
-
-    def __init__(self, k: int, value: float):
-        self.k = k
-        self.value = value
-        super().__init__(
-            f"iterate log_{k} = {value!r} is not positive; "
-            "increase x or lower the iteration depth"
-        )
-
-
-def log_iterates(x: float, depth: int) -> tuple[float, ...]:
-    """(log x, log log x, ...) to the given depth, all strictly positive.
-
-    Downstream parameter formulas divide by these iterates, so any
-    nonpositive value is rejected here with the iterate named rather than
-    surfacing later as a cryptic ZeroDivisionError.
-    """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    x = float(x)
-    if x <= 0:
-        raise ValueError(f"x = {x!r} must be positive")
-    vals: list[float] = []
-    cur = x
-    for k in range(1, depth + 1):
-        cur = math.log(cur)
-        if cur <= 0:
-            raise LogDomainError(k, cur)
-        vals.append(cur)
-    return tuple(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -487,20 +451,25 @@ def chain_gap_record(X: int, k: int = 1) -> int:
     X = int(X)
     if k < 1:
         raise ValueError("k must be at least 1")
-    chunks: list[np.ndarray] = []
+    # one segment at a time: each is scanned with the last prime and the
+    # last k - 1 gaps of the segments before it
+    best = 0
+    n_gaps = 0
+    tail = np.empty(0, dtype=np.int64)
     prev: int | None = None
     for seg in iter_prime_segments(X):
-        if prev is not None:
-            chunks.append(np.array([int(seg[0]) - prev], dtype=np.int64))
-        if seg.size > 1:
-            chunks.append(np.diff(seg))
+        gaps = np.diff(seg) if prev is None else np.diff(seg, prepend=prev)
         prev = int(seg[-1])
-    if not chunks:
+        n_gaps += gaps.size
+        gaps = np.concatenate((tail, gaps))
+        if gaps.size >= k:
+            windows = np.lib.stride_tricks.sliding_window_view(gaps, k)
+            best = max(best, int(windows.min(axis=1).max()))
+        tail = gaps[max(gaps.size - k + 1, 0) :]
+    if n_gaps == 0:
         raise ValueError(f"no prime gaps exist below X={X}")
-    gaps = np.concatenate(chunks)
-    if gaps.size < k:
+    if n_gaps < k:
         raise ValueError(
-            f"only {gaps.size} prime gaps below X={X}; need a run of {k}"
+            f"only {n_gaps} prime gaps below X={X}; need a run of {k}"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(gaps, k)
-    return int(windows.min(axis=1).max())
+    return best

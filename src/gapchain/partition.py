@@ -9,10 +9,8 @@ below y into three disjoint working sets:
   target_primes    primes in (x, y] that the construction tries to cover
 
 One distinguished modulus (`excluded_prime`, 1 for "none") is removed
-wherever it occurs.  Formula mode insists on x large enough for all three
-log iterates to be comfortably positive; passing any explicit override
-switches to toy mode, which accepts any x >= 100 so the whole pipeline can
-run at desk scale.
+wherever it occurs.  Every window is a desk-scale one: x >= 100, with
+defaults chosen so the whole pipeline runs on a laptop.
 """
 
 from __future__ import annotations
@@ -24,11 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .nt import is_prime, log_iterates, mertens_density, primes_in_range
+from .nt import is_prime, mertens_density, primes_in_range
 
 __all__ = [
-    "FORMULA_MODE_MIN_X",
-    "TOY_MODE_MIN_X",
+    "MIN_X",
     "Params",
     "derive_parameters",
     "PrimePartition",
@@ -36,11 +33,7 @@ __all__ = [
     "check_excluded_prime",
 ]
 
-# Smallest x whose third log iterate exceeds 1; below this the parameter
-# formulas are meaningless and only toy mode (explicit overrides) is allowed.
-FORMULA_MODE_MIN_X = math.exp(math.exp(math.e))
-
-TOY_MODE_MIN_X = 100.0
+MIN_X = 100.0
 
 
 @dataclass(frozen=True)
@@ -56,55 +49,44 @@ class Params:
     small_high: float
 
 
+def _check_small_window(small_low: float, small_high: float) -> None:
+    if small_low >= small_high:
+        raise ValueError(f"small window ({small_low!r}, {small_high!r}] is empty")
+
+
 def derive_parameters(
     x: float,
-    c: float = 0.1,
     *,
     y: float | None = None,
-    z: float | None = None,
-    small_low: float | None = None,
+    z: float = 80.0,
+    small_low: float = 32.0,
     small_high: float | None = None,
 ) -> Params:
-    """Derive the sieve window from x and c, with optional overrides.
+    """The desk-scale sieve window for x >= MIN_X.
 
-    With no overrides, requires x > FORMULA_MODE_MIN_X and evaluates
+    y defaults to 15 x and small_high to z.  The defaults keep every tuple
+    translate inside the window (y/x above the largest offset) and the
+    small primes above the tuple difference scale 2 r^2, or the survival
+    masses cannot track sigma^r.  u = log y / log z.
 
-        y = c * x * log x * log_3 x / log_2 x
-        z = x ** (log_3 x / (4 log_2 x))
-        small window = (log x ** 20, z]
-        u = log y / log z
-
-    Any explicit keyword switches to toy mode (x >= 100), where missing
-    fields still fall back to the formulas.  An overridden small window
-    that is empty raises; a formula one may be empty (see build_partition).
+    The paper's window, from Ford, Green, Konyagin, Maynard and Tao, is
+    y = c x log x log_3 x / log_2 x with small primes above (log x)^20.  At
+    c = 0.1 it gives y <= x for every x below 1.04e12, and at any x above
+    that the (x/2, x] sieve is over the 1 GiB cap, so no desk run can use
+    it.
     """
     x = float(x)
-    if not 0 < c < 0.5:
-        raise ValueError(f"c = {c!r} must lie in (0, 1/2)")
-    if all(v is None for v in (y, z, small_low, small_high)):
-        if x <= FORMULA_MODE_MIN_X:
-            raise ValueError(
-                f"x = {x!r} needs three positive log iterates "
-                f"(x > {FORMULA_MODE_MIN_X:.6g}); pass overrides for a toy run"
-            )
-    elif x < TOY_MODE_MIN_X:
-        raise ValueError(f"x = {x!r} is below the toy-mode minimum {TOY_MODE_MIN_X}")
-
-    l1, l2, l3 = log_iterates(x, 3)
-    y = c * x * l1 * l3 / l2 if y is None else float(y)
+    if x < MIN_X:
+        raise ValueError(f"x = {x!r} is below the minimum {MIN_X}")
+    y = 15.0 * x if y is None else float(y)
     if y <= x:
         raise ValueError(f"y = {y!r} must exceed x = {x!r}")
-    z = x ** (l3 / (4 * l2)) if z is None else float(z)
+    z = float(z)
     if z <= 1:
         raise ValueError(f"z = {z!r} must exceed 1")
-
-    window_overridden = small_low is not None or small_high is not None
-    small_low = l1**20 if small_low is None else float(small_low)
+    small_low = float(small_low)
     small_high = z if small_high is None else float(small_high)
-    if window_overridden and small_low >= small_high:
-        raise ValueError(
-            f"overridden small window ({small_low!r}, {small_high!r}] is empty"
-        )
+    _check_small_window(small_low, small_high)
     return Params(
         x=x, y=y, z=z, u=math.log(y) / math.log(z),
         small_low=small_low, small_high=small_high,
@@ -177,37 +159,27 @@ def build_partition(params: Params, excluded_prime: int = 1) -> PrimePartition:
     """Sieve out the three prime sets described by params.
 
     Raises if the excluded modulus is neither 1 nor a prime at most x, if
-    the small window reaches the weighted window, or if no target primes
-    exist.  A small window that is empty or holds no primes only warns:
-    derive_parameters already refused an empty overridden one, and a
-    formula window is empty at every realistic x, where the sieving
-    machinery runs fine with no small primes.
+    the small window is empty or reaches the weighted window, or if no
+    target primes exist.  A small window that holds no primes only warns.
     """
     b0 = int(excluded_prime)
     check_excluded_prime(b0, params.x)
 
     x, y = params.x, params.y
     small_low, small_high = params.small_low, params.small_high
+    _check_small_window(small_low, small_high)
     if small_high > x / 2:
         raise ValueError(
             f"small_high = {small_high!r} exceeds x/2 = {x / 2!r}; "
             "the small window would collide with the weighted window"
         )
-    if small_low >= small_high:
+    small = primes_in_range(math.floor(small_low), math.floor(small_high))
+    if small.size == 0:
         warnings.warn(
-            f"formula small window ({small_low:.4g}, {small_high:.4g}] is "
-            "empty at this x; proceeding with no small primes",
+            f"small window ({small_low:.4g}, {small_high:.4g}] contains "
+            "no primes",
             stacklevel=2,
         )
-        small = np.empty(0, dtype=np.int64)
-    else:
-        small = primes_in_range(math.floor(small_low), math.floor(small_high))
-        if small.size == 0:
-            warnings.warn(
-                f"small window ({small_low:.4g}, {small_high:.4g}] contains "
-                "no primes",
-                stacklevel=2,
-            )
 
     small = _drop_excluded(small, b0)
     weighted = _drop_excluded(

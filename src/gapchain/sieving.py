@@ -7,10 +7,11 @@ survives.  This module owns the data types for that story
   ResidueSystem     prime -> forbidden class, one distinguished modulus
                     exempted
   SievedSet         immutable bitmap of the survivors of an interval
-  SmallClassVector  the random classes chosen for the small primes only
 
-plus the operations that build full systems out of the partial random
-data, split the survivors into target primes versus smooth residue, and a
+plus the one sampler of uniform classes (`sample_classes`: the
+construction's small classes and the classes of a maier frame), the
+operations that build full systems out of the partial random data, split
+the survivors into target primes versus smooth residue, and a
 deterministic greedy baseline in the classical style of Erdos and Rankin
 for comparison runs.
 """
@@ -29,7 +30,7 @@ from .partition import PrimePartition
 __all__ = [
     "ResidueSystem",
     "SievedSet",
-    "SmallClassVector",
+    "sample_classes",
     "sift_interval",
     "sifted_membership",
     "sifted_mask",
@@ -110,34 +111,35 @@ def sift_interval(lo: int, hi: int, system: ResidueSystem) -> SievedSet:
     return SievedSet(lo=lo, hi=hi, bitmap=alive)
 
 
-@dataclass(frozen=True)
-class SmallClassVector:
-    """Chosen residue classes for the small primes, one class per prime."""
+def sample_classes(
+    primes: Iterable[int], rng: np.random.Generator, excluded: int = 1
+) -> ResidueSystem:
+    """One independent uniform class per prime, in ascending order of the
+    primes; `excluded` draws no class."""
+    entries = {
+        p: int(rng.integers(0, p))
+        for p in sorted(int(p) for p in primes)
+        if p != excluded
+    }
+    return ResidueSystem(entries, excluded=excluded)
 
-    residues: dict[int, int]
 
-    def __post_init__(self) -> None:
-        for s, a in self.residues.items():
-            if not 0 <= a < s:
-                raise ValueError(f"class {a} not reduced modulo {s}")
-
-
-def sifted_membership(n: int, small_classes: SmallClassVector) -> bool:
+def sifted_membership(n: int, small_classes: ResidueSystem) -> bool:
     """True iff n avoids every chosen small-prime class."""
     n = int(n)
-    return all(n % s != a for s, a in small_classes.residues.items())
+    return all(n % s != a for s, a in small_classes.entries.items())
 
 
-def sifted_mask(values: np.ndarray, small_classes: SmallClassVector) -> np.ndarray:
+def sifted_mask(values: np.ndarray, small_classes: ResidueSystem) -> np.ndarray:
     """Vectorized sifted_membership over an integer array."""
     keep = np.ones(values.shape, dtype=bool)
-    for s, a in small_classes.residues.items():
+    for s, a in small_classes.entries.items():
         keep &= (values % s) != a
     return keep
 
 
 def assemble_full_system(
-    small_classes: SmallClassVector,
+    small_classes: ResidueSystem,
     chosen_offsets: Mapping[int, int],
     partition: PrimePartition,
 ) -> ResidueSystem:
@@ -148,10 +150,8 @@ def assemble_full_system(
     modulus aside) forbids class 0, i.e. sieves out its own multiples.
     """
     small = {int(s) for s in partition.small_primes}
-    if set(small_classes.residues) != small:
-        raise ValueError(
-            "small-class vector does not cover exactly the small primes"
-        )
+    if set(small_classes.entries) != small:
+        raise ValueError("small classes do not cover exactly the small primes")
     weighted = {int(p) for p in partition.weighted_primes}
     missing = sorted(weighted - {int(p) for p in chosen_offsets})
     if missing:
@@ -164,7 +164,7 @@ def assemble_full_system(
         if p == partition.excluded_prime:
             continue
         if p in small:
-            entries[p] = small_classes.residues[p]
+            entries[p] = small_classes.entries[p]
         elif p in weighted:
             entries[p] = int(chosen_offsets[p]) % p
         else:

@@ -12,25 +12,32 @@ import gapchain as g
 from gapchain import (
     correlation_probability,
     run_construction,
-    sample_small_classes,
+    sample_classes,
     select_stable_primes,
     target_coverage_report,
 )
 from gapchain.construction import survival_mask
 from gapchain.seeds import derive_rng, derive_seed
-from gapchain.sieving import SmallClassVector, sifted_mask, sifted_membership
+from gapchain.sieving import ResidueSystem, sifted_mask, sifted_membership
 
 
 class TestSmallClassSampling:
     def test_ranges_and_determinism(self, small_partition):
         primes = small_partition.small_primes.tolist()
-        a = sample_small_classes(primes, derive_rng(3, "classes"))
-        b = sample_small_classes(primes, derive_rng(3, "classes"))
-        c = sample_small_classes(primes, derive_rng(4, "classes"))
-        assert a.residues == b.residues
-        assert a.residues != c.residues
-        assert sorted(a.residues) == primes
-        assert all(0 <= v < s for s, v in a.residues.items())
+        a = sample_classes(primes, derive_rng(3, "classes"))
+        b = sample_classes(primes, derive_rng(3, "classes"))
+        c = sample_classes(primes, derive_rng(4, "classes"))
+        assert a.entries == b.entries
+        assert a.entries != c.entries
+        assert sorted(a.entries) == primes
+        assert all(0 <= v < s for s, v in a.entries.items())
+
+    def test_draws_in_ascending_order_and_skips_the_excluded_prime(self):
+        # the maier frame's classes: one draw per prime up to x but b0
+        got = sample_classes([13, 2, 7, 3, 11, 5], derive_rng(3, "classes"), excluded=7)
+        rng = derive_rng(3, "classes")
+        want = {p: int(rng.integers(0, p)) for p in (2, 3, 5, 11, 13)}
+        assert got.entries == want and got.excluded == 7
 
 
 class TestCorrelationProbability:
@@ -70,7 +77,7 @@ class TestCorrelationProbability:
 
 class TestSurvival:
     def test_mask_matches_scalar_membership(self, small_table):
-        classes = SmallClassVector(
+        classes = ResidueSystem(
             {int(s): (i * 5) % int(s) for i, s in enumerate(
                 small_table.partition.small_primes
             )}
@@ -123,9 +130,9 @@ class TestConstructionRun:
         again = run_construction(pinned_table, seed=11, eta=0.1)
         assert again.chosen_offsets == pinned_run.chosen_offsets
         assert again.stable_primes == pinned_run.stable_primes
-        assert again.small_classes.residues == pinned_run.small_classes.residues
+        assert again.small_classes.entries == pinned_run.small_classes.entries
         other = run_construction(pinned_table, seed=12, eta=0.1)
-        assert other.small_classes.residues != pinned_run.small_classes.residues
+        assert other.small_classes.entries != pinned_run.small_classes.entries
 
     def test_negative_eta_is_refused_by_name(self, pinned_table):
         # it used to select no stable primes, which hid the cause

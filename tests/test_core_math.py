@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,12 +11,10 @@ import pytest
 import gapchain as g
 from gapchain.nt import (
     DETERMINISTIC_MR_LIMIT,
-    LogDomainError,
     bpsw,
     derived_mr_bases,
     factorize,
     iter_prime_segments,
-    log_iterates,
     mr_composite_witness,
     primes_after,
     smooth_count,
@@ -305,31 +304,6 @@ class TestDensitiesAndLogs:
         with pytest.raises(ValueError):
             g.mertens_density([1])
 
-    def test_log_iterates_values(self):
-        x = 1e8
-        l1, l2, l3 = log_iterates(x, 3)
-        assert l1 == pytest.approx(math.log(x), rel=1e-15)
-        assert l2 == pytest.approx(math.log(math.log(x)), rel=1e-15)
-        assert l3 == pytest.approx(math.log(math.log(math.log(x))), rel=1e-15)
-
-    def test_log_iterates_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
-        x = 3.9e6
-        vals = log_iterates(x, 3)
-        cur = mpmath.mpf(x)
-        for got in vals:
-            cur = mpmath.log(cur)
-            assert abs(got - float(cur)) < 1e-12
-
-    def test_domain_error_names_the_iterate(self):
-        with pytest.raises(LogDomainError) as exc:
-            log_iterates(2.0, 3)  # log log 2 < 0
-        assert exc.value.k == 2
-        with pytest.raises(ValueError):
-            log_iterates(-1.0, 1)
-        with pytest.raises(ValueError):
-            log_iterates(10.0, 0)
-
 
 class TestSmoothCounts:
     def test_matches_direct_enumeration(self):
@@ -365,6 +339,24 @@ class TestGapRecords:
             g.chain_gap_record(2)  # a single prime has no gaps
         with pytest.raises(ValueError):
             g.chain_gap_record(5, 5)  # two gaps cannot hold a run of five
+
+    def test_runs_across_segment_boundaries(self):
+        # three segments of 2**20 integers and a partial fourth
+        X = 3 * 2**20 + 17
+        gaps = np.diff(g.sieve_primes(X))
+        for k in (1, 2, 3, 4):
+            windows = np.lib.stride_tricks.sliding_window_view(gaps, k)
+            assert g.chain_gap_record(X, k) == int(windows.min(axis=1).max())
+
+    def test_memory_stays_near_one_segment(self):
+        # the gaps below X were once concatenated: 69 MB traced at 5e7
+        tracemalloc.start()
+        try:
+            g.chain_gap_record(50_000_000, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSeedDerivation:

@@ -429,6 +429,35 @@ class TestCli:
         assert err.startswith("usage: gapchain cover")
         assert "unrecognized arguments: --profile fixed-size" in err
 
+    def test_out_naming_a_file_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # gk ran in full, then ended in a FileExistsError traceback with
+        # exit status 1, the status of a failed check
+        afile = tmp_path / "afile"
+        afile.write_text("")
+
+        def no_work(cfg):
+            raise AssertionError("the run started")
+
+        monkeypatch.setitem(harness._RUNNERS, "gk", no_work)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gk", "--limit", "1000", "--out", str(afile)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gapchain gk [-h]")
+        assert f"gapchain gk: error: output directory {afile} exists" in err
+
+    def test_write_error_is_a_usage_error(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gk", "--limit", "1000", "--out", str(afile / "run")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gapchain gk [-h]")
+        assert f"output directory {afile / 'run'}: cannot write (" in err
+
     def test_maier_writes_certificate(self, tmp_path, capsys):
         code = main(["maier", "--seed", "5", "--out", str(tmp_path / "run")])
         assert code == 0

@@ -10,7 +10,6 @@ import gapchain as g
 from gapchain import (
     ResidueSystem,
     SievedSet,
-    SmallClassVector,
     assemble_full_system,
     greedy_rankin,
     residual_smooth_set,
@@ -91,12 +90,14 @@ class TestSievedSet:
 
 
 class TestSmallClassVector:
+    """The small classes of a construction are a ResidueSystem too."""
+
     def test_membership_scalar_vs_vector(self):
         rng = random.Random(derive_seed(0, "small-classes"))
-        classes = SmallClassVector(
+        classes = ResidueSystem(
             {p: rng.randrange(p) for p in (37, 41, 43, 47)}
         )
-        assert sorted(classes.residues) == [37, 41, 43, 47]
+        assert sorted(classes.entries) == [37, 41, 43, 47]
         values = np.arange(1, 4_000, dtype=np.int64)
         mask = sifted_mask(values, classes)
         scalars = np.array(
@@ -106,7 +107,7 @@ class TestSmallClassVector:
 
     def test_reduced_classes_only(self):
         with pytest.raises(ValueError):
-            SmallClassVector({37: 37})
+            ResidueSystem({37: 37})
 
 
 class TestAssembleFullSystem:
@@ -114,7 +115,7 @@ class TestAssembleFullSystem:
         part = small_partition
         small = {int(p): (i * 3) % int(p) for i, p in enumerate(part.small_primes)}
         offsets = {int(p): 7 * int(p) + 3 for p in part.weighted_primes}
-        system = assemble_full_system(SmallClassVector(small), offsets, part)
+        system = assemble_full_system(ResidueSystem(small), offsets, part)
         everyone = primes_in_range(1, 400).tolist()
         assert sorted(system.entries) == everyone
         assert system.excluded == 1
@@ -131,7 +132,7 @@ class TestAssembleFullSystem:
         part = g.build_partition(params, excluded_prime=37)
         small = {int(p): 0 for p in part.small_primes}
         offsets = {int(p): 0 for p in part.weighted_primes}
-        system = assemble_full_system(SmallClassVector(small), offsets, part)
+        system = assemble_full_system(ResidueSystem(small), offsets, part)
         assert 37 not in system.entries
         assert system.excluded == 37
 
@@ -142,11 +143,11 @@ class TestAssembleFullSystem:
         short = dict(small)
         short.pop(int(part.small_primes[0]))
         with pytest.raises(ValueError):
-            assemble_full_system(SmallClassVector(short), offsets, part)
+            assemble_full_system(ResidueSystem(short), offsets, part)
         extra = dict(small)
         extra[31] = 0
         with pytest.raises(ValueError):
-            assemble_full_system(SmallClassVector(extra), offsets, part)
+            assemble_full_system(ResidueSystem(extra), offsets, part)
 
     def test_missing_offsets_rejected(self, small_partition):
         part = small_partition
@@ -154,14 +155,14 @@ class TestAssembleFullSystem:
         offsets = {int(p): 0 for p in part.weighted_primes}
         offsets.pop(int(part.weighted_primes[-1]))
         with pytest.raises(ValueError):
-            assemble_full_system(SmallClassVector(small), offsets, part)
+            assemble_full_system(ResidueSystem(small), offsets, part)
 
 
 class TestResidualSmoothSet:
     def full_sieve(self, part):
         small = {int(p): 1 for p in part.small_primes}
         offsets = {int(p): 5 for p in part.weighted_primes}
-        system = assemble_full_system(SmallClassVector(small), offsets, part)
+        system = assemble_full_system(ResidueSystem(small), offsets, part)
         return sift_interval(
             math.floor(part.x), math.floor(part.y), system
         )

@@ -1,6 +1,7 @@
 """Parameter derivation and the three-way prime split it induces."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,52 +9,55 @@ import pytest
 
 import gapchain as g
 from gapchain.nt import is_prime
-from gapchain.partition import TOY_MODE_MIN_X
+from gapchain.partition import MIN_X
 
 
 class TestDeriveParameters:
-    def test_formula_mode_values(self):
-        # smallest convenient x where the derived interval end clears x
-        x = 1e14
-        params = g.derive_parameters(x)
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        l3 = math.log(l2)
-        assert params.y == pytest.approx(0.1 * x * l1 * l3 / l2, rel=1e-14)
-        assert params.y > x
-        assert params.z == pytest.approx(x ** (l3 / (4 * l2)), rel=1e-14)
-        assert params.u == pytest.approx(
-            math.log(params.y) / math.log(params.z), rel=1e-14
-        )
-        assert params.small_low == pytest.approx(l1**20)
-        assert params.small_high == params.z
+    def test_desk_defaults(self):
+        params = g.derive_parameters(1_400)
+        assert (params.x, params.y, params.z) == (1_400.0, 21_000.0, 80.0)
+        assert (params.small_low, params.small_high) == (32.0, 80.0)
+        assert params.u == math.log(21_000.0) / math.log(80.0)
 
-    def test_formula_mode_floor(self):
-        with pytest.raises(ValueError):
-            g.derive_parameters(3.0e6)  # below the triple-log floor
-        g.derive_parameters(3.0e6, y=1e8)  # same x is fine as a toy
-        with pytest.raises(ValueError):
-            g.derive_parameters(99.0, y=200.0)  # toy floor is 100
+    def test_min_x_floor(self):
+        g.derive_parameters(MIN_X)
+        with pytest.raises(ValueError, match="below the minimum 100"):
+            g.derive_parameters(99.0, y=200.0)
 
-    def test_any_override_switches_to_toy_mode(self):
-        p = g.derive_parameters(1_400, y=21_000.0, z=80.0, small_low=32.0)
-        assert p.x < TOY_MODE_MIN_X * 100
-        assert (p.y, p.z, p.small_low) == (21_000.0, 80.0, 32.0)
-        assert p.u == math.log(21_000.0) / math.log(80.0)
-        # untouched knobs still come from the formulas
-        assert p.small_high == p.z
+    def test_overrides_replace_defaults(self):
+        p = g.derive_parameters(1_400, y=30_000.0, z=60.0, small_low=40.0)
+        assert (p.y, p.z, p.small_low) == (30_000.0, 60.0, 40.0)
+        assert p.u == math.log(30_000.0) / math.log(60.0)
+        # small_high follows z unless it is set
+        assert p.small_high == 60.0
+        assert g.derive_parameters(1_400, z=60.0, small_high=70.0).small_high == 70.0
+
+    def test_y_alone_keeps_the_desk_small_window(self):
+        # the formula fallback took small_low = (log 400)**20 here, and the
+        # partition had no small primes (sigma = 1), with only a warning
+        params = g.derive_parameters(400, y=6_000.0)
+        assert params.z == 80.0
+        assert (params.small_low, params.small_high) == (32.0, 80.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            part = g.build_partition(params)
+        assert part.small_primes.tolist() == [
+            37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79
+        ]
+        assert part.sigma < 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(c=0.0),
-            dict(c=0.5),
-            dict(c=-0.1),
             dict(y=1e7),  # y must exceed x, not equal it
             dict(y=2e7, small_low=50.0, small_high=40.0),
             dict(y=90.0),
             dict(y=2e7, z=1.0),
             dict(y=2e7, z=0.5),
+            # every small window is checked, a defaulted end too
+            dict(z=30.0),  # small_high = z falls below small_low = 32
+            dict(small_high=20.0),
+            dict(small_low=80.0),  # (80, 80] is empty
         ],
     )
     def test_rejects_bad_inputs(self, kwargs):
@@ -109,11 +113,19 @@ class TestBuildPartition:
         g.build_partition(params, excluded_prime=397)  # the largest prime <= x
 
     def test_overridden_empty_small_window_raises(self):
-        with pytest.raises(ValueError, match="overridden small window"):
+        with pytest.raises(ValueError, match="small window"):
             g.derive_parameters(400, y=6_000.0, small_low=50.0, small_high=40.0)
-        # one overridden end is enough: the formula low end exceeds 40
-        with pytest.raises(ValueError, match="overridden small window"):
-            g.derive_parameters(400, y=6_000.0, small_high=40.0)
+        # one overridden end is enough: the default low end 32 exceeds 30
+        with pytest.raises(ValueError, match="small window"):
+            g.derive_parameters(400, y=6_000.0, small_high=30.0)
+
+    def test_inverted_hand_built_window_is_refused(self):
+        params = g.Params(
+            x=400.0, y=6_000.0, z=80.0, u=math.log(6_000.0) / math.log(80.0),
+            small_low=50.0, small_high=40.0,
+        )
+        with pytest.raises(ValueError, match=r"small window \(50.0, 40.0\] is empty"):
+            g.build_partition(params)
 
     def test_small_window_may_not_reach_the_weighted_window(self):
         # (32, 300] is a valid window, so derive_parameters accepts it
@@ -122,16 +134,6 @@ class TestBuildPartition:
         )
         with pytest.raises(ValueError, match="exceeds x/2"):
             g.build_partition(params)  # 300 > x/2 = 200
-
-    def test_formula_empty_small_window_warns(self):
-        # only y overridden: the small window keeps its formula values,
-        # which are inverted at this x, so the build warns and proceeds
-        params = g.derive_parameters(400, y=6_000.0)
-        assert params.small_low == pytest.approx(math.log(400) ** 20)
-        with pytest.warns(UserWarning):
-            part = g.build_partition(params)
-        assert part.small_primes.size == 0
-        assert part.sigma == Fraction(1)
 
     def test_overridden_primeless_window_warns_but_builds(self):
         params = g.derive_parameters(400, y=6_000.0, small_low=24.0, small_high=28.0)
