@@ -556,7 +556,8 @@ def _run_maier(cfg: ExperimentConfig):
                 coprime_escapes += 1
 
     found = isinstance(outcome, GapChainCertificate)
-    verified = bool(verify_certificate(outcome)) if found else False
+    with _timed(timings, "verify"):
+        verified = bool(verify_certificate(outcome)) if found else False
     metrics: dict[str, Any] = {
         "frame": {
             "x": frame.x,

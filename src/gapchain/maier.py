@@ -75,7 +75,7 @@ SPOT_CHECKS = 64  # window values re-checked against the frame both ways
 PAIR_SAMPLE = 8  # survivor pairs drawn for the pair statistics
 ROW_INDEX_BITS = 64  # searches draw z from [1, min(modulus**D, 2**this)]
 PRESIEVE_LIMIT = 1 << 18  # row values are presieved by the primes in (x, this]
-_LIMB_BITS = 30  # z mod q is folded in 30-bit limbs, so products fit in int64
+_LIMB_BITS = 30  # a scan folds modulus mod q in 30-bit limbs; products fit 64 bits
 # round counts a certificate may ask of the verifier: the minimum is the
 # search's count and the verifier's own policy, the cap bounds its work
 MIN_MR_ROUNDS = 48
@@ -209,50 +209,48 @@ def _check_window(frame: MaierFrame, T: SievedSet) -> None:
 class _RowScan:
     """What `_row_primes` needs of a frame, computed once per search.
 
-    offsets are the survivors of the window; for each prime q in
-    (x, PRESIEVE_LIMIT] it keeps modulus mod q, offset mod q and
-    2**_LIMB_BITS mod q, so a row's residues mod every q cost one numpy
-    pass per limb of z.
+    offsets are the survivors of the window.  For each prime q in
+    (x, PRESIEVE_LIMIT] it keeps, as uint64 arrays, q and the residues in
+    (0, q] of -modulus and of -(modulus + offset + x + 1), the negated
+    row-1 translate at mask slot 0.  Row z's first slot that q divides
+    then costs two uint64 passes, for z - 1 mod q and for the sum: z - 1,
+    as 2**64, the top row index, does not fit a uint64.
     """
 
     frame: MaierFrame
     offsets: np.ndarray
     qs: np.ndarray
-    modulus_mod: np.ndarray
-    offset_mod: np.ndarray
-    limb_mod: np.ndarray
+    neg_modulus_mod: np.ndarray
+    neg_start_mod: np.ndarray
 
 
-def _residues(n: int, qs: np.ndarray, limb_mod: np.ndarray) -> np.ndarray:
+def _residues(n: int, qs: np.ndarray) -> np.ndarray:
     """n mod q for every q <= PRESIEVE_LIMIT, by Horner's rule over n's limbs."""
-    limbs = []
-    while n:
-        limbs.append(n & ((1 << _LIMB_BITS) - 1))
-        n >>= _LIMB_BITS
-    out = np.zeros_like(qs)
-    for limb in reversed(limbs):
-        out = (out * limb_mod + limb) % qs
+    limb_mod, out = (1 << _LIMB_BITS) % qs, np.zeros_like(qs)
+    for i in reversed(range(0, n.bit_length(), _LIMB_BITS)):
+        out = (out * limb_mod + (n >> i & (1 << _LIMB_BITS) - 1)) % qs
     return out
 
 
 def _row_scan(frame: MaierFrame, T: SievedSet) -> _RowScan:
-    qs = primes_in_range(frame.x, PRESIEVE_LIMIT)
-    limb_mod = (1 << _LIMB_BITS) % qs
+    qs = primes_in_range(frame.x, PRESIEVE_LIMIT).astype(np.uint64)
+    slot0 = frame.modulus + frame.offset + frame.x + 1  # row 1, mask slot 0
     return _RowScan(
         frame=frame,
         offsets=T.members().astype(np.int64),
         qs=qs,
-        modulus_mod=_residues(frame.modulus, qs, limb_mod),
-        offset_mod=_residues(frame.offset, qs, limb_mod),
-        limb_mod=limb_mod,
+        neg_modulus_mod=qs - _residues(frame.modulus, qs),
+        neg_start_mod=qs - _residues(slot0, qs),
     )
 
 
 def _row_primes(scan: _RowScan, z: int) -> list[int]:
     """The survivor offsets a, ascending, whose row-z translate is prime.
 
-    Presieve: every translate with a prime factor q in (x, PRESIEVE_LIMIT]
-    other than itself is struck on a window-wide mask.  The rest are
+    z lies in [1, 2**64].  Presieve: every translate with a prime factor
+    q in (x, PRESIEVE_LIMIT] other than itself is struck on a window-wide
+    mask, by strided slices for q below the width and by one fancy
+    assignment for the rest, which strike one slot at most.  The rest are
     tested: below DETERMINISTIC_MR_LIMIT by the is_prime proof, above it
     by BPSW, so the verdicts above the limit are probable and carry no
     evidence.
@@ -260,24 +258,17 @@ def _row_primes(scan: _RowScan, z: int) -> list[int]:
     frame, qs = scan.frame, scan.qs
     width = frame.y - frame.x
     start = frame.row_value(z, frame.x + 1)  # the translate at mask slot 0
-    r = (
-        _residues(z, qs, scan.limb_mod) * scan.modulus_mod
-        + scan.offset_mod + (frame.x + 1)
-    ) % qs
-    first = -r % qs  # first slot whose translate q divides
+    # the first slot whose translate q divides: -start mod q
+    first = (np.uint64(z - 1) % qs * scan.neg_modulus_mod + scan.neg_start_mod) % qs
     if start <= PRESIEVE_LIMIT:
         # a translate equal to q is the prime q itself: skip to q's next multiple
         first = np.where(start + first == qs, first + qs, first)
-    hit = first < width
-    q, first = qs[hit], first[hit]
-    # the slots first, first + q, ... below width, for every q in one pass
-    counts = (width - 1 - first) // q + 1
-    group_start = np.cumsum(counts) - counts
-    slots = np.repeat(first - group_start * q, counts) + np.arange(
-        int(counts.sum())
-    ) * np.repeat(q, counts)
     alive = np.ones(width, dtype=bool)
-    alive[slots] = False
+    n_small = int(qs.searchsorted(np.uint64(width)))
+    for q, f in zip(qs[:n_small].tolist(), first[:n_small].tolist()):
+        alive[f::q] = False
+    first = first[n_small:]
+    alive[first[first < width]] = False
     base = start - (frame.x + 1)
     out = []
     for a in scan.offsets[alive[scan.offsets - (frame.x + 1)]].tolist():

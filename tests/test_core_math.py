@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gapchain as g
+from gapchain import nt
 from gapchain.nt import (
     DETERMINISTIC_MR_LIMIT,
     bpsw,
@@ -30,6 +31,68 @@ STRONG_LUCAS_PSEUDOPRIMES = (
     5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
     75077, 97439,
 )
+TRIAL_PRIMES = g.sieve_primes(1000).tolist()  # is_prime's trial divisors
+
+
+def strong_lucas_uv(n: int) -> bool:
+    """The strong Lucas test on the U/V ladder with Q**k carried along.
+
+    The ladder nt.strong_lucas replaced, kept as its oracle.
+    """
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = nt._jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def trial_division_loop(n: int):
+    """is_prime's trial-division stage as the loop it replaced, kept as its
+    oracle: (verdict, witness), or None when no prime below 1000 divides n."""
+    for p in TRIAL_PRIMES:
+        if n == p:
+            return "prime", None
+        if n % p == 0:
+            return "composite", p
+    return None
+
+
+def next_prime(n: int) -> int:
+    """The least (probable) prime >= n, by is_prime with 48 rounds."""
+    n |= 1
+    while not g.is_prime(n, 48):
+        n += 2
+    return n
 
 
 def brute_is_prime(n: int) -> bool:
@@ -200,6 +263,21 @@ class TestPrimality:
         assert derived_mr_bases(n + 2, 12) != b1
 
 
+    def test_trial_division_gcd_matches_loop(self):
+        rng = random.Random(17)
+        values = list(range(-3, 5000))
+        values += [rng.getrandbits(bits) for bits in (40, 100, 254) for _ in range(400)]
+        for n in values:
+            res, want = g.is_prime(n), trial_division_loop(n)
+            if n < 2:
+                assert res.method == "convention"
+            elif want is not None:
+                assert (res.verdict, res.method, res.witness) == (
+                    want[0], "trial_division", want[1]
+                )
+            else:
+                assert res.method == ("trial_division" if n < 10**6 else "miller_rabin")
+
     def test_lazy_bases_match_eager_scan(self):
         # is_prime derives bases one at a time; its verdict, witness, rounds
         # and bases must equal a scan of the full derived_mr_bases list
@@ -244,19 +322,42 @@ class TestBpsw:
         for r in (3, 5, 7, 11, 101, 1009, 2**31 - 1, 2**89 - 1):
             assert not strong_lucas(r * r) and not bpsw(r * r)
 
+    def test_strong_lucas_matches_uv_ladder(self):
+        rng = random.Random(41)
+        values = [
+            rng.getrandbits(bits) | 1 << bits - 1 | 1
+            for bits, count in ((64, 300), (254, 300), (600, 60))
+            for _ in range(count)
+        ]
+        for bits in (32, 127, 254):
+            for _ in range(4):
+                p = next_prime(rng.getrandbits(bits))
+                q = next_prime(p + 2)
+                values += [p, q, p * q, p * p]
+        verdicts = [(strong_lucas(n), strong_lucas_uv(n)) for n in values]
+        assert all(a == b for a, b in verdicts)
+        assert sum(a for a, _ in verdicts) >= 24  # the primes pass
+
+    def test_selfridge_q_is_a_unit(self):
+        # the Q = 1 ladder inverts Q mod n; before the ladder, the scan for
+        # D has already returned on every n that shares a prime with Q
+        for n in range(3, 10**5, 2):
+            if math.isqrt(n) ** 2 == n:
+                continue
+            D = 5
+            while (j := nt._jacobi(D, n)) != -1:
+                if j == 0 and abs(D) != n:
+                    break
+                D = -D - 2 if D > 0 else -D + 2
+            else:
+                assert math.gcd((1 - D) // 4, n) == 1, n
+
     def test_agrees_with_sieve_below_a_million(self):
         mask = sieve_mask(10**6)
         assert [n for n in range(-3, 10**6) if bpsw(n) != mask[max(n, 0)]] == []
 
     def test_agrees_with_full_rounds_on_large_values(self):
         rng = random.Random(29)
-
-        def next_prime(n):
-            n |= 1
-            while not g.is_prime(n, 48):
-                n += 2
-            return n
-
         values = [rng.randrange(2**299, 2**500) | 1 for _ in range(150)]
         for _ in range(6):
             p = next_prime(rng.randrange(2**150, 2**250))

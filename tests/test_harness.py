@@ -1,6 +1,7 @@
 """Experiment harness: config round trips, reports, every mode runner, CLI,
 and the package's public surface."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -362,6 +363,14 @@ class TestModeRunners:
     def test_maier_mode(self):
         report = run_experiment(make_config("maier", seed=5))
         assert report.all_passed
+        # the certificate check has a span of its own, and spans stay out
+        # of the metrics.json bytes
+        assert sorted(report.timings) == [
+            "frame", "row_stats", "search", "total", "verify"
+        ]
+        assert hashlib.sha256(report.metrics_json().encode()).hexdigest() == (
+            "630a0e14057c29cb753d7a7913fdf7831d9f4931f8379a0d570ce9ea17ca51cb"
+        )
         frame = report.metrics["frame"]
         assert frame["x"] == 36 and frame["y"] == 120
         assert frame["modulus_bits"] == 38

@@ -253,34 +253,49 @@ class TestRowScan:
 
     @pytest.mark.parametrize("x, y, seed", [(36.0, 120.0, 5), (150.0, 600.0, 5)])
     def test_row_primes_match_is_prime(self, x, y, seed, monkeypatch):
-        system = random_system(x, seed)
-        frame = assemble_frame(system, FrameWindow(x=x, y=y))
-        T = sift_interval(frame.x, frame.y, system)
-        scan = _row_scan(frame, T)
+        frame, T = random_frame(x, y, seed)
         rng = derive_random(seed, "row-scan-oracle")
-        # the range the searches draw from: 2**64 at x=150, where a z of
-        # up to 65 bits still spans three 30-bit limbs
+        # the range the searches draw from: 2**64 at x=150
         rows = [rng.randrange(1, frame.row_index_bound() + 1) for _ in range(6)]
-        for z in rows:
-            assert _row_primes(scan, z) == oracle_row(frame, T, z)
+        assert_rows_match_oracle(frame, T, rows, monkeypatch)
 
-        # exactly the translates with no prime factor in (x, PRESIEVE_LIMIT]
-        # reach a primality test: the proof at x=36, BPSW at x=150
-        tested = []
-        for name in ("is_prime", "bpsw"):
-            test = getattr(maier, name)
-            monkeypatch.setattr(
-                maier, name, lambda n, test=test: tested.append(n) or test(n)
+    def test_edge_row_indices(self, monkeypatch):
+        # 2**64, the top row index at x=150, is the one drawable z that
+        # does not fit a uint64; the second pass scans every slot, the
+        # last one (offset y) included
+        frame, T = random_frame(150.0, 600.0, 5)
+        assert frame.row_index_bound() == 2**64
+        everything = SievedSet(
+            lo=frame.x, hi=frame.y, bitmap=np.ones(frame.y - frame.x, dtype=bool)
+        )
+        for members in (T, everything):
+            assert_rows_match_oracle(
+                frame, members, [1, 2**64 - 1, 2**64], monkeypatch
             )
-        presieve = math.prod(primes_in_range(frame.x, PRESIEVE_LIMIT).tolist())
-        for z in rows:
-            tested.clear()
-            _row_primes(scan, z)
-            values = [frame.row_value(z, a) for a in T.members().tolist()]
-            assert tested == [v for v in values if math.gcd(v, presieve) == 1]
-            assert len(tested) < 0.6 * len(values)
-            over = [v > DETERMINISTIC_MR_LIMIT for v in values]
-            assert all(over) if x == 150.0 else not any(over)
+
+
+def assert_rows_match_oracle(frame, T, rows, monkeypatch):
+    """`_row_primes` equals `oracle_row` on every row, and exactly the
+    translates with no prime factor in (x, PRESIEVE_LIMIT] reach a
+    primality test, in order: the proof at x=36, BPSW at x=150."""
+    scan = _row_scan(frame, T)
+    for z in rows:
+        assert _row_primes(scan, z) == oracle_row(frame, T, z)
+    tested = []
+    for name in ("is_prime", "bpsw"):
+        test = getattr(maier, name)
+        monkeypatch.setattr(
+            maier, name, lambda n, test=test: tested.append(n) or test(n)
+        )
+    presieve = math.prod(primes_in_range(frame.x, PRESIEVE_LIMIT).tolist())
+    for z in rows:
+        tested.clear()
+        _row_primes(scan, z)
+        values = [frame.row_value(z, a) for a in T.members().tolist()]
+        assert tested == [v for v in values if math.gcd(v, presieve) == 1]
+        assert len(tested) < 0.6 * len(values)
+        over = [v > DETERMINISTIC_MR_LIMIT for v in values]
+        assert all(over) if frame.x == 150 else not any(over)
 
 
 def drawn_rows(monkeypatch):
@@ -337,8 +352,8 @@ class TestShortRows:
         assert max(seen) > bound >> 4  # spread over the range, not a corner
 
 
-def random_frame(x, y):
-    system = random_system(x, 5)
+def random_frame(x, y, seed=5):
+    system = random_system(x, seed)
     frame = assemble_frame(system, FrameWindow(x=x, y=y))
     return frame, sift_interval(frame.x, frame.y, system)
 
