@@ -3,8 +3,11 @@
 The Maier row scan (one item per row) and the Maynard row build (one item
 per batch of rows) both split their work into items that depend on
 nothing but state fixed before the split.  `fork_map` runs such items on
-one forked worker per usable CPU.  The workers inherit the state by fork,
-so it is never pickled: only the items go out and the results come back.
+one forked worker per usable CPU, in guided chunks: runs of consecutive
+items that shrink as the items run out, so a map of many cheap items
+costs a few round trips and the last chunks still balance the workers.
+The workers inherit the state by fork, so it is never pickled: only the
+chunks of items go out and their results come back.
 `thread_map` runs items on threads instead, for numpy work that drops
 the GIL (the weight gathers), and joins them all, so `fork_map` can fork.
 """
@@ -24,8 +27,9 @@ def _start_worker(func: Callable[[Any, Any], Any], state: Any) -> None:
     _worker_func, _worker_state = func, state
 
 
-def _run_item(item: Any) -> Any:
-    return _worker_func(_worker_state, item)
+def _run_chunk(chunk: list[Any]) -> list[Any]:
+    return [_worker_func(_worker_state, item) for item in chunk]
+
 
 
 def usable_cpus() -> int:
@@ -40,8 +44,10 @@ def fork_map(
 ) -> list[Any]:
     """[func(state, item) for item in items], in the order of items.
 
-    The items go to min(usable CPUs, len(items)) forked workers, one at a
-    time as each worker gets free.  func and state reach the workers by
+    The items go to min(usable CPUs, len(items)) forked workers in
+    guided chunks, runs of ceil(remaining items / (2 workers)) items, each
+    to the next worker that gets free; the first error in the order of
+    items is the one raised.  func and state reach the workers by
     fork (a forked worker's initializer arguments are not pickled), so
     func may write into memory that state shares with this process.  A
     worker that dies (a kill, the OOM killer) raises BrokenProcessPool
@@ -70,15 +76,20 @@ def fork_map(
             pass
         else:
             with pool:
-                try:  # the first item forks every worker
-                    futures = [pool.submit(_run_item, items[0])]
+                chunks, a = [], 0
+                while a < len(items):
+                    b = a - (a - len(items)) // (2 * workers)
+                    chunks.append(items[a:b])
+                    a = b
+                try:  # the first chunk forks every worker
+                    futures = [pool.submit(_run_chunk, chunks[0])]
                 except OSError:  # a fork failed: stop the workers that started
                     for proc in pool._processes.values():
                         proc.terminate()
                         proc.join()
                 else:
-                    futures += [pool.submit(_run_item, item) for item in items[1:]]
-                    return [future.result() for future in futures]
+                    futures += [pool.submit(_run_chunk, c) for c in chunks[1:]]
+                    return [out for f in futures for out in f.result()]
     return [func(state, item) for item in items]
 
 

@@ -19,9 +19,10 @@ primality test on it works on fewer bits.  Nothing here scans the full
 row space.  A sampled row's survivor translates are presieved by the
 primes in (x, PRESIEVE_LIMIT] and the rest tested by BPSW (by the
 Miller-Rabin proof below the deterministic limit).  Rows are independent,
-so `sample_rows` draws all of its row indices first, hands them one at a
-time to forked worker processes, one per usable CPU, and aggregates them
-in draw order: the statistics are the same bytes as a one-by-one scan.
+so `sample_rows` draws all of its row indices first, hands them in
+guided chunks to forked worker processes, one per usable CPU, and
+aggregates them in draw order: the statistics are the same bytes as a
+one-by-one scan.
 The gap-chain search stops at its first certifying row, so it scans its
 rows one at a time.  A successful row is packaged as a self-contained
 certificate: its listed primes are first re-tested with the full
@@ -281,9 +282,10 @@ def _row_primes(scan: _RowScan, z: int) -> list[int]:
 def _scan_rows(scan: _RowScan, zs: list[int]) -> list[list[int]]:
     """`_row_primes(scan, z)` for every z, in the order of zs.
 
-    The rows go one at a time to `_fork.fork_map`'s workers, one per
-    usable CPU, which inherit the scan: only z goes out and lists of
-    offsets come back.
+    The rows go in guided chunks (runs of consecutive rows that shrink
+    as the rows run out) to `_fork.fork_map`'s workers, one per usable
+    CPU, which inherit the scan: only the z go out and lists of offsets
+    come back.
     """
     return _fork.fork_map(_row_primes, zs, scan)
 
@@ -322,10 +324,10 @@ def sample_rows(
     chosen up front from the same generator; then all `trials` row
     indices are drawn, in the order a row-by-row loop would draw them.
     The rows are scanned by `_row_primes` (presieve, then BPSW above the
-    deterministic limit) in forked workers, one per usable CPU, and
-    aggregated in draw order, so the statistics do not depend on the
-    worker count.  The scan stays in this process wherever
-    `_fork.fork_map` cannot fork.
+    deterministic limit) in forked workers, one per usable CPU, which
+    take them in guided chunks; they are aggregated in draw order, so the
+    statistics do not depend on the worker count.  The scan stays in this
+    process wherever `_fork.fork_map` cannot fork.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

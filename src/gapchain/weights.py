@@ -76,12 +76,17 @@ __all__ = [
 # this many bytes (a batch holds at least one row); each build worker holds
 # one such buffer at a time.  Small batches keep the row updates near the
 # cache: on one core of a 2-core Xeon, the 97 rows of x = 1400, theta = 1
-# took 0.57 s in batches of 12 and 1.44 s as one (medians of 9 builds).
+# took 0.64 s in batches of 12 and 1.35 s as one (medians of 9 builds).
 _BATCH_BYTES = 1 << 22
+# exact_row_sums takes rows in chunks of at most this many bytes of
+# entries (a chunk holds at least one row), so that its temporaries stay
+# in L2 and reuse their memory from chunk to chunk.
+_SUM_BYTES = 1 << 18
 # A Maynard modulus that repeats this often on the grid adds each class of
 # a row as one strided slice; larger ones take one fancy-indexed += (~8 ns
-# an entry).  Timed as above: 0.79 s at 60, 0.60 s at 125, 0.57 s at 250,
-# 0.59 s at 500, 0.60 s at 1000 and 0.69 s with no slices.
+# an entry).  Timed as above, in two sweeps: 0.91 s at 60, 0.67 s at 125,
+# 0.61-0.70 s at 250 and at 500, 0.66-0.74 s at 1000, 0.71-0.73 s with
+# no slices.
 _STRIDED_ROWS = 250
 # Larger dense allocations are refused up front, with MatrixTooLarge.
 _MAX_BYTES = 1 << 30
@@ -157,7 +162,8 @@ def exact_row_sums(A: np.ndarray) -> np.ndarray:
     bincount per part, keyed by (row, exponent), sums every bucket
     exactly.  fsum of a row's nonzero bucket sums then rounds the exact
     total once, which is what fsum of the row returns.  Rows are taken in
-    chunks of about _BATCH_BYTES.
+    chunks of at most _SUM_BYTES of entries, or one row; each row's
+    buckets are its own, so the chunking never changes a bit.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.dtype != np.float64:
@@ -168,7 +174,7 @@ def exact_row_sums(A: np.ndarray) -> np.ndarray:
             f"rows of {n_cols} entries reach 2**26: a bucket sum could round"
         )
     out = np.zeros(n_rows)
-    step = max(1, _BATCH_BYTES // (8 * max(n_cols, 1)))
+    step = max(1, _SUM_BYTES // (8 * max(n_cols, 1)))
     for k in range(0, n_rows, step):
         block = A[k : k + step]
         if not np.isfinite(block).all():
@@ -278,15 +284,13 @@ class WeightTable:
         # s | n0 + j + h p; cnt counts the offsets sharing that class, which
         # is A_s(j) on it.  Primes with no class on the grid add nothing.
         base = -np.outer(ps, self.tuple.offsets) - n0
-        hits = []
-        for s in self.support_primes:
-            cls = base % s
-            if cls.min() >= length:
-                continue
-            cnt = (cls[:, :, None] == cls[:, None, :]).sum(axis=2)
-            hits.append((s, cls, cnt))
+        cls = base % np.array(self.support_primes, np.int64)[:, None, None]
+        cnt = (cls[..., :, None] == cls[..., None, :]).sum(axis=3)
+        on = (cls.min(axis=(1, 2)) < length).tolist()
+        hits = [h for h, k in zip(zip(self.support_primes, cls, cnt), on) if k]
         # lam[i, j] = lambda(p_i, n0 + j), starting from the m = 1 term F(0) = 1
         lam = np.ones((R, padded), dtype=np.float64)
+        lam_rows = list(lam)
         each = np.arange(R)[:, None]
         # Depth-first over squarefree m in increasing prime order: the
         # order in which every grid entry receives its terms.  A frame
@@ -308,18 +312,18 @@ class WeightTable:
             t = ((cs[:, None, :] - cls[:, :, None]) * pow(m, -1, s)) % s
             cls2 = (cls[:, :, None] + m * t).reshape(R, -1)
             mult2 = (mult[:, :, None] * ks[:, None, :]).reshape(R, -1)
-            if cls2.min() >= length:
+            if m2 > length and cls2.min() >= length:  # every class is below m2
                 continue  # no row has a class on the grid, here or below
             f = (1.0 - math.log(m2) / log_level) ** r
             rows = -(-length // m2)
-            view = lam[:, : rows * m2].reshape(R, rows, m2)
             terms = (sign * f) * mult2
             if rows < _STRIDED_ROWS:
+                view = lam[:, : rows * m2].reshape(R, rows, m2)
                 view[each, :, cls2] += terms[:, :, None]
             else:  # each distinct class of a row once, as one strided slice
-                for i, (ci, ti) in enumerate(zip(cls2.tolist(), terms.tolist())):
+                for row, ci, ti in zip(lam_rows, cls2.tolist(), terms.tolist()):
                     for c, term in dict(zip(ci, ti)).items():
-                        view[i, :, c] += term
+                        row[c:length:m2] += term
             stack.append((j + 1, m2, -sign, cls2, mult2))
         np.multiply(lam[:, :length], lam[:, :length], out=W)
         sums[:] = exact_row_sums(W)

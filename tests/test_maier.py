@@ -14,6 +14,7 @@ import sys
 import textwrap
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -487,8 +488,8 @@ class TestParallelRowScan:
                     os.kill(os.getpid(), signal.SIGKILL)
                 return state * item
 
-            try:
-                _fork.fork_map(item_3_kills_its_worker, list(range(8)), 10)
+            try:  # item 3 dies in the middle of the first chunk, items 0-9
+                _fork.fork_map(item_3_kills_its_worker, list(range(40)), 10)
             except BrokenProcessPool:
                 print("raised", len(multiprocessing.active_children()))
             print(_fork.fork_map(item_3_kills_its_worker, [1, 2], 10))
@@ -502,6 +503,78 @@ class TestParallelRowScan:
         assert proc.returncode == 0, proc.stderr
         # no child left running, and the next map still runs
         assert proc.stdout.splitlines() == ["raised 0", "[10, 20]"]
+
+    def test_two_hundred_rows_in_guided_chunks(self, monkeypatch):
+        # the benchmark's row sample: 200 rows at x = 150 go to 2 workers
+        # as 16 chunks and give the statistics of a serial scan
+        frame, T = random_frame(150.0, 600.0)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        serial = sample_rows(frame, T, 200, derive_random(5, "maier-rows"))
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        sent = pool_chunks(monkeypatch)
+        assert sample_rows(frame, T, 200, derive_random(5, "maier-rows")) == serial
+        assert [len(c) for c in sent] == [
+            50, 38, 28, 21, 16, 12, 9, 7, 5, 4, 3, 2, 2, 1, 1, 1
+        ]
+
+
+def pool_chunks(monkeypatch):
+    """The chunks of items that `fork_map` submits to its pool, in order."""
+    sent = []
+    submit = ProcessPoolExecutor.submit
+
+    def recorded(pool, fn, chunk):
+        sent.append(list(chunk))
+        return submit(pool, fn, chunk)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
+    return sent
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_guided_chunks_come_back_in_item_order(self, cpus, monkeypatch):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        sent = pool_chunks(monkeypatch)
+
+        def work(state, item):  # list results, some empty: none is flattened
+            return [state * item] * (item % 3)
+
+        for n in (0, 1, 2, 3, 4, 5, 9, 97, 200):
+            items = list(range(n))
+            sent.clear()
+            assert _fork.fork_map(work, items, 10) == [work(10, i) for i in items]
+            workers = min(cpus, n)
+            if workers < 2:
+                assert sent == []  # run here
+                continue
+            # contiguous runs over every item, ceil(remaining / (2 workers))
+            # long at most, ending in single items
+            assert [i for chunk in sent for i in chunk] == items
+            left = n
+            for chunk in sent:
+                assert 1 <= len(chunk) <= -(-left // (2 * workers))
+                left -= len(chunk)
+            assert len(sent[-1]) == 1
+            if n == 200:
+                assert len(sent) == {2: 16, 3: 23}[cpus]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_error_in_item_order_is_raised(self, cpus, monkeypatch):
+        # at 2 workers item 5 sits in the first chunk (items 0-9) and item
+        # 30 in the fifth (28-30); item 30 fails first, item 5's is raised
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+
+        def work(state, item):
+            if item == 5:
+                time.sleep(0.3)
+            if item in (5, 30):
+                raise ValueError(item)
+            return item
+
+        with pytest.raises(ValueError) as err:
+            _fork.fork_map(work, list(range(40)), None)
+        assert err.value.args == (5,)
 
 
 class TestGapChainSearch:

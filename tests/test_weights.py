@@ -351,6 +351,23 @@ class TestDivisorSumRows:
             assert W[:n].tobytes() == want.tobytes()
             assert sums[:n].tobytes() == exact_row_sums(want).tobytes()
 
+    def test_level_above_the_grid_matches_the_fancy_oracle(self):
+        # level 200**1.5 ~ 2828 against a 1201-wide grid: the support primes
+        # above the grid's width are nodes with m2 > length, the only ones
+        # on which the builder looks for a class on the grid.  The matrix,
+        # one batch of 21 rows, equals the unpruned oracle bit for bit.
+        # (test_rows_above_grid_width_match_oracle has nodes that prune.)
+        part = g.build_partition(g.derive_parameters(200, y=600))
+        table = build_weights(part, first_primes_tuple(4), kind="maynard", theta=1.5)
+        length = table.n_max - table.n_min + 1
+        assert (length, math.floor(table.level)) == (1201, 2828)
+        assert max(table.support_primes) > length
+        ps, W, sums = table.matrix()
+        assert ps.size == 21 and table._maynard_batches(21)[0] == 21
+        want = fancy_indexed_rows(table, ps.tolist())
+        assert W.tobytes() == want.tobytes()
+        assert sums.tobytes() == exact_row_sums(want).tobytes()
+
     def test_batch_size_leaves_rows_unchanged(self, small_partition, monkeypatch):
         t4 = first_primes_tuple(4)
         ref = build_weights(small_partition, t4, kind="maynard", theta=0.5)
@@ -686,11 +703,9 @@ class TestExactRowSums:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(A=_matrices(), rows_per_chunk=st.sampled_from([1, 2, 3, None]))
     def test_equals_fsum_bit_for_bit(self, A, rows_per_chunk):
-        # rows_per_chunk None keeps the default chunk, which holds every row
-        batch = weights_mod._BATCH_BYTES
-        if rows_per_chunk is not None:
-            batch = 8 * A.shape[1] * rows_per_chunk
-        with mock.patch.object(weights_mod, "_BATCH_BYTES", batch):
+        # rows_per_chunk None puts the whole matrix in one chunk
+        chunk = 8 * A.shape[1] * (rows_per_chunk or A.shape[0])
+        with mock.patch.object(weights_mod, "_SUM_BYTES", chunk):
             got = exact_row_sums(A)
         want = fsum_rows(A)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -716,7 +731,7 @@ class TestExactRowSums:
     def test_table_rows_span_several_chunks(self, small_table):
         _, W, sums = small_table.matrix()
         width = W.shape[1]
-        with mock.patch.object(weights_mod, "_BATCH_BYTES", 8 * width * 3):
+        with mock.patch.object(weights_mod, "_SUM_BYTES", 8 * width * 3):
             got = exact_row_sums(W)
         assert np.array_equal(got.view(np.int64), fsum_rows(W).view(np.int64))
         assert np.array_equal(got, sums)
@@ -741,7 +756,7 @@ class TestExactRowSums:
     def test_rejects_entries_outside_the_domain(self, bad, fault):
         A = np.ones((4, 6))
         A[3, 5] = bad
-        with mock.patch.object(weights_mod, "_BATCH_BYTES", 8 * 6):
+        with mock.patch.object(weights_mod, "_SUM_BYTES", 8 * 6):
             with pytest.raises(ValueError, match=fault):
                 exact_row_sums(A)  # the bad entry sits in the last chunk
 
