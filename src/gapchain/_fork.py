@@ -31,7 +31,6 @@ def _run_chunk(chunk: list[Any]) -> list[Any]:
     return [_worker_func(_worker_state, item) for item in chunk]
 
 
-
 def usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
