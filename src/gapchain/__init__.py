@@ -22,8 +22,8 @@ _SUBMODULE = {
     name: module
     for module, names in {
         "construction": (
-            "ConstructionRun", "TargetCoverageReport", "correlation_probability",
-            "run_construction", "select_stable_primes", "target_coverage_report",
+            "ConstructionRun", "TargetCoverageReport", "run_construction",
+            "select_stable_primes", "target_coverage_report",
         ),
         "covering": (
             "CoveringInstance", "CoverResult", "nibble_cover", "subset_leftover",
@@ -38,7 +38,7 @@ _SUBMODULE = {
         "nt": (
             "NonCoprimeModuliError", "PrimalityResult", "chain_gap_record",
             "crt_combine", "factorize", "is_prime", "mertens_density",
-            "primes_in_range", "sieve_primes", "smooth_count",
+            "primes_in_range", "sieve_primes",
         ),
         "partition": (
             "MIN_X", "Params", "PrimePartition", "build_partition",
@@ -48,7 +48,7 @@ _SUBMODULE = {
         "sieving": (
             "ResidualReport", "ResidueSystem", "SievedSet", "assemble_full_system",
             "greedy_rankin", "residual_smooth_set", "sample_classes",
-            "sift_interval", "sifted_mask", "sifted_membership",
+            "sift_interval", "sifted_mask",
         ),
         "weights": (
             "AdmissibleTuple", "WeightContractReport", "WeightTable",

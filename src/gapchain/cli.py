@@ -37,7 +37,6 @@ _EXTRA: dict[str, tuple[tuple[str, str, str, type], ...]] = {
     "weights": (
         ("--theta", "weights", "theta", float),
         ("--r", "weights", "r", int),
-        ("--offsets", "weights", "offsets", str),
         ("--kind", "weights", "kind", str),
         ("--x", "partition", "x", float),
     ),

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .sieving import ResidueSystem, sample_classes, sifted_mask
 from .weights import WeightTable, draw_shift, exact_row_sums, gathered_sums
 
 __all__ = [
-    "correlation_probability",
     "survival_mask",
     "select_stable_primes",
     "ConstructionRun",
@@ -47,28 +45,6 @@ __all__ = [
 ]
 
 NORMALIZATION_RTOL = 1e-12
-
-
-def correlation_probability(
-    points: Sequence[int], small_primes: Iterable[int]
-) -> Fraction:
-    """Exact probability that all the given points survive a uniform draw.
-
-    Independence across moduli makes this a finite product: for each
-    small prime s, the points occupy some number of distinct classes and
-    survival means the uniform class avoids them all.
-    """
-    pts = [int(n) for n in points]
-    if not pts:
-        raise ValueError("need at least one point")
-    if len(set(pts)) != len(pts):
-        raise ValueError("points must be distinct")
-    out = Fraction(1)
-    for s in small_primes:
-        s = int(s)
-        hit = len({n % s for n in pts})
-        out *= Fraction(s - hit, s)
-    return out
 
 
 def survival_mask(
@@ -152,11 +128,6 @@ class ConstructionRun:
 def _check_eta(eta: float) -> None:
     if not eta >= 0:
         raise ValueError(f"eta = {eta:g} must be nonnegative")
-
-
-def _check_max_q(max_q: int) -> None:
-    if max_q < 1:
-        raise ValueError(f"max_q = {max_q} must be at least 1")
 
 
 def run_construction(
@@ -292,7 +263,8 @@ def target_coverage_report(
     Sampling is deterministic and stratified: every stride-th surviving
     target, stride chosen so at most max_q targets are scored.
     """
-    _check_max_q(max_q)
+    if max_q < 1:
+        raise ValueError(f"max_q = {max_q} must be at least 1")
     table = run.table
     part = run.partition
     q_all = part.target_primes.astype(np.int64)

@@ -29,7 +29,6 @@ from .covering import nibble_cover, subset_leftover, synth_instance
 
 if TYPE_CHECKING:
     from .partition import PrimePartition
-    from .weights import AdmissibleTuple
 
 __all__ = [
     "MODES",
@@ -78,13 +77,11 @@ _SECTION_KEYS = {
     "partition": frozenset(
         {"x", "y", "z", "small_low", "small_high", "excluded"}
     ),
-    "sieve": frozenset({"medium_high"}),
-    "weights": frozenset({"kind", "theta", "r", "offsets"}),
-    "construct": frozenset({"eta", "max_q"}),
+    "weights": frozenset({"kind", "theta", "r"}),
+    "construct": frozenset({"eta"}),
     "cover": frozenset({"n_elements", "n_covers", "m"}),
     "maier": frozenset(
-        {"x", "y", "excluded", "k", "epsilon", "trials", "stat_trials", "d",
-         "soundness_draws"}
+        {"x", "y", "excluded", "k", "epsilon", "trials", "stat_trials"}
     ),
     "gk": frozenset({"limit", "k"}),
     "verify": frozenset({"certificate"}),
@@ -169,17 +166,6 @@ class ExperimentConfig:
         if not math.isfinite(value):
             raise ValueError(f"[{section}] {key} = {raw} is not a finite number")
         return value
-
-    def getints(
-        self, section: str, key: str, default: tuple[int, ...] | None
-    ) -> tuple[int, ...] | None:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        return _parse(
-            section, key, raw, lambda t: tuple(map(int, t.replace(",", " ").split())),
-            "a list of integers",
-        )
 
 
 def _parse(
@@ -292,21 +278,12 @@ def _build_partition(cfg: ExperimentConfig) -> PrimePartition:
     return build_partition(params, cfg.getint(sec, "excluded", 1))
 
 
-def _tuple_from_config(cfg: ExperimentConfig) -> AdmissibleTuple:
-    from .weights import AdmissibleTuple, first_primes_tuple
-
-    offsets = cfg.getints("weights", "offsets", None)
-    if offsets is not None:
-        return AdmissibleTuple(offsets)
-    return first_primes_tuple(cfg.getint("weights", "r", 4))
-
-
 def _build_table(cfg: ExperimentConfig, partition: PrimePartition):
-    from .weights import build_weights
+    from .weights import build_weights, first_primes_tuple
 
     table = build_weights(
         partition,
-        _tuple_from_config(cfg),
+        first_primes_tuple(cfg.getint("weights", "r", 4)),
         kind=cfg.get("weights", "kind", "maynard"),
         theta=cfg.getfloat("weights", "theta", 1.0),
     )
@@ -320,9 +297,7 @@ def _run_sieve(cfg: ExperimentConfig):
     timings: dict[str, float] = {}
     part = _build_partition(cfg)
     x, y = math.floor(part.x), math.floor(part.y)
-    medium_high = cfg.getfloat(
-        "sieve", "medium_high", min(part.x / 2, 25.0 * part.small_high)
-    )
+    medium_high = min(part.x / 2, 25.0 * part.small_high)
     medium = nt.primes_in_range(math.floor(part.small_high), math.floor(medium_high))
     medium = medium[medium != part.excluded_prime]
     with _timed(timings, "greedy"):
@@ -411,21 +386,18 @@ def _run_weights(cfg: ExperimentConfig):
 
 
 def _run_construct(cfg: ExperimentConfig):
-    from .construction import _check_eta, _check_max_q
-    from .construction import run_construction, target_coverage_report
+    from .construction import _check_eta, run_construction, target_coverage_report
 
     timings: dict[str, float] = {}
     eta = cfg.getfloat("construct", "eta", 0.1)
-    max_q = cfg.getint("construct", "max_q", 512)
-    _check_eta(eta)  # both refused before the table is built
-    _check_max_q(max_q)
+    _check_eta(eta)  # refused before the table is built
     part = _build_partition(cfg)
     with _timed(timings, "table"):
         table = _build_table(cfg, part)
     with _timed(timings, "construction"):
         run = run_construction(table, cfg.seed, eta=eta)
     with _timed(timings, "coverage"):
-        coverage = target_coverage_report(run, part.coverage_target, max_q=max_q)
+        coverage = target_coverage_report(run, part.coverage_target)
     metrics = {
         "construction": run.summary(),
         "coverage": coverage.summary(),
@@ -513,7 +485,8 @@ def _run_maier(cfg: ExperimentConfig):
     epsilon = cfg.getfloat(sec, "epsilon", 0.01)
     trials = cfg.getint(sec, "trials", 400)
     stat_trials = cfg.getint(sec, "stat_trials", 200)
-    D = cfg.getint(sec, "D", 1)
+    if stat_trials < 1:  # refused before the search, not by sample_rows after it
+        raise ValueError(f"[maier] stat_trials = {stat_trials} must be at least 1")
 
     window = FrameWindow(x=x, y=y, excluded_prime=b0)
     system = sample_classes(
@@ -522,7 +495,7 @@ def _run_maier(cfg: ExperimentConfig):
         excluded=b0,
     )
     with _timed(timings, "frame"):
-        frame = assemble_frame(system, window, D)
+        frame = assemble_frame(system, window)
         survivors = sift_interval(math.floor(x), math.floor(y), system)
     # the search first: it refuses a bad k, epsilon or trials before the
     # row sample's work; the two read separate streams, so order is free
@@ -545,7 +518,7 @@ def _run_maier(cfg: ExperimentConfig):
         )
 
     soundness_rng = derive_random(cfg.seed, "maier-soundness")
-    draws = cfg.getint(sec, "soundness_draws", 1000)
+    draws = 1000
     outside = 0
     coprime_escapes = 0
     for _ in range(draws):
@@ -562,7 +535,7 @@ def _run_maier(cfg: ExperimentConfig):
         "frame": {
             "x": frame.x,
             "y": frame.y,
-            "D": D,
+            "D": frame.D,
             "modulus_bits": frame.modulus.bit_length(),
             "row_space_bits": frame.row_space_bits(),
             "row_index_bits": frame.row_index_bound().bit_length(),

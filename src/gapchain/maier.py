@@ -644,6 +644,8 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
         )
     if cert.D < 1:
         return reject(f"row exponent D = {cert.D} is below 1")
+    if cert.x < 3:  # FrameWindow's floor: the window starts above 2
+        return reject(f"window start x = {cert.x} is below 3")
     # the primes up to x alone carry more than x bits
     if cert.x > DEFAULT_Z_BIT_BUDGET:
         return reject(f"x = {cert.x} puts the modulus over the row budget")

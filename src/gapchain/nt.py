@@ -41,7 +41,6 @@ __all__ = [
     "NonCoprimeModuliError",
     "crt_combine",
     "mertens_density",
-    "smooth_count",
     "chain_gap_record",
 ]
 
@@ -415,33 +414,6 @@ def mertens_density(primes: Iterable[int]) -> Fraction:
             raise ValueError(f"{p} is not a valid prime for a density product")
         out *= Fraction(p - 1, p)
     return out
-
-
-# ---------------------------------------------------------------------------
-# smooth numbers
-
-
-def smooth_count(y: float, z: float) -> int:
-    """Count integers 1 <= n <= y whose prime factors are all <= z.
-
-    Exhaustive depth-first enumeration over nondecreasing prime factor
-    sequences; each smooth number is generated exactly once.  1 is smooth.
-    """
-    limit = math.floor(y)
-    if limit < 1:
-        return 0
-    ps = [int(p) for p in sieve_primes(min(limit, math.floor(z)))]
-    count = 0
-    stack: list[tuple[int, int]] = [(1, 0)]
-    while stack:
-        val, idx = stack.pop()
-        count += 1
-        for j in range(idx, len(ps)):
-            nv = val * ps[j]
-            if nv > limit:
-                break
-            stack.append((nv, j))
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "SievedSet",
     "sample_classes",
     "sift_interval",
-    "sifted_membership",
     "sifted_mask",
     "assemble_full_system",
     "ResidualReport",
@@ -124,14 +123,8 @@ def sample_classes(
     return ResidueSystem(entries, excluded=excluded)
 
 
-def sifted_membership(n: int, small_classes: ResidueSystem) -> bool:
-    """True iff n avoids every chosen small-prime class."""
-    n = int(n)
-    return all(n % s != a for s, a in small_classes.entries.items())
-
-
 def sifted_mask(values: np.ndarray, small_classes: ResidueSystem) -> np.ndarray:
-    """Vectorized sifted_membership over an integer array."""
+    """True where a value avoids every chosen small-prime class."""
     keep = np.ones(values.shape, dtype=bool)
     for s, a in small_classes.entries.items():
         keep &= (values % s) != a

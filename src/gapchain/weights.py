@@ -35,9 +35,9 @@ that dense sum bit for bit.  Batches depend on nothing but the table, so
 matrix() builds them on every usable CPU: forked workers
 (`_fork.fork_map`) each take whole batches and write rows and sums into
 one shared mapping, and every row is the same bits whichever worker built
-it.  Single points are evaluated independently by factoring the r
-translates.  The two paths agree to floating round-off and are
-cross-checked in the tests.
+it.  The rows are the only evaluation of w: the tests check them against
+an independent point oracle that factors the r translates of one shift
+and sums over the divisors found, which agrees to floating round-off.
 
 Row sums are exact: exact_row_sums buckets each row's entries by binary
 exponent, splits each entry into two parts that every bucket sums without
@@ -55,7 +55,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _fork
-from .nt import factorize, primes_after, sieve_primes
+from .nt import primes_after, sieve_primes
 from .partition import PrimePartition
 
 __all__ = [
@@ -135,10 +135,6 @@ class AdmissibleTuple:
     @property
     def r(self) -> int:
         return len(self.offsets)
-
-    @property
-    def span(self) -> int:
-        return self.offsets[-1] - self.offsets[0]
 
 
 def first_primes_tuple(r: int) -> AdmissibleTuple:
@@ -369,60 +365,6 @@ class WeightTable:
             sums.setflags(write=False)
             self._matrix = (ps, W, sums)
         return self._matrix
-
-    # -- point evaluation ----------------------------------------------------
-
-    def _maynard_point(self, p: int, n: int) -> float:
-        r = self.tuple.r
-        level = self.level
-        log_level = math.log(level)
-        b0 = self.partition.excluded_prime
-        translates = [n + h * p for h in self.tuple.offsets]
-        if any(v == 0 for v in translates):
-            # zero is divisible by everything: every support prime counts
-            zeros = sum(1 for v in translates if v == 0)
-            counts = {}
-            for s in self.support_primes:
-                counts[s] = zeros + sum(
-                    1 for v in translates if v != 0 and v % s == 0
-                )
-        else:
-            counts = {}
-            for v in translates:
-                for s in factorize(abs(v)):
-                    if s <= r or s == b0 or not s < level:
-                        continue
-                    counts[s] = counts.get(s, 0) + 1
-        support = sorted(counts)
-
-        def descend(start: int, m: int, sign: int, mult: int) -> float:
-            total = 0.0
-            for j in range(start, len(support)):
-                s = support[j]
-                m2 = m * s
-                if m2 >= level:
-                    break
-                mult2 = mult * counts[s]
-                f = (1.0 - math.log(m2) / log_level) ** r
-                total += sign * f * mult2
-                total += descend(j + 1, m2, -sign, mult2)
-            return total
-
-        lam = 1.0 + descend(0, 1, -1, 1)
-        return lam * lam
-
-    def weight_at(self, p: int, n: int) -> float:
-        """w(p, n), evaluated independently of the matrix."""
-        p, n = int(p), int(n)
-        if n < self.n_min or n > self.n_max:
-            return 0.0
-        if self.kind == "uniform":
-            x, y = self.partition.x, self.partition.y
-            ok = all(
-                x < n + h * p <= y for h in self.tuple.offsets
-            )
-            return 1.0 if ok else 0.0
-        return self._maynard_point(p, n)
 
 
 def _build_batch(state: tuple, k: int) -> None:

@@ -10,7 +10,6 @@ import pytest
 
 import gapchain as g
 from gapchain import (
-    correlation_probability,
     run_construction,
     sample_classes,
     select_stable_primes,
@@ -18,7 +17,9 @@ from gapchain import (
 )
 from gapchain.construction import survival_mask
 from gapchain.seeds import derive_rng, derive_seed
-from gapchain.sieving import ResidueSystem, sifted_mask, sifted_membership
+from gapchain.sieving import ResidueSystem, sifted_mask
+
+from oracles import correlation_probability, sifted_membership, weight_at
 
 
 class TestSmallClassSampling:
@@ -159,7 +160,7 @@ class TestConstructionRun:
                 sifted_membership(n + h * p, run.small_classes)
                 for h in pinned_table.tuple.offsets
             )
-            assert pinned_table.weight_at(p, n) > 0.0
+            assert weight_at(pinned_table, p, n) > 0.0
         for p, xp in run.survival_mass.items():
             if p in stable:
                 assert abs(xp / run.sigma_r - 1) <= run.eta

@@ -18,7 +18,6 @@ from gapchain.nt import (
     iter_prime_segments,
     mr_composite_witness,
     primes_after,
-    smooth_count,
     strong_lucas,
 )
 
@@ -106,18 +105,6 @@ def sieve_mask(limit: int) -> np.ndarray:
     mask = np.zeros(limit + 1, dtype=bool)
     mask[g.sieve_primes(limit)] = True
     return mask
-
-
-def brute_smooth_count(y: int, z: int) -> int:
-    count = 0
-    for n in range(1, y + 1):
-        m = n
-        for p in range(2, z + 1):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            count += 1
-    return count
 
 
 class TestPrimeSieves:
@@ -404,16 +391,6 @@ class TestDensitiesAndLogs:
         assert g.mertens_density([]) == Fraction(1)
         with pytest.raises(ValueError):
             g.mertens_density([1])
-
-
-class TestSmoothCounts:
-    def test_matches_direct_enumeration(self):
-        for y, z in ((100, 5), (1_000, 7), (500, 2), (50, 50), (1, 3)):
-            assert smooth_count(y, z) == brute_smooth_count(y, z)
-
-    def test_degenerate(self):
-        assert smooth_count(0, 10) == 0
-        assert smooth_count(10, 1) == 1  # only n = 1 has no prime factor
 
 
 class TestGapRecords:

@@ -45,25 +45,17 @@ def write_config_text(argv, tmp_path, monkeypatch):
 
 class TestExperimentConfig:
     def test_typed_getters(self):
-        cfg = make_config(
-            "gk",
-            gk={"limit": "2000", "blank": "  "},
-            lists={"orders": "1, 2 5"},
-        )
+        cfg = make_config("gk", gk={"limit": "2000", "blank": "  "})
         assert cfg.getint("gk", "limit", 7) == 2_000
         assert cfg.getint("gk", "missing", 7) == 7
         assert cfg.get("gk", "blank", "fallback") == "fallback"
         assert cfg.getfloat("gk", "limit", 0.0) == 2_000.0
-        assert cfg.getints("lists", "orders", None) == (1, 2, 5)
-        assert cfg.getints("lists", "missing", (9,)) == (9,)
         # a malformed value names its option
-        bad = make_config("gk", gk={"limit": "ten"}, lists={"orders": "1 x"})
+        bad = make_config("gk", gk={"limit": "ten"})
         with pytest.raises(ValueError, match=r"^\[gk\] limit = ten is not an integer$"):
             bad.getint("gk", "limit", 7)
         with pytest.raises(ValueError, match=r"^\[gk\] limit = ten is not a number$"):
             bad.getfloat("gk", "limit", 0.0)
-        with pytest.raises(ValueError, match="orders = 1 x is not a list of integers"):
-            bad.getints("lists", "orders", None)
 
     def test_run_section_parsing(self):
         cfg = ExperimentConfig.from_ini(
@@ -95,6 +87,8 @@ class TestExperimentConfig:
             ("[DEFAULT]\nlimt = 9\n", "unknown [DEFAULT] key(s) limt"),
             # the primes mode is gone, and its section with it
             ("[primes]\nlimit = 2000\n", "unknown section [primes]"),
+            # so is [sieve], whose one key, medium_high, no run set
+            ("[sieve]\nmedium_high = 200\n", "unknown section [sieve]"),
         ],
     )
     def test_unknown_section_key_is_rejected(self, ini, message):
@@ -115,13 +109,9 @@ class TestExperimentConfig:
         small = {
             "sieve": {"partition": {"x": 200}},
             "weights": {"partition": {"x": 200}, "weights": {"theta": 0.5}},
-            "construct": {
-                "partition": {"x": 200},
-                "weights": {"theta": 0.5},
-                "construct": {"max_q": 16},
-            },
+            "construct": {"partition": {"x": 200}, "weights": {"theta": 0.5}},
             "cover": {"cover": {"n_elements": 500, "n_covers": 50}},
-            "maier": {"maier": {"trials": 5, "stat_trials": 5, "soundness_draws": 10}},
+            "maier": {"maier": {"trials": 5, "stat_trials": 5}},
             "gk": {"gk": {"limit": 500}},
             "verify": {"verify": {"certificate": tmp_path / "missing.json"}},
         }
@@ -277,15 +267,22 @@ class TestModeRunners:
             ),
             ("[run]\nmode = maier\n[maier]\nx = 36\n", "mr_rounds = 48\n"),
             ("[run]\nmode = weights\n[weights]\ntheta = 0.5\n", "q_sample = 25\n"),
+            ("[run]\nmode = weights\n[weights]\ntheta = 0.5\n", "offsets = 0 2 6\n"),
+            ("[run]\nmode = construct\n[construct]\neta = 0.1\n", "max_q = 64\n"),
+            ("[run]\nmode = maier\n[maier]\nx = 36\n", "d = 1\nsoundness_draws = 10\n"),
         ],
-        ids=["weights", "cover", "partition", "cover-instance", "maier", "weights-q"],
+        ids=[
+            "weights", "cover", "partition", "cover-instance", "maier", "weights-q",
+            "weights-offsets", "construct", "maier-d",
+        ],
     )
     def test_removed_keys_change_no_verdict(self, ini, removed):
         # the check bounds, the partition's r, epsilon, c, A, c0 and r0, the
-        # cover profile and edge cap, the search's Miller-Rabin rounds and
-        # the contracts' target sample were INI keys; nothing reads them
-        # now, so an INI that still sets them is rejected by name and runs
-        # nothing
+        # cover profile and edge cap, the search's Miller-Rabin rounds, the
+        # contracts' target sample, the weight tuple's offsets, the coverage
+        # sample's max_q, the frame's D and the soundness draws were INI
+        # keys; nothing reads them now, so an INI that still sets them is
+        # rejected by name and runs nothing
         ExperimentConfig.from_ini(ini)
         keys = sorted(line.split(" = ")[0] for line in removed.splitlines())
         with pytest.raises(ValueError, match=f"key\\(s\\) {', '.join(keys)};"):
@@ -310,12 +307,12 @@ class TestModeRunners:
             seed=1,
             partition={"x": 400},
             weights={"theta": 0.5},
-            construct={"eta": 0.3, "max_q": 64},
+            construct={"eta": 0.3},
         )
         report = run_experiment(cfg)
         assert report.all_passed
         assert report.metrics["construction"]["n_stable"] >= 1
-        assert report.metrics["coverage"]["n_q_sampled"] <= 64
+        assert report.metrics["coverage"]["n_q_sampled"] <= 512
         assert report.config["sections"]["construct"]["eta"] == "0.3"
         assert "out_dir" not in report.config
 
@@ -346,7 +343,6 @@ class TestModeRunners:
             seed=1,
             partition={"x": 400},
             weights={"theta": 0.5},
-            construct={"max_q": 64},
         )
         report = run_experiment(cfg)
         assert calls and calls[0][-1] == "table"  # the innermost open span
@@ -631,10 +627,8 @@ class TestCli:
                 ["gk", "--config", "[run]\nseed = 1.5\n"],
                 "exp.ini: [run] seed = 1.5 is not an integer",
             ),
-            (
-                ["weights", "--offsets", "0 2 x"],
-                "[weights] offsets = 0 2 x is not a list of integers",
-            ),
+            # the --offsets flag went with its [weights] offsets key
+            (["weights", "--offsets", "0 2 x"], "unrecognized arguments: --offsets"),
             (
                 ["maier", "--config", "[maier]\ny = six hundred\n"],
                 "[maier] y = six hundred is not a number",
@@ -660,6 +654,27 @@ class TestCli:
                 ["weights", "--config", "[weights]\nq_sample = 25\n"],
                 "exp.ini: unknown [weights] key(s) q_sample;",
             ),
+            # five keys that only tests set are constants now
+            (
+                ["sieve", "--config", "[sieve]\nmedium_high = 200\n"],
+                "exp.ini: unknown section [sieve]",
+            ),
+            (
+                ["weights", "--config", "[weights]\noffsets = 0 2 6\n"],
+                "exp.ini: unknown [weights] key(s) offsets;",
+            ),
+            (
+                ["construct", "--config", "[construct]\nmax_q = 64\n"],
+                "exp.ini: unknown [construct] key(s) max_q;",
+            ),
+            (
+                ["maier", "--config", "[maier]\nd = 1\n"],
+                "exp.ini: unknown [maier] key(s) d;",
+            ),
+            (
+                ["maier", "--config", "[maier]\nsoundness_draws = 10\n"],
+                "exp.ini: unknown [maier] key(s) soundness_draws;",
+            ),
         ],
     )
     def test_rejected_option_value_exits(
@@ -679,9 +694,18 @@ class TestCli:
         "argv, message",
         [
             (["construct", "--eta", "-1"], "eta = -1 must be nonnegative"),
-            # 0 used to end in a ZeroDivisionError traceback
-            (["construct", "--config", "[construct]\nmax_q = 0\n"], "max_q = 0 must"),
-            (["construct", "--config", "[construct]\nmax_q = -5\n"], "max_q = -5 must"),
+            # max_q = 0 used to end in a ZeroDivisionError traceback; the key
+            # is gone, and a file that sets it still builds nothing
+            (
+                ["construct", "--config", "[construct]\nmax_q = 0\n"],
+                "exp.ini: unknown [construct] key(s) max_q;",
+            ),
+            # used to run the whole search, then fail with the row sample's
+            # "trials must be at least 1", which names no option
+            (
+                ["maier", "--config", "[maier]\nstat_trials = 0\n"],
+                "[maier] stat_trials = 0 must be at least 1",
+            ),
             (["maier", "--x", "150", "--y", "600", "--k", "0"], "k must be at least 1"),
             (["maier", "--x", "150", "--y", "600", "--epsilon", "1.5"], "epsilon must"),
             (["maier", "--x", "150", "--y", "600", "--trials", "0"], "trials must be"),
@@ -691,7 +715,8 @@ class TestCli:
         self, argv, message, capsys, tmp_path, monkeypatch
     ):
         # construct built all 97 Maynard rows, and maier scanned its 200
-        # sampled rows (12.6 s at x = 400), before refusing these values
+        # sampled rows (12.6 s at x = 400) or its search rows, before
+        # refusing these values; a search row scan fails the test
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the option was checked")
 

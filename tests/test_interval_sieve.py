@@ -15,10 +15,11 @@ from gapchain import (
     residual_smooth_set,
     sift_interval,
     sifted_mask,
-    sifted_membership,
 )
 from gapchain.nt import primes_in_range
 from gapchain.seeds import derive_seed
+
+from oracles import sifted_membership
 
 
 def brute_sift(lo, hi, entries):

@@ -884,6 +884,17 @@ class TestVerifierRejections:
         at_demand = dataclasses.replace(toy_certificate, y=100 * g)
         assert verify_certificate(at_demand)
 
+    def test_window_start_below_three(self, toy_certificate):
+        # FrameWindow refuses x <= 2; this hand-made certificate, whose
+        # empty modulus puts the primes 2 and 3 at offsets 1 and 2, was
+        # accepted
+        handmade = dataclasses.replace(
+            toy_certificate, x=-5, y=100, modulus_str="1", offset_str="0",
+            z_str="1", k=1, prime_offsets=[1, 2], min_gap=1, evidence=[],
+        )
+        rejects(handmade, "window start x = -5 is below 3")
+        rejects(dataclasses.replace(toy_certificate, x=2), "x = 2 is below 3")
+
     def test_row_budget(self, toy_certificate):
         replace = dataclasses.replace
         rejects(replace(toy_certificate, D=0), "D = 0 is below 1")
