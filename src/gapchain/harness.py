@@ -88,16 +88,33 @@ _SECTION_KEYS = {
 }
 
 
+def _check_keys(
+    known: dict[str, frozenset[str]], section: str, keys: set[str]
+) -> None:
+    """Refuse a section that is not in known, or keys it does not know, by name."""
+    if section not in known:
+        raise ValueError(
+            f"unknown section [{section}]; known: "
+            + ", ".join(f"[{k}]" for k in known)
+        )
+    unknown = sorted(keys - known[section])
+    if unknown:
+        raise ValueError(
+            f"unknown [{section}] key(s) {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(known[section]))}"
+        )
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: a mode plus INI-style per-module option sections.
 
     The [run] section of the INI carries mode/seed/out; every other
     section is one of _SECTION_KEYS and is kept in `sections`, read
-    through the typed getters.  from_ini rejects an unknown section or
-    key by name, so a misspelt key cannot run at its default.  Keys are
-    case-insensitive: set and the getters lowercase them, as configparser
-    does.
+    through the typed getters.  from_ini and set reject an unknown
+    section or key by name, so a misspelt key cannot run at its default.
+    Keys are case-insensitive: set and the getters lowercase them, as
+    configparser does.
     """
 
     mode: str = ""
@@ -118,17 +135,7 @@ class ExperimentConfig:
         known = {"run": _RUN_KEYS, **_SECTION_KEYS}
         defaults = set(parser.defaults())
         for name, keys in [("run", run), *sections.items()]:
-            if name not in known:
-                raise ValueError(
-                    f"unknown section [{name}]; known: "
-                    + ", ".join(f"[{k}]" for k in known)
-                )
-            unknown = sorted(set(keys) - defaults - known[name])
-            if unknown:
-                raise ValueError(
-                    f"unknown [{name}] key(s) {', '.join(unknown)}; "
-                    f"known: {', '.join(sorted(known[name]))}"
-                )
+            _check_keys(known, name, set(keys) - defaults)
         unknown = sorted(
             key for key in defaults if not any(key in v for v in known.values())
         )
@@ -146,6 +153,7 @@ class ExperimentConfig:
         return cls.from_ini(Path(path).read_text(), str(path))
 
     def set(self, section: str, key: str, value: Any) -> None:
+        _check_keys(_SECTION_KEYS, section, {key.lower()})
         self.sections.setdefault(section, {})[key.lower()] = str(value)
 
     def get(self, section: str, key: str, default: str | None = None) -> str | None:

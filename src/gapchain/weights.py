@@ -23,21 +23,26 @@ Since the weight depends on the d_i only through m, summing over tuples
 reduces to a sum over squarefree m weighted by prod_{s | m} A_s(n) where
 A_s(n) = #{i : s | n + h_i p}.  A_s depends on n only mod s, so the
 product is constant on each class mod m and nonzero only on the CRT
-combinations of the <= r classes of each prime factor.  Rows are built by
-walking the m depth-first in increasing prime order and adding each term
-on those classes alone, for a batch of rows at once: a modulus that
-repeats at least _STRIDED_ROWS times on the grid adds each distinct class
-of a row as one strided slice, a larger one every class of the batch in
-one fancy-indexed += (a repeated class is added once either way).  Every
-shift receives its terms in the order a dense pass over all m would add
-them, and each term left out would add exactly +-0.0, so the rows equal
-that dense sum bit for bit.  Batches depend on nothing but the table, so
-matrix() builds them on every usable CPU: forked workers
-(`_fork.fork_map`) each take whole batches and write rows and sums into
-one shared mapping, and every row is the same bits whichever worker built
-it.  The rows are the only evaluation of w: the tests check them against
-an independent point oracle that factors the r translates of one shift
-and sums over the divisors found, which agrees to floating round-off.
+combinations of the <= r classes of each prime factor.  A batch of rows
+is built in two passes.  The first walks the m depth-first in increasing
+prime order, once for the whole batch, and lists each node m with the
+classes and terms of every row.  The second adds that list, node by node
+in walk order, to one block of rows at a time, a block whose padded
+buffer stays in L2, and squares the block into the matrix.  A modulus
+that repeats at least _STRIDED_ROWS times on the grid adds each distinct
+class of a row as one strided slice, a larger one every class of the
+block in one fancy-indexed += (a repeated class is added once either
+way).  Every shift receives its terms in the order a dense pass over all
+m would add them, whatever the batch and block, and each term left out
+would add exactly +-0.0, so the rows equal that dense sum bit for bit.
+Batches depend on nothing but the table, so matrix() builds one per
+usable CPU (more if their node lists would pass _NODE_BYTES): forked
+workers (`_fork.fork_map`) each take one batch at a time and write its
+rows and sums into one shared mapping, and every row is the same bits
+whichever worker built it.  The rows are the only evaluation of w: the
+tests check them against an independent point oracle that factors the r
+translates of one shift and sums over the divisors found, which agrees
+to floating round-off.
 
 Row sums are exact: exact_row_sums buckets each row's entries by binary
 exponent, splits each entry into two parts that every bucket sums without
@@ -72,22 +77,27 @@ __all__ = [
     "weight_contract_report",
 ]
 
-# Maynard rows are built in batches whose padded work buffer stays within
-# this many bytes (a batch holds at least one row); each build worker holds
-# one such buffer at a time.  Small batches keep the row updates near the
-# cache: on one core of a 2-core Xeon, the 97 rows of x = 1400, theta = 1
-# took 0.64 s in batches of 12 and 1.35 s as one (medians of 9 builds).
-_BATCH_BYTES = 1 << 22
+# Maynard rows take their node updates in blocks whose padded buffer stays
+# within this many bytes (a block holds at least one row), so that every
+# update hits L2.  On one core of a 2-core Xeon (2 MiB of L2 a core), the
+# 97 rows of x = 1400, theta = 1 (43,401 padded entries a row) took, in
+# medians of 11 builds, 0.68 s in blocks of 1 row, 0.50 s of 2, 0.42 s of
+# 3, 0.38 s of 4 (this budget), 0.43 s of 6, 0.48 s of 8, 0.53 s of 12.
+_BLOCK_BYTES = 3 << 19
+# A batch's node lists take 16 bytes a row for each CRT class of each node
+# (93 KB a row at x = 1400, theta = 1); a batch is cut to fewer rows than
+# its CPU's share if they would pass this many bytes (a batch holds at
+# least one row).
+_NODE_BYTES = 1 << 26
 # exact_row_sums takes rows in chunks of at most this many bytes of
 # entries (a chunk holds at least one row), so that its temporaries stay
 # in L2 and reuse their memory from chunk to chunk.
 _SUM_BYTES = 1 << 18
 # A Maynard modulus that repeats this often on the grid adds each class of
-# a row as one strided slice; larger ones take one fancy-indexed += (~8 ns
-# an entry).  Timed as above, in two sweeps: 0.91 s at 60, 0.67 s at 125,
-# 0.61-0.70 s at 250 and at 500, 0.66-0.74 s at 1000, 0.71-0.73 s with
-# no slices.
-_STRIDED_ROWS = 250
+# a row as one strided slice; larger ones take one fancy-indexed += on the
+# block.  Timed as above: 0.42 s at 125, 0.37 s at 250, 0.36 s at 500,
+# 0.42 s at 1000, 0.41 s with no slices.
+_STRIDED_ROWS = 500
 # Larger dense allocations are refused up front, with MatrixTooLarge.
 _MAX_BYTES = 1 << 30
 # exact_row_sums splits each entry after its top 27 significant bits; a
@@ -257,14 +267,32 @@ class WeightTable:
                 W[i, lo + 1 - self.n_min : hi + 1 - self.n_min] = 1.0
                 sums[i] = hi - lo
 
-    def _maynard_batches(self, n: int) -> tuple[int, int]:
-        """(rows per build batch, padded row width) for n Maynard rows.
+    def _maynard_batches(self, n: int) -> tuple[int, int, int]:
+        """(rows per batch, padded row width, node bytes per row) for n rows.
 
-        The padding lets a row reshape to (ceil(width / m), m) for every
+        A batch is one contiguous share of the n Maynard rows per usable
+        CPU, or fewer rows if its node lists would pass _NODE_BYTES.  The
+        padding lets a row reshape to (ceil(width / m), m) for every
         m < level and takes the terms of classes past the grid's end.
+        The node bytes bound what one row adds to its batch: a class and
+        a term (8 bytes each) for each of the r**omega(m) CRT combinations
+        of every node m, and a class and its count mod each support prime.
         """
-        padded = self.n_max - self.n_min + 1 + math.ceil(self.level)
-        return max(1, min(n, _BATCH_BYTES // (8 * padded))), padded
+        r, level, support = self.tuple.r, self.level, self.support_primes
+        entries = r * len(support)
+        stack = [(0, 1, 1)]  # (next prime, m, r**omega(m))
+        while stack:
+            j, m, k = stack.pop()
+            for i in range(j, len(support)):
+                if m * support[i] >= level:
+                    break
+                entries += k * r
+                stack.append((i + 1, m * support[i], k * r))
+        row_bytes = 16 * entries
+        share = -(-n // _fork.usable_cpus())
+        padded = self.n_max - self.n_min + 1 + math.ceil(level)
+        step = min(share, _NODE_BYTES // max(row_bytes, 1))
+        return max(1, step), padded, row_bytes
 
     def _maynard_rows(
         self, ps: list[int], W: np.ndarray, sums: np.ndarray, padded: int
@@ -284,16 +312,14 @@ class WeightTable:
         cnt = (cls[..., :, None] == cls[..., None, :]).sum(axis=3)
         on = (cls.min(axis=(1, 2)) < length).tolist()
         hits = [h for h, k in zip(zip(self.support_primes, cls, cnt), on) if k]
-        # lam[i, j] = lambda(p_i, n0 + j), starting from the m = 1 term F(0) = 1
-        lam = np.ones((R, padded), dtype=np.float64)
-        lam_rows = list(lam)
-        each = np.arange(R)[:, None]
-        # Depth-first over squarefree m in increasing prime order: the
-        # order in which every grid entry receives its terms.  A frame
-        # (j, m, sign, cls, mult) resumes m's children, whose Moebius sign
-        # is sign, at hits[j]; cls and mult hold, per row, the classes mod m
-        # on which prod_{s | m} A_s is nonzero and its value there; a class
-        # that repeats (when s = p, every offset's) has one value, added once.
+        # Pass 1 walks the squarefree m depth-first in increasing prime
+        # order, the order in which every grid entry receives its terms, and
+        # lists each node (m, rows of the grid mod m, classes, terms).  A
+        # frame (j, m, sign, cls, mult) resumes m's children, whose Moebius
+        # sign is sign, at hits[j]; cls and mult hold, per row, the classes
+        # mod m on which prod_{s | m} A_s is nonzero and its value there; a
+        # class that repeats (when s = p, every offset's) has one value.
+        nodes = []
         stack = [(0, 1, -1, np.zeros((R, 1), np.int64), np.ones((R, 1), np.int64))]
         while stack:
             j, m, sign, cls, mult = stack.pop()
@@ -311,18 +337,28 @@ class WeightTable:
             if m2 > length and cls2.min() >= length:  # every class is below m2
                 continue  # no row has a class on the grid, here or below
             f = (1.0 - math.log(m2) / log_level) ** r
-            rows = -(-length // m2)
-            terms = (sign * f) * mult2
-            if rows < _STRIDED_ROWS:
-                view = lam[:, : rows * m2].reshape(R, rows, m2)
-                view[each, :, cls2] += terms[:, :, None]
-            else:  # each distinct class of a row once, as one strided slice
-                for row, ci, ti in zip(lam_rows, cls2.tolist(), terms.tolist()):
+            nodes.append((m2, -(-length // m2), cls2, (sign * f) * mult2))
+            stack.append((j + 1, m2, -sign, cls2, mult2))
+        # Pass 2 adds the nodes, in that order, to one block of rows at a
+        # time; lam[i, j] = lambda(p_i, n0 + j), from the m = 1 term F(0) = 1
+        block = _block_rows(R, padded)
+        lam = np.empty((block, padded))
+        for a in range(0, R, block):
+            b = min(a + block, R)
+            lb = lam[: b - a]
+            lb.fill(1.0)
+            each = np.arange(b - a)[:, None]
+            for m2, rows, cls2, terms in nodes:
+                if rows < _STRIDED_ROWS:
+                    view = lb[:, : rows * m2].reshape(b - a, rows, m2)
+                    view[each, :, cls2[a:b]] += terms[a:b, :, None]
+                    continue
+                # each distinct class of a row once, as one strided slice
+                for row, ci, ti in zip(lb, cls2[a:b].tolist(), terms[a:b].tolist()):
                     for c, term in dict(zip(ci, ti)).items():
                         row[c:length:m2] += term
-            stack.append((j + 1, m2, -sign, cls2, mult2))
-        np.multiply(lam[:, :length], lam[:, :length], out=W)
-        sums[:] = exact_row_sums(W)
+            np.multiply(lb[:, :length], lb[:, :length], out=W[a:b])
+            sums[a:b] = exact_row_sums(W[a:b])
 
     def matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(primes, dense weight matrix on the full grid, row sums).
@@ -332,8 +368,8 @@ class WeightTable:
         row is followed in memory by one 0.0 (see gathered_sums); rows,
         zeros and sums share one anonymous shared mapping, so the
         Maynard batches are built by `_fork.fork_map` on every usable CPU:
-        each worker writes its batches' rows and sums in place, and
-        nothing comes back.
+        each worker builds its batch block by block and writes the rows
+        and sums in place, and nothing comes back.
         """
         if self._matrix is None:
             ps = self.partition.weighted_primes.astype(np.int64)
@@ -341,11 +377,13 @@ class WeightTable:
             width = self.n_max - self.n_min + 1
             est_bytes = 8 * n * (width + 2)  # rows, a zero after each, sums
             if self.kind == "maynard":
-                step, padded = self._maynard_batches(n)
+                step, padded, row_bytes = self._maynard_batches(n)
                 starts = list(range(0, n, step))
-                # every worker holds one padded batch buffer at a time
+                # every worker holds one batch's node lists and one padded
+                # block buffer at a time
                 workers = min(_fork.usable_cpus(), len(starts))
-                est_bytes += workers * step * padded * 8
+                block_bytes = 8 * _block_rows(step, padded) * padded
+                est_bytes += workers * (step * row_bytes + block_bytes)
             if est_bytes > _MAX_BYTES:
                 raise MatrixTooLarge(
                     f"dense weight matrix and its build buffers would need "
@@ -365,6 +403,11 @@ class WeightTable:
             sums.setflags(write=False)
             self._matrix = (ps, W, sums)
         return self._matrix
+
+
+def _block_rows(rows: int, padded: int) -> int:
+    """Rows per block of a batch of rows: at most _BLOCK_BYTES of padded rows."""
+    return max(1, min(rows, _BLOCK_BYTES // (8 * padded)))
 
 
 def _build_batch(state: tuple, k: int) -> None:

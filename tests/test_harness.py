@@ -45,10 +45,10 @@ def write_config_text(argv, tmp_path, monkeypatch):
 
 class TestExperimentConfig:
     def test_typed_getters(self):
-        cfg = make_config("gk", gk={"limit": "2000", "blank": "  "})
+        cfg = make_config("gk", gk={"limit": "2000", "k": "  "})
         assert cfg.getint("gk", "limit", 7) == 2_000
         assert cfg.getint("gk", "missing", 7) == 7
-        assert cfg.get("gk", "blank", "fallback") == "fallback"
+        assert cfg.get("gk", "k", "fallback") == "fallback"
         assert cfg.getfloat("gk", "limit", 0.0) == 2_000.0
         # a malformed value names its option
         bad = make_config("gk", gk={"limit": "ten"})
@@ -56,6 +56,23 @@ class TestExperimentConfig:
             bad.getint("gk", "limit", 7)
         with pytest.raises(ValueError, match=r"^\[gk\] limit = ten is not a number$"):
             bad.getfloat("gk", "limit", 0.0)
+
+    def test_set_refuses_an_unknown_section_or_key(self):
+        # the library path checks what from_ini checks: a removed key is
+        # refused, not stored, echoed in metrics.json and ignored
+        cfg = ExperimentConfig(mode="maier")
+        with pytest.raises(
+            ValueError, match=r"^unknown \[maier\] key\(s\) soundness_draws; known: "
+        ):
+            cfg.set("maier", "soundness_draws", 10)
+        with pytest.raises(ValueError, match=r"^unknown section \[sieve\]; known: "):
+            cfg.set("sieve", "medium_high", 200)
+        # mode, seed and out are attributes, not a section set can reach
+        with pytest.raises(ValueError, match=r"^unknown section \[run\]; known: "):
+            cfg.set("run", "seed", 5)
+        assert cfg.sections == {}
+        cfg.set("maier", "Stat_Trials", 3)
+        assert cfg.sections == {"maier": {"stat_trials": "3"}}
 
     def test_run_section_parsing(self):
         cfg = ExperimentConfig.from_ini(

@@ -353,14 +353,15 @@ class TestDivisorSumRows:
             assert W[:n].tobytes() == want.tobytes()
             assert sums[:n].tobytes() == exact_row_sums(want).tobytes()
 
-    def test_level_above_the_grid_matches_the_fancy_oracle(self):
+    def test_level_above_the_grid_matches_the_fancy_oracle(self, monkeypatch):
         # level 200**1.5 ~ 2828 against a 1201-wide grid: the support primes
         # above the grid's width are nodes with m2 > length, the only ones
         # on which the builder looks for a class on the grid.  The matrix,
-        # one batch of 21 rows, equals the unpruned oracle bit for bit.
-        # (test_rows_above_grid_width_match_oracle has nodes that prune.)
-        part = g.build_partition(g.derive_parameters(200, y=600))
-        table = build_weights(part, first_primes_tuple(4), kind="maynard", theta=1.5)
+        # on one CPU one batch of 21 rows, equals the unpruned oracle bit
+        # for bit.  (test_rows_above_grid_width_match_oracle has nodes that
+        # prune.)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        table = above_grid_table()
         length = table.n_max - table.n_min + 1
         assert (length, math.floor(table.level)) == (1201, 2828)
         assert max(table.support_primes) > length
@@ -370,15 +371,73 @@ class TestDivisorSumRows:
         assert W.tobytes() == want.tobytes()
         assert sums.tobytes() == exact_row_sums(want).tobytes()
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_blocked_build_matches_the_fancy_oracle(
+        self, small_partition, block, monkeypatch
+    ):
+        # blocks of 1, 2 and 3 rows, in one batch of every row: the 32 rows
+        # at x = 400, level 400 (strided and fancy nodes), and the 21 at
+        # x = 200, theta = 1.5 (level above the grid); 3 divides neither
+        # and 2 not 21, so those builds end in a short block
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        x400 = build_weights(
+            small_partition, first_primes_tuple(4), kind="maynard", theta=1.0
+        )
+        for table in (x400, above_grid_table()):
+            ps = table.partition.weighted_primes.tolist()
+            step, padded, _ = table._maynard_batches(len(ps))
+            assert step == len(ps)
+            monkeypatch.setattr(weights_mod, "_BLOCK_BYTES", 8 * padded * block)
+            assert weights_mod._block_rows(step, padded) == block
+            _, W, sums = table.matrix()
+            want = fancy_indexed_rows(table, ps)
+            assert W.tobytes() == want.tobytes()
+            assert sums.tobytes() == exact_row_sums(want).tobytes()
+
+    def test_matrix_bytes_do_not_depend_on_the_cpus(
+        self, small_partition, monkeypatch
+    ):
+        # one batch per CPU, of 32, 16 or 11 rows, in blocks of at most 15
+        # rows (12401 padded entries a row at level 400): 15 + 15 + 2 rows,
+        # 15 + 1 and 11
+        t4 = first_primes_tuple(4)
+        built = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
+            table = build_weights(small_partition, t4, kind="maynard", theta=1.0)
+            step, padded, _ = table._maynard_batches(32)
+            assert (step, weights_mod._block_rows(step, padded)) == (
+                (32, 15), (16, 15), (11, 11)
+            )[cpus - 1]
+            _, W, sums = table.matrix()
+            built.append((W.tobytes(), sums.tobytes()))
+        want = fancy_indexed_rows(table, table.partition.weighted_primes.tolist())
+        assert built == [(want.tobytes(), exact_row_sums(want).tobytes())] * 3
+
+    def test_level_below_every_support_prime_gives_rows_of_ones(
+        self, small_partition
+    ):
+        # level 400**0.25 ~ 4.47 leaves no prime in (r, level): the node
+        # lists are empty, and every row is the m = 1 term squared
+        table = build_weights(
+            small_partition, first_primes_tuple(4), kind="maynard", theta=0.25
+        )
+        assert table.support_primes == []
+        _, W, sums = table.matrix()
+        assert np.array_equal(W, np.ones(W.shape))
+        assert np.array_equal(sums, np.full(sums.shape, float(W.shape[1])))
+
     def test_batch_size_leaves_rows_unchanged(self, small_partition, monkeypatch):
         t4 = first_primes_tuple(4)
         ref = build_weights(small_partition, t4, kind="maynard", theta=0.5)
         ps = small_partition.weighted_primes.tolist()
         _, W, sums = ref.matrix()
-        padded = ref._maynard_batches(len(ps))[1]
+        # on one CPU the batch is every row, unless the node lists cap it
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
+        row_bytes = ref._maynard_batches(len(ps))[2]
         for rows_per_batch in (1, 5):
             monkeypatch.setattr(
-                weights_mod, "_BATCH_BYTES", 8 * padded * rows_per_batch
+                weights_mod, "_NODE_BYTES", row_bytes * rows_per_batch
             )
             table = build_weights(small_partition, t4, kind="maynard", theta=0.5)
             assert table._maynard_batches(len(ps))[0] == rows_per_batch
@@ -399,18 +458,31 @@ class TestDivisorSumRows:
         monkeypatch.setattr(weights_mod, "_MAX_BYTES", matrix_bytes)
         with pytest.raises(MemoryError, match="build buffer"):
             table.matrix()  # the matrix alone would fit
-        # with one row per batch each worker's buffer is one padded row,
-        # and every worker holds one
-        monkeypatch.setattr(weights_mod, "_BATCH_BYTES", 1)
+        # every worker holds its batch's node lists, which grow with the
+        # rows of the batch, and one padded block buffer of at most 16 rows
+        # here; the batches are one row each under a 1-byte node cap, else
+        # one share of the 32 rows per CPU
         padded = width + math.ceil(table.level)
-        for cpus in (1, 3):
+        row_bytes = table._maynard_batches(n)[2]
+        assert weights_mod._BLOCK_BYTES // (8 * padded) == 16
+        for cpus, node_cap, step, block in (
+            (1, 1, 1, 1),
+            (3, 1, 1, 1),
+            (1, None, 32, 16),
+            (2, None, 16, 16),
+            (3, None, 11, 11),
+        ):
             monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
-            cap = matrix_bytes + 8 * cpus * padded
-            monkeypatch.setattr(weights_mod, "_MAX_BYTES", cap - 1)
-            with pytest.raises(MemoryError, match="build buffers"):
-                table.matrix()
-            monkeypatch.setattr(weights_mod, "_MAX_BYTES", cap)
-            _, W, sums = fresh_table(small_partition).matrix()
+            with monkeypatch.context() as m:
+                if node_cap is not None:
+                    m.setattr(weights_mod, "_NODE_BYTES", node_cap)
+                assert table._maynard_batches(n)[0] == step
+                cap = matrix_bytes + cpus * (step * row_bytes + 8 * block * padded)
+                m.setattr(weights_mod, "_MAX_BYTES", cap - 1)
+                with pytest.raises(MemoryError, match="build buffers"):
+                    table.matrix()
+                m.setattr(weights_mod, "_MAX_BYTES", cap)
+                _, W, sums = fresh_table(small_partition).matrix()
             assert np.array_equal(W, small_table.matrix()[1])
             assert np.array_equal(sums, small_table.matrix()[2])
 
@@ -455,6 +527,12 @@ def fresh_table(partition, kind="maynard"):
     return build_weights(partition, first_primes_tuple(4), kind=kind, theta=0.5)
 
 
+def above_grid_table():
+    """The x = 200, y = 600, theta = 1.5 table: level 2828, grid 1201 wide."""
+    part = g.build_partition(g.derive_parameters(200, y=600))
+    return build_weights(part, first_primes_tuple(4), kind="maynard", theta=1.5)
+
+
 def parent_builds(monkeypatch):
     """The batches (lists of primes) built in this process, not in workers."""
     calls = []
@@ -479,10 +557,11 @@ def matrix_in_daemon_worker(partition):
 class TestParallelRowBuild:
     @pytest.fixture(autouse=True)
     def five_row_batches(self, small_partition, monkeypatch):
-        # the 32 rows of the small table build in 7 batches, split
-        # unevenly over 3 workers; forked workers inherit the setting
-        padded = fresh_table(small_partition)._maynard_batches(1)[1]
-        monkeypatch.setattr(weights_mod, "_BATCH_BYTES", 8 * padded * 5)
+        # a node cap of five rows' lists builds the 32 rows of the small
+        # table in 7 batches, split unevenly over 3 workers; forked workers
+        # inherit the setting
+        row_bytes = fresh_table(small_partition)._maynard_batches(1)[2]
+        monkeypatch.setattr(weights_mod, "_NODE_BYTES", 5 * row_bytes)
 
     @pytest.fixture
     def serial(self, small_partition, monkeypatch):
