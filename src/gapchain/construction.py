@@ -32,7 +32,7 @@ import numpy as np
 
 from .nt import strike_classes
 from .seeds import derive_rng
-from .sieving import ResidueSystem, sample_classes, sifted_mask
+from .sieving import ResidueSystem, sample_classes, sift_interval
 from .weights import WeightTable, draw_shift, exact_row_sums, gathered_sums
 
 __all__ = [
@@ -268,8 +268,10 @@ def target_coverage_report(
     table = run.table
     part = run.partition
     q_all = part.target_primes.astype(np.int64)
-    alive = sifted_mask(q_all, run.small_classes)
-    q_sifted = q_all[alive]
+    # every target lies in (floor x, floor y], the window of the bitmap
+    lo = math.floor(part.x)
+    T = sift_interval(lo, math.floor(part.y), run.small_classes)
+    q_sifted = q_all[T.bitmap[q_all - lo - 1]]
     if q_sifted.size == 0:
         raise ValueError("no sifted targets survive this small-class draw")
     stride = max(1, math.ceil(q_sifted.size / max_q))

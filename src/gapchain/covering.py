@@ -43,6 +43,10 @@ __all__ = [
 # 256 KiB and 47.7 MB whole.
 _CHUNK_BYTES = 1 << 16
 
+# an instance whose int64 arrays (8 bytes an element or an edge) would pass
+# 1 GiB is refused, as the sieves and the weight matrix are
+_MAX_BYTES = 1 << 30
+
 
 def _distinct_sorted(
     rng: np.random.Generator, universe: int, sizes: np.ndarray
@@ -84,6 +88,12 @@ class CoveringInstance:
             raise ValueError("need at least 10 elements")
         if self.n_covers < 1:
             raise ValueError("need at least one edge")
+        for name in ("n_elements", "n_covers"):
+            if 8 * getattr(self, name) > _MAX_BYTES:
+                raise ValueError(
+                    f"{name} = {getattr(self, name)} needs int64 arrays "
+                    "over the 1 GiB cap"
+                )
         if not (math.isfinite(self.coverage) and self.coverage > 0):
             raise ValueError(
                 f"coverage {self.coverage!r} is not a positive finite number"

@@ -189,23 +189,6 @@ def assemble_frame(
     return frame
 
 
-def _check_row_space(frame: MaierFrame) -> int:
-    if frame.row_space_bits() > DEFAULT_Z_BIT_BUDGET:
-        raise ValueError(
-            f"row space needs about {frame.row_space_bits()} bits, over the "
-            f"budget of {DEFAULT_Z_BIT_BUDGET}; lower x or D"
-        )
-    return frame.row_index_bound()
-
-
-def _check_window(frame: MaierFrame, T: SievedSet) -> None:
-    if (T.lo, T.hi) != (frame.x, frame.y):
-        raise ValueError(
-            f"sieved set covers ({T.lo}, {T.hi}] but the frame translates "
-            f"({frame.x}, {frame.y}]"
-        )
-
-
 @dataclass(frozen=True)
 class _RowScan:
     """What `_row_primes` needs of a frame, computed once per search.
@@ -234,6 +217,18 @@ def _residues(n: int, qs: np.ndarray) -> np.ndarray:
 
 
 def _row_scan(frame: MaierFrame, T: SievedSet) -> _RowScan:
+    """The scan of the frame's rows, once T is its window and its row
+    space is within the bit budget."""
+    if (T.lo, T.hi) != (frame.x, frame.y):
+        raise ValueError(
+            f"sieved set covers ({T.lo}, {T.hi}] but the frame translates "
+            f"({frame.x}, {frame.y}]"
+        )
+    if frame.row_space_bits() > DEFAULT_Z_BIT_BUDGET:
+        raise ValueError(
+            f"row space needs about {frame.row_space_bits()} bits, over the "
+            f"budget of {DEFAULT_Z_BIT_BUDGET}; lower x or D"
+        )
     qs = primes_in_range(frame.x, PRESIEVE_LIMIT).astype(np.uint64)
     slot0 = frame.modulus + frame.offset + frame.x + 1  # row 1, mask slot 0
     return _RowScan(
@@ -331,9 +326,8 @@ def sample_rows(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    _check_window(frame, T)
-    Z = _check_row_space(frame)
     scan = _row_scan(frame, T)
+    Z = frame.row_index_bound()
     offsets = scan.offsets.tolist()
 
     pairs: list[tuple[int, int]] = []
@@ -473,9 +467,8 @@ def find_gap_chain(
         raise ValueError("trials must be at least 1")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    _check_window(frame, T)
-    Z = _check_row_space(frame)
     scan = _row_scan(frame, T)
+    Z = frame.row_index_bound()
     survivor_set = set(scan.offsets.tolist())
     gap_demand = epsilon * frame.y
 

@@ -19,7 +19,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +27,7 @@ __all__ = [
     "strike_classes",
     "sieve_primes",
     "primes_in_range",
-    "iter_prime_segments",
+    "check_sieve_window",
     "primes_after",
     "factorize",
     "PrimalityResult",
@@ -48,8 +48,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # sieves
 
-# a prime sieve takes one byte per integer of its window: larger windows
-# are refused, as weights refuses a matrix over the same 1 GiB
+# a sieve (of primes here, of classes in sieving) takes one byte per
+# integer of its window: larger windows are refused, as weights refuses a
+# matrix over the same 1 GiB
 _SIEVE_MAX_BYTES = 1 << 30
 
 
@@ -66,24 +67,15 @@ def sieve_primes(limit: int) -> np.ndarray:
     return primes_in_range(1, limit)
 
 
-def iter_prime_segments(
-    limit: int, segment_size: int = 1 << 20
-) -> Iterator[np.ndarray]:
-    """Yield consecutive nonempty arrays of primes <= limit, in order.
-
-    Each chunk is primes_in_range over the next segment_size integers, so
-    memory stays O(sqrt(limit) + segment).  segment_size must be positive.
-    """
-    limit, segment_size = int(limit), int(segment_size)
-    if segment_size <= 0:
-        raise ValueError(f"segment_size = {segment_size} must be positive")
-    lo = 0
-    while lo < limit:
-        hi = min(lo + segment_size, limit)
-        seg = primes_in_range(lo, hi)
-        if seg.size:
-            yield seg
-        lo = hi
+def check_sieve_window(kind: str, lo: int, hi: int, size: int) -> None:
+    """Refuse a sieve of `size` integers over the window (lo, hi] when it
+    would pass the 1 GiB cap, naming the window; call before allocating."""
+    if size > _SIEVE_MAX_BYTES:
+        a, b = (  # a bound past the float range is named by its bit length
+            f"{v:.6g}" if v.bit_length() < 1000 else f"~2**{v.bit_length()}"
+            for v in (lo, hi)
+        )
+        raise ValueError(f"{kind} window ({a}, {b}] is over the 1 GiB cap")
 
 
 def primes_in_range(lo: int, hi: int) -> np.ndarray:
@@ -97,12 +89,8 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     if hi <= max(lo, 1):
         return np.empty(0, dtype=np.int64)
     start = max(lo + 1, 2)
-    if hi - start >= _SIEVE_MAX_BYTES:  # before the base primes' own sieve
-        a, b = (  # a bound past the float range is named by its bit length
-            f"{v:.6g}" if v.bit_length() < 1000 else f"~2**{v.bit_length()}"
-            for v in (lo, hi)
-        )
-        raise ValueError(f"prime sieve window ({a}, {b}] is over the 1 GiB cap")
+    # before the base primes' own sieve
+    check_sieve_window("prime sieve", lo, hi, hi - start + 1)
     base = sieve_primes(math.isqrt(hi))
     alive = np.ones(hi - start + 1, dtype=bool)
     strike_classes(alive, start, ((p, 0) for p in base.tolist()))
@@ -430,13 +418,17 @@ def chain_gap_record(X: int, k: int = 1) -> int:
     X = int(X)
     if k < 1:
         raise ValueError("k must be at least 1")
-    # one segment at a time: each is scanned with the last prime and the
-    # last k - 1 gaps of the segments before it
+    # one window of 2**20 integers at a time, so memory stays
+    # O(sqrt(X) + window): each is scanned with the last prime and the last
+    # k - 1 gaps of the windows before it
     best = 0
     n_gaps = 0
     tail = np.empty(0, dtype=np.int64)
     prev: int | None = None
-    for seg in iter_prime_segments(X):
+    for lo in range(0, X, 1 << 20):
+        seg = primes_in_range(lo, min(lo + (1 << 20), X))
+        if not seg.size:
+            continue
         gaps = np.diff(seg) if prev is None else np.diff(seg, prepend=prev)
         prev = int(seg[-1])
         n_gaps += gaps.size

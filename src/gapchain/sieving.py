@@ -8,12 +8,13 @@ survives.  This module owns the data types for that story
                     exempted
   SievedSet         immutable bitmap of the survivors of an interval
 
-plus the one sampler of uniform classes (`sample_classes`: the
-construction's small classes and the classes of a maier frame), the
-operations that build full systems out of the partial random data, split
-the survivors into target primes versus smooth residue, and a
-deterministic greedy baseline in the classical style of Erdos and Rankin
-for comparison runs.
+plus the one class sieve (`sift_interval`, through `nt.strike_classes`:
+the construction reads its sifted targets from the same bitmap), the one
+sampler of uniform classes (`sample_classes`: the construction's small
+classes and the classes of a maier frame), the operations that build full
+systems out of the partial random data, split the survivors into target
+primes versus smooth residue, and a deterministic greedy baseline in the
+classical style of Erdos and Rankin for comparison runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .nt import factorize, is_prime, primes_in_range, strike_classes
+from .nt import check_sieve_window, factorize, is_prime, primes_in_range
+from .nt import strike_classes
 from .partition import PrimePartition
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "SievedSet",
     "sample_classes",
     "sift_interval",
-    "sifted_mask",
     "assemble_full_system",
     "ResidualReport",
     "residual_smooth_set",
@@ -101,10 +102,15 @@ class SievedSet:
 
 
 def sift_interval(lo: int, hi: int, system: ResidueSystem) -> SievedSet:
-    """Survivors of (lo, hi] after removing n = a_p (mod p) for every entry."""
+    """Survivors of (lo, hi] after removing n = a_p (mod p) for every entry.
+
+    A window of more than 2**30 integers is refused with ValueError before
+    its bitmap is allocated.
+    """
     lo, hi = int(lo), int(hi)
     if lo >= hi:
         raise ValueError(f"empty interval ({lo}, {hi}]")
+    check_sieve_window("class sieve", lo, hi, hi - lo)
     alive = np.ones(hi - lo, dtype=bool)
     strike_classes(alive, lo + 1, system.entries.items())
     return SievedSet(lo=lo, hi=hi, bitmap=alive)
@@ -121,14 +127,6 @@ def sample_classes(
         if p != excluded
     }
     return ResidueSystem(entries, excluded=excluded)
-
-
-def sifted_mask(values: np.ndarray, small_classes: ResidueSystem) -> np.ndarray:
-    """True where a value avoids every chosen small-prime class."""
-    keep = np.ones(values.shape, dtype=bool)
-    for s, a in small_classes.entries.items():
-        keep &= (values % s) != a
-    return keep
 
 
 def assemble_full_system(

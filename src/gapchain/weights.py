@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -581,18 +581,12 @@ def _with_zero_slots(A: np.ndarray) -> np.ndarray:
     return padded
 
 
-def weight_contract_report(
-    table: WeightTable,
-    *,
-    q_values: Iterable[int] | None = None,
-    off_offsets: Iterable[int] | None = None,
-) -> WeightContractReport:
+def weight_contract_report(table: WeightTable) -> WeightContractReport:
     """Measure the four weight contracts on the table's own partition.
 
-    q defaults to every target prime; off-tuple shifts default to every
-    integer shift that is geometrically capable of landing q - h p inside
-    the support grid for at least one (q, p) pair, minus the tuple's own
-    offsets.
+    q runs over every target prime, and the off-tuple shifts are every
+    integer shift h, other than the tuple's own offsets, for which q - h p
+    can land inside the support grid for at least one (q, p) pair.
     """
     part = table.partition
     offs = table.tuple.offsets
@@ -603,13 +597,7 @@ def weight_contract_report(
     if not keep.any():
         raise ValueError("every weight row is zero; contracts are undefined")
 
-    if q_values is None:
-        q_arr = part.target_primes.astype(np.int64)
-    else:
-        q_arr = np.array(sorted(int(q) for q in q_values), dtype=np.int64)
-    if q_arr.size == 0:
-        raise ValueError("no target primes to measure against")
-
+    q_arr = part.target_primes.astype(np.int64)
     p_min, p_max = int(ps.min()), int(ps.max())
     q_min, q_max = int(q_arr.min()), int(q_arr.max())
 
@@ -618,16 +606,9 @@ def weight_contract_report(
         hi = q_max - h * (p_min if h > 0 else p_max)
         return hi >= table.n_min and lo <= table.n_max
 
-    if off_offsets is None:
-        h_lo = math.floor((q_min - table.n_max) / p_max)
-        h_hi = math.ceil((q_max - table.n_min) / p_min)
-        cand = [h for h in range(h_lo, h_hi + 1) if h not in offs]
-        off_list = [h for h in cand if feasible(h)]
-    else:
-        off_list = sorted(int(h) for h in off_offsets)
-        bad = [h for h in off_list if h in offs]
-        if bad:
-            raise ValueError(f"off-tuple shifts {bad} are tuple offsets")
+    h_lo = math.floor((q_min - table.n_max) / p_max)
+    h_hi = math.ceil((q_max - table.n_min) / p_min)
+    off_list = [h for h in range(h_lo, h_hi + 1) if h not in offs and feasible(h)]
 
     rows = np.arange(ps.size)
     on = gathered_sums(W, sums, rows, ps, q_arr, offs, table.n_min).T.copy()

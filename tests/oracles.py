@@ -6,7 +6,7 @@ for clarity over speed, and nothing in the package calls them:
   weight_at                one weight w(p, n) from the factored translates,
                            against the rows of WeightTable.matrix()
   sifted_membership        one integer against the small classes, against
-                           sieving.sifted_mask
+                           the bitmap of sieving.sift_interval
   correlation_probability  the exact survival probability of a point set,
                            against a Monte Carlo estimate
 """

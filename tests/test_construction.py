@@ -17,7 +17,7 @@ from gapchain import (
 )
 from gapchain.construction import survival_mask
 from gapchain.seeds import derive_rng, derive_seed
-from gapchain.sieving import ResidueSystem, sifted_mask
+from gapchain.sieving import ResidueSystem, sift_interval
 
 from oracles import correlation_probability, sifted_membership, weight_at
 
@@ -106,12 +106,14 @@ class TestSurvival:
         ):
             table = run.table
             ps, W, sums = table.matrix()
-            shifts = np.arange(table.n_min, table.n_max + 1)
             for p in primes:
                 i = ps.tolist().index(p)
-                sifted = np.ones(shifts.size, dtype=bool)
+                # translate h's mask: the sifted bitmap over the shift grid
+                # moved by h p
+                sifted = np.ones(table.n_max - table.n_min + 1, dtype=bool)
                 for h in table.tuple.offsets:
-                    sifted &= sifted_mask(shifts + h * p, run.small_classes)
+                    lo, hi = table.n_min + h * p - 1, table.n_max + h * p
+                    sifted &= sift_interval(lo, hi, run.small_classes).bitmap
                 want = math.fsum(W[i][sifted].tolist()) / sums[i]
                 assert run.survival_mass[p] == want
                 assert want == pytest.approx(

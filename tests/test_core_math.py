@@ -15,7 +15,6 @@ from gapchain.nt import (
     bpsw,
     derived_mr_bases,
     factorize,
-    iter_prime_segments,
     mr_composite_witness,
     primes_after,
     strong_lucas,
@@ -117,18 +116,6 @@ class TestPrimeSieves:
         for limit in (-3, 0, 1):
             assert g.sieve_primes(limit).size == 0
         assert g.sieve_primes(2).tolist() == [2]
-
-    def test_segment_iteration_equals_one_shot(self):
-        full = g.sieve_primes(100_000).tolist()
-        segs = list(iter_prime_segments(100_000, segment_size=1 << 10))
-        flat = np.concatenate(segs)
-        assert flat.tolist() == full
-        assert (np.diff(flat) > 0).all()
-
-    def test_segment_size_must_be_positive(self):
-        for size in (0, -1):
-            with pytest.raises(ValueError):
-                next(iter_prime_segments(10, segment_size=size))
 
     def test_prime_count_anchors(self):
         assert g.sieve_primes(100).size == 25

@@ -62,12 +62,24 @@ class TestInstanceValidation:
             (dict(coverage=float("nan")), "coverage nan"),
             (dict(coverage=float("inf")), "coverage inf"),
             (dict(coverage=-1.0), "coverage -1.0"),
+            # a 931 GiB alive array and a 7.28 TiB permutation used to end
+            # in MemoryError tracebacks
+            (dict(n_elements=10**12), "n_elements = 1000000000000 needs int64"),
+            (dict(n_covers=10**12), "n_covers = 1000000000000 needs int64"),
+            # one past 2**27 slots of 8 bytes
+            (dict(n_elements=2**27 + 1), "n_elements = 134217729 needs"),
+            (dict(n_covers=2**27 + 1), "n_covers = 134217729 needs"),
         ],
     )
     def test_rejection_names_the_value(self, overrides, named):
         # coverage nan used to give a nan inclusion probability
         with pytest.raises(ValueError, match=named):
             make_instance(**overrides)
+
+    def test_arrays_at_the_byte_cap_are_accepted(self):
+        # 2**27 slots of 8 bytes are the cap itself; no array is allocated
+        # until a nibble runs
+        make_instance(n_elements=2**27, n_covers=2**27)
 
     def test_synth_guards(self):
         with pytest.raises(ValueError, match="cannot fill"):

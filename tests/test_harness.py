@@ -692,6 +692,17 @@ class TestCli:
                 ["maier", "--config", "[maier]\nsoundness_draws = 10\n"],
                 "exp.ini: unknown [maier] key(s) soundness_draws;",
             ),
+            # refused before their arrays: each ended in a MemoryError
+            # traceback (931 GiB, 931 GiB and 7.28 TiB)
+            (["maier", "--y", "1e12"], "class sieve window (36, 1e+12]"),
+            (
+                ["cover", "--n-elements", "1000000000000"],
+                "n_elements = 1000000000000 needs int64 arrays",
+            ),
+            (
+                ["cover", "--n-covers", "1000000000000"],
+                "n_covers = 1000000000000 needs int64 arrays",
+            ),
         ],
     )
     def test_rejected_option_value_exits(

@@ -14,7 +14,6 @@ from gapchain import (
     greedy_rankin,
     residual_smooth_set,
     sift_interval,
-    sifted_mask,
 )
 from gapchain.nt import primes_in_range
 from gapchain.seeds import derive_seed
@@ -67,6 +66,19 @@ class TestSiftInterval:
         with pytest.raises(ValueError):
             sift_interval(10, 10, ResidueSystem({3: 0}))
 
+    def test_window_over_the_byte_cap_is_refused(self, monkeypatch):
+        # one byte per integer, as the prime sieve: a maier window of
+        # (36, 1e12] used to end in a 931 GiB MemoryError
+        system = ResidueSystem({3: 0})
+        message = r"class sieve window \(36, 1e\+12\] is over the 1 GiB cap"
+        with pytest.raises(ValueError, match=message):
+            sift_interval(36, 10**12, system)
+        # both sides of the cap, scaled down
+        monkeypatch.setattr(g.nt, "_SIEVE_MAX_BYTES", 100)
+        assert sift_interval(5, 105, system).count == 66
+        with pytest.raises(ValueError, match=r"\(5, 106\] is over"):
+            sift_interval(5, 106, system)
+
 
 class TestSievedSet:
     def fixture(self):
@@ -100,7 +112,7 @@ class TestSmallClassVector:
         )
         assert sorted(classes.entries) == [37, 41, 43, 47]
         values = np.arange(1, 4_000, dtype=np.int64)
-        mask = sifted_mask(values, classes)
+        mask = sift_interval(0, values[-1], classes).bitmap
         scalars = np.array(
             [sifted_membership(int(n), classes) for n in values]
         )

@@ -723,11 +723,9 @@ class TestUniformRows:
 
 class TestContractReport:
     def test_report_matches_direct_recomputation(self, small_table):
+        report = weight_contract_report(small_table)
+        ps, W, sums = small_table.matrix()
         q0 = int(small_table.partition.target_primes[17])
-        report = weight_contract_report(
-            small_table, q_values=[q0], off_offsets=[4, 23]
-        )
-        ps, _, sums = small_table.matrix()
 
         def gathered(h):
             return sum(
@@ -735,35 +733,38 @@ class TestContractReport:
                 for p, s in zip(ps.tolist(), sums.tolist())
             )
 
+        # the on-tuple sums at q0, against the oracle's weights
         on_vals = [gathered(h) for h in small_table.tuple.offsets]
-        assert report.on_mean == pytest.approx(np.mean(on_vals), rel=1e-9)
-        assert report.on_std == pytest.approx(np.std(on_vals), rel=1e-9)
+        on_q0 = report.on_sums[report.q_used.index(q0)]
+        assert on_q0 == pytest.approx(on_vals, rel=1e-9)
+        # two off-tuple shifts the report scores, gathered at q0 alone
+        assert {4, 23} <= set(report.off_offsets)
+        off_q0 = gathered_sums(
+            W, sums, np.arange(ps.size), ps, np.array([q0]), [4, 23],
+            small_table.n_min,
+        )
+        assert off_q0[:, 0] == pytest.approx([gathered(4), gathered(23)], rel=1e-9)
+        assert report.on_mean == pytest.approx(report.on_sums.mean(), rel=1e-12)
         assert report.empirical_coverage == pytest.approx(
             4 * report.on_mean, rel=1e-12
         )
-        for h in (4, 23):
-            assert report.off_means[h] == pytest.approx(gathered(h), rel=1e-9)
-        off_mean = np.mean([gathered(4), gathered(23)])
+        # every shift is scored at every q: the mean of the means is the mean
+        off_mean = np.mean(list(report.off_means.values()))
         assert report.off_mean == pytest.approx(off_mean, rel=1e-9)
         assert report.off_on_pair_ratio == pytest.approx(
-            off_mean / report.on_mean, rel=1e-9
+            report.off_mean / report.on_mean, rel=1e-9
         )
         assert report.off_on_aggregate_ratio == pytest.approx(
             report.off_on_pair_ratio / 4, rel=1e-9
         )
 
     def test_scalar_summaries(self, small_table):
-        picked = derive_rng(0, "wcr").choice(
-            small_table.partition.target_primes, size=25, replace=False
-        )
-        report = weight_contract_report(small_table, q_values=picked.tolist())
+        report = weight_contract_report(small_table)
         sums = list(report.row_sums.values())
         assert report.row_sum_ratio == pytest.approx(max(sums) / min(sums))
         assert report.zero_rows == 0
-        assert len(report.q_used) == 25
-        assert report.q_used == sorted(report.q_used)
-        targets = set(small_table.partition.target_primes.tolist())
-        assert set(report.q_used) <= targets
+        targets = small_table.partition.target_primes.tolist()
+        assert report.q_used == sorted(targets)
         _, W, sums = small_table.matrix()
         point = max(W[i].max() / sums[i] for i in range(sums.size))
         assert report.max_point_mass == pytest.approx(point, rel=1e-12)
@@ -771,13 +772,7 @@ class TestContractReport:
         assert report.off_offsets == sorted(report.off_offsets)
         summary = report.summary()
         assert summary["kind"] == "maynard" and summary["r"] == 4
-        assert summary["n_q"] == 25
-
-    def test_guards(self, small_table):
-        with pytest.raises(ValueError):
-            weight_contract_report(small_table, off_offsets=[7])  # in tuple
-        with pytest.raises(ValueError, match="no target primes"):
-            weight_contract_report(small_table, q_values=[])
+        assert summary["n_q"] == len(targets)
 
 
 class TestExactRowSums:
