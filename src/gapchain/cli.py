@@ -121,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run_experiment(cfg)
-    except ValueError as exc:  # MatrixTooLarge is one too
+    except ValueError as exc:  # nt.MatrixTooLarge, every byte-cap refusal, too
         parser.error(str(exc))
 
     print(f"gapchain {report.mode} (seed {cfg.seed})")

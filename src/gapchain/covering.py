@@ -27,6 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .nt import check_bytes
+
 __all__ = [
     "CoveringInstance",
     "synth_instance",
@@ -42,10 +44,6 @@ __all__ = [
 # whole; the process peaked at 40.3 MB with 64 KiB chunks, 42.5 MB with
 # 256 KiB and 47.7 MB whole.
 _CHUNK_BYTES = 1 << 16
-
-# an instance whose int64 arrays (8 bytes an element or an edge) would pass
-# 1 GiB is refused, as the sieves and the weight matrix are
-_MAX_BYTES = 1 << 30
 
 
 def _distinct_sorted(
@@ -88,17 +86,11 @@ class CoveringInstance:
             raise ValueError("need at least 10 elements")
         if self.n_covers < 1:
             raise ValueError("need at least one edge")
-        for name in ("n_elements", "n_covers"):
-            if 8 * getattr(self, name) > _MAX_BYTES:
-                raise ValueError(
-                    f"{name} = {getattr(self, name)} needs int64 arrays "
-                    "over the 1 GiB cap"
-                )
         if not (math.isfinite(self.coverage) and self.coverage > 0):
             raise ValueError(
                 f"coverage {self.coverage!r} is not a positive finite number"
             )
-        if self.inclusion_prob > 1:
+        if self.coverage > self.n_covers:  # no quotient: n_covers may pass a float
             raise ValueError(
                 f"per-edge inclusion probability {self.inclusion_prob:.4g} "
                 "exceeds 1; raise n_covers or lower coverage"
@@ -178,8 +170,8 @@ def nibble_cover(
     draws the edges of block j in chunks of about _CHUNK_BYTES, in block
     order, intersects every chunk with the survivors as they stood at the
     start of the round (so the kept parts of one round may overlap), and
-    removes the union.  All randomness is drawn from rng in that order,
-    so the result is reproducible bit for bit per seed.
+    removes the union.  rng is read in that order alone, so a seed fixes
+    every bit; the arrays are counted against nt.MAX_BYTES first.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -187,14 +179,23 @@ def nibble_cover(
         raise ValueError(
             f"cannot split {instance.n_covers} edges into {m} nonempty blocks"
         )
-    perm = rng.permutation(instance.n_covers)
+    n, e = instance.n_elements, instance.n_covers
+    num, den = instance.coverage.as_integer_ratio()
+    mass = -(-n * num // den)  # the expected edge mass, coverage * n
+    check_bytes(
+        f"nibble over n_elements = {n} and n_covers = {e}",
+        # kept parts (within the edge mass) and kept sizes, as chunks and
+        # concatenated; alive, its round-start copy and the leftover; the
+        # permutation; one chunk's draw, at most 8 int64 buffers of it
+        16 * mass + 10 * n + 24 * e + 64 * max(_CHUNK_BYTES // 8, -(-mass // e)),
+    )
+    perm = rng.permutation(e)
     blocks = np.array_split(perm, m)
     if any(b.size == 0 for b in blocks):
         raise ValueError("empty block in nibble schedule")
-    mean_size = instance.n_elements * instance.inclusion_prob
-    chunk = max(1, int(_CHUNK_BYTES // (8 * max(1.0, mean_size))))
+    chunk = max(1, int(_CHUNK_BYTES // (8 * max(1.0, n * instance.inclusion_prob))))
 
-    alive = np.ones(instance.n_elements, dtype=bool)
+    alive = np.ones(n, dtype=bool)
     kept_values: list[np.ndarray] = []
     kept_sizes: list[np.ndarray] = []
     for block in blocks:
@@ -212,12 +213,12 @@ def nibble_cover(
             "a kept edge part intersects the leftover; nibble bookkeeping bug"
         )
     return CoverResult(
-        n_elements=instance.n_elements,
+        n_elements=n,
         m=m,
         edge_order=perm,
         kept_sizes=np.concatenate(kept_sizes),
         kept_values=kept,
-        leftover=np.flatnonzero(alive).astype(np.int64),
+        leftover=np.flatnonzero(alive).astype(np.int64, copy=False),
     )
 
 

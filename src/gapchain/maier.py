@@ -52,6 +52,7 @@ from .nt import (
     is_prime,
     mr_composite_witness,
     primes_in_range,
+    strike_classes,
 )
 from .partition import PrimePartition, check_excluded_prime
 from .sieving import ResidueSystem, SievedSet
@@ -72,7 +73,6 @@ __all__ = [
 
 CERTIFICATE_VERSION = "1"
 DEFAULT_Z_BIT_BUDGET = 20_000
-SPOT_CHECKS = 64  # window values re-checked against the frame both ways
 PAIR_SAMPLE = 8  # survivor pairs drawn for the pair statistics
 ROW_INDEX_BITS = 64  # searches draw z from [1, min(modulus**D, 2**this)]
 PRESIEVE_LIMIT = 1 << 18  # row values are presieved by the primes in (x, this]
@@ -144,12 +144,14 @@ def assemble_frame(
     window: FrameWindow | PrimePartition,
     D: int = 1,
 ) -> MaierFrame:
-    """Solve the simultaneous congruences and spot-check the translation.
+    """Solve the simultaneous congruences and check the translation exactly.
 
     The system must assign a class to every prime up to x except the
     excluded modulus.  The returned frame satisfies, for every t in
-    (x, y]: t fails the sieve  iff  gcd(offset + t, modulus) > 1; the
-    first SPOT_CHECKS values of t are verified both ways.
+    (x, y]: t fails the sieve  iff  gcd(offset + t, modulus) > 1.  The
+    check is that modulus is the product of the system's primes and that
+    p divides offset + a_p for every (p, a_p): then p divides offset + t
+    iff t = a_p (mod p), for every t and every row z.
     """
     if D < 1:
         raise ValueError("D must be at least 1")
@@ -169,24 +171,18 @@ def assemble_frame(
     items = sorted(system.entries.items())
     # moduli are distinct primes, so the combination cannot collide
     offset, modulus = crt_combine(((-a) % p, p) for p, a in items)
-
-    frame = MaierFrame(
+    if modulus != math.prod(p for p, _ in items):
+        raise AssertionError("translation invariant failed: wrong modulus")
+    wrong = [p for p, a in items if (offset + a) % p]
+    if wrong:
+        raise AssertionError(
+            f"translation invariant failed: p does not divide offset + a_p "
+            f"for p in {wrong[:5]}"
+        )
+    return MaierFrame(
         x=x, y=y, excluded_prime=b0, D=D,
         modulus=modulus, offset=offset, system=system,
     )
-    checked = 0
-    for t in range(x + 1, y + 1):
-        if checked >= SPOT_CHECKS:
-            break
-        sieved_out = any(t % p == a for p, a in items)
-        shares_factor = math.gcd(offset + t, modulus) > 1
-        if sieved_out != shares_factor:
-            raise AssertionError(
-                f"translation invariant failed at t={t}: sieved_out="
-                f"{sieved_out} but gcd(offset+t, modulus)>1 is {shares_factor}"
-            )
-        checked += 1
-    return frame
 
 
 @dataclass(frozen=True)
@@ -245,26 +241,25 @@ def _row_primes(scan: _RowScan, z: int) -> list[int]:
 
     z lies in [1, 2**64].  Presieve: every translate with a prime factor
     q in (x, PRESIEVE_LIMIT] other than itself is struck on a window-wide
-    mask, by strided slices for q below the width and by one fancy
-    assignment for the rest, which strike one slot at most.  The rest are
-    tested: below DETERMINISTIC_MR_LIMIT by the is_prime proof, above it
-    by BPSW, so the verdicts above the limit are probable and carry no
-    evidence.
+    mask, by `strike_classes` for q below the width and by one fancy
+    assignment for the rest, which strike one slot at most; a translate
+    that is q itself is then restored.  The rest are tested: below
+    DETERMINISTIC_MR_LIMIT by the is_prime proof, above it by BPSW, so
+    the verdicts above the limit are probable and carry no evidence.
     """
     frame, qs = scan.frame, scan.qs
     width = frame.y - frame.x
     start = frame.row_value(z, frame.x + 1)  # the translate at mask slot 0
     # the first slot whose translate q divides: -start mod q
     first = (np.uint64(z - 1) % qs * scan.neg_modulus_mod + scan.neg_start_mod) % qs
-    if start <= PRESIEVE_LIMIT:
-        # a translate equal to q is the prime q itself: skip to q's next multiple
-        first = np.where(start + first == qs, first + qs, first)
     alive = np.ones(width, dtype=bool)
     n_small = int(qs.searchsorted(np.uint64(width)))
-    for q, f in zip(qs[:n_small].tolist(), first[:n_small].tolist()):
-        alive[f::q] = False
+    strike_classes(alive, 0, zip(qs[:n_small].tolist(), first[:n_small].tolist()))
     first = first[n_small:]
     alive[first[first < width]] = False
+    if start <= PRESIEVE_LIMIT:
+        # a translate equal to q is the prime q itself: restore its slot
+        alive[qs[(qs >= start) & (qs < start + width)].astype(np.int64) - start] = True
     base = start - (frame.x + 1)
     out = []
     for a in scan.offsets[alive[scan.offsets - (frame.x + 1)]].tolist():

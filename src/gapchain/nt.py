@@ -27,6 +27,9 @@ __all__ = [
     "strike_classes",
     "sieve_primes",
     "primes_in_range",
+    "MAX_BYTES",
+    "MatrixTooLarge",
+    "check_bytes",
     "check_sieve_window",
     "primes_after",
     "factorize",
@@ -48,10 +51,27 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # sieves
 
-# a sieve (of primes here, of classes in sieving) takes one byte per
-# integer of its window: larger windows are refused, as weights refuses a
-# matrix over the same 1 GiB
-_SIEVE_MAX_BYTES = 1 << 30
+# the one byte budget: check_bytes counts each array a run sizes from its
+# input (sieve windows, weight matrix, nibble) before allocating it
+MAX_BYTES = 1 << 30
+
+
+class MatrixTooLarge(MemoryError, ValueError):
+    """A run refused before it allocates arrays over MAX_BYTES: lower its size."""
+
+
+def _count(v: int) -> str:
+    """v in 6 significant digits, or by its bit length past the float range."""
+    return f"{v:.6g}" if v.bit_length() < 1000 else f"~2**{v.bit_length()}"
+
+
+def check_bytes(what: str, n_bytes: int) -> None:
+    """Refuse `what`, naming its n_bytes, past MAX_BYTES; call before allocating."""
+    if n_bytes > MAX_BYTES:
+        raise MatrixTooLarge(
+            f"{what} would need {_count(n_bytes)} bytes, over the "
+            f"{MAX_BYTES / 2**30:g} GiB cap"
+        )
 
 
 def strike_classes(
@@ -68,14 +88,8 @@ def sieve_primes(limit: int) -> np.ndarray:
 
 
 def check_sieve_window(kind: str, lo: int, hi: int, size: int) -> None:
-    """Refuse a sieve of `size` integers over the window (lo, hi] when it
-    would pass the 1 GiB cap, naming the window; call before allocating."""
-    if size > _SIEVE_MAX_BYTES:
-        a, b = (  # a bound past the float range is named by its bit length
-            f"{v:.6g}" if v.bit_length() < 1000 else f"~2**{v.bit_length()}"
-            for v in (lo, hi)
-        )
-        raise ValueError(f"{kind} window ({a}, {b}] is over the 1 GiB cap")
+    """check_bytes of a sieve of `size` one-byte integers over (lo, hi]."""
+    check_bytes(f"{kind} window ({_count(lo)}, {_count(hi)}]", size)
 
 
 def primes_in_range(lo: int, hi: int) -> np.ndarray:
@@ -83,7 +97,7 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
 
     Strikes class 0 of every prime up to sqrt(hi), then restores those
     base primes that lie in the window themselves.  A window of more than
-    2**30 integers is refused with ValueError.
+    MAX_BYTES integers is refused with MatrixTooLarge.
     """
     lo, hi = int(lo), int(hi)
     if hi <= max(lo, 1):

@@ -104,8 +104,8 @@ class SievedSet:
 def sift_interval(lo: int, hi: int, system: ResidueSystem) -> SievedSet:
     """Survivors of (lo, hi] after removing n = a_p (mod p) for every entry.
 
-    A window of more than 2**30 integers is refused with ValueError before
-    its bitmap is allocated.
+    A window of more than nt.MAX_BYTES integers is refused with
+    MatrixTooLarge, a ValueError, before its bitmap is allocated.
     """
     lo, hi = int(lo), int(hi)
     if lo >= hi:

@@ -59,8 +59,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _fork
-from .nt import primes_after, sieve_primes
+from . import _fork, nt
+from .nt import MatrixTooLarge, primes_after, sieve_primes
 from .partition import PrimePartition
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "first_primes_tuple",
     "is_admissible",
     "WeightTable",
-    "MatrixTooLarge",
     "build_weights",
     "draw_shift",
     "exact_row_sums",
@@ -98,17 +97,11 @@ _SUM_BYTES = 1 << 18
 # block.  Timed as above: 0.42 s at 125, 0.37 s at 250, 0.36 s at 500,
 # 0.42 s at 1000, 0.41 s with no slices.
 _STRIDED_ROWS = 500
-# Larger dense allocations are refused up front, with MatrixTooLarge.
-_MAX_BYTES = 1 << 30
 # exact_row_sums splits each entry after its top 27 significant bits; a
 # bucket of one binary exponent then sums exactly while it holds fewer
 # than 2**26 terms, so longer rows are refused.
 _LOW_BITS = 26
 _MAX_ROW_TERMS = 1 << 26
-
-
-class MatrixTooLarge(MemoryError, ValueError):
-    """A value refused before allocating its weight matrix: lower y, theta or x."""
 
 
 def is_admissible(offsets: Sequence[int]) -> bool:
@@ -231,11 +224,12 @@ class WeightTable:
         self.theta = float(theta)
         # the support sieve below takes one byte per integer below the
         # level; compare logs, so that no theta can overflow x**theta
-        if not self.theta * math.log(partition.x) <= math.log(_MAX_BYTES):
+        bits = self.theta * math.log2(partition.x)
+        if not bits <= math.log2(nt.MAX_BYTES):
             raise MatrixTooLarge(
                 f"divisor level x**theta = {partition.x:g}**{self.theta:g} "
-                f"needs a prime sieve above {_MAX_BYTES / 2**30:.1f} GiB; "
-                "lower theta or x"
+                f"would need a prime sieve of 2**{bits:.4g} bytes, over the "
+                f"{nt.MAX_BYTES / 2**30:g} GiB cap"
             )
         self.level = float(partition.x) ** self.theta
         ny = math.floor(partition.y)
@@ -384,12 +378,7 @@ class WeightTable:
                 workers = min(_fork.usable_cpus(), len(starts))
                 block_bytes = 8 * _block_rows(step, padded) * padded
                 est_bytes += workers * (step * row_bytes + block_bytes)
-            if est_bytes > _MAX_BYTES:
-                raise MatrixTooLarge(
-                    f"dense weight matrix and its build buffers would need "
-                    f"{est_bytes / 2**30:.1f} GiB; lower y, theta or the "
-                    "number of weighted primes"
-                )
+            nt.check_bytes("dense weight matrix and its build buffers", est_bytes)
             shared = mmap.mmap(-1, 8 * n * (width + 2))
             flat = np.frombuffer(shared, np.float64, n * (width + 1))
             W = flat.reshape(n, width + 1)[:, :width]

@@ -149,12 +149,14 @@ class TestPrimeSieves:
         # one byte per integer, at most 2**30 of them; a huge window, or a
         # short one whose base primes would need a huge sieve, is refused
         # before any allocation
-        with pytest.raises(ValueError, match=r"\(0, 1\.07374e\+09\] is over the"):
-            g.primes_in_range(0, 2**30 + 2)
-        with pytest.raises(ValueError, match=r"\(1, 1e\+150\] is over the 1 GiB"):
-            g.primes_in_range(10**300 - 10, 10**300)
-        with pytest.raises(ValueError, match=r"\(0, ~2\*\*1329\] is over the"):
-            g.primes_in_range(0, 10**400)
+        for (lo, hi), window, need in (
+            ((0, 2**30 + 2), r"\(0, 1\.07374e\+09\]", r"1\.07374e\+09"),
+            ((10**300 - 10, 10**300), r"\(1, 1e\+150\]", r"1e\+150"),
+            ((0, 10**400), r"\(0, ~2\*\*1329\]", r"~2\*\*1329"),
+        ):
+            message = f"{window} would need {need} bytes, over the 1 GiB cap"
+            with pytest.raises(g.nt.MatrixTooLarge, match=message):
+                g.primes_in_range(lo, hi)
 
     def test_primes_after(self):
         assert primes_after(4, 4) == (5, 7, 11, 13)
@@ -162,6 +164,45 @@ class TestPrimeSieves:
         assert primes_after(100, 0) == ()
         with pytest.raises(ValueError):
             primes_after(10, -1)
+
+
+class TestByteCap:
+    def test_each_site_is_refused_by_name_before_it_allocates(
+        self, small_partition, monkeypatch
+    ):
+        # one patched cap: each site below would allocate 100 KB or more,
+        # and is refused with less than 16 KiB traced
+        t = g.first_primes_tuple(4)
+        table = g.build_weights(small_partition, t, kind="maynard", theta=0.5)
+        instance = g.synth_instance(2**16, 2**12, 2)
+        rng = g.derive_rng(0, "capped")
+        system = g.ResidueSystem({3: 0})
+        monkeypatch.setattr(nt, "MAX_BYTES", 1 << 12)
+        for named, refused in (
+            ("prime sieve window (0, 100000]", lambda: g.primes_in_range(0, 10**5)),
+            (
+                "class sieve window (0, 100000]",
+                lambda: g.sift_interval(0, 10**5, system),
+            ),
+            (
+                "divisor level x**theta = 400**2",  # a sieve of 160,000 bytes
+                lambda: g.build_weights(small_partition, t, theta=2.0),
+            ),
+            ("dense weight matrix and its build buffers", table.matrix),
+            (
+                "nibble over n_elements = 65536 and n_covers = 4096",
+                lambda: g.nibble_cover(instance, 2, rng),
+            ),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(nt.MatrixTooLarge) as refusal:
+                    refused()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(refusal.value).startswith(f"{named} would need")
+            assert peak < 1 << 14, named
 
 
 class TestFactorization:

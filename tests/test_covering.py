@@ -1,10 +1,12 @@
 """Synthetic covering instances and the m-round nibble leftover law."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gapchain as g
 from gapchain import covering
 from gapchain.covering import (
     CoveringInstance,
@@ -25,6 +27,15 @@ def make_instance(**overrides):
 def split_edges(values, sizes):
     """The concatenated edges of a block draw, one array each."""
     return np.split(values, np.cumsum(sizes)[:-1])
+
+
+def nibble_estimate(instance, m, monkeypatch):
+    """The byte count that nibble_cover checks against the cap."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(covering, "check_bytes", lambda what, n: seen.append(n))
+        nibble_cover(instance, m, derive_rng(0, "estimate"))
+    return seen[0]
 
 
 def kept_parts(result):
@@ -63,23 +74,48 @@ class TestInstanceValidation:
             (dict(coverage=float("inf")), "coverage inf"),
             (dict(coverage=-1.0), "coverage -1.0"),
             # a 931 GiB alive array and a 7.28 TiB permutation used to end
-            # in MemoryError tracebacks
-            (dict(n_elements=10**12), "n_elements = 1000000000000 needs int64"),
-            (dict(n_covers=10**12), "n_covers = 1000000000000 needs int64"),
-            # one past 2**27 slots of 8 bytes
-            (dict(n_elements=2**27 + 1), "n_elements = 134217729 needs"),
-            (dict(n_covers=2**27 + 1), "n_covers = 134217729 needs"),
+            # in MemoryError tracebacks; the nibble's estimate refuses both
+            (
+                dict(n_elements=10**12),
+                "n_elements = 1000000000000 and n_covers = 100 would need",
+            ),
+            (dict(n_covers=10**12), "n_covers = 1000000000000 would need"),
         ],
     )
     def test_rejection_names_the_value(self, overrides, named):
         # coverage nan used to give a nan inclusion probability
         with pytest.raises(ValueError, match=named):
-            make_instance(**overrides)
+            nibble_cover(make_instance(**overrides), 2, derive_rng(0, "refused"))
 
-    def test_arrays_at_the_byte_cap_are_accepted(self):
-        # 2**27 slots of 8 bytes are the cap itself; no array is allocated
-        # until a nibble runs
-        make_instance(n_elements=2**27, n_covers=2**27)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_nibble_is_refused_one_byte_under_its_estimate(self, m, monkeypatch):
+        # the instance allocates nothing; the nibble counts its arrays
+        # before it draws the permutation
+        inst = synth_instance(2_000, 200, m)
+        estimate = nibble_estimate(inst, m, monkeypatch)
+        monkeypatch.setattr(g.nt, "MAX_BYTES", estimate - 1)
+        rng = derive_rng(0, "at-the-cap")
+        state = rng.bit_generator.state
+        named = "nibble over n_elements = 2000 and n_covers = 200 would need"
+        with pytest.raises(MemoryError, match=named):
+            nibble_cover(inst, m, rng)
+        assert rng.bit_generator.state == state
+        monkeypatch.setattr(g.nt, "MAX_BYTES", estimate)
+        assert nibble_cover(inst, m, rng).kept_sizes.size == 200
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_traced_peak_is_within_the_estimate(self, m, monkeypatch):
+        n = 2**16
+        inst = synth_instance(n, n // 10, m)
+        estimate = nibble_estimate(inst, m, monkeypatch)
+        rng = derive_rng(m, "traced")
+        tracemalloc.start()
+        try:
+            nibble_cover(inst, m, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate
 
     def test_synth_guards(self):
         with pytest.raises(ValueError, match="cannot fill"):

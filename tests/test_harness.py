@@ -697,11 +697,11 @@ class TestCli:
             (["maier", "--y", "1e12"], "class sieve window (36, 1e+12]"),
             (
                 ["cover", "--n-elements", "1000000000000"],
-                "n_elements = 1000000000000 needs int64 arrays",
+                "nibble over n_elements = 1000000000000 and n_covers = 2000",
             ),
             (
                 ["cover", "--n-covers", "1000000000000"],
-                "n_covers = 1000000000000 needs int64 arrays",
+                "nibble over n_elements = 20000 and n_covers = 1000000000000",
             ),
         ],
     )

@@ -70,13 +70,16 @@ class TestSiftInterval:
         # one byte per integer, as the prime sieve: a maier window of
         # (36, 1e12] used to end in a 931 GiB MemoryError
         system = ResidueSystem({3: 0})
-        message = r"class sieve window \(36, 1e\+12\] is over the 1 GiB cap"
+        message = (
+            r"class sieve window \(36, 1e\+12\] would need 1e\+12 bytes, "
+            "over the 1 GiB cap"
+        )
         with pytest.raises(ValueError, match=message):
             sift_interval(36, 10**12, system)
         # both sides of the cap, scaled down
-        monkeypatch.setattr(g.nt, "_SIEVE_MAX_BYTES", 100)
+        monkeypatch.setattr(g.nt, "MAX_BYTES", 100)
         assert sift_interval(5, 105, system).count == 66
-        with pytest.raises(ValueError, match=r"\(5, 106\] is over"):
+        with pytest.raises(ValueError, match=r"\(5, 106\] would need 101 "):
             sift_interval(5, 106, system)
 
 

@@ -143,6 +143,23 @@ class TestFrameAssembly:
             for p, a in entries.items():
                 assert (frame.offset + a) % p == 0
 
+    def test_offset_wrong_modulo_one_prime_is_refused(self, monkeypatch):
+        # moved by the CRT unit of 149 (1 mod 149, 0 mod every other prime
+        # of the system), the offset is wrong modulo 149 alone; the two
+        # residues of 149 it confuses both miss the first 64 window values,
+        # so a sampled check of those values accepted it
+        system = random_system(150.0, 5)
+        crt_combine = maier.crt_combine
+
+        def off_by_149(congruences):
+            offset, modulus = crt_combine(congruences)
+            cofactor = modulus // 149
+            return (offset + cofactor * pow(cofactor, -1, 149)) % modulus, modulus
+
+        monkeypatch.setattr(maier, "crt_combine", off_by_149)
+        with pytest.raises(AssertionError, match=r"offset \+ a_p for p in \[149\]"):
+            assemble_frame(system, FrameWindow(x=150.0, y=600.0))
+
     def test_system_coverage_enforced(self):
         window = FrameWindow(x=13.0, y=60.0)
         short = zero_system(13).entries.copy()

@@ -194,14 +194,14 @@ class TestBuildValidation:
     ):
         # level 400**0.5 = 20: its support sieve takes about 20 bytes
         t = first_primes_tuple(4)
-        monkeypatch.setattr(weights_mod, "_MAX_BYTES", 19)
-        with pytest.raises(weights_mod.MatrixTooLarge, match="divisor level"):
+        monkeypatch.setattr(g.nt, "MAX_BYTES", 19)
+        with pytest.raises(g.nt.MatrixTooLarge, match="divisor level"):
             build_weights(small_partition, t, theta=0.5)
-        monkeypatch.setattr(weights_mod, "_MAX_BYTES", 21)
+        monkeypatch.setattr(g.nt, "MAX_BYTES", 21)
         assert build_weights(small_partition, t, theta=0.5).level < 21
         # x**theta would overflow a float; the refusal compares logs
         monkeypatch.undo()
-        with pytest.raises(weights_mod.MatrixTooLarge, match="divisor level"):
+        with pytest.raises(g.nt.MatrixTooLarge, match="divisor level"):
             build_weights(small_partition, t, theta=1e300)
 
     def test_offset_bound(self, small_partition):
@@ -451,11 +451,12 @@ class TestDivisorSumRows:
         table = build_weights(
             small_partition, first_primes_tuple(4), kind="maynard", theta=0.5
         )
+        _, W0, sums0 = small_table.matrix()  # built before the cap is patched
         n = small_partition.weighted_primes.size
         width = table.n_max - table.n_min + 1
         # the rows, the zero slot after each row, and the sums
         matrix_bytes = 8 * n * (width + 2)
-        monkeypatch.setattr(weights_mod, "_MAX_BYTES", matrix_bytes)
+        monkeypatch.setattr(g.nt, "MAX_BYTES", matrix_bytes)
         with pytest.raises(MemoryError, match="build buffer"):
             table.matrix()  # the matrix alone would fit
         # every worker holds its batch's node lists, which grow with the
@@ -478,13 +479,13 @@ class TestDivisorSumRows:
                     m.setattr(weights_mod, "_NODE_BYTES", node_cap)
                 assert table._maynard_batches(n)[0] == step
                 cap = matrix_bytes + cpus * (step * row_bytes + 8 * block * padded)
-                m.setattr(weights_mod, "_MAX_BYTES", cap - 1)
+                m.setattr(g.nt, "MAX_BYTES", cap - 1)
                 with pytest.raises(MemoryError, match="build buffers"):
                     table.matrix()
-                m.setattr(weights_mod, "_MAX_BYTES", cap)
+                m.setattr(g.nt, "MAX_BYTES", cap)
                 _, W, sums = fresh_table(small_partition).matrix()
-            assert np.array_equal(W, small_table.matrix()[1])
-            assert np.array_equal(sums, small_table.matrix()[2])
+            assert np.array_equal(W, W0)
+            assert np.array_equal(sums, sums0)
 
     @pytest.mark.parametrize("kind", ["maynard", "uniform"])
     def test_rows_are_read_only_views_of_matrix(self, small_partition, kind):
