@@ -1,13 +1,14 @@
 """Forked workers and threads for independent items of work.
 
-The Maier row scan (one item per row) and the Maynard row build (one item
-per batch of rows) both split their work into items that depend on
-nothing but state fixed before the split.  `fork_map` runs such items on
-one forked worker per usable CPU, in guided chunks: runs of consecutive
-items that shrink as the items run out, so a map of many cheap items
-costs a few round trips and the last chunks still balance the workers.
-The workers inherit the state by fork, so it is never pickled: only the
-chunks of items go out and their results come back.
+The Maier row scan (one item per row), the full-round tests of listed
+primes (one per value) and the Maynard row build (one per batch of rows)
+split their work into items that depend on nothing but state fixed
+before the split.  `fork_map` runs such items on bare forked workers, one
+per usable CPU, in guided chunks: runs of consecutive items that shrink
+as the items run out, so a map of many cheap items costs a few round
+trips and the last chunks still balance the workers.  The workers
+inherit the state by fork: only chunk indices go out, down one task
+pipe, and only results come back, each worker's down a pipe of its own.
 `thread_map` runs items on threads instead, for numpy work that drops
 the GIL (the weight gathers), and joins them all, so `fork_map` can fork.
 """
@@ -15,20 +16,15 @@ the GIL (the weight gathers), and joins them all, so `fork_map` can fork.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Sequence
+import pickle
+import sys
+from typing import Any, Callable, NoReturn, Sequence
 
-# set in each pool worker by _start_worker, never in the parent
-_worker_func: Callable[[Any, Any], Any] | None = None
-_worker_state: Any = None
-
-
-def _start_worker(func: Callable[[Any, Any], Any], state: Any) -> None:
-    global _worker_func, _worker_state
-    _worker_func, _worker_state = func, state
+_in_worker = False  # set in each fork_map worker, never in its parent
 
 
-def _run_chunk(chunk: list[Any]) -> list[Any]:
-    return [_worker_func(_worker_state, item) for item in chunk]
+class WorkerLost(RuntimeError):
+    """A fork_map worker died or sent back no results."""
 
 
 def usable_cpus() -> int:
@@ -36,6 +32,16 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _guided_chunks(n: int, workers: int) -> list[tuple[int, int]]:
+    """Runs [a, b) over range(n), each ceil((n - a) / (2 workers)) long."""
+    chunks, a = [], 0
+    while a < n:
+        b = a - (a - n) // (2 * workers)
+        chunks.append((a, b))
+        a = b
+    return chunks
 
 
 def fork_map(
@@ -46,50 +52,97 @@ def fork_map(
     The items go to min(usable CPUs, len(items)) forked workers in
     guided chunks, runs of ceil(remaining items / (2 workers)) items, each
     to the next worker that gets free; the first error in the order of
-    items is the one raised.  func and state reach the workers by
-    fork (a forked worker's initializer arguments are not pickled), so
-    func may write into memory that state shares with this process.  A
-    worker that dies (a kill, the OOM killer) raises BrokenProcessPool
-    here once the other workers are stopped.  The items are run here, one
-    after another, when there is one worker, when the platform cannot
-    fork, when this process is itself a daemonic pool worker, when other
-    threads are alive (forking a threaded process can deadlock) or when
-    starting the pool fails.
+    items is the one raised.  func and state reach the workers by fork,
+    so func may write into memory that state shares with this process.
+    This process runs no item and reaps every worker, killing them first
+    if it is interrupted.  A worker that dies (a kill, the OOM killer) or
+    sends no results (one it cannot pickle) raises WorkerLost.  The items
+    run here when there is one worker, when the platform cannot fork,
+    inside a fork_map worker or a daemonic multiprocessing worker, when
+    other threads are alive (forking a threaded process can deadlock) or
+    when a pipe or a fork fails.
     """
-    import multiprocessing
     import threading
 
     workers = min(usable_cpus(), len(items))
-    if (
-        workers > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon
-        and threading.active_count() == 1
-    ):
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = multiprocessing.get_context("fork")
+    mp = sys.modules.get("multiprocessing")  # loaded only if something uses it
+    daemonic = mp is not None and mp.current_process().daemon
+    if (workers > 1 and hasattr(os, "fork") and not _in_worker and not daemonic
+            and threading.active_count() == 1):
+        chunks = _guided_chunks(len(items), workers)
+        held: list[int] = []  # the pipe ends this process holds
+        pids: list[int] = []  # the workers not yet reaped
         try:
-            pool = ProcessPoolExecutor(workers, ctx, _start_worker, (func, state))
-        except OSError:  # no pipe or lock for the pool: run here instead
-            pass
-        else:
-            with pool:
-                chunks, a = [], 0
-                while a < len(items):
-                    b = a - (a - len(items)) // (2 * workers)
-                    chunks.append(items[a:b])
-                    a = b
-                try:  # the first chunk forks every worker
-                    futures = [pool.submit(_run_chunk, chunks[0])]
-                except OSError:  # a fork failed: stop the workers that started
-                    for proc in pool._processes.values():
-                        proc.terminate()
-                        proc.join()
-                else:
-                    futures += [pool.submit(_run_chunk, c) for c in chunks[1:]]
-                    return [out for f in futures for out in f.result()]
+            try:
+                held += os.pipe()  # the task pipe
+                for _ in range(workers):
+                    held += os.pipe()  # this worker's result pipe
+                    pid = os.fork()
+                    if pid == 0:
+                        _work(func, items, state, chunks, held)
+                    pids.append(pid)
+                    os.close(held.pop())
+            except OSError:  # no pipe or no fork: the items run here
+                pass
+            else:
+                os.close(held.pop(0))
+                # one 4-byte record per chunk; EOF tells a worker to stop
+                records = [k.to_bytes(4, "little") for k in range(len(chunks))]
+                with open(held.pop(0), "wb") as task:
+                    task.write(b"".join(records))
+                # a worker writes once the task pipe is empty, so reading the
+                # result pipes to EOF in turn waits on no worker that waits
+                done, codes = {}, []
+                while pids:
+                    with open(held.pop(0), "rb") as pipe:
+                        data = pipe.read()
+                    status = os.waitpid(pids[0], 0)[1]
+                    codes.append(os.waitstatus_to_exitcode(status))
+                    pids.pop(0)
+                    if codes[-1] == 0:
+                        done.update(pickle.loads(data))
+                if any(codes) or len(done) < len(chunks):
+                    raise WorkerLost(f"fork_map workers exited with codes {codes}")
+                errors = {chunks[k][0] + len(out): exc
+                          for k, (out, exc) in done.items() if exc is not None}
+                if errors:
+                    raise errors[min(errors)]
+                return [out for k in range(len(chunks)) for out in done[k][0]]
+        finally:
+            import signal
+
+            for pid in pids:  # left by a failed fork or an interrupt
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            for fd in held:
+                os.close(fd)
     return [func(state, item) for item in items]
+
+
+def _work(func: Callable[[Any, Any], Any], items: Sequence[Any], state: Any,
+          chunks: list[tuple[int, int]], held: list[int]) -> NoReturn:
+    """A worker: run each chunk named on the task pipe, send, leave."""
+    global _in_worker
+    _in_worker, status, done = True, 1, {}
+    try:
+        for fd in held[1:-1]:
+            os.close(fd)
+        while record := os.read(held[0], 4):
+            k = int.from_bytes(record, "little")
+            done[k] = ([], None)  # the results, then the error that ended them
+            for i in range(*chunks[k]):
+                try:
+                    done[k][0].append(func(state, items[i]))
+                except Exception as exc:
+                    done[k] = (done[k][0], exc)
+                    break
+        with open(held[-1], "wb") as out:
+            out.write(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(status)
 
 
 def thread_map(
@@ -104,8 +157,27 @@ def thread_map(
     n = min(usable_cpus(), len(items))
     if n < 2:
         return [func(state, item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(n - 1) as pool:  # leaving the block joins them
-        rest = [pool.submit(func, state, item) for item in items[1:]]
-        first = func(state, items[0])
-        return [first] + [future.result() for future in rest]
+    import threading
+
+    out, errors = [None] * len(items), {}
+    rest = iter(range(1, len(items)))  # each thread takes the next item
+
+    def run(indices: Any) -> None:
+        for i in indices:
+            try:
+                out[i] = func(state, items[i])
+            except BaseException as exc:
+                errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(rest,)) for _ in range(n - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        run([0])
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return out

@@ -30,7 +30,9 @@ Miller-Rabin rounds, and every integer strictly between them carries
 deterministically checkable compositeness evidence (a shared factor with
 the modulus, an explicit factor, or a Miller-Rabin witness base), so an
 independent verifier needs no access to the search.  The verifier
-applies its own minimum round count, MIN_MR_ROUNDS.
+applies its own minimum round count, MIN_MR_ROUNDS.  Both run the
+full-round tests of listed values above the deterministic limit on
+forked workers, one value per item, and read the verdicts in listed order.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import numpy as np
 from . import __version__, _fork
 from .nt import (
     DETERMINISTIC_MR_LIMIT,
+    PrimalityResult,
     bpsw,
     crt_combine,
     is_prime,
@@ -452,9 +455,10 @@ def find_gap_chain(
 
     A row certifies when its survivor translates contain at least k+1
     primes and every consecutive gap between the listed primes reaches
-    epsilon * y.  Success builds the full certificate, including the
-    compositeness evidence for all intermediate offsets; failure returns
-    a structured miss report with the best row seen.
+    epsilon * y, and still does once its primes get the full rounds
+    (`_full_round_tests`).  Success builds the full certificate, including
+    the compositeness evidence for all intermediate offsets; failure
+    returns a structured miss report with the best row seen.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -479,10 +483,9 @@ def find_gap_chain(
         row_primes = _row_primes(scan, z)
         if certifies(row_primes):
             # the values a certificate lists get the full rounds, not BPSW
-            row_primes = [
-                a for a in row_primes
-                if is_prime(frame.row_value(z, a), MIN_MR_ROUNDS)
-            ]
+            values = [frame.row_value(z, a) for a in row_primes]
+            tests = _full_round_tests(values, MIN_MR_ROUNDS)
+            row_primes = [a for a, res in zip(row_primes, tests) if res]
         min_gap = min_gap_of(row_primes)
         if len(row_primes) > best[0]:
             best = (len(row_primes), z, min_gap)
@@ -518,6 +521,15 @@ def find_gap_chain(
         best_prime_count=best[0],
         best_min_gap=best[2],
     )
+
+
+def _full_round_tests(values: list[int], rounds: int) -> list[PrimalityResult]:
+    """is_prime(value, rounds) for each value, in order: on every usable
+    CPU for two or more values all at or above DETERMINISTIC_MR_LIMIT
+    (some 6 ms each at 253 bits); smaller values are proven here, at once."""
+    if len(values) > 1 and min(values) >= DETERMINISTIC_MR_LIMIT:
+        return _fork.fork_map(lambda r, value: is_prime(value, r), values, rounds)
+    return [is_prime(value, rounds) for value in values]
 
 
 def _build_evidence(
@@ -583,7 +595,8 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
     Checks every field's type, recomputes the modulus from
     (x, excluded_prime), revalidates ranges, re-tests every listed prime
     with the certificate's round count (at least MIN_MR_ROUNDS, at most
-    MAX_MR_ROUNDS), recomputes the gap floor, and re-checks each evidence
+    MAX_MR_ROUNDS; `_full_round_tests`, naming the first composite in
+    listed order), recomputes the gap floor, and re-checks each evidence
     item, requiring the evidence to cover exactly the non-listed integers
     between the first and last listed primes.  Rejections name the first
     failure; the work is bounded by the row budget, the round cap and the
@@ -677,9 +690,8 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
     if ps[0] <= cert.x or ps[-1] > cert.y:
         return reject("listed prime offsets leave the window (x, y]")
 
-    for a in ps:
-        value = z * modulus + offset + a
-        res = is_prime(value, rounds)
+    values = [z * modulus + offset + a for a in ps]
+    for a, res in zip(ps, _full_round_tests(values, rounds)):
         if res.verdict == "composite":
             return reject(f"listed offset {a} is composite (witness {res.witness})")
 

@@ -9,12 +9,12 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -386,8 +386,13 @@ def parent_scans(monkeypatch):
     return calls
 
 
+def no_fork(*args):
+    raise AssertionError("os.fork was called")
+
+
 def stats_in_daemon_worker(x, y, trials):
     frame, T = random_frame(x, y)
+    os.fork = no_fork  # a fork_map that forked would fail here, not fall back
     calls = []
     scan_row = maier._row_primes
     maier._row_primes = lambda scan, z: calls.append(z) or scan_row(scan, z)
@@ -443,33 +448,38 @@ class TestParallelRowScan:
         calls = parent_scans(monkeypatch)
         monkeypatch.setattr(_fork, "usable_cpus", lambda: 3)
 
-        def no_pool(*args, **kwargs):
+        def no_processes(*args):
             raise OSError("no processes left")
 
-        with monkeypatch.context() as m:
-            m.setattr(multiprocessing.context.ForkContext, "Process", no_pool)
-            assert _scan_rows(scan, zs) == want
-        assert calls == zs
-        calls.clear()
+        for name in ("fork", "pipe"):
+            with monkeypatch.context() as m:
+                m.setattr(os, name, no_processes)
+                assert _scan_rows(scan, zs) == want
+            assert calls == zs
+            calls.clear()
         # a fork that fails after one worker started: that worker is
-        # stopped and the rows are scanned here
+        # killed and reaped, and the rows are scanned here
         started = []
-        fork_process = multiprocessing.context.ForkProcess
+        fork = os.fork
 
-        def second_fork_fails(ctx, *args, **kwargs):
+        def second_fork_fails():
             if started:
                 raise OSError("no processes left")
-            started.append(fork_process(*args, **kwargs))
-            return started[0]
+            pid = fork()
+            if pid:
+                started.append(pid)
+            return pid
 
         with monkeypatch.context() as m:
-            m.setattr(multiprocessing.context.ForkContext, "Process", second_fork_fails)
+            m.setattr(os, "fork", second_fork_fails)
             assert _scan_rows(scan, zs) == want
         assert calls == zs
-        assert len(started) == 1 and started[0].exitcode is not None
+        assert len(started) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(started[0], os.WNOHANG)
         calls.clear()
-        with monkeypatch.context() as m:
-            m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        with monkeypatch.context() as m:  # a platform with no fork
+            m.delattr(os, "fork")
             assert _scan_rows(scan, zs) == want
         assert calls == zs
         calls.clear()
@@ -489,13 +499,12 @@ class TestParallelRowScan:
         assert calls == []
 
     def test_a_dying_worker_raises_and_leaves_no_child(self):
-        # nothing finishes the item a killed worker held, so a pool that
+        # nothing finishes the items a killed worker held, so a map that
         # missed the death would wait forever: a child process with a
         # timeout turns such a hang into a failure
         code = textwrap.dedent(
             """
-            import multiprocessing, os, signal
-            from concurrent.futures.process import BrokenProcessPool
+            import os, signal
             from gapchain import _fork
 
             _fork.usable_cpus = lambda: 2
@@ -507,8 +516,11 @@ class TestParallelRowScan:
 
             try:  # item 3 dies in the middle of the first chunk, items 0-9
                 _fork.fork_map(item_3_kills_its_worker, list(range(40)), 10)
-            except BrokenProcessPool:
-                print("raised", len(multiprocessing.active_children()))
+            except _fork.WorkerLost:
+                try:
+                    print("raised, child left", os.waitpid(-1, os.WNOHANG))
+                except ChildProcessError:  # every worker was reaped
+                    print("raised")
             print(_fork.fork_map(item_3_kills_its_worker, [1, 2], 10))
             """
         )
@@ -519,7 +531,7 @@ class TestParallelRowScan:
         )
         assert proc.returncode == 0, proc.stderr
         # no child left running, and the next map still runs
-        assert proc.stdout.splitlines() == ["raised 0", "[10, 20]"]
+        assert proc.stdout.splitlines() == ["raised", "[10, 20]"]
 
     def test_two_hundred_rows_in_guided_chunks(self, monkeypatch):
         # the benchmark's row sample: 200 rows at x = 150 go to 2 workers
@@ -528,23 +540,24 @@ class TestParallelRowScan:
         monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
         serial = sample_rows(frame, T, 200, derive_random(5, "maier-rows"))
         monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
-        sent = pool_chunks(monkeypatch)
+        sent = fork_chunks(monkeypatch)
         assert sample_rows(frame, T, 200, derive_random(5, "maier-rows")) == serial
         assert [len(c) for c in sent] == [
             50, 38, 28, 21, 16, 12, 9, 7, 5, 4, 3, 2, 2, 1, 1, 1
         ]
 
 
-def pool_chunks(monkeypatch):
-    """The chunks of items that `fork_map` submits to its pool, in order."""
+def fork_chunks(monkeypatch):
+    """The chunks of item indices that `fork_map` hands its workers, in order."""
     sent = []
-    submit = ProcessPoolExecutor.submit
+    chunks_of = _fork._guided_chunks
 
-    def recorded(pool, fn, chunk):
-        sent.append(list(chunk))
-        return submit(pool, fn, chunk)
+    def recorded(n, workers):
+        chunks = chunks_of(n, workers)
+        sent.extend(list(range(a, b)) for a, b in chunks)
+        return chunks
 
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
+    monkeypatch.setattr(_fork, "_guided_chunks", recorded)
     return sent
 
 
@@ -552,7 +565,7 @@ class TestForkMap:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_guided_chunks_come_back_in_item_order(self, cpus, monkeypatch):
         monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
-        sent = pool_chunks(monkeypatch)
+        sent = fork_chunks(monkeypatch)
 
         def work(state, item):  # list results, some empty: none is flattened
             return [state * item] * (item % 3)
@@ -575,6 +588,11 @@ class TestForkMap:
             assert len(sent[-1]) == 1
             if n == 200:
                 assert len(sent) == {2: 16, 3: 23}[cpus]
+            # each chunk runs in one worker, and no item runs here
+            sent.clear()
+            pids = _fork.fork_map(lambda state, item: os.getpid(), items, None)
+            assert all(len({pids[i] for i in chunk}) == 1 for chunk in sent)
+            assert os.getpid() not in pids
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_first_error_in_item_order_is_raised(self, cpus, monkeypatch):
@@ -592,6 +610,113 @@ class TestForkMap:
         with pytest.raises(ValueError) as err:
             _fork.fork_map(work, list(range(40)), None)
         assert err.value.args == (5,)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_results_larger_than_a_pipe_buffer_come_back_whole(self, cpus, monkeypatch):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+
+        def mebibyte(state, item):  # 16 pipe buffers of 64 KiB each
+            return bytes((item + i) % 256 for i in range(256)) * 4096
+
+        got = _fork.fork_map(mebibyte, [1, 2, 3], None)
+        assert got == [mebibyte(None, item) for item in (1, 2, 3)]
+
+    def test_a_result_it_cannot_pickle_raises_and_leaves_no_child(self, monkeypatch):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        lock = threading.Lock()
+        with pytest.raises(TypeError):
+            pickle.dumps(lock)
+        with pytest.raises(_fork.WorkerLost):
+            _fork.fork_map(lambda state, item: lock if item == 2 else item,
+                           list(range(8)), None)
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_map_inside_a_worker_runs_in_that_worker(self, monkeypatch):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+
+        def inner_pids(state, item):
+            return os.getpid(), _fork.fork_map(
+                lambda state, item: os.getpid(), [1, 2, 3], None
+            )
+
+        got = _fork.fork_map(inner_pids, [1, 2], None)
+        assert all(inner == [outer] * 3 for outer, inner in got)
+        assert os.getpid() not in {outer for outer, _ in got}
+
+
+def seed5_search(frame, T):
+    # the search of `gapchain maier --seed 5` on its frame
+    return find_gap_chain(frame, T, k=2, epsilon=0.01, trials=400,
+                          rng=derive_random(5, "maier-search"), seed=5)
+
+
+class TestListedPrimeTests:
+    @pytest.fixture(scope="class")
+    def certificate150(self):
+        found = seed5_search(*random_frame(150.0, 600.0, 5))
+        assert isinstance(found, GapChainCertificate)
+        assert len(found.prime_offsets) >= 2  # so the full rounds fork
+        return found
+
+    def listed_calls_here(self, monkeypatch):
+        """The values of the listed-prime `is_prime` calls made in this process."""
+        calls = []
+        test = maier.is_prime
+        monkeypatch.setattr(
+            maier, "is_prime",
+            lambda n, rounds=64: calls.append(n) or test(n, rounds),
+        )
+        return calls
+
+    def test_certificate_bytes_do_not_depend_on_the_cpus(
+        self, certificate150, monkeypatch
+    ):
+        frame, T = random_frame(150.0, 600.0, 5)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
+            assert seed5_search(frame, T).to_json() == certificate150.to_json()
+
+    def test_verdicts_do_not_depend_on_the_cpus(self, certificate150, monkeypatch):
+        cert = certificate150
+        z, modulus = int(cert.z_str), int(cert.modulus_str)
+        offset = int(cert.offset_str)
+        # a composite survivor inside the chain: one the evidence proves by
+        # a Miller-Rabin witness
+        moved = next(e["offset"] for e in cert.evidence
+                     if e["kind"] == "miller_rabin_witness")
+        i = next(i for i, a in enumerate(cert.prime_offsets) if a > moved)
+        witness = g.is_prime(z * modulus + offset + moved, MIN_MR_ROUNDS).witness
+
+        def edit(raw):
+            raw["prime_offsets"][i] = moved
+
+        tampered = mutated(cert, edit)
+        calls = self.listed_calls_here(monkeypatch)
+        outcomes = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
+            calls.clear()
+            outcomes[cpus] = (verify_certificate(cert), verify_certificate(tampered))
+            # one CPU tests the listed values here; two test them in workers
+            assert len(calls) == (2 * len(cert.prime_offsets) if cpus == 1 else 0)
+        assert outcomes[1] == outcomes[2]
+        genuine, rejection = outcomes[2]
+        assert genuine.accepted
+        assert rejection.reason == (
+            f"listed offset {moved} is composite (witness {witness})"
+        )
+
+    def test_proven_values_never_fork(self, toy_frame, toy_sieved, monkeypatch):
+        # at x = 36 every listed value lies below DETERMINISTIC_MR_LIMIT
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        cert = seed5_search(toy_frame, toy_sieved)
+        assert isinstance(cert, GapChainCertificate)
+        z = int(cert.z_str)
+        assert all(toy_frame.row_value(z, a) < DETERMINISTIC_MR_LIMIT
+                   for a in cert.prime_offsets)
+        assert verify_certificate(cert)
 
 
 class TestGapChainSearch:

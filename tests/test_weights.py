@@ -9,6 +9,7 @@ or recursive accumulation tricks.
 import itertools
 import math
 import multiprocessing
+import os
 import sys
 import threading
 import tracemalloc
@@ -547,7 +548,12 @@ def parent_builds(monkeypatch):
     return calls
 
 
+def no_fork(*args):
+    raise AssertionError("os.fork was called")
+
+
 def matrix_in_daemon_worker(partition):
+    os.fork = no_fork  # a fork_map that forked would fail here, not fall back
     calls = []
     build = g.WeightTable._maynard_rows
     g.WeightTable._maynard_rows = lambda *args: calls.append(args[1]) or build(*args)
@@ -619,7 +625,7 @@ class TestParallelRowBuild:
         calls = parent_builds(monkeypatch)
         monkeypatch.setattr(_fork, "usable_cpus", lambda: 3)
 
-        def no_pool(*args, **kwargs):
+        def no_processes(*args):
             raise OSError("no processes left")
 
         def built_here():
@@ -628,11 +634,12 @@ class TestParallelRowBuild:
             assert (W.tobytes(), sums.tobytes()) == serial
             return len(calls)
 
-        with monkeypatch.context() as m:
-            m.setattr(multiprocessing.context.ForkContext, "Process", no_pool)
-            assert built_here() == 7
-        with monkeypatch.context() as m:
-            m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        for name in ("fork", "pipe"):
+            with monkeypatch.context() as m:
+                m.setattr(os, name, no_processes)
+                assert built_here() == 7
+        with monkeypatch.context() as m:  # a platform with no fork
+            m.delattr(os, "fork")
             assert built_here() == 7
         # forking while another thread runs can deadlock the child
         stop = threading.Event()
@@ -649,10 +656,7 @@ class TestParallelRowBuild:
     def test_uniform_rows_build_here_on_any_cpus(self, small_partition, monkeypatch):
         # uniform rows take no batches; their bytes are pinned by the
         # acceptance digest of the uniform matrix
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a uniform table started a pool")
-
-        monkeypatch.setattr(multiprocessing.context.ForkContext, "Process", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         built = []
         for cpus in (1, 3):
             monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
