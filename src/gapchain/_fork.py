@@ -1,16 +1,18 @@
 """Forked workers and threads for independent items of work.
 
 The Maier row scan (one item per row), the full-round tests of listed
-primes (one per value) and the Maynard row build (one per batch of rows)
-split their work into items that depend on nothing but state fixed
-before the split.  `fork_map` runs such items on bare forked workers, one
-per usable CPU, in guided chunks: runs of consecutive items that shrink
-as the items run out, so a map of many cheap items costs a few round
-trips and the last chunks still balance the workers.  The workers
-inherit the state by fork: only chunk indices go out, down one task
-pipe, and only results come back, each worker's down a pipe of its own.
-`thread_map` runs items on threads instead, for numpy work that drops
-the GIL (the weight gathers), and joins them all, so `fork_map` can fork.
+primes (one per block of rounds) and the Maynard row build (one per
+batch of rows) split their work into items that depend on nothing but
+state fixed before the split.  `fork_map` runs such items in one process
+per usable CPU, the caller and the bare workers it forks, in guided
+chunks: runs of consecutive items that shrink as the items run out, so
+a map of many cheap items costs a few round trips and the last chunks
+still balance the processes.  The workers inherit the state by fork:
+only chunk indices go out, down one task pipe that the caller reads
+too, and only the workers' results come back, each down a pipe of its
+own.  `thread_map` runs items on threads instead, for numpy work that
+drops the GIL (the weight gathers), and joins them all, so `fork_map`
+can fork.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import pickle
 import sys
 from typing import Any, Callable, NoReturn, Sequence
 
-_in_worker = False  # set in each fork_map worker, never in its parent
+_in_worker = False  # True while a fork_map process runs its chunks
 
 
 class WorkerLost(RuntimeError):
@@ -49,33 +51,34 @@ def fork_map(
 ) -> list[Any]:
     """[func(state, item) for item in items], in the order of items.
 
-    The items go to min(usable CPUs, len(items)) forked workers in
-    guided chunks, runs of ceil(remaining items / (2 workers)) items, each
-    to the next worker that gets free; the first error in the order of
-    items is the one raised.  func and state reach the workers by fork,
-    so func may write into memory that state shares with this process.
-    This process runs no item and reaps every worker, killing them first
-    if it is interrupted.  A worker that dies (a kill, the OOM killer) or
-    sends no results (one it cannot pickle) raises WorkerLost.  The items
-    run here when there is one worker, when the platform cannot fork,
-    inside a fork_map worker or a daemonic multiprocessing worker, when
-    other threads are alive (forking a threaded process can deadlock) or
-    when a pipe or a fork fails.
+    The items run in min(usable CPUs, len(items)) processes, this one
+    and the workers it forks, in guided chunks: runs of ceil(remaining
+    items / (2 processes)) items, each to the next process that gets
+    free; the first error in the order of items is the one raised.  func
+    and state reach the workers by fork, so func may write into memory
+    that state shares with this process.  A map inside an item runs
+    serially in that item's process.  This process reaps every worker,
+    killing them first if it is interrupted.  A worker that dies (a kill,
+    the OOM killer) or sends no results (one it cannot pickle) raises
+    WorkerLost.  Every item runs here when there is one usable CPU, when
+    the platform cannot fork, inside a fork_map item or a daemonic
+    multiprocessing worker, when other threads are alive (forking a
+    threaded process can deadlock) or when a pipe or a fork fails.
     """
     import threading
 
-    workers = min(usable_cpus(), len(items))
+    n = min(usable_cpus(), len(items))
     mp = sys.modules.get("multiprocessing")  # loaded only if something uses it
     daemonic = mp is not None and mp.current_process().daemon
-    if (workers > 1 and hasattr(os, "fork") and not _in_worker and not daemonic
+    if (n > 1 and hasattr(os, "fork") and not _in_worker and not daemonic
             and threading.active_count() == 1):
-        chunks = _guided_chunks(len(items), workers)
+        chunks = _guided_chunks(len(items), n)
         held: list[int] = []  # the pipe ends this process holds
         pids: list[int] = []  # the workers not yet reaped
         try:
             try:
                 held += os.pipe()  # the task pipe
-                for _ in range(workers):
+                for _ in range(n - 1):
                     held += os.pipe()  # this worker's result pipe
                     pid = os.fork()
                     if pid == 0:
@@ -85,14 +88,15 @@ def fork_map(
             except OSError:  # no pipe or no fork: the items run here
                 pass
             else:
-                os.close(held.pop(0))
-                # one 4-byte record per chunk; EOF tells a worker to stop
+                # one 4-byte record per chunk; EOF tells a process to stop
                 records = [k.to_bytes(4, "little") for k in range(len(chunks))]
-                with open(held.pop(0), "wb") as task:
+                with open(held.pop(1), "wb") as task:
                     task.write(b"".join(records))
+                done = _run_chunks(func, items, state, chunks, held[0])
+                os.close(held.pop(0))
                 # a worker writes once the task pipe is empty, so reading the
                 # result pipes to EOF in turn waits on no worker that waits
-                done, codes = {}, []
+                codes = []
                 while pids:
                     with open(held.pop(0), "rb") as pipe:
                         data = pipe.read()
@@ -119,23 +123,37 @@ def fork_map(
     return [func(state, item) for item in items]
 
 
+def _run_chunks(func: Callable[[Any, Any], Any], items: Sequence[Any], state: Any,
+                chunks: list[tuple[int, int]], task: int) -> dict[int, Any]:
+    """Run each chunk named on the task pipe: {chunk: (results, error)},
+    the results up to the chunk's first error."""
+    global _in_worker
+    done: dict[int, Any] = {}
+    _in_worker = True
+    try:
+        while record := os.read(task, 4):
+            k = int.from_bytes(record, "little")
+            out: list[Any] = []
+            done[k] = (out, None)
+            for i in range(*chunks[k]):
+                try:
+                    out.append(func(state, items[i]))
+                except Exception as exc:
+                    done[k] = (out, exc)
+                    break
+    finally:
+        _in_worker = False
+    return done
+
+
 def _work(func: Callable[[Any, Any], Any], items: Sequence[Any], state: Any,
           chunks: list[tuple[int, int]], held: list[int]) -> NoReturn:
-    """A worker: run each chunk named on the task pipe, send, leave."""
-    global _in_worker
-    _in_worker, status, done = True, 1, {}
+    """A worker: run its chunks, send their results, leave."""
+    status = 1
     try:
         for fd in held[1:-1]:
             os.close(fd)
-        while record := os.read(held[0], 4):
-            k = int.from_bytes(record, "little")
-            done[k] = ([], None)  # the results, then the error that ended them
-            for i in range(*chunks[k]):
-                try:
-                    done[k][0].append(func(state, items[i]))
-                except Exception as exc:
-                    done[k] = (done[k][0], exc)
-                    break
+        done = _run_chunks(func, items, state, chunks, held[0])
         with open(held[-1], "wb") as out:
             out.write(pickle.dumps(done, pickle.HIGHEST_PROTOCOL))
         status = 0

@@ -20,9 +20,9 @@ row space.  A sampled row's survivor translates are presieved by the
 primes in (x, PRESIEVE_LIMIT] and the rest tested by BPSW (by the
 Miller-Rabin proof below the deterministic limit).  Rows are independent,
 so `sample_rows` draws all of its row indices first, hands them in
-guided chunks to forked worker processes, one per usable CPU, and
-aggregates them in draw order: the statistics are the same bytes as a
-one-by-one scan.
+guided chunks to one process per usable CPU, this one and forked
+workers, and aggregates them in draw order: the statistics are the same
+bytes as a one-by-one scan.
 The gap-chain search stops at its first certifying row, so it scans its
 rows one at a time.  A successful row is packaged as a self-contained
 certificate: its listed primes are first re-tested with the full
@@ -32,7 +32,9 @@ the modulus, an explicit factor, or a Miller-Rabin witness base), so an
 independent verifier needs no access to the search.  The verifier
 applies its own minimum round count, MIN_MR_ROUNDS.  Both run the
 full-round tests of listed values above the deterministic limit on
-forked workers, one value per item, and read the verdicts in listed order.
+every usable CPU, in blocks of ROUND_BLOCK rounds, and merge each
+value's blocks into the verdict of one is_prime call; the verifier adds
+its evidence's witness bases to the same map.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
-from . import __version__, _fork
+from . import __version__, _fork, nt
 from .nt import (
     DETERMINISTIC_MR_LIMIT,
     PrimalityResult,
@@ -84,6 +86,10 @@ _LIMB_BITS = 30  # a scan folds modulus mod q in 30-bit limbs; products fit 64 b
 # search's count and the verifier's own policy, the cap bounds its work
 MIN_MR_ROUNDS = 48
 MAX_MR_ROUNDS = 1024
+# rounds per item of the full-round map, measured on 2 CPUs at x = 150:
+# blocks of 2 to 12 rounds verify a certificate in the same time, 16 in 5%
+# more and 48, one item per value, in 50% more
+ROUND_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -276,9 +282,9 @@ def _scan_rows(scan: _RowScan, zs: list[int]) -> list[list[int]]:
     """`_row_primes(scan, z)` for every z, in the order of zs.
 
     The rows go in guided chunks (runs of consecutive rows that shrink
-    as the rows run out) to `_fork.fork_map`'s workers, one per usable
-    CPU, which inherit the scan: only the z go out and lists of offsets
-    come back.
+    as the rows run out) to `_fork.fork_map`'s processes, this one and
+    forked workers, one per usable CPU, which inherit the scan: only the
+    z go out and lists of offsets come back.
     """
     return _fork.fork_map(_row_primes, zs, scan)
 
@@ -317,10 +323,11 @@ def sample_rows(
     chosen up front from the same generator; then all `trials` row
     indices are drawn, in the order a row-by-row loop would draw them.
     The rows are scanned by `_row_primes` (presieve, then BPSW above the
-    deterministic limit) in forked workers, one per usable CPU, which
-    take them in guided chunks; they are aggregated in draw order, so the
-    statistics do not depend on the worker count.  The scan stays in this
-    process wherever `_fork.fork_map` cannot fork.
+    deterministic limit) in one process per usable CPU, this one and
+    forked workers, which take them in guided chunks; they are aggregated
+    in draw order, so the statistics do not depend on the CPU count.  The
+    whole scan stays in this process wherever `_fork.fork_map` cannot
+    fork.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -484,7 +491,7 @@ def find_gap_chain(
         if certifies(row_primes):
             # the values a certificate lists get the full rounds, not BPSW
             values = [frame.row_value(z, a) for a in row_primes]
-            tests = _full_round_tests(values, MIN_MR_ROUNDS)
+            tests = _full_round_tests(values, MIN_MR_ROUNDS)[0]
             row_primes = [a for a, res in zip(row_primes, tests) if res]
         min_gap = min_gap_of(row_primes)
         if len(row_primes) > best[0]:
@@ -523,13 +530,39 @@ def find_gap_chain(
     )
 
 
-def _full_round_tests(values: list[int], rounds: int) -> list[PrimalityResult]:
-    """is_prime(value, rounds) for each value, in order: on every usable
-    CPU for two or more values all at or above DETERMINISTIC_MR_LIMIT
-    (some 6 ms each at 253 bits); smaller values are proven here, at once."""
-    if len(values) > 1 and min(values) >= DETERMINISTIC_MR_LIMIT:
-        return _fork.fork_map(lambda r, value: is_prime(value, r), values, rounds)
-    return [is_prime(value, rounds) for value in values]
+def _full_round_tests(
+    values: list[int], rounds: int, witnesses: Sequence[tuple[int, int]] = ()
+) -> tuple[list[PrimalityResult], list[bool]]:
+    """([is_prime(value, rounds) for value in values],
+    [mr_composite_witness(n, base) for n, base in witnesses]), in one map.
+
+    The derived rounds of each value at or above DETERMINISTIC_MR_LIMIT
+    with no trial factor go out in blocks of ROUND_BLOCK (some 0.9 ms
+    each at 253 bits), the witness checks (some 0.13 ms each) last, where
+    the chunks are smallest.  A value's blocks merge into exactly
+    is_prime's result.  A map with no blocks runs here and never forks.
+    """
+    results = [nt.settled(value) for value in values]
+    blocks = [
+        (nt.derived_rounds, value, a, min(a + ROUND_BLOCK, rounds))
+        for value, res in zip(values, results) if res is None
+        for a in range(0, rounds, ROUND_BLOCK)
+    ]
+    items = blocks + [(mr_composite_witness, n, base) for n, base in witnesses]
+    out = iter(_fork.fork_map(_call, items, None) if blocks
+               else [_call(None, item) for item in items])
+    for i, value in enumerate(values):
+        if results[i] is None:
+            parts = [next(out) for _ in range(0, rounds, ROUND_BLOCK)]
+            witness = next((w for _, w in parts if w is not None), None)
+            bases = [base for bs, _ in parts for base in bs]
+            results[i] = nt.derived_verdict(value, rounds, bases, witness)
+    return results, list(out)
+
+
+def _call(state: None, item: tuple) -> Any:
+    """A map item (function, *args) runs as function(*args)."""
+    return item[0](*item[1:])
 
 
 def _build_evidence(
@@ -589,18 +622,51 @@ def _decimal(text: Any) -> int | None:
         return None
 
 
+def _layout_failure(cert: GapChainCertificate) -> str | None:
+    """The first failure of the verifier's checks that test no primality,
+    on listed offsets already in order inside the window: the gap floor,
+    then the evidence offsets, walked in the certificate's own length and
+    never over the whole window."""
+    ps = cert.prime_offsets
+    gap = min(b - a for a, b in zip(ps, ps[1:]))
+    if gap != cert.min_gap:
+        return f"recorded min_gap {cert.min_gap} differs from recomputed {gap}"
+    if cert.min_gap < cert.epsilon * cert.y:
+        return (
+            f"min gap {cert.min_gap} below the demand "
+            f"{cert.epsilon * cert.y:.6g}"
+        )
+    listed = set(ps)
+    covered = {e["offset"] for e in cert.evidence}
+    if len(covered) != len(cert.evidence):
+        return "duplicate evidence offsets"
+    for a in sorted(covered):
+        if not ps[0] < a < ps[-1] or a in listed:
+            return f"evidence for offset {a} outside the window"
+    if len(covered) + len(ps) != ps[-1] - ps[0] + 1:
+        a = ps[0] + 1
+        while a in listed or a in covered:
+            a += 1
+        return f"no compositeness evidence for offset {a}"
+    return None
+
+
 def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
     """Re-check a certificate from scratch; accept only if every step holds.
 
     Checks every field's type, recomputes the modulus from
-    (x, excluded_prime), revalidates ranges, re-tests every listed prime
-    with the certificate's round count (at least MIN_MR_ROUNDS, at most
-    MAX_MR_ROUNDS; `_full_round_tests`, naming the first composite in
-    listed order), recomputes the gap floor, and re-checks each evidence
-    item, requiring the evidence to cover exactly the non-listed integers
-    between the first and last listed primes.  Rejections name the first
-    failure; the work is bounded by the row budget, the round cap and the
-    certificate's own length.
+    (x, excluded_prime), revalidates ranges and the listed offsets'
+    order.  Then it runs the checks that test no primality
+    (`_layout_failure`: the gap floor, and evidence that covers exactly
+    the non-listed integers between the first and last listed primes)
+    and keeps their first failure.  One map (`_full_round_tests`) then
+    re-tests every listed prime with the certificate's round count (at
+    least MIN_MR_ROUNDS, at most MAX_MR_ROUNDS) and, if no check failed,
+    every Miller-Rabin witness base of the evidence.  It rejects, in this
+    order, the first composite in listed order, the kept failure, and
+    the first evidence item that does not hold, in evidence order.
+    Rejections name the first failure of that order; the work is bounded
+    by the row budget, the round cap and the certificate's own length.
     """
 
     def reject(reason: str) -> VerificationOutcome:
@@ -690,36 +756,22 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
     if ps[0] <= cert.x or ps[-1] > cert.y:
         return reject("listed prime offsets leave the window (x, y]")
 
+    failure = _layout_failure(cert)
+    bases = {}  # evidence offset: (value, base) for the map to check
+    for e in cert.evidence if failure is None else ():
+        if e.get("kind") == "miller_rabin_witness":
+            witness = _decimal(e.get("witness"))
+            if witness is not None:
+                bases[e["offset"]] = (z * modulus + offset + e["offset"], witness)
     values = [z * modulus + offset + a for a in ps]
-    for a, res in zip(ps, _full_round_tests(values, rounds)):
+    tests, verdicts = _full_round_tests(values, rounds, list(bases.values()))
+    for a, res in zip(ps, tests):
         if res.verdict == "composite":
             return reject(f"listed offset {a} is composite (witness {res.witness})")
+    if failure is not None:
+        return reject(failure)
 
-    gaps = [b - a for a, b in zip(ps, ps[1:])]
-    if min(gaps) != cert.min_gap:
-        return reject(
-            f"recorded min_gap {cert.min_gap} differs from recomputed {min(gaps)}"
-        )
-    if cert.min_gap < cert.epsilon * cert.y:
-        return reject(
-            f"min gap {cert.min_gap} below the demand "
-            f"{cert.epsilon * cert.y:.6g}"
-        )
-
-    # walked in the certificate's own length, never over the whole window
-    listed = set(ps)
-    covered = {e["offset"] for e in cert.evidence}
-    if len(covered) != len(cert.evidence):
-        return reject("duplicate evidence offsets")
-    for a in sorted(covered):
-        if not ps[0] < a < ps[-1] or a in listed:
-            return reject(f"evidence for offset {a} outside the window")
-    if len(covered) + len(ps) != ps[-1] - ps[0] + 1:
-        a = ps[0] + 1
-        while a in listed or a in covered:
-            a += 1
-        return reject(f"no compositeness evidence for offset {a}")
-
+    witnessed = dict(zip(bases, verdicts))
     for e in cert.evidence:
         a = e["offset"]
         value = z * modulus + offset + a
@@ -740,7 +792,7 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
         elif kind == "miller_rabin_witness":
             if value < 3 or value % 2 == 0:
                 return reject(f"evidence value at offset {a} is trivially even")
-            if not mr_composite_witness(value, witness):
+            if not witnessed[a]:
                 return reject(f"base {witness} does not witness offset {a}")
         else:
             return reject(f"unknown evidence kind {kind!r} at offset {a}")

@@ -317,6 +317,18 @@ def is_prime(n: int, rounds: int = 64) -> PrimalityResult:
     composite by convention with no witness.
     """
     n = int(n)
+    res = settled(n)
+    if res is not None:
+        return res
+    if rounds < 1:
+        raise ValueError("rounds must be positive for probabilistic testing")
+    return derived_verdict(n, rounds, *derived_rounds(n, 0, rounds))
+
+
+def settled(n: int) -> PrimalityResult | None:
+    """is_prime's verdict on int n where it needs no derived rounds:
+    n < 2, a trial factor, n < 10**6, or n below DETERMINISTIC_MR_LIMIT;
+    None for the rest."""
     if n < 2:
         return PrimalityResult(n, "composite", "convention")
     g = math.gcd(n, _TRIAL_PRODUCT)
@@ -339,17 +351,33 @@ def is_prime(n: int, rounds: int = 64) -> PrimalityResult:
         return PrimalityResult(
             n, "prime", "miller_rabin", bases=DETERMINISTIC_MR_BASES
         )
-    if rounds < 1:
-        raise ValueError("rounds must be positive for probabilistic testing")
-    # bases are derived one at a time: most composites fall to the first
-    bases: list[int] = []
-    for i in range(rounds):
-        a = _derived_mr_base(n, i)
-        if mr_composite_witness(n, a):
-            return PrimalityResult(
-                n, "composite", "miller_rabin", witness=a, rounds=rounds
-            )
-        bases.append(a)
+    return None
+
+
+def derived_rounds(n: int, a: int, b: int) -> tuple[list[int], int | None]:
+    """Rounds a, ..., b - 1 of n's derived bases, up to the first base
+    that witnesses n composite: (the bases before it, it or None).
+
+    Bases are derived one at a time: most composites fall to the first.
+    """
+    bases = []
+    for i in range(a, b):
+        base = _derived_mr_base(n, i)
+        if mr_composite_witness(n, base):
+            return bases, base
+        bases.append(base)
+    return bases, None
+
+
+def derived_verdict(
+    n: int, rounds: int, bases: list[int], witness: int | None
+) -> PrimalityResult:
+    """is_prime(n, rounds) once derived_rounds(n, 0, rounds) gave
+    (bases, witness)."""
+    if witness is not None:
+        return PrimalityResult(
+            n, "composite", "miller_rabin", witness=witness, rounds=rounds
+        )
     return PrimalityResult(
         n,
         "probable_prime",

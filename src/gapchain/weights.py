@@ -36,10 +36,10 @@ way).  Every shift receives its terms in the order a dense pass over all
 m would add them, whatever the batch and block, and each term left out
 would add exactly +-0.0, so the rows equal that dense sum bit for bit.
 Batches depend on nothing but the table, so matrix() builds one per
-usable CPU (more if their node lists would pass _NODE_BYTES): forked
-workers (`_fork.fork_map`) each take one batch at a time and write its
-rows and sums into one shared mapping, and every row is the same bits
-whichever worker built it.  The rows are the only evaluation of w: the
+usable CPU (more if their node lists would pass _NODE_BYTES): this
+process and forked workers (`_fork.fork_map`) each take one batch at a
+time and write its rows and sums into one shared mapping, and every row
+is the same bits whichever process built it.  The rows are the only evaluation of w: the
 tests check them against an independent point oracle that factors the r
 translates of one shift and sums over the divisors found, which agrees
 to floating round-off.
@@ -362,8 +362,8 @@ class WeightTable:
         row is followed in memory by one 0.0 (see gathered_sums); rows,
         zeros and sums share one anonymous shared mapping, so the
         Maynard batches are built by `_fork.fork_map` on every usable CPU:
-        each worker builds its batch block by block and writes the rows
-        and sums in place, and nothing comes back.
+        each process, this one included, builds its batch block by block
+        and writes the rows and sums in place, and nothing comes back.
         """
         if self._matrix is None:
             ps = self.partition.weighted_primes.astype(np.int64)
@@ -373,11 +373,11 @@ class WeightTable:
             if self.kind == "maynard":
                 step, padded, row_bytes = self._maynard_batches(n)
                 starts = list(range(0, n, step))
-                # every worker holds one batch's node lists and one padded
+                # every process holds one batch's node lists and one padded
                 # block buffer at a time
-                workers = min(_fork.usable_cpus(), len(starts))
+                procs = min(_fork.usable_cpus(), len(starts))
                 block_bytes = 8 * _block_rows(step, padded) * padded
-                est_bytes += workers * (step * row_bytes + block_bytes)
+                est_bytes += procs * (step * row_bytes + block_bytes)
             nt.check_bytes("dense weight matrix and its build buffers", est_bytes)
             shared = mmap.mmap(-1, 8 * n * (width + 2))
             flat = np.frombuffer(shared, np.float64, n * (width + 1))

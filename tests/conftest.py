@@ -1,9 +1,12 @@
-"""Shared fixtures: the two partition scales used across the suite.
+"""Shared fixtures: the two partition scales used across the suite, and
+a record of the processes a test forks.
 
 The pinned desk-scale run (x = 1400, window 15x wide, small primes in
 (32, 80]) is expensive enough to build once per session; the miniature
 scale (x = 400 with divisor level 20) keeps brute-force oracles cheap.
 """
+
+import os
 
 import pytest
 
@@ -40,3 +43,23 @@ def small_table(small_partition):
     return g.build_weights(
         small_partition, g.first_primes_tuple(4), kind="maynard", theta=0.5
     )
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the workers os.fork starts in this process, in order.
+
+    A fork_map runs items here too, so the items run here do not tell
+    whether it forked; this does.
+    """
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids

@@ -32,13 +32,14 @@ from gapchain import (
     sift_interval,
     verify_certificate,
 )
-from gapchain import _fork, maier
+from gapchain import _fork, maier, nt
 from gapchain.maier import (
     CERTIFICATE_VERSION,
     MAX_MR_ROUNDS,
     MIN_MR_ROUNDS,
     PAIR_SAMPLE,
     PRESIEVE_LIMIT,
+    ROUND_BLOCK,
     ROW_INDEX_BITS,
     _row_primes,
     _row_scan,
@@ -402,20 +403,23 @@ def stats_in_daemon_worker(x, y, trials):
 
 class TestParallelRowScan:
     @pytest.mark.parametrize("x, y", [(36.0, 120.0), (150.0, 600.0)])
-    def test_blocks_come_back_in_row_order(self, x, y, monkeypatch):
+    def test_blocks_come_back_in_row_order(self, x, y, monkeypatch, forked):
         frame, T = random_frame(x, y)
         scan = _row_scan(frame, T)
         rng = derive_random(9, "parallel-scan")
         zs = [rng.randrange(1, frame.row_index_bound() + 1) for _ in range(25)]
         want = [_row_primes(scan, z) for z in zs]
         calls = parent_scans(monkeypatch)
-        # 3 workers share 25 rows, on any number of CPUs
+        # 3 processes share 25 rows, on any number of CPUs
         for cpus in (1, _fork.usable_cpus(), 3):
             monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
             calls.clear()
+            forked.clear()
             assert _scan_rows(scan, zs) == want
-            # one CPU scans here; more fork workers and scan nothing here
-            assert len(calls) == (len(zs) if cpus == 1 else 0)
+            # one CPU scans every row here; more scan some here and fork
+            # one worker fewer than the CPUs
+            assert len(forked) == cpus - 1
+            assert len(calls) <= len(zs) and (cpus > 1 or calls == zs)
 
     @pytest.mark.parametrize("x, y, trials", [(36.0, 120.0, 200), (150.0, 600.0, 48)])
     def test_statistics_do_not_depend_on_the_cpus(self, x, y, trials, monkeypatch):
@@ -440,7 +444,7 @@ class TestParallelRowScan:
         assert stats == want
         assert calls == trials
 
-    def test_other_fallbacks_scan_serially(self, monkeypatch):
+    def test_other_fallbacks_scan_serially(self, monkeypatch, forked):
         frame, T = random_frame(36.0, 120.0)
         scan = _row_scan(frame, T)
         zs = list(range(1, 13))
@@ -494,9 +498,9 @@ class TestParallelRowScan:
             other.join(timeout=10)
         assert not other.is_alive()
         assert calls == zs
-        calls.clear()
+        forked.clear()
         assert _scan_rows(scan, zs) == want
-        assert calls == []
+        assert len(forked) == 2
 
     def test_a_dying_worker_raises_and_leaves_no_child(self):
         # nothing finishes the items a killed worker held, so a map that
@@ -504,24 +508,28 @@ class TestParallelRowScan:
         # timeout turns such a hang into a failure
         code = textwrap.dedent(
             """
-            import os, signal
+            import os, signal, time
             from gapchain import _fork
 
             _fork.usable_cpus = lambda: 2
+            parent = os.getpid()
 
-            def item_3_kills_its_worker(state, item):
-                if item == 3:
+            def worker_dies(state, item):
+                # the first item a forked worker takes kills it; here each
+                # takes 10 ms, so the worker gets a chunk
+                if os.getpid() != parent:
                     os.kill(os.getpid(), signal.SIGKILL)
+                time.sleep(0.01)
                 return state * item
 
-            try:  # item 3 dies in the middle of the first chunk, items 0-9
-                _fork.fork_map(item_3_kills_its_worker, list(range(40)), 10)
+            try:
+                _fork.fork_map(worker_dies, list(range(40)), 10)
             except _fork.WorkerLost:
                 try:
                     print("raised, child left", os.waitpid(-1, os.WNOHANG))
                 except ChildProcessError:  # every worker was reaped
                     print("raised")
-            print(_fork.fork_map(item_3_kills_its_worker, [1, 2], 10))
+            print(_fork.fork_map(lambda state, item: state * item, [1, 2], 10))
             """
         )
         src = str(Path(g.__file__).resolve().parents[1])
@@ -563,7 +571,7 @@ def fork_chunks(monkeypatch):
 
 class TestForkMap:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_guided_chunks_come_back_in_item_order(self, cpus, monkeypatch):
+    def test_guided_chunks_come_back_in_item_order(self, cpus, monkeypatch, forked):
         monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
         sent = fork_chunks(monkeypatch)
 
@@ -573,8 +581,10 @@ class TestForkMap:
         for n in (0, 1, 2, 3, 4, 5, 9, 97, 200):
             items = list(range(n))
             sent.clear()
+            forked.clear()
             assert _fork.fork_map(work, items, 10) == [work(10, i) for i in items]
             workers = min(cpus, n)
+            assert len(forked) == max(workers - 1, 0)
             if workers < 2:
                 assert sent == []  # run here
                 continue
@@ -588,11 +598,29 @@ class TestForkMap:
             assert len(sent[-1]) == 1
             if n == 200:
                 assert len(sent) == {2: 16, 3: 23}[cpus]
-            # each chunk runs in one worker, and no item runs here
+            # each chunk runs in one process: this one or a worker
             sent.clear()
+            forked.clear()
             pids = _fork.fork_map(lambda state, item: os.getpid(), items, None)
             assert all(len({pids[i] for i in chunk}) == 1 for chunk in sent)
-            assert os.getpid() not in pids
+            assert set(pids) <= {os.getpid(), *forked}
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_this_process_takes_a_share(self, cpus, monkeypatch, forked):
+        # a worker sleeps on each item it takes, so this process takes the
+        # chunks that come free meanwhile
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        parent = os.getpid()
+
+        def work(state, item):
+            if os.getpid() != parent:
+                time.sleep(0.05)
+            return os.getpid()
+
+        pids = _fork.fork_map(work, list(range(4 * cpus)), None)
+        assert len(forked) == cpus - 1
+        assert parent in pids and set(pids) <= {parent, *forked}
+        assert not _fork._in_worker
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_first_error_in_item_order_is_raised(self, cpus, monkeypatch):
@@ -626,9 +654,61 @@ class TestForkMap:
         lock = threading.Lock()
         with pytest.raises(TypeError):
             pickle.dumps(lock)
+        parent = os.getpid()
+
+        def work(state, item):
+            # a worker's results would need pickling; here each item
+            # takes 10 ms, so the worker gets a chunk
+            if os.getpid() != parent:
+                return lock
+            time.sleep(0.01)
+            return item
+
         with pytest.raises(_fork.WorkerLost):
-            _fork.fork_map(lambda state, item: lock if item == 2 else item,
-                           list(range(8)), None)
+            _fork.fork_map(work, list(range(8)), None)
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc")
+    def test_no_pipe_is_left_open(self, monkeypatch):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+        parent = os.getpid()
+        lock = threading.Lock()
+
+        def work(state, item):
+            if state == "error" and item == 5:
+                raise ValueError(item)
+            if state == "lost" and os.getpid() != parent:
+                return lock  # a worker cannot send it back
+            time.sleep(0.01)
+            return item
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        assert _fork.fork_map(work, list(range(8)), None) == list(range(8))
+        assert open_fds() == before
+        with pytest.raises(ValueError):
+            _fork.fork_map(work, list(range(8)), "error")
+        assert open_fds() == before
+        with pytest.raises(_fork.WorkerLost):
+            _fork.fork_map(work, list(range(8)), "lost")
+        assert open_fds() == before
+
+    def test_an_interrupt_in_this_process_leaves_no_child(self, monkeypatch, forked):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: 3)
+        parent = os.getpid()
+
+        def work(state, item):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+            return item
+
+        with pytest.raises(KeyboardInterrupt):
+            _fork.fork_map(work, list(range(12)), None)
+        assert len(forked) == 2 and not _fork._in_worker
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
 
@@ -640,9 +720,10 @@ class TestForkMap:
                 lambda state, item: os.getpid(), [1, 2, 3], None
             )
 
-        got = _fork.fork_map(inner_pids, [1, 2], None)
+        got = _fork.fork_map(inner_pids, [1, 2, 3, 4], None)
+        # this process runs its share like a worker, and is one again after
         assert all(inner == [outer] * 3 for outer, inner in got)
-        assert os.getpid() not in {outer for outer, _ in got}
+        assert not _fork._in_worker
 
 
 def seed5_search(frame, T):
@@ -659,13 +740,12 @@ class TestListedPrimeTests:
         assert len(found.prime_offsets) >= 2  # so the full rounds fork
         return found
 
-    def listed_calls_here(self, monkeypatch):
-        """The values of the listed-prime `is_prime` calls made in this process."""
+    def blocks_here(self, monkeypatch):
+        """The values of the blocks of derived rounds run in this process."""
         calls = []
-        test = maier.is_prime
+        rounds = nt.derived_rounds
         monkeypatch.setattr(
-            maier, "is_prime",
-            lambda n, rounds=64: calls.append(n) or test(n, rounds),
+            nt, "derived_rounds", lambda n, a, b: calls.append(n) or rounds(n, a, b)
         )
         return calls
 
@@ -677,7 +757,9 @@ class TestListedPrimeTests:
             monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
             assert seed5_search(frame, T).to_json() == certificate150.to_json()
 
-    def test_verdicts_do_not_depend_on_the_cpus(self, certificate150, monkeypatch):
+    def test_verdicts_do_not_depend_on_the_cpus(
+        self, certificate150, monkeypatch, forked
+    ):
         cert = certificate150
         z, modulus = int(cert.z_str), int(cert.modulus_str)
         offset = int(cert.offset_str)
@@ -692,14 +774,18 @@ class TestListedPrimeTests:
             raw["prime_offsets"][i] = moved
 
         tampered = mutated(cert, edit)
-        calls = self.listed_calls_here(monkeypatch)
+        calls = self.blocks_here(monkeypatch)
         outcomes = {}
         for cpus in (1, 2):
             monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
             calls.clear()
+            forked.clear()
             outcomes[cpus] = (verify_certificate(cert), verify_certificate(tampered))
-            # one CPU tests the listed values here; two test them in workers
-            assert len(calls) == (2 * len(cert.prime_offsets) if cpus == 1 else 0)
+            # one CPU runs every block of rounds here, six for each listed
+            # value; two fork one worker for each verification's map
+            blocks = 2 * len(cert.prime_offsets) * MIN_MR_ROUNDS // ROUND_BLOCK
+            assert len(forked) == (0 if cpus == 1 else 2)
+            assert len(calls) <= blocks and (cpus > 1 or len(calls) == blocks)
         assert outcomes[1] == outcomes[2]
         genuine, rejection = outcomes[2]
         assert genuine.accepted
@@ -717,6 +803,119 @@ class TestListedPrimeTests:
         assert all(toy_frame.row_value(z, a) < DETERMINISTIC_MR_LIMIT
                    for a in cert.prime_offsets)
         assert verify_certificate(cert)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("rounds", [MIN_MR_ROUNDS, 50, MAX_MR_ROUNDS])
+    def test_round_blocks_merge_into_the_is_prime_result(
+        self, rounds, cpus, monkeypatch
+    ):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        primes = [p for p in range(2**253 + 1, 2**253 + 2000, 2) if nt.bpsw(p)][:2]
+        assert all(p.bit_length() == 254 for p in primes) and len(primes) == 2
+        values = [
+            *primes,
+            3 * primes[0],  # a trial factor: settled before any round
+            primes[0] * primes[1],  # falls to its first derived base
+            1_000_003, 2**61 - 1,  # proven without derived rounds
+        ]
+        tests, verdicts = maier._full_round_tests(
+            values, rounds, [(values[3], 2), (primes[0], 2)]
+        )
+        assert tests == [g.is_prime(v, rounds) for v in values]
+        assert [t.verdict for t in tests] == [
+            "probable_prime", "probable_prime", "composite", "composite",
+            "prime", "prime",
+        ]
+        assert tests[0].bases == tuple(nt.derived_mr_bases(primes[0], rounds))
+        assert verdicts == [True, False]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_witness_in_a_later_block_is_the_one_reported(self, cpus, monkeypatch):
+        # bases 1 witness nothing, so the first witness is in round 19,
+        # the fourth round of the third block
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        derived = nt._derived_mr_base
+        monkeypatch.setattr(
+            nt, "_derived_mr_base", lambda n, i: 1 if i < 19 else derived(n, i)
+        )
+        p, q = (next(v for v in range(lo, lo + 2000, 2) if nt.bpsw(v))
+                for lo in (2**127 + 1, 2**126 + 1))
+        tests, _ = maier._full_round_tests([p * q, p], MIN_MR_ROUNDS)
+        assert tests == [g.is_prime(p * q, MIN_MR_ROUNDS), g.is_prime(p, MIN_MR_ROUNDS)]
+        assert tests[0].witness == derived(p * q, 19)
+        assert tests[1].bases[:19] == (1,) * 19
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_rejection_reasons_do_not_depend_on_the_cpus(
+        self, certificate150, cpus, monkeypatch
+    ):
+        # the reasons of the verifier that ran its checks in one sequence,
+        # before the one that keeps the failure of those that test no
+        # primality and checks the witness bases in the rounds' map
+        monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+        listed_209 = (
+            "listed offset 209 is composite (witness 78335897266221057467540956"
+            "8503038231283545597473936822153848427281483035332)"
+        )
+        want = {
+            "min_gap_plus_1": "recorded min_gap 45 differs from recomputed 44",
+            "z_plus_1": "listed offset 179 is composite (witness 281)",
+            "drop_first_evidence": "no compositeness evidence for offset 180",
+            "k_zero": "chain length k = 0 is below 1",
+            "epsilon_negative": "gap fraction epsilon = -1.0 outside (0, 1)",
+            "mr_rounds_zero": "policy mr_rounds = 0 outside [48, 1024]",
+            "witness_non_numeric":
+                "witness 'not-a-number' at offset 180 is not a decimal integer",
+            "x_string": "x = '150' is not an integer",
+            "listed_on_composite": listed_209,
+            "factor_off_by_one": "bad factor evidence at offset 269",
+            "mr_base_one": "base 1 does not witness offset 209",
+            "listed_on_composite_and_min_gap": listed_209,
+            "mr_base_one_and_duplicate": "duplicate evidence offsets",
+            "genuine": None,
+        }
+        got = {name: verify_certificate(bad).reason
+               for name, bad in tampered(certificate150).items()}
+        assert got == want
+
+
+def tampered(cert):
+    """Tampered copies of a certificate, by name: the benchmark's eight
+    tamper probes, then single faults and pairs whose reported reason the
+    verifier's check order fixes."""
+    replace = dataclasses.replace
+    ev, ps = cert.evidence, cert.prime_offsets
+
+    def edited(i, **change):
+        items = [dict(e) for e in ev]
+        items[i].update(change)
+        return items
+
+    mr = next(i for i, e in enumerate(ev) if e["kind"] == "miller_rabin_witness")
+    factor = next(i for i, e in enumerate(ev) if e["kind"] == "explicit_factor")
+    # a listed offset moved onto the composite survivor that ev[mr] covers
+    i = next(i for i, a in enumerate(ps) if a > ev[mr]["offset"])
+    moved = [*ps[:i], ev[mr]["offset"], *ps[i + 1:]]
+    return {
+        "min_gap_plus_1": replace(cert, min_gap=cert.min_gap + 1),
+        "z_plus_1": replace(cert, z_str=str(int(cert.z_str) + 1)),
+        "drop_first_evidence": replace(cert, evidence=ev[1:]),
+        "k_zero": replace(cert, k=0),
+        "epsilon_negative": replace(cert, epsilon=-1.0),
+        "mr_rounds_zero": replace(cert, policy={**cert.policy, "mr_rounds": 0}),
+        "witness_non_numeric": replace(
+            cert, evidence=edited(0, witness="not-a-number")),
+        "x_string": replace(cert, x=str(cert.x)),
+        "listed_on_composite": replace(cert, prime_offsets=moved),
+        "factor_off_by_one": replace(cert, evidence=edited(
+            factor, witness=str(int(ev[factor]["witness"]) + 1))),
+        "mr_base_one": replace(cert, evidence=edited(mr, witness="1")),
+        "listed_on_composite_and_min_gap": replace(
+            cert, prime_offsets=moved, min_gap=cert.min_gap + 1),
+        "mr_base_one_and_duplicate": replace(
+            cert, evidence=edited(mr, witness="1") + [ev[0]]),
+        "genuine": cert,
+    }
 
 
 class TestGapChainSearch:
