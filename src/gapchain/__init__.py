@@ -48,7 +48,7 @@ _SUBMODULE = {
         "sieving": (
             "ResidualReport", "ResidueSystem", "SievedSet", "assemble_full_system",
             "greedy_rankin", "residual_smooth_set", "sample_classes",
-            "sift_interval",
+            "sift_interval", "sift_mismatches",
         ),
         "weights": (
             "AdmissibleTuple", "WeightContractReport", "WeightTable",

@@ -4,11 +4,14 @@ Once a residue system over all primes up to x is fixed, the Chinese
 remainder theorem produces one offset m modulo the primorial-style
 modulus P (product of those primes, the excluded modulus left out) such
 that translating the interval (x, y] by z*P + m, for any row index z,
-sends exactly the sieve survivors to integers coprime to P.  Primes in a
-translated row can therefore only appear at survivor offsets, and a row
-whose survivor translates contain k+1 primes with every consecutive gap
-of length at least epsilon*y witnesses a chain of k consecutive large
-prime gaps.
+sends exactly the sieve survivors to integers coprime to P.  Both halves
+of that are proven, not sampled: `assemble_frame` checks that p divides
+m + a_p for every class a_p, and each search's `_row_scan` refuses a
+sieved set that differs from those classes at any t of the window.
+Primes in a translated row can therefore only appear at survivor
+offsets, and a row whose survivor translates contain k+1 primes with
+every consecutive gap of length at least epsilon*y witnesses a chain of
+k consecutive large prime gaps.
 
 The translation holds for every z in [1, P**D], the row space that the
 counting argument needs.  A search only samples rows, some 10**4 at most,
@@ -18,23 +21,16 @@ row value stays below P * 2**65 rather than near P**(D+1), so every
 primality test on it works on fewer bits.  Nothing here scans the full
 row space.  A sampled row's survivor translates are presieved by the
 primes in (x, PRESIEVE_LIMIT] and the rest tested by BPSW (by the
-Miller-Rabin proof below the deterministic limit).  Rows are independent,
-so `sample_rows` draws all of its row indices first, hands them in
-guided chunks to one process per usable CPU, this one and forked
-workers, and aggregates them in draw order: the statistics are the same
-bytes as a one-by-one scan.
-The gap-chain search stops at its first certifying row, so it scans its
-rows one at a time.  A successful row is packaged as a self-contained
-certificate: its listed primes are first re-tested with the full
-Miller-Rabin rounds, and every integer strictly between them carries
-deterministically checkable compositeness evidence (a shared factor with
-the modulus, an explicit factor, or a Miller-Rabin witness base), so an
-independent verifier needs no access to the search.  The verifier
-applies its own minimum round count, MIN_MR_ROUNDS.  Both run the
-full-round tests of listed values above the deterministic limit on
-every usable CPU, in blocks of ROUND_BLOCK rounds, and merge each
-value's blocks into the verdict of one is_prime call; the verifier adds
-its evidence's witness bases to the same map.
+Miller-Rabin proof below the deterministic limit).  `sample_rows` scans
+its rows on every usable CPU; the gap-chain search stops at its first
+certifying row, so it scans its rows one at a time.  A successful row is
+packaged as a self-contained certificate: its listed primes are first
+re-tested with the full Miller-Rabin rounds, and every integer strictly
+between them carries deterministically checkable compositeness evidence
+(a shared factor with the modulus, an explicit factor, or a Miller-Rabin
+witness base), so an independent verifier needs no access to the search.
+The verifier applies its own minimum round count, MIN_MR_ROUNDS; both
+run the full-round tests on every usable CPU (`_full_round_tests`).
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ from .nt import (
     strike_classes,
 )
 from .partition import PrimePartition, check_excluded_prime
-from .sieving import ResidueSystem, SievedSet
+from .sieving import ResidueSystem, SievedSet, sift_mismatches
 
 __all__ = [
     "CERTIFICATE_VERSION",
@@ -90,16 +86,14 @@ MAX_MR_ROUNDS = 1024
 # blocks of 2 to 12 rounds verify a certificate in the same time, 16 in 5%
 # more and 48, one item per value, in 50% more
 ROUND_BLOCK = 8
+ROW_SAMPLE_BYTES = 256  # a sampled row's z (44) and prime offsets (150-444)
 
 
 @dataclass(frozen=True)
 class FrameWindow:
-    """Bare translation window for frames built without a full partition.
-
-    The translation machinery only needs the interval endpoints and the
-    excluded modulus, so tiny demonstration frames (x well below the
-    partition module's floor) use this directly.
-    """
+    """Bare translation window for frames built without a full partition:
+    every frame of the maier mode (x = 36, 150 and 400, below the partition
+    module's floor) is built from one.  A PrimePartition serves too."""
 
     x: float
     y: float
@@ -108,8 +102,8 @@ class FrameWindow:
     def __post_init__(self) -> None:
         if not self.x > 2:
             raise ValueError("window start must exceed 2")
-        if not self.y > self.x:
-            raise ValueError("window end must exceed its start")
+        if not self.x < self.y < math.inf:  # an infinite y fails in math.floor
+            raise ValueError(f"window end y = {self.y} must be finite and exceed x")
         # the primes up to x alone carry more than x bits
         if self.x > DEFAULT_Z_BIT_BUDGET:
             raise ValueError(f"x = {self.x:g} puts the modulus over the row budget")
@@ -222,13 +216,16 @@ def _residues(n: int, qs: np.ndarray) -> np.ndarray:
 
 
 def _row_scan(frame: MaierFrame, T: SievedSet) -> _RowScan:
-    """The scan of the frame's rows, once T is its window and its row
-    space is within the bit budget."""
+    """The scan of the frame's rows, once T is its window's sieved set at
+    every t (`sift_mismatches`) and its row space is within the budget."""
     if (T.lo, T.hi) != (frame.x, frame.y):
         raise ValueError(
             f"sieved set covers ({T.lo}, {T.hi}] but the frame translates "
             f"({frame.x}, {frame.y}]"
         )
+    for t in sift_mismatches(T, frame.system):
+        kind = "a survivor in a class" if t in T else "struck but in no class"
+        raise ValueError(f"sieved set does not match the frame at t = {t}: {kind}")
     if frame.row_space_bits() > DEFAULT_Z_BIT_BUDGET:
         raise ValueError(
             f"row space needs about {frame.row_space_bits()} bits, over the "
@@ -310,6 +307,12 @@ class RowStatistics:
         }
 
 
+def _check_row_sample(trials: int, name: str = "trials") -> None:
+    if trials < 1:
+        raise ValueError(f"{name} = {trials} must be at least 1")
+    nt.check_bytes(f"a sample of {name} = {trials} rows", trials * ROW_SAMPLE_BYTES)
+
+
 def sample_rows(
     frame: MaierFrame,
     T: SievedSet,
@@ -318,6 +321,8 @@ def sample_rows(
 ) -> RowStatistics:
     """Count primes among survivor translates for `trials` random rows.
 
+    T must be the frame's own sieved set (`_row_scan`), and a sample over
+    nt.MAX_BYTES at ROW_SAMPLE_BYTES a row is refused before any draw.
     Uses the stdlib Random generator because row indices are arbitrary
     precision.  Pair statistics cover PAIR_SAMPLE random survivor pairs,
     chosen up front from the same generator; then all `trials` row
@@ -326,11 +331,9 @@ def sample_rows(
     deterministic limit) in one process per usable CPU, this one and
     forked workers, which take them in guided chunks; they are aggregated
     in draw order, so the statistics do not depend on the CPU count.  The
-    whole scan stays in this process wherever `_fork.fork_map` cannot
-    fork.
+    whole scan stays here wherever `_fork.fork_map` cannot fork.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_row_sample(trials)
     scan = _row_scan(frame, T)
     Z = frame.row_index_bound()
     offsets = scan.offsets.tolist()
@@ -460,12 +463,13 @@ def find_gap_chain(
 ) -> GapChainCertificate | MissReport:
     """Sample rows until one certifies k consecutive gaps of size >= eps*y.
 
-    A row certifies when its survivor translates contain at least k+1
-    primes and every consecutive gap between the listed primes reaches
-    epsilon * y, and still does once its primes get the full rounds
-    (`_full_round_tests`).  Success builds the full certificate, including
-    the compositeness evidence for all intermediate offsets; failure
-    returns a structured miss report with the best row seen.
+    T must be the frame's own sieved set (`_row_scan`).  A row certifies
+    when its survivor translates contain at least k+1 primes and every
+    consecutive gap between the listed primes reaches epsilon * y, and
+    still does once its primes get the full rounds (`_full_round_tests`).
+    Success builds the full certificate, including the compositeness
+    evidence for all intermediate offsets; failure returns a structured
+    miss report with the best row seen.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -9,19 +9,19 @@ survives.  This module owns the data types for that story
   SievedSet         immutable bitmap of the survivors of an interval
 
 plus the one class sieve (`sift_interval`, through `nt.strike_classes`:
-the construction reads its sifted targets from the same bitmap), the one
-sampler of uniform classes (`sample_classes`: the construction's small
-classes and the classes of a maier frame), the operations that build full
-systems out of the partial random data, split the survivors into target
-primes versus smooth residue, and a deterministic greedy baseline in the
-classical style of Erdos and Rankin for comparison runs.
+the construction reads its sifted targets from the same bitmap), its
+exact check by `%` (`sift_mismatches`), the one sampler of uniform
+classes (`sample_classes`: the construction's small classes and a maier
+frame's), the operations that build full systems out of the partial
+random data, split the survivors into target primes versus smooth
+residue, and a deterministic greedy baseline after Erdos and Rankin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "SievedSet",
     "sample_classes",
     "sift_interval",
+    "sift_mismatches",
     "assemble_full_system",
     "ResidualReport",
     "residual_smooth_set",
@@ -114,6 +115,23 @@ def sift_interval(lo: int, hi: int, system: ResidueSystem) -> SievedSet:
     alive = np.ones(hi - lo, dtype=bool)
     strike_classes(alive, lo + 1, system.entries.items())
     return SievedSet(lo=lo, hi=hi, bitmap=alive)
+
+
+def sift_mismatches(T: SievedSet, system: ResidueSystem) -> Iterator[int]:
+    """Ascending, each t of T's window that T keeps though a class
+    t = a_p (mod p) holds it, or strikes though none does.  By `%` on
+    blocks of 2**16 window values, not through `strike_classes`; a struck
+    t meets the classes only up to the first that holds it."""
+    classes = sorted(system.entries.items())  # small primes strike most
+    for lo in range(T.lo, T.hi, 1 << 16):
+        t = np.arange(lo + 1, min(lo + (1 << 16), T.hi) + 1, dtype=np.int64)
+        kept = T.bitmap[lo - T.lo : lo - T.lo + t.size]
+        survivors, struck = t[kept], t[~kept]
+        in_class = np.zeros(survivors.size, dtype=bool)
+        for p, a in classes:
+            in_class |= survivors % p == a
+            struck = struck[struck % p != a]  # those in no class so far
+        yield from sorted(survivors[in_class].tolist() + struck.tolist())
 
 
 def sample_classes(

@@ -218,9 +218,9 @@ def test_acceptance_translation_certificate():
 # certificate's library_version, which is gapchain.__version__.
 GOLDEN_DIGESTS = {
     "gk": "497381957cc9ca7bf29b85434529e0929d161c0bc72e611491a64b6bd2be22b1",
-    "maier": "aa18f49bb70ac0cea6fa8e22c93ab2cc5e35ffb35469c45b2118f19e54d1cbdb",
-    "maier150": "db5dcaa6a08dc90e63fca85e805bcabdc0419452709eb89e7070929214ee478c",
-    "sieve": "267e53d860c2e36874927425e0475f596d3d37f26452ab61db93dc803ccbd288",
+    "maier": "d07122320c32b99611cba17f55d2398212acc08390b6e9c776ed0db9de1b0525",
+    "maier150": "9953a088fd966a6139af7776d847e7c5795f7ac9796696563d8e4503cef9c442",
+    "sieve": "e2d987356bc2ff62b31deb822a7a0081474b153f96bde91fc27e125db4db9940",
     "cover": "89d336bb1c9ca3e18f20a85922b61531ca80fbb3a5e2c0bb4b2fa86e25c8f024",
     "contracts": "ec9a75a6f2671bff64aa3efcb09312e85abd19aba038d040600a6c4b220c95e0",
     "construction": "55d58261e8d5943f19c48cd6b27662728dc8ccc2373c681f680bde5426d40783",

@@ -246,6 +246,34 @@ class TestModeRunners:
             "medium_high": 200.0,
         }
 
+    @pytest.mark.parametrize("kept", [True, False])
+    def test_sieve_mode_check_fails_on_a_flipped_slot(self, kept, monkeypatch):
+        # the check reads every t of the window; it used to read one in 98,
+        # and the flipped slot here is off that stride
+        from gapchain import sieving
+
+        sift = sieving.sift_interval
+
+        def one_slot_flipped(lo, hi, system):
+            bitmap = sift(lo, hi, system).bitmap.copy()
+            slots = np.flatnonzero(bitmap != kept).tolist()
+            # a struck prime kept would make the residual split raise
+            i = next(
+                i for i in slots
+                if i % 98 and not (kept and gapchain.is_prime(lo + 1 + i))
+            )
+            bitmap[i] ^= True
+            return sieving.SievedSet(lo=lo, hi=hi, bitmap=bitmap)
+
+        monkeypatch.setattr(sieving, "sift_interval", one_slot_flipped)
+        report = run_experiment(make_config("sieve", partition={"x": 400}))
+        assert [(c["name"], c["passed"]) for c in report.checks] == [
+            ("membership_recheck", False), ("survivors_split", True)
+        ]
+        assert report.checks[0]["detail"] == (
+            "1 mismatches among the 5600 window integers"
+        )
+
     def test_weights_mode(self):
         cfg = make_config("weights", partition={"x": 400}, weights={"theta": 0.5})
         report = run_experiment(cfg)
@@ -382,7 +410,7 @@ class TestModeRunners:
             "frame", "row_stats", "search", "total", "verify"
         ]
         assert hashlib.sha256(report.metrics_json().encode()).hexdigest() == (
-            "630a0e14057c29cb753d7a7913fdf7831d9f4931f8379a0d570ce9ea17ca51cb"
+            "6eb90a44a40c46ed3dcf6bf8c1762d6dc2304a74943ad99b49d852774227e7c6"
         )
         frame = report.metrics["frame"]
         assert frame["x"] == 36 and frame["y"] == 120
@@ -390,8 +418,12 @@ class TestModeRunners:
         assert frame["row_index_bits"] == 38  # the whole row space
         cert = report.metrics["certificate"]
         assert cert["k"] == 2
-        sound = report.metrics["soundness"]
-        assert sound["outside"] > 0 and sound["escapes"] == 0
+        # the searches prove the translation on every t of the window, so
+        # no sampled soundness check or block is left in the report
+        assert [c["name"] for c in report.checks] == [
+            "chain_found", "certificate_verifies"
+        ]
+        assert "soundness" not in report.metrics
 
     def test_gk_mode_byte_reproducible(self):
         cfg = make_config("gk", gk={"limit": 2_000, "k": 1})
@@ -737,6 +769,11 @@ class TestCli:
             (["maier", "--x", "150", "--y", "600", "--k", "0"], "k must be at least 1"),
             (["maier", "--x", "150", "--y", "600", "--epsilon", "1.5"], "epsilon must"),
             (["maier", "--x", "150", "--y", "600", "--trials", "0"], "trials must be"),
+            # its 10**9 row indices were drawn into one list first
+            (
+                ["maier", "--config", "[maier]\nstat_trials = 1000000000\n"],
+                "a sample of [maier] stat_trials = 1000000000 rows would need 2.56e+11",
+            ),
         ],
     )
     def test_bad_option_is_refused_before_the_work(

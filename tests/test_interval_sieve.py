@@ -14,6 +14,7 @@ from gapchain import (
     greedy_rankin,
     residual_smooth_set,
     sift_interval,
+    sift_mismatches,
 )
 from gapchain.nt import primes_in_range
 from gapchain.seeds import derive_seed
@@ -81,6 +82,49 @@ class TestSiftInterval:
         assert sift_interval(5, 105, system).count == 66
         with pytest.raises(ValueError, match=r"\(5, 106\] would need 101 "):
             sift_interval(5, 106, system)
+
+
+class TestSiftMismatches:
+    # a window over one block boundary of the check (2**16 values)
+    lo, hi = 1000, 1000 + (1 << 16) + 300
+
+    def system(self, seed):
+        rng = random.Random(derive_seed(seed, "mismatches"))
+        return ResidueSystem(
+            {p: rng.randrange(p) for p in primes_in_range(1, 40).tolist()}
+        )
+
+    def test_a_set_from_its_own_classes_has_none(self):
+        for seed, (lo, hi) in enumerate([(0, 50), (36, 120), (self.lo, self.hi)]):
+            system = self.system(seed)
+            assert list(sift_mismatches(sift_interval(lo, hi, system), system)) == []
+
+    def test_every_flipped_slot_is_named_in_order(self, monkeypatch):
+        system = self.system(7)
+        T = sift_interval(self.lo, self.hi, system)
+        alive, dead = np.flatnonzero(T.bitmap), np.flatnonzero(~T.bitmap)
+        block = 1 << 16
+        # a survivor and a struck slot flipped, each side of the boundary
+        flips = sorted(int(i) for i in (
+            alive[0], dead[0], alive[alive >= block][0], dead[dead >= block][0]
+        ))
+        bitmap = T.bitmap.copy()
+        bitmap[flips] ^= True
+        bad = SievedSet(lo=self.lo, hi=self.hi, bitmap=bitmap)
+        brute = set(brute_sift(self.lo, self.hi, system.entries))
+        window = range(self.lo + 1, self.hi + 1)
+        want = [t for t in window if (t in bad) != (t in brute)]
+        assert want == [self.lo + 1 + i for i in flips]
+        # the check reads the classes by `%`, not through the sieve's kernel
+        monkeypatch.setattr(g.sieving, "strike_classes", None)
+        assert list(sift_mismatches(bad, system)) == want
+
+    def test_another_class_draw_disagrees(self):
+        T = sift_interval(36, 120, self.system(1))
+        other = self.system(2)
+        brute = set(brute_sift(36, 120, other.entries))
+        want = [t for t in range(37, 121) if (t in T) != (t in brute)]
+        assert want and list(sift_mismatches(T, other)) == want
 
 
 class TestSievedSet:

@@ -111,6 +111,13 @@ class TestFrameAssembly:
         with pytest.raises(ValueError, match="x = 20001 puts the modulus over"):
             FrameWindow(x=20001.0, y=30000.0)
 
+    def test_non_finite_window_end_is_refused(self):
+        # assemble_frame used to fail later with an OverflowError from
+        # math.floor; the CLI's getfloat guarded only its own options
+        for y in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"window end y = {y} must be finite"):
+                FrameWindow(x=36.0, y=y)
+
     def test_tiny_frame_translation_invariant(self):
         frame = assemble_frame(zero_system(13), FrameWindow(x=13.0, y=60.0))
         assert frame.modulus == 2 * 3 * 5 * 7 * 11 * 13  # 30030
@@ -236,6 +243,24 @@ class TestRowSampling:
         with pytest.raises(ValueError, match="translates"):
             sample_rows(toy_frame, off_window, trials=1, rng=rng)
 
+    def test_a_sample_over_the_byte_cap_is_refused_before_the_draw(
+        self, toy_frame, toy_sieved, monkeypatch
+    ):
+        # 10**9 rows used to be drawn into one list of ints first
+        rng = derive_random(0, "maier-rows")
+        state = rng.getstate()
+        with pytest.raises(
+            nt.MatrixTooLarge,
+            match=r"a sample of trials = 1000000000 rows would need 2\.56e\+11 bytes",
+        ):
+            sample_rows(toy_frame, toy_sieved, trials=10**9, rng=rng)
+        assert rng.getstate() == state
+        # at a row size of a 40th of the cap, 40 rows fit and 41 do not
+        monkeypatch.setattr(maier, "ROW_SAMPLE_BYTES", nt.MAX_BYTES // 40)
+        assert sample_rows(toy_frame, toy_sieved, trials=40, rng=rng).trials == 40
+        with pytest.raises(nt.MatrixTooLarge, match="a sample of trials = 41 rows"):
+            sample_rows(toy_frame, toy_sieved, trials=41, rng=rng)
+
 
 def random_system(x, seed):
     rng = derive_rng(seed, "maier-classes")
@@ -245,10 +270,18 @@ def random_system(x, seed):
     return ResidueSystem(entries)
 
 
-def oracle_row(frame, T, z):
+def oracle_row(scan, z):
     return [
-        a for a in T.members().tolist() if g.is_prime(frame.row_value(z, a), 48)
+        a for a in scan.offsets.tolist()
+        if g.is_prime(scan.frame.row_value(z, a), 48)
     ]
+
+
+def every_offset(scan):
+    """`scan` over every t of its window, survivor or not: `_row_scan`
+    refuses any set but the frame's own, so the offsets are swapped in."""
+    x, y = scan.frame.x, scan.frame.y
+    return dataclasses.replace(scan, offsets=np.arange(x + 1, y + 1, dtype=np.int64))
 
 
 class TestRowScan:
@@ -260,15 +293,11 @@ class TestRowScan:
             for seed in (None, 1, 2, 3):
                 system = zero_system(x) if seed is None else random_system(x, seed)
                 frame = assemble_frame(system, FrameWindow(x=x, y=y))
-                everything = SievedSet(
-                    lo=frame.x, hi=frame.y,
-                    bitmap=np.ones(frame.y - frame.x, dtype=bool),
-                )
-                for T in (sift_interval(frame.x, frame.y, system), everything):
-                    scan = _row_scan(frame, T)
+                survivors = _row_scan(frame, sift_interval(frame.x, frame.y, system))
+                for scan in (survivors, every_offset(survivors)):
                     assert frame.row_value(1, frame.y) < PRESIEVE_LIMIT
                     for z in rows:
-                        assert _row_primes(scan, z) == oracle_row(frame, T, z)
+                        assert _row_primes(scan, z) == oracle_row(scan, z)
 
     @pytest.mark.parametrize("x, y, seed", [(36.0, 120.0, 5), (150.0, 600.0, 5)])
     def test_row_primes_match_is_prime(self, x, y, seed, monkeypatch):
@@ -276,7 +305,7 @@ class TestRowScan:
         rng = derive_random(seed, "row-scan-oracle")
         # the range the searches draw from: 2**64 at x=150
         rows = [rng.randrange(1, frame.row_index_bound() + 1) for _ in range(6)]
-        assert_rows_match_oracle(frame, T, rows, monkeypatch)
+        assert_rows_match_oracle(_row_scan(frame, T), rows, monkeypatch)
 
     def test_edge_row_indices(self, monkeypatch):
         # 2**64, the top row index at x=150, is the one drawable z that
@@ -284,22 +313,18 @@ class TestRowScan:
         # last one (offset y) included
         frame, T = random_frame(150.0, 600.0, 5)
         assert frame.row_index_bound() == 2**64
-        everything = SievedSet(
-            lo=frame.x, hi=frame.y, bitmap=np.ones(frame.y - frame.x, dtype=bool)
-        )
-        for members in (T, everything):
-            assert_rows_match_oracle(
-                frame, members, [1, 2**64 - 1, 2**64], monkeypatch
-            )
+        survivors = _row_scan(frame, T)
+        for scan in (survivors, every_offset(survivors)):
+            assert_rows_match_oracle(scan, [1, 2**64 - 1, 2**64], monkeypatch)
 
 
-def assert_rows_match_oracle(frame, T, rows, monkeypatch):
+def assert_rows_match_oracle(scan, rows, monkeypatch):
     """`_row_primes` equals `oracle_row` on every row, and exactly the
     translates with no prime factor in (x, PRESIEVE_LIMIT] reach a
     primality test, in order: the proof at x=36, BPSW at x=150."""
-    scan = _row_scan(frame, T)
+    frame = scan.frame
     for z in rows:
-        assert _row_primes(scan, z) == oracle_row(frame, T, z)
+        assert _row_primes(scan, z) == oracle_row(scan, z)
     tested = []
     for name in ("is_prime", "bpsw"):
         test = getattr(maier, name)
@@ -310,7 +335,7 @@ def assert_rows_match_oracle(frame, T, rows, monkeypatch):
     for z in rows:
         tested.clear()
         _row_primes(scan, z)
-        values = [frame.row_value(z, a) for a in T.members().tolist()]
+        values = [frame.row_value(z, a) for a in scan.offsets.tolist()]
         assert tested == [v for v in values if math.gcd(v, presieve) == 1]
         assert len(tested) < 0.6 * len(values)
         over = [v > DETERMINISTIC_MR_LIMIT for v in values]
@@ -375,6 +400,32 @@ def random_frame(x, y, seed=5):
     system = random_system(x, seed)
     frame = assemble_frame(system, FrameWindow(x=x, y=y))
     return frame, sift_interval(frame.x, frame.y, system)
+
+
+class TestSievedSetCheck:
+    @pytest.mark.parametrize("x, y", [(36.0, 120.0), (150.0, 600.0), (400.0, 2000.0)])
+    def test_both_searches_refuse_a_set_of_other_classes(self, x, y):
+        # the seed-6 set on the seed-5 x=36 frame used to be searched to
+        # a miss report, and its row sample read a mean of 0.0 primes
+        frame, T = random_frame(x, y, 5)
+        alive, dead = np.flatnonzero(T.bitmap), np.flatnonzero(~T.bitmap)
+        bad_sets = [sift_interval(frame.x, frame.y, random_system(x, 6))]
+        for i in (alive[alive.size // 2], dead[dead.size // 2]):  # each way
+            bitmap = T.bitmap.copy()
+            bitmap[i] ^= True
+            bad_sets.append(SievedSet(lo=T.lo, hi=T.hi, bitmap=bitmap))
+        for bad in bad_sets:
+            window = range(frame.x + 1, frame.y + 1)
+            t = next(t for t in window if (t in bad) != (t in T))
+            kind = "a survivor in a class" if t in bad else "struck but in no class"
+            named = f"does not match the frame at t = {t}: {kind}"
+            rng = derive_random(5, "maier-rows")
+            state = rng.getstate()
+            with pytest.raises(ValueError, match=named):
+                sample_rows(frame, bad, trials=1, rng=rng)
+            with pytest.raises(ValueError, match=named):
+                find_gap_chain(frame, bad, k=2, epsilon=0.01, trials=1, rng=rng)
+            assert rng.getstate() == state  # refused before any row is drawn
 
 
 def parent_scans(monkeypatch):
