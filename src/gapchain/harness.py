@@ -476,6 +476,7 @@ def _run_cover(cfg: ExperimentConfig):
 def _run_maier(cfg: ExperimentConfig):
     from .maier import FrameWindow, GapChainCertificate, _check_row_sample
     from .maier import assemble_frame, find_gap_chain, sample_rows, verify_certificate
+    from .maier import row_index_bound
     from .seeds import derive_random, derive_rng
     from .sieving import sample_classes, sift_interval
 
@@ -526,10 +527,8 @@ def _run_maier(cfg: ExperimentConfig):
         "frame": {
             "x": frame.x,
             "y": frame.y,
-            "D": frame.D,
             "modulus_bits": frame.modulus.bit_length(),
-            "row_space_bits": frame.row_space_bits(),
-            "row_index_bits": frame.row_index_bound().bit_length(),
+            "row_index_bits": row_index_bound(frame.modulus).bit_length(),
             "survivors": survivors.count,
         },
         "row_stats": stats.summary(),

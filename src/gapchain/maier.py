@@ -13,15 +13,15 @@ offsets, and a row whose survivor translates contain k+1 primes with
 every consecutive gap of length at least epsilon*y witnesses a chain of
 k consecutive large prime gaps.
 
-The translation holds for every z in [1, P**D], the row space that the
-counting argument needs.  A search only samples rows, some 10**4 at most,
-so it draws z uniformly from [1, R] with R the smaller of P**D and
-2**ROW_INDEX_BITS: still far more indices than any search visits, and a
-row value stays below P * 2**65 rather than near P**(D+1), so every
-primality test on it works on fewer bits.  Nothing here scans the full
-row space.  A sampled row's survivor translates are presieved by the
-primes in (x, PRESIEVE_LIMIT] and the rest tested by BPSW (by the
-Miller-Rabin proof below the deterministic limit).  `sample_rows` scans
+The translation holds for every z >= 1.  A search only samples rows,
+some 10**4 at most, so both searches draw z uniformly from [1, R] with
+R = row_index_bound(P) = min(P, 2**ROW_INDEX_BITS), the range the
+verifier accepts: far more indices than any search visits, while a row
+value stays below P * 2**65.  At x = 36 (a 38-bit P) z <= P keeps row
+values below 2**76, where the Miller-Rabin proof applies.  A sampled
+row's survivor translates are presieved by the primes in
+(x, PRESIEVE_LIMIT] and the rest tested by BPSW (by the Miller-Rabin
+proof below the deterministic limit).  `sample_rows` scans
 its rows on every usable CPU; the gap-chain search stops at its first
 certifying row, so it scans its rows one at a time.  A successful row is
 packaged as a self-contained certificate: its listed primes are first
@@ -62,6 +62,7 @@ __all__ = [
     "CERTIFICATE_VERSION",
     "FrameWindow",
     "MaierFrame",
+    "row_index_bound",
     "assemble_frame",
     "RowStatistics",
     "sample_rows",
@@ -72,10 +73,10 @@ __all__ = [
     "verify_certificate",
 ]
 
-CERTIFICATE_VERSION = "1"
+CERTIFICATE_VERSION = "2"
 DEFAULT_Z_BIT_BUDGET = 20_000
 PAIR_SAMPLE = 8  # survivor pairs drawn for the pair statistics
-ROW_INDEX_BITS = 64  # searches draw z from [1, min(modulus**D, 2**this)]
+ROW_INDEX_BITS = 64  # searches draw z from [1, min(modulus, 2**this)]
 PRESIEVE_LIMIT = 1 << 18  # row values are presieved by the primes in (x, this]
 _LIMB_BITS = 30  # a scan folds modulus mod q in 30-bit limbs; products fit 64 bits
 # round counts a certificate may ask of the verifier: the minimum is the
@@ -100,8 +101,8 @@ class FrameWindow:
     excluded_prime: int = 1
 
     def __post_init__(self) -> None:
-        if not self.x > 2:
-            raise ValueError("window start must exceed 2")
+        if not self.x >= 3:  # the verifier's floor
+            raise ValueError(f"window start x = {self.x:g} is below 3")
         if not self.x < self.y < math.inf:  # an infinite y fails in math.floor
             raise ValueError(f"window end y = {self.y} must be finite and exceed x")
         # the primes up to x alone carry more than x bits
@@ -116,14 +117,13 @@ class MaierFrame:
 
     offset is the CRT solution of offset = -a_p (mod p) over the whole
     residue system, reduced into [0, modulus); with all-zero classes this
-    is plain 0.  Row indices z live in [1, modulus**D]; the searches draw
-    them from [1, row_index_bound()].
+    is plain 0.  The searches draw row indices z from
+    [1, row_index_bound(modulus)].
     """
 
     x: int
     y: int
     excluded_prime: int
-    D: int
     modulus: int
     offset: int
     system: ResidueSystem = field(repr=False)
@@ -131,15 +131,11 @@ class MaierFrame:
     def row_value(self, z: int, a: int) -> int:
         return z * self.modulus + self.offset + a
 
-    def row_space(self) -> int:
-        return self.modulus**self.D
 
-    def row_space_bits(self) -> int:
-        return self.modulus.bit_length() * self.D
-
-    def row_index_bound(self) -> int:
-        """The largest row index a search draws, 2**ROW_INDEX_BITS at most."""
-        return min(self.row_space(), 1 << ROW_INDEX_BITS)
+def row_index_bound(modulus: int) -> int:
+    """The largest row index a search draws and the verifier accepts:
+    min(modulus, 2**ROW_INDEX_BITS)."""
+    return min(modulus, 1 << ROW_INDEX_BITS)
 
 
 def assemble_frame(
@@ -150,14 +146,15 @@ def assemble_frame(
     """Solve the simultaneous congruences and check the translation exactly.
 
     The system must assign a class to every prime up to x except the
-    excluded modulus.  The returned frame satisfies, for every t in
-    (x, y]: t fails the sieve  iff  gcd(offset + t, modulus) > 1.  The
-    check is that modulus is the product of the system's primes and that
-    p divides offset + a_p for every (p, a_p): then p divides offset + t
-    iff t = a_p (mod p), for every t and every row z.
+    excluded modulus, whose product must fit DEFAULT_Z_BIT_BUDGET bits.
+    The returned frame satisfies, for every t in (x, y]: t fails the
+    sieve  iff  gcd(offset + t, modulus) > 1.  The check is that modulus
+    is the product of the system's primes and that p divides offset + a_p
+    for every (p, a_p): then p divides offset + t iff t = a_p (mod p),
+    for every t and every row z.  D must be 1: frames have no row exponent.
     """
-    if D < 1:
-        raise ValueError("D must be at least 1")
+    if D != 1:
+        raise ValueError(f"row exponent D = {D} is refused: frames take no D")
     x, y = math.floor(window.x), math.floor(window.y)
     b0 = window.excluded_prime
 
@@ -176,6 +173,9 @@ def assemble_frame(
     offset, modulus = crt_combine(((-a) % p, p) for p, a in items)
     if modulus != math.prod(p for p, _ in items):
         raise AssertionError("translation invariant failed: wrong modulus")
+    if modulus.bit_length() > DEFAULT_Z_BIT_BUDGET:
+        raise ValueError(f"modulus needs {modulus.bit_length()} bits, over the "
+                         f"budget of {DEFAULT_Z_BIT_BUDGET}; lower x")
     wrong = [p for p, a in items if (offset + a) % p]
     if wrong:
         raise AssertionError(
@@ -183,7 +183,7 @@ def assemble_frame(
             f"for p in {wrong[:5]}"
         )
     return MaierFrame(
-        x=x, y=y, excluded_prime=b0, D=D,
+        x=x, y=y, excluded_prime=b0,
         modulus=modulus, offset=offset, system=system,
     )
 
@@ -217,7 +217,7 @@ def _residues(n: int, qs: np.ndarray) -> np.ndarray:
 
 def _row_scan(frame: MaierFrame, T: SievedSet) -> _RowScan:
     """The scan of the frame's rows, once T is its window's sieved set at
-    every t (`sift_mismatches`) and its row space is within the budget."""
+    every t (`sift_mismatches`)."""
     if (T.lo, T.hi) != (frame.x, frame.y):
         raise ValueError(
             f"sieved set covers ({T.lo}, {T.hi}] but the frame translates "
@@ -226,11 +226,6 @@ def _row_scan(frame: MaierFrame, T: SievedSet) -> _RowScan:
     for t in sift_mismatches(T, frame.system):
         kind = "a survivor in a class" if t in T else "struck but in no class"
         raise ValueError(f"sieved set does not match the frame at t = {t}: {kind}")
-    if frame.row_space_bits() > DEFAULT_Z_BIT_BUDGET:
-        raise ValueError(
-            f"row space needs about {frame.row_space_bits()} bits, over the "
-            f"budget of {DEFAULT_Z_BIT_BUDGET}; lower x or D"
-        )
     qs = primes_in_range(frame.x, PRESIEVE_LIMIT).astype(np.uint64)
     slot0 = frame.modulus + frame.offset + frame.x + 1  # row 1, mask slot 0
     return _RowScan(
@@ -335,7 +330,7 @@ def sample_rows(
     """
     _check_row_sample(trials)
     scan = _row_scan(frame, T)
-    Z = frame.row_index_bound()
+    Z = row_index_bound(frame.modulus)
     offsets = scan.offsets.tolist()
 
     pairs: list[tuple[int, int]] = []
@@ -401,7 +396,6 @@ class GapChainCertificate:
     x: int
     y: int
     excluded_prime: int
-    D: int
     modulus_str: str
     offset_str: str
     z_str: str
@@ -421,8 +415,9 @@ class GapChainCertificate:
     def from_json(cls, text: str) -> "GapChainCertificate":
         """Parse `to_json` text; ValueError names what is malformed.
 
-        Only the shape is checked here, a JSON object with exactly the
-        certificate's keys; judging the values is the verifier's job.
+        Only the shape is checked here, a JSON object of this
+        CERTIFICATE_VERSION with exactly the certificate's keys; judging
+        the values is the verifier's job.
         """
         try:
             raw = json.loads(text)
@@ -430,6 +425,10 @@ class GapChainCertificate:
             raise ValueError(f"certificate is not JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise ValueError("certificate is not a JSON object")
+        if raw.get("version") != CERTIFICATE_VERSION:
+            raise ValueError(
+                f"unsupported certificate version {raw.get('version')!r}"
+            )
         names = {f.name for f in fields(cls)}
         missing, extra = sorted(names - raw.keys()), sorted(raw.keys() - names)
         if missing or extra:
@@ -478,7 +477,7 @@ def find_gap_chain(
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     scan = _row_scan(frame, T)
-    Z = frame.row_index_bound()
+    Z = row_index_bound(frame.modulus)
     survivor_set = set(scan.offsets.tolist())
     gap_demand = epsilon * frame.y
 
@@ -508,7 +507,6 @@ def find_gap_chain(
                 x=frame.x,
                 y=frame.y,
                 excluded_prime=frame.excluded_prime,
-                D=frame.D,
                 modulus_str=str(frame.modulus),
                 offset_str=str(frame.offset),
                 z_str=str(z),
@@ -670,7 +668,7 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
     order, the first composite in listed order, the kept failure, and
     the first evidence item that does not hold, in evidence order.
     Rejections name the first failure of that order; the work is bounded
-    by the row budget, the round cap and the certificate's own length.
+    by the modulus budget, the round cap and the certificate's own length.
     """
 
     def reject(reason: str) -> VerificationOutcome:
@@ -678,7 +676,7 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
 
     if cert.version != CERTIFICATE_VERSION:
         return reject(f"unsupported certificate version {cert.version!r}")
-    for name in ("x", "y", "excluded_prime", "D", "k", "min_gap"):
+    for name in ("x", "y", "excluded_prime", "k", "min_gap"):
         value = getattr(cert, name)
         if type(value) is not int:
             return reject(f"{name} = {value!r} is not an integer")
@@ -713,9 +711,7 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
             f"policy mr_rounds = {rounds} outside "
             f"[{MIN_MR_ROUNDS}, {MAX_MR_ROUNDS}]"
         )
-    if cert.D < 1:
-        return reject(f"row exponent D = {cert.D} is below 1")
-    if cert.x < 3:  # FrameWindow's floor: the window starts above 2
+    if cert.x < 3:  # FrameWindow's floor
         return reject(f"window start x = {cert.x} is below 3")
     # the primes up to x alone carry more than x bits
     if cert.x > DEFAULT_Z_BIT_BUDGET:
@@ -736,11 +732,9 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
             modulus *= int(p)
     if str(modulus) != cert.modulus_str:
         return reject("modulus does not match the primes up to x")
-    if modulus.bit_length() * cert.D > DEFAULT_Z_BIT_BUDGET:
-        return reject(
-            f"row space needs about {modulus.bit_length() * cert.D} bits, "
-            f"over the budget of {DEFAULT_Z_BIT_BUDGET}"
-        )
+    if modulus.bit_length() > DEFAULT_Z_BIT_BUDGET:
+        return reject(f"modulus needs {modulus.bit_length()} bits, over the "
+                      f"budget of {DEFAULT_Z_BIT_BUDGET}")
     offset = _decimal(cert.offset_str)
     if offset is None:
         return reject(f"offset {cert.offset_str!r} is not a decimal integer")
@@ -749,8 +743,8 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
     z = _decimal(cert.z_str)
     if z is None:
         return reject(f"row index {cert.z_str!r} is not a decimal integer")
-    if not 1 <= z <= modulus**cert.D:
-        return reject("row index outside [1, modulus**D]")
+    if not 1 <= z <= row_index_bound(modulus):
+        return reject(f"row index outside [1, min(modulus, 2**{ROW_INDEX_BITS})]")
 
     ps = cert.prime_offsets
     if len(ps) < cert.k + 1:

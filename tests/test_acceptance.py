@@ -218,8 +218,8 @@ def test_acceptance_translation_certificate():
 # certificate's library_version, which is gapchain.__version__.
 GOLDEN_DIGESTS = {
     "gk": "497381957cc9ca7bf29b85434529e0929d161c0bc72e611491a64b6bd2be22b1",
-    "maier": "d07122320c32b99611cba17f55d2398212acc08390b6e9c776ed0db9de1b0525",
-    "maier150": "9953a088fd966a6139af7776d847e7c5795f7ac9796696563d8e4503cef9c442",
+    "maier": "edebde4de62aff9d5a26fbaa830e5c213798611144ceb61a54d54eaf984a0bf5",
+    "maier150": "c349916fc5b6d4bcf6f0ae246330bd8e10baeb76fa172a4fecd1cb11eba5c074",
     "sieve": "e2d987356bc2ff62b31deb822a7a0081474b153f96bde91fc27e125db4db9940",
     "cover": "89d336bb1c9ca3e18f20a85922b61531ca80fbb3a5e2c0bb4b2fa86e25c8f024",
     "contracts": "ec9a75a6f2671bff64aa3efcb09312e85abd19aba038d040600a6c4b220c95e0",

@@ -410,12 +410,12 @@ class TestModeRunners:
             "frame", "row_stats", "search", "total", "verify"
         ]
         assert hashlib.sha256(report.metrics_json().encode()).hexdigest() == (
-            "6eb90a44a40c46ed3dcf6bf8c1762d6dc2304a74943ad99b49d852774227e7c6"
+            "f80d711d3113d4b27f312fbb21f1f9601ea90970f99528754086d24ee1371c77"
         )
         frame = report.metrics["frame"]
         assert frame["x"] == 36 and frame["y"] == 120
         assert frame["modulus_bits"] == 38
-        assert frame["row_index_bits"] == 38  # the whole row space
+        assert frame["row_index_bits"] == 38  # z <= P
         cert = report.metrics["certificate"]
         assert cert["k"] == 2
         # the searches prove the translation on every t of the window, so

@@ -5,6 +5,7 @@ field at a time and asserting both the rejection and the named reason.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -98,6 +99,10 @@ class TestFrameAssembly:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             FrameWindow(x=2.0, y=10.0)
+        # the verifier's floor: a frame at 2 < x < 3 found a chain whose
+        # certificate the verifier rejected
+        with pytest.raises(ValueError, match="window start x = 2.5 is below 3"):
+            FrameWindow(x=2.5, y=10.0)
         with pytest.raises(ValueError):
             FrameWindow(x=10.0, y=10.0)
         with pytest.raises(ValueError):
@@ -178,19 +183,31 @@ class TestFrameAssembly:
         extra[17] = 0
         with pytest.raises(ValueError, match="extra"):
             assemble_frame(ResidueSystem(extra), window)
-        with pytest.raises(ValueError):
-            assemble_frame(zero_system(13), window, D=0)
+
+    def test_row_exponent_is_refused(self):
+        # frames have no row exponent; a third argument of 1 still builds
+        window = FrameWindow(x=13.0, y=60.0)
+        assert assemble_frame(zero_system(13), window, 1).modulus == 30030
+        for D in (0, 2):
+            with pytest.raises(ValueError, match=f"row exponent D = {D} is refused"):
+                assemble_frame(zero_system(13), window, D=D)
+
+    def test_modulus_over_the_budget_is_refused(self, toy_frame, monkeypatch):
+        # the frame that builds the modulus checks its bits, once
+        monkeypatch.setattr(maier, "DEFAULT_Z_BIT_BUDGET", 37)
+        window = FrameWindow(x=36.0, y=120.0)  # x itself is within 37
+        with pytest.raises(ValueError, match="needs 38 bits, over the budget of 37"):
+            assemble_frame(toy_frame.system, window)
 
     def test_partition_serves_as_window(self, small_partition):
-        frame = assemble_frame(zero_system(400), small_partition, D=3)
+        frame = assemble_frame(zero_system(400), small_partition)
         assert (frame.x, frame.y) == (400, 6_000)
-        assert frame.D == 3
-        assert frame.row_space() == frame.modulus**3
-        assert frame.row_space_bits() == frame.modulus.bit_length() * 3
+        assert frame.modulus == math.prod(primes_in_range(1, 400).tolist())
+        assert maier.row_index_bound(frame.modulus) == 2**64
 
     def test_toy_frame_anatomy(self, toy_frame, toy_sieved):
         assert toy_frame.modulus == 200560490130
-        assert toy_frame.row_space_bits() == 38
+        assert toy_frame.modulus.bit_length() == 38
         # the all-zero sieve leaves exactly the primes of the window
         survivors = toy_sieved.members().tolist()
         assert survivors == primes_in_range(36, 120).tolist()
@@ -233,12 +250,6 @@ class TestRowSampling:
         rng = derive_random(0, "maier-guards")
         with pytest.raises(ValueError):
             sample_rows(toy_frame, toy_sieved, trials=0, rng=rng)
-        # 38 bits per row index times D = 600 is 22,800 bits, over budget
-        deep = assemble_frame(toy_frame.system, FrameWindow(x=36.0, y=120.0), D=600)
-        with pytest.raises(ValueError, match="bits"):
-            sample_rows(deep, toy_sieved, trials=1, rng=rng)
-        with pytest.raises(ValueError, match="bits"):
-            find_gap_chain(deep, toy_sieved, k=2, epsilon=0.01, trials=1, rng=rng)
         off_window = sift_interval(36, 119, toy_frame.system)
         with pytest.raises(ValueError, match="translates"):
             sample_rows(toy_frame, off_window, trials=1, rng=rng)
@@ -304,7 +315,8 @@ class TestRowScan:
         frame, T = random_frame(x, y, seed)
         rng = derive_random(seed, "row-scan-oracle")
         # the range the searches draw from: 2**64 at x=150
-        rows = [rng.randrange(1, frame.row_index_bound() + 1) for _ in range(6)]
+        rows = [rng.randrange(1, maier.row_index_bound(frame.modulus) + 1)
+                for _ in range(6)]
         assert_rows_match_oracle(_row_scan(frame, T), rows, monkeypatch)
 
     def test_edge_row_indices(self, monkeypatch):
@@ -312,7 +324,7 @@ class TestRowScan:
         # does not fit a uint64; the second pass scans every slot, the
         # last one (offset y) included
         frame, T = random_frame(150.0, 600.0, 5)
-        assert frame.row_index_bound() == 2**64
+        assert maier.row_index_bound(frame.modulus) == 2**64
         survivors = _row_scan(frame, T)
         for scan in (survivors, every_offset(survivors)):
             assert_rows_match_oracle(scan, [1, 2**64 - 1, 2**64], monkeypatch)
@@ -365,21 +377,21 @@ def drawn_rows(monkeypatch):
 class TestShortRows:
     def test_row_index_bound(self, toy_frame):
         assert ROW_INDEX_BITS == 64
-        # 38-bit modulus: the whole row space is drawn from
-        assert toy_frame.row_index_bound() == toy_frame.row_space()
-        deep = assemble_frame(toy_frame.system, FrameWindow(x=36.0, y=120.0), D=2)
-        assert deep.row_space_bits() == 76
-        assert deep.row_index_bound() == 2**64
+        # 38-bit modulus: z <= P, so x = 36 row values stay below 2**76
+        assert maier.row_index_bound(toy_frame.modulus) == toy_frame.modulus
+        assert toy_frame.row_value(toy_frame.modulus, 120) < DETERMINISTIC_MR_LIMIT
+        for modulus in (2**64 - 1, 2**64, 2**64 + 1, 2**190):
+            assert maier.row_index_bound(modulus) == min(modulus, 2**64)
 
     @pytest.mark.parametrize("x, y, bound", [
-        (36.0, 120.0, 200560490130),  # the whole row space: the old stream
-        (150.0, 600.0, 2**64),  # a 190-bit row space, capped
+        (36.0, 120.0, 200560490130),  # z <= P: the x = 36 stream
+        (150.0, 600.0, 2**64),  # a 190-bit modulus, capped
     ])
     def test_searches_draw_from_the_bound(self, x, y, bound, monkeypatch):
         system = random_system(x, 5)
         frame = assemble_frame(system, FrameWindow(x=x, y=y))
         T = sift_interval(frame.x, frame.y, system)
-        assert frame.row_index_bound() == bound
+        assert maier.row_index_bound(frame.modulus) == bound
         seen = drawn_rows(monkeypatch)
         sample_rows(frame, T, trials=12, rng=derive_random(5, "maier-rows"))
         find_gap_chain(frame, T, k=40, epsilon=0.01, trials=12,
@@ -458,7 +470,8 @@ class TestParallelRowScan:
         frame, T = random_frame(x, y)
         scan = _row_scan(frame, T)
         rng = derive_random(9, "parallel-scan")
-        zs = [rng.randrange(1, frame.row_index_bound() + 1) for _ in range(25)]
+        zs = [rng.randrange(1, maier.row_index_bound(frame.modulus) + 1)
+              for _ in range(25)]
         want = [_row_primes(scan, z) for z in zs]
         calls = parent_scans(monkeypatch)
         # 3 processes share 25 rows, on any number of CPUs
@@ -783,14 +796,15 @@ def seed5_search(frame, T):
                           rng=derive_random(5, "maier-search"), seed=5)
 
 
-class TestListedPrimeTests:
-    @pytest.fixture(scope="class")
-    def certificate150(self):
-        found = seed5_search(*random_frame(150.0, 600.0, 5))
-        assert isinstance(found, GapChainCertificate)
-        assert len(found.prime_offsets) >= 2  # so the full rounds fork
-        return found
+@pytest.fixture(scope="module")
+def certificate150():
+    found = seed5_search(*random_frame(150.0, 600.0, 5))
+    assert isinstance(found, GapChainCertificate)
+    assert len(found.prime_offsets) >= 2  # so the full rounds fork
+    return found
 
+
+class TestListedPrimeTests:
     def blocks_here(self, monkeypatch):
         """The values of the blocks of derived rounds run in this process."""
         calls = []
@@ -1099,8 +1113,26 @@ class TestVerifierRejections:
         raise AssertionError("certificate lacks the evidence shape needed")
 
     def test_version(self, toy_certificate):
-        bad = mutated(toy_certificate, lambda r: r.update(version="2"))
-        rejects(bad, "unsupported certificate version")
+        assert CERTIFICATE_VERSION == "2"
+        for version in ("1", "3", 2, None):
+            rejects(dataclasses.replace(toy_certificate, version=version),
+                    f"unsupported certificate version {version!r}")
+            with pytest.raises(
+                ValueError, match=f"unsupported certificate version {version!r}"
+            ):
+                mutated(toy_certificate, lambda r: r.update(version=version))
+
+    def test_a_version_1_certificate_is_named_by_its_version(self):
+        # the certificate.json of `gapchain maier --seed 5` before the row
+        # exponent went: today's bytes plus "D": 1, at version "1"
+        raw = json.loads(seed5_search(*random_frame(36.0, 120.0, 5)).to_json())
+        raw.update(D=1, version="1")
+        v1 = json.dumps(raw, sort_keys=True, indent=1) + "\n"
+        assert hashlib.sha256(v1.encode()).hexdigest() == (
+            "471086cbaa240e40c2c4d4c2634375810a60f6308c1f1cd0d64b5fd456fdd955"
+        )
+        with pytest.raises(ValueError, match=r"^unsupported certificate version '1'$"):
+            GapChainCertificate.from_json(v1)
 
     def test_excluded_modulus(self, toy_certificate):
         bad = mutated(toy_certificate, lambda r: r.update(excluded_prime=4))
@@ -1126,6 +1158,21 @@ class TestVerifierRejections:
         rejects(bad, "offset outside")
         bad = mutated(toy_certificate, lambda r: r.update(z_str="0"))
         rejects(bad, "row index outside")
+
+    @pytest.mark.parametrize("x", [36, 150])
+    def test_row_index_bound(self, x, request):
+        # the range both searches draw from: [1, P] at x = 36 and
+        # [1, 2**64] at x = 150, where [1, P**D] accepted 2**64 + 1
+        cert = request.getfixturevalue(
+            "toy_certificate" if x == 36 else "certificate150"
+        )
+        modulus = int(cert.modulus_str)
+        bound = modulus if x == 36 else 2**64
+        assert maier.row_index_bound(modulus) == bound
+        rejects(dataclasses.replace(cert, z_str=str(bound + 1)),
+                "row index outside [1, min(modulus, 2**64)]")
+        outcome = verify_certificate(dataclasses.replace(cert, z_str=str(bound)))
+        assert "row index" not in (outcome.reason or "")
 
     def test_listed_prime_shape(self, toy_certificate):
         def truncate(r):
@@ -1248,7 +1295,7 @@ class TestVerifierRejections:
 
     def test_field_types(self, toy_certificate):
         replace = dataclasses.replace
-        for name, value in (("x", "36"), ("y", 120.0), ("D", "1"), ("k", None),
+        for name, value in (("x", "36"), ("y", 120.0), ("k", None),
                             ("excluded_prime", 1.0), ("min_gap", "7")):
             rejects(replace(toy_certificate, **{name: value}),
                     f"{name} = {value!r} is not an integer")
@@ -1277,7 +1324,7 @@ class TestVerifierRejections:
         assert verify_certificate(at_demand)
 
     def test_window_start_below_three(self, toy_certificate):
-        # FrameWindow refuses x <= 2; this hand-made certificate, whose
+        # FrameWindow refuses x < 3; this hand-made certificate, whose
         # empty modulus puts the primes 2 and 3 at offsets 1 and 2, was
         # accepted
         handmade = dataclasses.replace(
@@ -1287,9 +1334,9 @@ class TestVerifierRejections:
         rejects(handmade, "window start x = -5 is below 3")
         rejects(dataclasses.replace(toy_certificate, x=2), "x = 2 is below 3")
 
-    def test_row_budget(self, toy_certificate):
+    def test_row_budget(self, toy_certificate, monkeypatch):
         replace = dataclasses.replace
-        rejects(replace(toy_certificate, D=0), "D = 0 is below 1")
-        # 38 bits per row index times D = 600 is 22,800 bits
-        rejects(replace(toy_certificate, D=600), "over the budget")
+        with monkeypatch.context() as m:
+            m.setattr(maier, "DEFAULT_Z_BIT_BUDGET", 37)  # x = 36 is within it
+            rejects(toy_certificate, "modulus needs 38 bits, over the budget of 37")
         rejects(replace(toy_certificate, x=10**9), "over the row budget")
