@@ -532,10 +532,6 @@ def _run_maier(cfg: ExperimentConfig):
             "survivors": survivors.count,
         },
         "row_stats": stats.summary(),
-        "hit_counts": {str(a): c for a, c in sorted(stats.hit_counts.items())},
-        "pair_counts": {
-            f"{a}&{b}": c for (a, b), c in sorted(stats.pair_counts.items())
-        },
     }
     if found:
         metrics["certificate"] = json.loads(outcome.to_json())

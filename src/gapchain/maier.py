@@ -22,15 +22,18 @@ values below 2**76, where the Miller-Rabin proof applies.  A sampled
 row's survivor translates are presieved by the primes in
 (x, PRESIEVE_LIMIT] and the rest tested by BPSW (by the Miller-Rabin
 proof below the deterministic limit).  `sample_rows` scans
-its rows on every usable CPU; the gap-chain search stops at its first
-certifying row, so it scans its rows one at a time.  A successful row is
-packaged as a self-contained certificate: its listed primes are first
-re-tested with the full Miller-Rabin rounds, and every integer strictly
-between them carries deterministically checkable compositeness evidence
-(a shared factor with the modulus, an explicit factor, or a Miller-Rabin
-witness base), so an independent verifier needs no access to the search.
-The verifier applies its own minimum round count, MIN_MR_ROUNDS; both
-run the full-round tests on every usable CPU (`_full_round_tests`).
+its rows on every usable CPU and keeps only the count of primes in each;
+the gap-chain search stops at its first certifying row, so it scans its
+rows one at a time.  A successful row is packaged as a self-contained
+certificate: its listed primes are re-tested with the full Miller-Rabin
+rounds, and every integer strictly between them carries deterministically
+checkable compositeness evidence (a shared factor with the modulus, an
+explicit factor, or a Miller-Rabin witness base), so an independent
+verifier needs no access to the search.  All the Miller-Rabin work on a
+certificate runs in one map on every usable CPU (`_full_round_tests`):
+the search's full rounds with the evidence tests of the survivors between
+the listed primes, the verifier's with its checks of the witness bases.
+The verifier applies its own minimum round count, MIN_MR_ROUNDS.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Sequence
 
 import numpy as np
@@ -75,7 +78,6 @@ __all__ = [
 
 CERTIFICATE_VERSION = "2"
 DEFAULT_Z_BIT_BUDGET = 20_000
-PAIR_SAMPLE = 8  # survivor pairs drawn for the pair statistics
 ROW_INDEX_BITS = 64  # searches draw z from [1, min(modulus, 2**this)]
 PRESIEVE_LIMIT = 1 << 18  # row values are presieved by the primes in (x, this]
 _LIMB_BITS = 30  # a scan folds modulus mod q in 30-bit limbs; products fit 64 bits
@@ -283,23 +285,16 @@ def _scan_rows(scan: _RowScan, zs: list[int]) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class RowStatistics:
-    """Primality statistics over sampled rows of the translation frame."""
+    """The count of primes per row over sampled rows of the translation
+    frame: its mean, its variance and its largest value."""
 
     trials: int
     mean_primes: float
     var_primes: float
-    hit_counts: dict[int, int]
-    pair_counts: dict[tuple[int, int], int]
-    best_z: int
-    best_prime_offsets: list[int]
+    best_prime_count: int
 
     def summary(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean_primes": self.mean_primes,
-            "var_primes": self.var_primes,
-            "best_prime_count": len(self.best_prime_offsets),
-        }
+        return asdict(self)
 
 
 def _check_row_sample(trials: int, name: str = "trials") -> None:
@@ -319,59 +314,23 @@ def sample_rows(
     T must be the frame's own sieved set (`_row_scan`), and a sample over
     nt.MAX_BYTES at ROW_SAMPLE_BYTES a row is refused before any draw.
     Uses the stdlib Random generator because row indices are arbitrary
-    precision.  Pair statistics cover PAIR_SAMPLE random survivor pairs,
-    chosen up front from the same generator; then all `trials` row
-    indices are drawn, in the order a row-by-row loop would draw them.
-    The rows are scanned by `_row_primes` (presieve, then BPSW above the
-    deterministic limit) in one process per usable CPU, this one and
-    forked workers, which take them in guided chunks; they are aggregated
-    in draw order, so the statistics do not depend on the CPU count.  The
-    whole scan stays here wherever `_fork.fork_map` cannot fork.
+    precision: all `trials` row indices are drawn first, in the order a
+    row-by-row loop would draw them.  The rows are scanned by
+    `_row_primes` (presieve, then BPSW above the deterministic limit) in
+    one process per usable CPU, this one and forked workers, which take
+    them in guided chunks, and only each row's count of primes is kept;
+    the counts come back in draw order, so the statistics do not depend
+    on the CPU count.  The whole scan stays here wherever
+    `_fork.fork_map` cannot fork.
     """
     _check_row_sample(trials)
     scan = _row_scan(frame, T)
     Z = row_index_bound(frame.modulus)
-    offsets = scan.offsets.tolist()
-
-    pairs: list[tuple[int, int]] = []
-    if len(offsets) >= 2:
-        seen = set()
-        for _ in range(PAIR_SAMPLE):
-            a, b = rng.sample(offsets, 2)
-            pair = (min(a, b), max(a, b))
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
-
-    hit_counts = {a: 0 for a in offsets}
-    pair_counts = {pair: 0 for pair in pairs}
-    total = 0
-    total_sq = 0
-    best: tuple[int, int, list[int]] = (-1, 0, [])
     zs = [rng.randrange(1, Z + 1) for _ in range(trials)]
-    for z, row_primes in zip(zs, _scan_rows(scan, zs)):
-        for a in row_primes:
-            hit_counts[a] += 1
-        hit_set = set(row_primes)
-        for pair in pairs:
-            if pair[0] in hit_set and pair[1] in hit_set:
-                pair_counts[pair] += 1
-        n = len(row_primes)
-        total += n
-        total_sq += n * n
-        if n > best[0]:
-            best = (n, z, row_primes)
-    mean = total / trials
-    var = total_sq / trials - mean * mean
-    return RowStatistics(
-        trials=trials,
-        mean_primes=mean,
-        var_primes=max(var, 0.0),
-        hit_counts=hit_counts,
-        pair_counts=pair_counts,
-        best_z=best[1],
-        best_prime_offsets=best[2],
-    )
+    counts = [len(row_primes) for row_primes in _scan_rows(scan, zs)]
+    mean = sum(counts) / trials
+    var = sum(n * n for n in counts) / trials - mean * mean
+    return RowStatistics(trials, mean, max(var, 0.0), max(counts))
 
 
 @dataclass(frozen=True)
@@ -465,10 +424,11 @@ def find_gap_chain(
     T must be the frame's own sieved set (`_row_scan`).  A row certifies
     when its survivor translates contain at least k+1 primes and every
     consecutive gap between the listed primes reaches epsilon * y, and
-    still does once its primes get the full rounds (`_full_round_tests`).
-    Success builds the full certificate, including the compositeness
-    evidence for all intermediate offsets; failure returns a structured
-    miss report with the best row seen.
+    still does once its primes get the full rounds.  Those rounds and the
+    evidence tests of the survivors between the listed primes run in one
+    map (`_full_round_tests`); the certificate's evidence is built from
+    their results.  Failure returns a structured miss report with the
+    best row seen.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -478,7 +438,7 @@ def find_gap_chain(
         raise ValueError("epsilon must lie in (0, 1)")
     scan = _row_scan(frame, T)
     Z = row_index_bound(frame.modulus)
-    survivor_set = set(scan.offsets.tolist())
+    survivors = scan.offsets.tolist()
     gap_demand = epsilon * frame.y
 
     def min_gap_of(ps: list[int]) -> int | None:
@@ -492,15 +452,24 @@ def find_gap_chain(
         z = rng.randrange(1, Z + 1)
         row_primes = _row_primes(scan, z)
         if certifies(row_primes):
-            # the values a certificate lists get the full rounds, not BPSW
-            values = [frame.row_value(z, a) for a in row_primes]
-            tests = _full_round_tests(values, MIN_MR_ROUNDS)[0]
+            # the full rounds of the listed values, not BPSW, and the
+            # evidence tests of the survivors between them, in one map;
+            # the rounds only drop values, so a row that still certifies
+            # has a verdict for every survivor in its span (a dropped
+            # value's is its blocks' merged is_prime result)
+            between = [a for a in survivors if row_primes[0] < a < row_primes[-1]
+                       and a not in row_primes]
+            tests, others = _full_round_tests(
+                [frame.row_value(z, a) for a in row_primes], MIN_MR_ROUNDS,
+                [(is_prime, frame.row_value(z, a), MIN_MR_ROUNDS) for a in between],
+            )
+            verdicts = dict(zip(row_primes + between, tests + others))
             row_primes = [a for a, res in zip(row_primes, tests) if res]
         min_gap = min_gap_of(row_primes)
         if len(row_primes) > best[0]:
             best = (len(row_primes), z, min_gap)
         if certifies(row_primes):
-            evidence = _build_evidence(frame, z, row_primes, survivor_set)
+            evidence = _build_evidence(frame, row_primes, verdicts)
             return GapChainCertificate(
                 version=CERTIFICATE_VERSION,
                 library_version=__version__,
@@ -533,16 +502,17 @@ def find_gap_chain(
 
 
 def _full_round_tests(
-    values: list[int], rounds: int, witnesses: Sequence[tuple[int, int]] = ()
-) -> tuple[list[PrimalityResult], list[bool]]:
+    values: list[int], rounds: int, calls: Sequence[tuple] = ()
+) -> tuple[list[PrimalityResult], list[Any]]:
     """([is_prime(value, rounds) for value in values],
-    [mr_composite_witness(n, base) for n, base in witnesses]), in one map.
+    [function(*args) for function, *args in calls]), in one map.
 
     The derived rounds of each value at or above DETERMINISTIC_MR_LIMIT
     with no trial factor go out in blocks of ROUND_BLOCK (some 0.9 ms
-    each at 253 bits), the witness checks (some 0.13 ms each) last, where
-    the chunks are smallest.  A value's blocks merge into exactly
-    is_prime's result.  A map with no blocks runs here and never forks.
+    each at 253 bits), the calls (the search's evidence tests and the
+    verifier's witness checks, some 0.13 ms each) last, where the chunks
+    are smallest.  A value's blocks merge into exactly is_prime's
+    result.  A map with no blocks runs here and never forks.
     """
     results = [nt.settled(value) for value in values]
     blocks = [
@@ -550,7 +520,7 @@ def _full_round_tests(
         for value, res in zip(values, results) if res is None
         for a in range(0, rounds, ROUND_BLOCK)
     ]
-    items = blocks + [(mr_composite_witness, n, base) for n, base in witnesses]
+    items = blocks + list(calls)
     out = iter(_fork.fork_map(_call, items, None) if blocks
                else [_call(None, item) for item in items])
     for i, value in enumerate(values):
@@ -569,17 +539,19 @@ def _call(state: None, item: tuple) -> Any:
 
 def _build_evidence(
     frame: MaierFrame,
-    z: int,
     row_primes: list[int],
-    survivor_set: set[int],
+    verdicts: dict[int, PrimalityResult],
 ) -> list[dict[str, Any]]:
+    """The evidence of every offset strictly between the listed primes:
+    a shared factor with the modulus where the sieve struck it, and the
+    verdict of `_full_round_tests`' map on the survivors, which this reads
+    and does not repeat."""
     evidence: list[dict[str, Any]] = []
     listed = set(row_primes)
     for a in range(row_primes[0] + 1, row_primes[-1]):
         if a in listed:
             continue
-        value = frame.row_value(z, a)
-        if a not in survivor_set:
+        if a not in verdicts:
             g = math.gcd(frame.offset + a, frame.modulus)
             if g <= 1:
                 raise AssertionError(
@@ -590,7 +562,7 @@ def _build_evidence(
                 {"offset": a, "kind": "gcd_with_modulus", "witness": str(g)}
             )
             continue
-        res = is_prime(value, MIN_MR_ROUNDS)
+        res = verdicts[a]
         if res.verdict != "composite":
             raise AssertionError(
                 f"survivor translate at offset {a} is prime but was not "
@@ -755,12 +727,13 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
         return reject("listed prime offsets leave the window (x, y]")
 
     failure = _layout_failure(cert)
-    bases = {}  # evidence offset: (value, base) for the map to check
+    bases = {}  # evidence offset: the map's check of its base
     for e in cert.evidence if failure is None else ():
         if e.get("kind") == "miller_rabin_witness":
             witness = _decimal(e.get("witness"))
             if witness is not None:
-                bases[e["offset"]] = (z * modulus + offset + e["offset"], witness)
+                value = z * modulus + offset + e["offset"]
+                bases[e["offset"]] = (mr_composite_witness, value, witness)
     values = [z * modulus + offset + a for a in ps]
     tests, verdicts = _full_round_tests(values, rounds, list(bases.values()))
     for a, res in zip(ps, tests):

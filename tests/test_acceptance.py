@@ -218,8 +218,8 @@ def test_acceptance_translation_certificate():
 # certificate's library_version, which is gapchain.__version__.
 GOLDEN_DIGESTS = {
     "gk": "497381957cc9ca7bf29b85434529e0929d161c0bc72e611491a64b6bd2be22b1",
-    "maier": "edebde4de62aff9d5a26fbaa830e5c213798611144ceb61a54d54eaf984a0bf5",
-    "maier150": "c349916fc5b6d4bcf6f0ae246330bd8e10baeb76fa172a4fecd1cb11eba5c074",
+    "maier": "806f849959bc0f2a7ed9eb5da68d0de74ea4bbf89136f412d9ac668aa43b9299",
+    "maier150": "108b242728587f8cc5a5f6bdd46590860268d5cb4a5fe93a3ef959f464cd96a7",
     "sieve": "e2d987356bc2ff62b31deb822a7a0081474b153f96bde91fc27e125db4db9940",
     "cover": "89d336bb1c9ca3e18f20a85922b61531ca80fbb3a5e2c0bb4b2fa86e25c8f024",
     "contracts": "ec9a75a6f2671bff64aa3efcb09312e85abd19aba038d040600a6c4b220c95e0",

@@ -410,7 +410,7 @@ class TestModeRunners:
             "frame", "row_stats", "search", "total", "verify"
         ]
         assert hashlib.sha256(report.metrics_json().encode()).hexdigest() == (
-            "f80d711d3113d4b27f312fbb21f1f9601ea90970f99528754086d24ee1371c77"
+            "8beafe2cab91bd678986cf756db1c8a37bf5fb6c8984e5b42524b8968b0dfc26"
         )
         frame = report.metrics["frame"]
         assert frame["x"] == 36 and frame["y"] == 120

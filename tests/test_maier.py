@@ -38,7 +38,6 @@ from gapchain.maier import (
     CERTIFICATE_VERSION,
     MAX_MR_ROUNDS,
     MIN_MR_ROUNDS,
-    PAIR_SAMPLE,
     PRESIEVE_LIMIT,
     ROUND_BLOCK,
     ROW_INDEX_BITS,
@@ -215,27 +214,30 @@ class TestFrameAssembly:
 
 
 class TestRowSampling:
-    def test_statistics_bookkeeping(self, toy_frame, toy_sieved):
-        stats = sample_rows(
-            toy_frame, toy_sieved, trials=200, rng=derive_random(0, "maier-rows")
-        )
-        offsets = toy_sieved.members().tolist()
-        assert sorted(stats.hit_counts) == offsets
-        total = sum(stats.hit_counts.values())
-        assert stats.mean_primes == pytest.approx(total / 200)
-        assert stats.var_primes >= 0.0
+    def test_statistics_bookkeeping(self, toy_frame, toy_sieved, monkeypatch):
+        # the statistics are those of the prime counts of exactly the rows
+        # z = rng.randrange(1, Z + 1) drawn trials times, and nothing else
+        trials, Z = 200, maier.row_index_bound(toy_frame.modulus)
+        rng = derive_random(0, "maier-rows")
+        zs = [rng.randrange(1, Z + 1) for _ in range(trials)]
+        scan = _row_scan(toy_frame, toy_sieved)
+        counts = [len(_row_primes(scan, z)) for z in zs]
+        mean = sum(counts) / trials
+        want = {
+            "trials": trials,
+            "mean_primes": mean,
+            "var_primes": sum(n * n for n in counts) / trials - mean * mean,
+            "best_prime_count": max(counts),
+        }
+        for cpus in (1, 2):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
+            drawn = derive_random(0, "maier-rows")
+            stats = sample_rows(toy_frame, toy_sieved, trials, drawn)
+            assert stats.summary() == want
+            assert drawn.getstate() == rng.getstate()  # the rows and no more
+        assert want["var_primes"] > 0
         # the density heuristic puts a couple of primes in a typical row
         assert 1.2 <= stats.mean_primes <= 3.5
-        for (a, b), c in stats.pair_counts.items():
-            assert a in stats.hit_counts and b in stats.hit_counts
-            assert c <= min(stats.hit_counts[a], stats.hit_counts[b])
-        recomputed = [
-            a
-            for a in offsets
-            if g.is_prime(toy_frame.row_value(stats.best_z, a), 48)
-        ]
-        assert recomputed == stats.best_prime_offsets
-        assert stats.summary()["best_prime_count"] == len(recomputed)
 
     def test_reproducible(self, toy_frame, toy_sieved):
         a = sample_rows(
@@ -396,10 +398,8 @@ class TestShortRows:
         sample_rows(frame, T, trials=12, rng=derive_random(5, "maier-rows"))
         find_gap_chain(frame, T, k=40, epsilon=0.01, trials=12,
                        rng=derive_random(5, "maier-search"))
-        # sample_rows draws its survivor pairs first, then one z per row
+        # each search draws one z per row and nothing else
         rng = derive_random(5, "maier-rows")
-        for _ in range(PAIR_SAMPLE):
-            rng.sample(T.members().tolist(), 2)
         want = [rng.randrange(1, bound + 1) for _ in range(12)]
         rng = derive_random(5, "maier-search")
         want += [rng.randrange(1, bound + 1) for _ in range(12)]
@@ -814,13 +814,130 @@ class TestListedPrimeTests:
         )
         return calls
 
-    def test_certificate_bytes_do_not_depend_on_the_cpus(
-        self, certificate150, monkeypatch
-    ):
-        frame, T = random_frame(150.0, 600.0, 5)
+    def test_certificate_bytes_do_not_depend_on_the_cpus(self, monkeypatch):
+        # sha256 of to_json(): the seed-5 certificates of the maier mode at
+        # x = 36 and x = 150, and a k = 3 search on the benchmark's certify
+        # frame of op seed 1000, which certifies on its fifth row
+        toy, frame150 = random_frame(36.0, 120.0, 5), random_frame(150.0, 600.0, 5)
+        certify = random_frame(150.0, 600.0, 1000)
+        searches = {
+            "a8b2bc181e4a22b155c57755bee8ef3ac1d3aceb69980123647f1aa0f2413295":
+                lambda: seed5_search(*toy),
+            "f1e575c7688451061a50181e66b3ef1d1c426ddd8750d0a735249e1ad9a7ba06":
+                lambda: seed5_search(*frame150),
+            "a5641994b05a3bec22a54c4b34bec1bcac0b6664679af6b7c186f05bf2977f3f":
+                lambda: find_gap_chain(*certify, k=3, epsilon=0.01, trials=2000,
+                                       rng=derive_random(1000, "maier-search"),
+                                       seed=1000),
+        }
         for cpus in (1, 2, 3):
             monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
-            assert seed5_search(frame, T).to_json() == certificate150.to_json()
+            for digest, search in searches.items():
+                cert = search()
+                assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
+        assert cert.trials_used == 5
+
+    @pytest.mark.parametrize("x, y", [(36.0, 120.0), (150.0, 600.0)])
+    def test_evidence_tests_run_in_the_full_round_map(self, x, y, monkeypatch):
+        # every primality test behind the evidence is an is_prime call of
+        # the map that gives the listed values their full rounds, and
+        # _build_evidence, which only reads the map's results, tests nothing
+        frame, T = random_frame(x, y, 5)
+        want = seed5_search(frame, T)
+        maps = []
+        full_round_tests = maier._full_round_tests
+
+        def recorded(values, rounds, calls=()):
+            tests, out = full_round_tests(values, rounds, calls)
+            maps.append((values, calls, out))
+            return tests, out
+
+        building = []
+        build_evidence = maier._build_evidence
+
+        def building_evidence(*args):
+            building.append(True)
+            try:
+                return build_evidence(*args)
+            finally:
+                building.pop()
+
+        def guarded(test):
+            def run(*args):
+                assert not building, f"{test.__name__} in _build_evidence"
+                return test(*args)
+            return run
+
+        monkeypatch.setattr(maier, "_full_round_tests", recorded)
+        monkeypatch.setattr(maier, "_build_evidence", building_evidence)
+        for module in (maier, nt):
+            for name in ("is_prime", "bpsw", "mr_composite_witness"):
+                monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+        for name in ("settled", "derived_rounds", "strong_lucas"):
+            monkeypatch.setattr(nt, name, guarded(getattr(nt, name)))
+        assert seed5_search(frame, T) == want
+        (values, calls, out), = maps  # the first row certifies
+        z = int(want.z_str)
+        assert values == [frame.row_value(z, a) for a in want.prime_offsets]
+        tested = {call[1]: res for call, res in zip(calls, out)}
+        assert all(call[2] == MIN_MR_ROUNDS for call in calls)
+        for e in want.evidence:
+            value = frame.row_value(z, e["offset"])
+            if e["kind"] == "gcd_with_modulus":
+                assert value not in tested
+            else:
+                assert e["witness"] == str(tested.pop(value).witness)
+        assert not tested  # no test the evidence does not use
+
+    def test_a_listed_value_the_full_rounds_drop_keeps_its_blocks_verdict(
+        self, certificate150, monkeypatch, forked
+    ):
+        # BPSW lists one composite survivor of the seed-5 x = 150 row, and
+        # its derived bases witness nothing before round 19: the full
+        # rounds drop it, and its evidence is its blocks' merged verdict,
+        # the witness of round 19, with no test of its own
+        cert = certificate150
+        frame, T = random_frame(150.0, 600.0, 5)
+        z, ps = int(cert.z_str), cert.prime_offsets
+        with monkeypatch.context() as m:
+            m.setattr(maier, "bpsw", lambda n: True)
+            presieved = _row_primes(_row_scan(frame, T), z)
+        # a survivor the presieve keeps, whose listing keeps every gap >= 6
+        moved = next(
+            a for a in presieved if a not in ps and ps[0] < a < ps[-1]
+            and min(abs(a - b) for b in ps) >= 0.01 * 600
+        )
+        target = frame.row_value(z, moved)
+        derived, bpsw = nt._derived_mr_base, maier.bpsw
+        monkeypatch.setattr(
+            nt, "_derived_mr_base",
+            lambda n, i: 1 if n == target and i < 19 else derived(n, i),
+        )
+        monkeypatch.setattr(maier, "bpsw", lambda n: n == target or bpsw(n))
+        maps = []
+        full_round_tests = maier._full_round_tests
+        monkeypatch.setattr(
+            maier, "_full_round_tests",
+            lambda values, rounds, calls=(): maps.append((values, calls))
+            or full_round_tests(values, rounds, calls),
+        )
+        witness = derived(target, 19)
+        assert nt.mr_composite_witness(target, witness)
+        evidence = [dict(e, witness=str(witness)) if e["offset"] == moved else e
+                    for e in cert.evidence]
+        assert dict(kind="miller_rabin_witness", offset=moved,
+                    witness=str(witness)) in evidence
+        for cpus in (1, 2):
+            monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
+            maps.clear()
+            forked.clear()
+            found = seed5_search(frame, T)
+            assert found == dataclasses.replace(cert, evidence=evidence)
+            assert len(forked) == cpus - 1
+            (values, calls), = maps
+            assert target in values
+            assert target not in [call[1] for call in calls]
+            assert verify_certificate(found)
 
     def test_verdicts_do_not_depend_on_the_cpus(
         self, certificate150, monkeypatch, forked
@@ -884,7 +1001,8 @@ class TestListedPrimeTests:
             1_000_003, 2**61 - 1,  # proven without derived rounds
         ]
         tests, verdicts = maier._full_round_tests(
-            values, rounds, [(values[3], 2), (primes[0], 2)]
+            values, rounds,
+            [(nt.mr_composite_witness, values[3], 2), (nt.mr_composite_witness, primes[0], 2)],
         )
         assert tests == [g.is_prime(v, rounds) for v in values]
         assert [t.verdict for t in tests] == [
