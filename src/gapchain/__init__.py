@@ -46,9 +46,8 @@ _SUBMODULE = {
         ),
         "seeds": ("derive_random", "derive_rng", "derive_seed"),
         "sieving": (
-            "ResidualReport", "ResidueSystem", "SievedSet", "assemble_full_system",
-            "greedy_rankin", "residual_smooth_set", "sample_classes",
-            "sift_interval", "sift_mismatches",
+            "ResidueSystem", "SievedSet", "assemble_full_system", "greedy_rankin",
+            "sample_classes", "sift_interval", "sift_mismatches",
         ),
         "weights": (
             "AdmissibleTuple", "WeightContractReport", "WeightTable",

@@ -1,5 +1,10 @@
 """Command line front end: one subcommand per experiment mode.
 
+`chain` runs the pipeline end to end: residue classes from one source
+(--classes random, greedy or construction), the frame over their sieved
+window, the row search, and the certificate's check.  The other modes
+study one stage each, or verify a certificate.
+
 Exit status is 0 exactly when every check in the run's report passed, so
 the tool can sit directly in shell pipelines and CI jobs.  A config file
 that cannot be read or parsed, or an option value the run rejects, or
@@ -19,21 +24,17 @@ from pathlib import Path
 from .harness import MODES, ExperimentConfig, run_experiment
 
 _HELP = {
-    "sieve": "greedy residue-class sieve of the target interval",
     "weights": "build a weight table and test its contracts",
     "construct": "random residue construction with stability selection",
     "cover": "random-cover nibble on a synthetic instance",
-    "maier": "translate a sieved window and hunt for a gap chain",
+    "chain": "draw residue classes, translate their sieved window and "
+    "certify a gap chain",
     "gk": "direct gap-chain record for consecutive prime gaps",
     "verify": "independently re-check a gap-chain certificate",
 }
 
 # flag, section, key, type -- thin shortcuts over the INI sections
 _EXTRA: dict[str, tuple[tuple[str, str, str, type], ...]] = {
-    "sieve": (
-        ("--x", "partition", "x", float),
-        ("--y", "partition", "y", float),
-    ),
     "weights": (
         ("--theta", "weights", "theta", float),
         ("--r", "weights", "r", int),
@@ -50,12 +51,13 @@ _EXTRA: dict[str, tuple[tuple[str, str, str, type], ...]] = {
         ("--n-elements", "cover", "n_elements", int),
         ("--n-covers", "cover", "n_covers", int),
     ),
-    "maier": (
-        ("--x", "maier", "x", float),
-        ("--y", "maier", "y", float),
-        ("--k", "maier", "k", int),
-        ("--epsilon", "maier", "epsilon", float),
-        ("--trials", "maier", "trials", int),
+    "chain": (
+        ("--x", "chain", "x", float),
+        ("--y", "chain", "y", float),
+        ("--k", "chain", "k", int),
+        ("--epsilon", "chain", "epsilon", float),
+        ("--trials", "chain", "trials", int),
+        ("--classes", "chain", "classes", str),
     ),
     "gk": (
         ("--limit", "gk", "limit", int),

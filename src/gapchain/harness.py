@@ -80,8 +80,8 @@ _SECTION_KEYS = {
     "weights": frozenset({"kind", "theta", "r"}),
     "construct": frozenset({"eta"}),
     "cover": frozenset({"n_elements", "n_covers", "m"}),
-    "maier": frozenset(
-        {"x", "y", "excluded", "k", "epsilon", "trials", "stat_trials"}
+    "chain": frozenset(
+        {"x", "y", "excluded", "k", "epsilon", "trials", "stat_trials", "classes"}
     ),
     "gk": frozenset({"limit", "k"}),
     "verify": frozenset({"certificate"}),
@@ -272,18 +272,28 @@ POINT_MASS_BOUND = 1e-2
 LEFTOVER_TOLERANCE = 0.5
 
 
-def _build_partition(cfg: ExperimentConfig) -> PrimePartition:
+def _build_partition(
+    cfg: ExperimentConfig,
+    x: float | None = None,
+    y: float | None = None,
+    excluded: int = 1,
+) -> PrimePartition:
     from .partition import build_partition, derive_parameters
 
-    # a key the config does not set keeps derive_parameters' desk default
+    # a chain run passes its own window (x, y and the excluded prime);
+    # every other run reads it from [partition].  A key the config does
+    # not set keeps derive_parameters' desk default
     sec = "partition"
-    keys = ("y", "z", "small_low", "small_high")
-    overrides = {key: cfg.getfloat(sec, key, None) for key in keys}
+    if x is None:
+        x = cfg.getfloat(sec, "x", 1400.0)
+        y = cfg.getfloat(sec, "y", None)
+        excluded = cfg.getint(sec, "excluded", 1)
+    keys = ("z", "small_low", "small_high")
+    overrides = {"y": y, **{key: cfg.getfloat(sec, key, None) for key in keys}}
     params = derive_parameters(
-        cfg.getfloat(sec, "x", 1400.0),
-        **{key: v for key, v in overrides.items() if v is not None},
+        x, **{key: v for key, v in overrides.items() if v is not None}
     )
-    return build_partition(params, cfg.getint(sec, "excluded", 1))
+    return build_partition(params, excluded)
 
 
 def _build_table(cfg: ExperimentConfig, partition: PrimePartition):
@@ -297,56 +307,6 @@ def _build_table(cfg: ExperimentConfig, partition: PrimePartition):
     )
     table.matrix()  # build the rows now, so they are timed as "table"
     return table
-
-
-def _run_sieve(cfg: ExperimentConfig):
-    from .sieving import greedy_rankin, residual_smooth_set, sift_interval
-    from .sieving import sift_mismatches
-
-    timings: dict[str, float] = {}
-    part = _build_partition(cfg)
-    x, y = math.floor(part.x), math.floor(part.y)
-    medium_high = min(part.x / 2, 25.0 * part.small_high)
-    medium = nt.primes_in_range(math.floor(part.small_high), math.floor(medium_high))
-    medium = medium[medium != part.excluded_prime]
-    with _timed(timings, "greedy"):
-        system = greedy_rankin(part, medium.tolist())
-        survivors = sift_interval(x, y, system)
-    with _timed(timings, "residual"):
-        _, residual = residual_smooth_set(survivors, part)
-
-    mismatches = sum(1 for _ in sift_mismatches(survivors, system))
-    n_smooth = sum(1 for _, flag in residual.classifications if flag)
-    metrics = {
-        "window": {"x": x, "y": y, "medium_high": medium_high},
-        "partition_counts": {
-            "small": part.counts[0],
-            "weighted": part.counts[1],
-            "target": part.counts[2],
-            "medium": int(medium.size),
-        },
-        "survivors": survivors.count,
-        "residual": {
-            "count": residual.count,
-            "target_survivors": len(residual.target_survivors),
-            "count_bound": residual.count_bound,
-            "smooth_members": n_smooth,
-        },
-    }
-    checks = [
-        _check(
-            "membership_recheck",
-            mismatches == 0,
-            f"{mismatches} mismatches among the {y - x} window integers",
-        ),
-        _check(
-            "survivors_split",
-            survivors.count == residual.count + len(residual.target_survivors),
-            f"{survivors.count} survivors = {residual.count} residual + "
-            f"{len(residual.target_survivors)} targets",
-        ),
-    ]
-    return metrics, checks, timings
 
 
 def _run_weights(cfg: ExperimentConfig):
@@ -473,15 +433,52 @@ def _run_cover(cfg: ExperimentConfig):
     return metrics, checks, timings
 
 
-def _run_maier(cfg: ExperimentConfig):
-    from .maier import FrameWindow, GapChainCertificate, _check_row_sample
+CLASS_SOURCES = ("random", "greedy", "construction")
+
+
+def _chain_classes(cfg: ExperimentConfig, source: str, x: float, y: float, b0: int):
+    """The window of a chain run's frame, and its residue system over the
+    primes up to x: uniform classes on the maier-classes stream,
+    `greedy_rankin`, or the random construction's full system."""
+    if source == "random":
+        from .maier import FrameWindow
+        from .seeds import derive_rng
+        from .sieving import sample_classes
+
+        window = FrameWindow(x=x, y=y, excluded_prime=b0)  # before any draw
+        return window, sample_classes(
+            nt.primes_in_range(1, math.floor(x)).tolist(),
+            derive_rng(cfg.seed, "maier-classes"),
+            excluded=b0,
+        )
+    if source == "greedy":
+        from .sieving import greedy_rankin
+
+        part = _build_partition(cfg, x, y, b0)
+        medium_high = min(part.x / 2, 25.0 * part.small_high)
+        medium = nt.primes_in_range(
+            math.floor(part.small_high), math.floor(medium_high)
+        )
+        return part, greedy_rankin(part, medium[medium != b0].tolist())
+    from .construction import _check_eta, run_construction
+    from .sieving import assemble_full_system
+
+    eta = cfg.getfloat("construct", "eta", 0.1)
+    _check_eta(eta)  # refused before the table is built
+    part = _build_partition(cfg, x, y, b0)
+    run = run_construction(_build_table(cfg, part), cfg.seed, eta=eta)
+    return part, assemble_full_system(run.small_classes, run.chosen_offsets, part)
+
+
+def _run_chain(cfg: ExperimentConfig):
+    from .maier import GapChainCertificate, _check_row_sample
     from .maier import assemble_frame, find_gap_chain, sample_rows, verify_certificate
     from .maier import row_index_bound
-    from .seeds import derive_random, derive_rng
-    from .sieving import sample_classes, sift_interval
+    from .seeds import derive_random
+    from .sieving import sift_interval
 
     timings: dict[str, float] = {}
-    sec = "maier"
+    sec = "chain"
     x = cfg.getfloat(sec, "x", 36.0)
     y = cfg.getfloat(sec, "y", 120.0)
     b0 = cfg.getint(sec, "excluded", 1)
@@ -489,17 +486,18 @@ def _run_maier(cfg: ExperimentConfig):
     epsilon = cfg.getfloat(sec, "epsilon", 0.01)
     trials = cfg.getint(sec, "trials", 400)
     stat_trials = cfg.getint(sec, "stat_trials", 200)
+    source = cfg.get(sec, "classes", "random")
+    if source not in CLASS_SOURCES:
+        raise ValueError(
+            f"[{sec}] classes = {source} is not one of {', '.join(CLASS_SOURCES)}"
+        )
     _check_row_sample(stat_trials, f"[{sec}] stat_trials")  # before the search
 
-    window = FrameWindow(x=x, y=y, excluded_prime=b0)
-    system = sample_classes(
-        nt.primes_in_range(1, math.floor(x)).tolist(),
-        derive_rng(cfg.seed, "maier-classes"),
-        excluded=b0,
-    )
+    with _timed(timings, "classes"):
+        window, system = _chain_classes(cfg, source, x, y, b0)
     with _timed(timings, "frame"):
         frame = assemble_frame(system, window)
-        survivors = sift_interval(math.floor(x), math.floor(y), system)
+        survivors = sift_interval(frame.x, frame.y, system)
     # the search first: it refuses a bad k, epsilon or trials before the
     # row sample's work; the two read separate streams, so order is free
     with _timed(timings, "search"):
@@ -614,11 +612,10 @@ def _run_verify(cfg: ExperimentConfig):
 
 
 _RUNNERS: dict[str, Callable[[ExperimentConfig], tuple]] = {
-    "sieve": _run_sieve,
     "weights": _run_weights,
     "construct": _run_construct,
     "cover": _run_cover,
-    "maier": _run_maier,
+    "chain": _run_chain,
     "gk": _run_gk,
     "verify": _run_verify,
 }

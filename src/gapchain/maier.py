@@ -95,8 +95,9 @@ ROW_SAMPLE_BYTES = 256  # a sampled row's z (44) and prime offsets (150-444)
 @dataclass(frozen=True)
 class FrameWindow:
     """Bare translation window for frames built without a full partition:
-    every frame of the maier mode (x = 36, 150 and 400, below the partition
-    module's floor) is built from one.  A PrimePartition serves too."""
+    every random-class frame of the chain mode (x = 36, 150 and 400, below
+    the partition module's floor) is built from one.  A PrimePartition
+    serves too, for its greedy and construction frames."""
 
     x: float
     y: float
@@ -630,7 +631,8 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
 
     Checks every field's type, recomputes the modulus from
     (x, excluded_prime), revalidates ranges and the listed offsets'
-    order.  Then it runs the checks that test no primality
+    order, and accepts only a policy of mr_rounds and its own
+    deterministic_limit.  Then it runs the checks that test no primality
     (`_layout_failure`: the gap floor, and evidence that covers exactly
     the non-listed integers between the first and last listed primes)
     and keeps their first failure.  One map (`_full_round_tests`) then
@@ -682,6 +684,13 @@ def verify_certificate(cert: GapChainCertificate) -> VerificationOutcome:
         return reject(
             f"policy mr_rounds = {rounds} outside "
             f"[{MIN_MR_ROUNDS}, {MAX_MR_ROUNDS}]"
+        )
+    # the rest of the policy is the verifier's own, stated and not trusted
+    if set(policy) != {"mr_rounds", "deterministic_limit"}:
+        return reject("policy keys are not exactly mr_rounds and deterministic_limit")
+    if policy["deterministic_limit"] != str(DETERMINISTIC_MR_LIMIT):
+        return reject(
+            f"policy deterministic_limit is not the verifier's {DETERMINISTIC_MR_LIMIT}"
         )
     if cert.x < 3:  # FrameWindow's floor
         return reject(f"window start x = {cert.x} is below 3")

@@ -1,4 +1,4 @@
-"""Residue systems, sifted intervals, and the smooth residual accounting.
+"""Residue systems, sifted intervals, and the systems a chain run sieves by.
 
 The sieving story in one sentence: pick one forbidden residue class per
 prime, strike those classes from a target interval, and study what
@@ -11,10 +11,10 @@ survives.  This module owns the data types for that story
 plus the one class sieve (`sift_interval`, through `nt.strike_classes`:
 the construction reads its sifted targets from the same bitmap), its
 exact check by `%` (`sift_mismatches`), the one sampler of uniform
-classes (`sample_classes`: the construction's small classes and a maier
-frame's), the operations that build full systems out of the partial
-random data, split the survivors into target primes versus smooth
-residue, and a deterministic greedy baseline after Erdos and Rankin.
+classes (`sample_classes`: the construction's small classes and a chain
+run's random frame), the full system built out of the construction's
+partial random data, and a deterministic greedy baseline after Erdos and
+Rankin.  A chain run sieves by one of the last three.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .nt import check_sieve_window, factorize, is_prime, primes_in_range
+from .nt import check_sieve_window, is_prime, primes_in_range
 from .nt import strike_classes
 from .partition import PrimePartition
 
@@ -36,8 +36,6 @@ __all__ = [
     "sift_interval",
     "sift_mismatches",
     "assemble_full_system",
-    "ResidualReport",
-    "residual_smooth_set",
     "greedy_rankin",
 ]
 
@@ -179,74 +177,6 @@ def assemble_full_system(
         else:
             entries[p] = 0
     return ResidueSystem(entries=entries, excluded=partition.excluded_prime)
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Accounting for the non-target survivors of a full sieve.
-
-    Every survivor must be a target prime or land in the residual; a prime
-    survivor outside the targets (other than the excluded modulus itself)
-    means the sieve or the partition is broken and raises instead.  The
-    smoothness classification of residual members is informational: each
-    entry pairs the member with whether it factors as a power of the
-    excluded modulus times a product of primes at most small_high.
-    """
-
-    residual: list[int]
-    target_survivors: list[int]
-    count_bound: float | None
-    classifications: list[tuple[int, bool]]
-
-    @property
-    def count(self) -> int:
-        return len(self.residual)
-
-
-def residual_smooth_set(
-    T: SievedSet, partition: PrimePartition
-) -> tuple[set[int], ResidualReport]:
-    """Split survivors into target primes and the smooth-ish residual.
-
-    The count bound compares the residual size against
-    log(x) * y * exp(-u log u) with u = log y / log small_high, the
-    first-order smooth-count scale for the interval.
-    """
-    if (T.lo, T.hi) != (math.floor(partition.x), math.floor(partition.y)):
-        raise ValueError(
-            f"sieved interval ({T.lo}, {T.hi}] does not match the partition "
-            f"target window ({partition.x}, {partition.y}]"
-        )
-    targets = set(partition.target_primes.tolist())
-    residual: list[int] = []
-    target_survivors: list[int] = []
-    b0 = partition.excluded_prime
-    for n in T.members().tolist():
-        if n in targets:
-            target_survivors.append(n)
-            continue
-        if is_prime(n) and n != b0:
-            raise AssertionError(
-                f"prime survivor {n} is outside the target set; "
-                "the partition and the sieve disagree"
-            )
-        residual.append(n)
-    bound = None
-    if partition.small_high > 1 and partition.y > 1:
-        u = math.log(partition.y) / math.log(partition.small_high)
-        bound = math.log(partition.x) * partition.y * math.exp(
-            -u * math.log(max(u, 1e-12))
-        )
-    classifications = [
-        (n, all(p <= partition.small_high or p == b0 for p in factorize(n)))
-        for n in residual
-    ]
-    return set(residual), ResidualReport(
-        residual=residual,
-        target_survivors=target_survivors,
-        count_bound=bound,
-        classifications=classifications,
-    )
 
 
 def greedy_rankin(

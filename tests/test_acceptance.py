@@ -174,7 +174,7 @@ def test_acceptance_weight_contracts(pinned_table):
 
 
 def test_acceptance_translation_certificate():
-    cfg = ExperimentConfig(mode="maier", seed=5)
+    cfg = ExperimentConfig(mode="chain", seed=5)
     report = run_experiment(cfg)
     found = report.all_passed and "certificate" in report.metrics
     tampers_caught = 0
@@ -214,13 +214,18 @@ def test_acceptance_translation_certificate():
 # report's per-q on-tuple gathered sums, which the summary digest averages
 # away).  A refactor that shifts one float or one random draw changes a
 # digest.  Captured with numpy 2.4; a numpy build that rounds a reduction
-# differently would change them too.  The maier digests include the
-# certificate's library_version, which is gapchain.__version__.
+# differently would change them too.  The chain digests include the
+# certificate's library_version, which is gapchain.__version__; chain and
+# chain150 draw random classes, chain_greedy and chain_construction the
+# two partition sources at x=150, y=600 and [partition] small_high = 60.
 GOLDEN_DIGESTS = {
     "gk": "497381957cc9ca7bf29b85434529e0929d161c0bc72e611491a64b6bd2be22b1",
-    "maier": "806f849959bc0f2a7ed9eb5da68d0de74ea4bbf89136f412d9ac668aa43b9299",
-    "maier150": "108b242728587f8cc5a5f6bdd46590860268d5cb4a5fe93a3ef959f464cd96a7",
-    "sieve": "e2d987356bc2ff62b31deb822a7a0081474b153f96bde91fc27e125db4db9940",
+    "chain": "806f849959bc0f2a7ed9eb5da68d0de74ea4bbf89136f412d9ac668aa43b9299",
+    "chain150": "108b242728587f8cc5a5f6bdd46590860268d5cb4a5fe93a3ef959f464cd96a7",
+    "chain_greedy": "c5d906e4157d88e2bb501b6e24a3c09f7b12cdfbaeb081a3cd2a583fa9887785",
+    "chain_construction": (
+        "b638fd3a82b6abfe26341910f36e50c16d76b52875882454b220a9a27ac63f96"
+    ),
     "cover": "89d336bb1c9ca3e18f20a85922b61531ca80fbb3a5e2c0bb4b2fa86e25c8f024",
     "contracts": "ec9a75a6f2671bff64aa3efcb09312e85abd19aba038d040600a6c4b220c95e0",
     "construction": "55d58261e8d5943f19c48cd6b27662728dc8ccc2373c681f680bde5426d40783",
@@ -245,23 +250,30 @@ def test_acceptance_reproducible_metrics(
         return run_experiment(cfg)
 
     gk_a, gk_b = run_gk(), run_gk()
-    maier_a = run_experiment(ExperimentConfig(mode="maier", seed=5))
-    maier_b = run_experiment(ExperimentConfig(mode="maier", seed=5))
-    maier150 = ExperimentConfig(mode="maier", seed=5)
-    maier150.set("maier", "x", 150.0)
-    maier150.set("maier", "y", 600.0)
+    def run_chain(seed, **chain):
+        cfg = ExperimentConfig(mode="chain", seed=seed)
+        for key, value in chain.items():
+            cfg.set("chain", key, value)
+        if chain.get("classes", "random") != "random":
+            cfg.set("partition", "small_high", 60)
+        return run_experiment(cfg)
+
+    chain_a, chain_b = run_chain(5), run_chain(5)
     cover_a = run_experiment(ExperimentConfig(mode="cover", seed=2))
     cover_b = run_experiment(ExperimentConfig(mode="cover", seed=2))
     gk_ok = gk_a.metrics_json() == gk_b.metrics_json()
-    maier_ok = maier_a.metrics_json() == maier_b.metrics_json()
+    chain_ok = chain_a.metrics_json() == chain_b.metrics_json()
     cover_ok = cover_a.metrics_json() == cover_b.metrics_json()
     anchor_ok = gk_a.metrics["record"] == 36
 
     reports = {
         "gk": gk_a,
-        "maier": maier_a,
-        "maier150": run_experiment(maier150),
-        "sieve": run_experiment(ExperimentConfig(mode="sieve")),
+        "chain": chain_a,
+        "chain150": run_chain(5, x=150.0, y=600.0),
+        "chain_greedy": run_chain(5, x=150.0, y=600.0, classes="greedy"),
+        "chain_construction": run_chain(
+            11, x=150.0, y=600.0, classes="construction"
+        ),
         "cover": cover_a,
     }
     got = {
@@ -287,8 +299,8 @@ def test_acceptance_reproducible_metrics(
     drifted = sorted(name for name, want in GOLDEN_DIGESTS.items() if got[name] != want)
     _verdict(
         "reproducible_metrics",
-        gk_ok and maier_ok and cover_ok and anchor_ok and not drifted,
-        "gk, maier and cover reports byte-identical across reruns; "
+        gk_ok and chain_ok and cover_ok and anchor_ok and not drifted,
+        "gk, chain and cover reports byte-identical across reruns; "
         f"gk record {gk_a.metrics['record']}; "
         + (
             f"digests drifted: {drifted}"

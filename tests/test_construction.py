@@ -34,7 +34,7 @@ class TestSmallClassSampling:
         assert all(0 <= v < s for s, v in a.entries.items())
 
     def test_draws_in_ascending_order_and_skips_the_excluded_prime(self):
-        # the maier frame's classes: one draw per prime up to x but b0
+        # a random chain frame's classes: one draw per prime up to x but b0
         got = sample_classes([13, 2, 7, 3, 11, 5], derive_rng(3, "classes"), excluded=7)
         rng = derive_rng(3, "classes")
         want = {p: int(rng.integers(0, p)) for p in (2, 3, 5, 11, 13)}
@@ -259,8 +259,8 @@ class TestTargetCoverage:
         sieved = g.sift_interval(
             math.floor(part.x), math.floor(part.y), system
         )
-        _, report = g.residual_smooth_set(sieved, part)
-        for q in report.target_survivors:
+        assert sieved.count > 0
+        for q in sieved.members().tolist():
             assert sifted_membership(q, pinned_run.small_classes)
             for p, n in pinned_run.chosen_offsets.items():
                 assert q % p != n % p

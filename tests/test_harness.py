@@ -60,19 +60,20 @@ class TestExperimentConfig:
     def test_set_refuses_an_unknown_section_or_key(self):
         # the library path checks what from_ini checks: a removed key is
         # refused, not stored, echoed in metrics.json and ignored
-        cfg = ExperimentConfig(mode="maier")
+        cfg = ExperimentConfig(mode="chain")
         with pytest.raises(
-            ValueError, match=r"^unknown \[maier\] key\(s\) soundness_draws; known: "
+            ValueError, match=r"^unknown \[chain\] key\(s\) soundness_draws; known: "
         ):
-            cfg.set("maier", "soundness_draws", 10)
-        with pytest.raises(ValueError, match=r"^unknown section \[sieve\]; known: "):
-            cfg.set("sieve", "medium_high", 200)
+            cfg.set("chain", "soundness_draws", 10)
+        for gone in ("sieve", "maier"):
+            with pytest.raises(ValueError, match=rf"^unknown section \[{gone}\]; known: "):
+                cfg.set(gone, "x", 200)
         # mode, seed and out are attributes, not a section set can reach
         with pytest.raises(ValueError, match=r"^unknown section \[run\]; known: "):
             cfg.set("run", "seed", 5)
         assert cfg.sections == {}
-        cfg.set("maier", "Stat_Trials", 3)
-        assert cfg.sections == {"maier": {"stat_trials": "3"}}
+        cfg.set("chain", "Stat_Trials", 3)
+        assert cfg.sections == {"chain": {"stat_trials": "3"}}
 
     def test_run_section_parsing(self):
         cfg = ExperimentConfig.from_ini(
@@ -99,13 +100,15 @@ class TestExperimentConfig:
         [
             ("[weights]\nthetta = 0.5\n", "unknown [weights] key(s) thetta"),
             ("[gk]\nextra = 1\nlimit = 9\n", "unknown [gk] key(s) extra;"),
-            ("[maier]\nx = 150\nseed = 5\n", "unknown [maier] key(s) seed"),
+            ("[chain]\nx = 150\nseed = 5\n", "unknown [chain] key(s) seed"),
             ("[weigths]\ntheta = 0.5\n", "unknown section [weigths]"),
             ("[DEFAULT]\nlimt = 9\n", "unknown [DEFAULT] key(s) limt"),
             # the primes mode is gone, and its section with it
             ("[primes]\nlimit = 2000\n", "unknown section [primes]"),
             # so is [sieve], whose one key, medium_high, no run set
             ("[sieve]\nmedium_high = 200\n", "unknown section [sieve]"),
+            # and [maier]: the chain mode reads its keys from [chain]
+            ("[maier]\nx = 150\n", "unknown section [maier]"),
         ],
     )
     def test_unknown_section_key_is_rejected(self, ini, message):
@@ -124,11 +127,10 @@ class TestExperimentConfig:
 
         monkeypatch.setattr(ExperimentConfig, "get", recorded)
         small = {
-            "sieve": {"partition": {"x": 200}},
             "weights": {"partition": {"x": 200}, "weights": {"theta": 0.5}},
             "construct": {"partition": {"x": 200}, "weights": {"theta": 0.5}},
             "cover": {"cover": {"n_elements": 500, "n_covers": 50}},
-            "maier": {"maier": {"trials": 5, "stat_trials": 5}},
+            "chain": {"chain": {"trials": 5, "stat_trials": 5}},
             "gk": {"gk": {"limit": 500}},
             "verify": {"verify": {"certificate": tmp_path / "missing.json"}},
         }
@@ -142,15 +144,15 @@ class TestExperimentConfig:
     def test_keys_are_case_insensitive(self, monkeypatch):
         # configparser lowercases INI keys; set and the getters follow it
         ini = ExperimentConfig.from_ini(
-            "[run]\nmode = sieve\n[partition]\nSmall_Low = 40\n"
+            "[run]\nmode = weights\n[partition]\nSmall_Low = 40\n"
         )
         assert ini.sections["partition"] == {"small_low": "40"}
-        flag = make_config("sieve", partition={"Small_Low": 40})
+        flag = make_config("weights", partition={"Small_Low": 40})
         assert flag.sections == ini.sections
         for cfg in (ini, flag):
             assert cfg.getfloat("partition", "Small_Low", 32.0) == 40.0
             assert cfg.getfloat("partition", "small_low", 32.0) == 40.0
-        # and the value reaches derive_parameters, which the sieve runner
+        # and the value reaches derive_parameters, which _build_partition
         # imports from partition when it runs
         seen = []
         derive = partition_mod.derive_parameters
@@ -233,47 +235,6 @@ class TestModeRunners:
         with pytest.raises(ValueError, match="unknown mode"):
             run_experiment(make_config("transmute"))
 
-    def test_sieve_mode(self):
-        report = run_experiment(make_config("sieve", partition={"x": 400}))
-        assert report.all_passed
-        res = report.metrics["residual"]
-        assert report.metrics["survivors"] == (
-            res["count"] + res["target_survivors"]
-        )
-        assert report.metrics["window"] == {
-            "x": 400,
-            "y": 6_000,
-            "medium_high": 200.0,
-        }
-
-    @pytest.mark.parametrize("kept", [True, False])
-    def test_sieve_mode_check_fails_on_a_flipped_slot(self, kept, monkeypatch):
-        # the check reads every t of the window; it used to read one in 98,
-        # and the flipped slot here is off that stride
-        from gapchain import sieving
-
-        sift = sieving.sift_interval
-
-        def one_slot_flipped(lo, hi, system):
-            bitmap = sift(lo, hi, system).bitmap.copy()
-            slots = np.flatnonzero(bitmap != kept).tolist()
-            # a struck prime kept would make the residual split raise
-            i = next(
-                i for i in slots
-                if i % 98 and not (kept and gapchain.is_prime(lo + 1 + i))
-            )
-            bitmap[i] ^= True
-            return sieving.SievedSet(lo=lo, hi=hi, bitmap=bitmap)
-
-        monkeypatch.setattr(sieving, "sift_interval", one_slot_flipped)
-        report = run_experiment(make_config("sieve", partition={"x": 400}))
-        assert [(c["name"], c["passed"]) for c in report.checks] == [
-            ("membership_recheck", False), ("survivors_split", True)
-        ]
-        assert report.checks[0]["detail"] == (
-            "1 mismatches among the 5600 window integers"
-        )
-
     def test_weights_mode(self):
         cfg = make_config("weights", partition={"x": 400}, weights={"theta": 0.5})
         report = run_experiment(cfg)
@@ -303,18 +264,18 @@ class TestModeRunners:
             ),
             ("[run]\nmode = cover\n[cover]\nm = 1\n", "tolerance = 0\n"),
             (
-                "[run]\nmode = sieve\n[partition]\nx = 400\n",
+                "[run]\nmode = weights\n[partition]\nx = 400\n",
                 "r = 6\nepsilon = 0.1\nc = 0.2\na = 9\nc0 = 0.4\nr0 = 3\n",
             ),
             (
                 "[run]\nmode = cover\n[cover]\nm = 1\n",
                 "profile = fixed-size\nr_cap = 5\n",
             ),
-            ("[run]\nmode = maier\n[maier]\nx = 36\n", "mr_rounds = 48\n"),
+            ("[run]\nmode = chain\n[chain]\nx = 36\n", "mr_rounds = 48\n"),
             ("[run]\nmode = weights\n[weights]\ntheta = 0.5\n", "q_sample = 25\n"),
             ("[run]\nmode = weights\n[weights]\ntheta = 0.5\n", "offsets = 0 2 6\n"),
             ("[run]\nmode = construct\n[construct]\neta = 0.1\n", "max_q = 64\n"),
-            ("[run]\nmode = maier\n[maier]\nx = 36\n", "d = 1\nsoundness_draws = 10\n"),
+            ("[run]\nmode = chain\n[chain]\nx = 36\n", "d = 1\nsoundness_draws = 10\n"),
         ],
         ids=[
             "weights", "cover", "partition", "cover-instance", "maier", "weights-q",
@@ -341,9 +302,12 @@ class TestModeRunners:
             "excluded": 37,
         }
         assert set(variants) == harness._SECTION_KEYS["partition"]
-        before = run_experiment(make_config("sieve", partition=base)).metrics
+        theta = {"theta": 0.5}
+        before = run_experiment(
+            make_config("construct", partition=base, weights=theta)
+        ).metrics
         for key, value in variants.items():
-            cfg = make_config("sieve", partition={**base, key: value})
+            cfg = make_config("construct", partition={**base, key: value}, weights=theta)
             assert run_experiment(cfg).metrics != before, key
 
     def test_construct_mode(self):
@@ -401,16 +365,17 @@ class TestModeRunners:
         assert inst["coverage"] == pytest.approx(2 * np.log(5))
         assert report.metrics["leftover"]["ratio"] == pytest.approx(1.0, abs=0.5)
 
-    def test_maier_mode(self):
-        report = run_experiment(make_config("maier", seed=5))
+    def test_chain_mode(self):
+        report = run_experiment(make_config("chain", seed=5))
         assert report.all_passed
-        # the certificate check has a span of its own, and spans stay out
-        # of the metrics.json bytes
+        # the class draw and the certificate check have spans of their own,
+        # and spans stay out of the metrics.json bytes
         assert sorted(report.timings) == [
-            "frame", "row_stats", "search", "total", "verify"
+            "classes", "frame", "row_stats", "search", "total", "verify"
         ]
+        # the former maier mode's report, "maier" renamed "chain"
         assert hashlib.sha256(report.metrics_json().encode()).hexdigest() == (
-            "8beafe2cab91bd678986cf756db1c8a37bf5fb6c8984e5b42524b8968b0dfc26"
+            "db49b8aa94bb97dcb3de6bf5ff038e75f9b3d076b09f79907c94f1a5df6a82f7"
         )
         frame = report.metrics["frame"]
         assert frame["x"] == 36 and frame["y"] == 120
@@ -425,6 +390,43 @@ class TestModeRunners:
         ]
         assert "soundness" not in report.metrics
 
+    def test_construction_frame_sieves_by_the_runs_classes(self, monkeypatch):
+        # the pipeline end to end: the frame's system is the construction
+        # run's, weighted primes at their chosen offsets mod p, small primes
+        # at their drawn classes, every other prime up to x at class 0
+        from gapchain import construction, maier
+
+        runs, systems = [], []
+        run_construction, assemble_frame = construction.run_construction, maier.assemble_frame
+
+        def recorded_run(*args, **kwargs):
+            runs.append(run_construction(*args, **kwargs))
+            return runs[-1]
+
+        def recorded_frame(system, window, *args):
+            systems.append(system)
+            return assemble_frame(system, window, *args)
+
+        monkeypatch.setattr(construction, "run_construction", recorded_run)
+        monkeypatch.setattr(maier, "assemble_frame", recorded_frame)
+        cfg = make_config(
+            "chain", seed=11, partition={"small_high": 60},
+            chain={"x": 150, "y": 600, "classes": "construction", "stat_trials": 8},
+        )
+        assert run_experiment(cfg).all_passed
+        (run,), (system,) = runs, systems
+        part = run.partition
+        assert (part.x, part.y, part.small_high) == (150, 600, 60)
+        weighted = part.weighted_primes.tolist()
+        small = part.small_primes.tolist()
+        assert weighted and small
+        for p in weighted:
+            assert system.entries[p] == run.chosen_offsets[p] % p
+        for p in small:
+            assert system.entries[p] == run.small_classes.entries[p]
+        rest = set(system.entries) - set(weighted) - set(small)
+        assert rest and all(system.entries[p] == 0 for p in rest)
+
     def test_gk_mode_byte_reproducible(self):
         cfg = make_config("gk", gk={"limit": 2_000, "k": 1})
         first = run_experiment(cfg)
@@ -435,7 +437,7 @@ class TestModeRunners:
         assert first.metrics_json() == second.metrics_json()
 
     def test_verify_mode_round_trip(self, tmp_path):
-        found = run_experiment(make_config("maier", seed=5))
+        found = run_experiment(make_config("chain", seed=5))
         cert_path = tmp_path / "cert.json"
         cert_path.write_text(
             json.dumps(found.metrics["certificate"], sort_keys=True, indent=1)
@@ -455,11 +457,10 @@ class TestModeRunners:
 class TestCli:
     def test_every_mode_is_wired(self):
         assert set(MODES) == {
-            "sieve",
             "weights",
             "construct",
             "cover",
-            "maier",
+            "chain",
             "gk",
             "verify",
         }
@@ -513,7 +514,7 @@ class TestCli:
         assert f"output directory {afile / 'run'}: cannot write (" in err
 
     def test_maier_writes_certificate(self, tmp_path, capsys):
-        code = main(["maier", "--seed", "5", "--out", str(tmp_path / "run")])
+        code = main(["chain", "--seed", "5", "--out", str(tmp_path / "run")])
         assert code == 0
         out = capsys.readouterr().out
         assert "[PASS] chain_found" in out
@@ -521,10 +522,10 @@ class TestCli:
         cert = GapChainCertificate.from_json(cert_file.read_text())
         assert verify_certificate(cert)
         metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
-        assert metrics["mode"] == "maier"
+        assert metrics["mode"] == "chain"
 
     def test_verify_subcommand_rejects_tampering(self, tmp_path, capsys):
-        main(["maier", "--seed", "5", "--out", str(tmp_path / "run")])
+        main(["chain", "--seed", "5", "--out", str(tmp_path / "run")])
         capsys.readouterr()
         cert_file = tmp_path / "run" / "certificate.json"
         raw = json.loads(cert_file.read_text())
@@ -538,7 +539,7 @@ class TestCli:
         assert main(["verify", "--certificate", str(cert_file)]) == 0
 
     def test_verify_subcommand_rejects_malformed_files(self, tmp_path, capsys):
-        main(["maier", "--seed", "5", "--out", str(tmp_path / "run")])
+        main(["chain", "--seed", "5", "--out", str(tmp_path / "run")])
         raw = json.loads((tmp_path / "run" / "certificate.json").read_text())
         no_seed = dict(raw)
         del no_seed["seed"]
@@ -647,22 +648,28 @@ class TestCli:
             (["verify"], "verify mode needs [verify] certificate"),
             (["gk", "--k", "0", "--limit", "100"], "k must be at least 1"),
             (["cover", "--m", "0"], "m must be at least 1"),
-            (["maier", "--trials", "0"], "trials must be at least 1"),
-            (["maier", "--trials", "-3"], "trials must be at least 1"),
+            (["chain", "--trials", "0"], "trials must be at least 1"),
+            (["chain", "--trials", "-3"], "trials must be at least 1"),
             # refused before any allocation; each used to end in a
             # MemoryError traceback and exit status 1
             (["weights", "--x", "60000"], "dense weight matrix and its build"),
             (["construct", "--x", "60000"], "dense weight matrix and its build"),
             # refused by name: a non-finite value, a level past the sieve cap
-            (["maier", "--y", "1e400"], "[maier] y = inf is not a finite number"),
-            (["sieve", "--y", "inf"], "[partition] y = inf is not a finite number"),
+            (["chain", "--y", "1e400"], "[chain] y = inf is not a finite number"),
+            (
+                ["weights", "--config", "[partition]\ny = inf\n"],
+                "[partition] y = inf is not a finite number",
+            ),
             (["weights", "--theta", "inf"], "[weights] theta = inf is not a finite"),
             (["weights", "--theta", "1e300"], "divisor level x**theta = 1400**1e+300"),
             # refused before a prime sieve over 1 GiB: the first two ended in
             # MemoryError tracebacks, the last two ran for minutes
-            (["sieve", "--x", "1e13"], "prime sieve window (5e+12, 1e+13]"),
+            (["weights", "--x", "1e13"], "prime sieve window (5e+12, 1e+13]"),
             (["weights", "--x", "1e300"], "prime sieve window (5e+299, 1e+300]"),
-            (["sieve", "--y", "1e300"], "prime sieve window (1400, 1e+300]"),
+            (
+                ["chain", "--classes", "greedy", "--x", "1400", "--y", "1e300"],
+                "prime sieve window (1400, 1e+300]",
+            ),
             (["construct", "--x", "1e300"], "prime sieve window (5e+299, 1e+300]"),
             # used to blame the stable set: "no stable primes"
             (["construct", "--eta", "-1"], "eta = -1 must be nonnegative"),
@@ -679,8 +686,8 @@ class TestCli:
             # the --offsets flag went with its [weights] offsets key
             (["weights", "--offsets", "0 2 x"], "unrecognized arguments: --offsets"),
             (
-                ["maier", "--config", "[maier]\ny = six hundred\n"],
-                "[maier] y = six hundred is not a number",
+                ["chain", "--config", "[chain]\ny = six hundred\n"],
+                "[chain] y = six hundred is not a number",
             ),
             # the primes mode and four options no run set are gone
             (
@@ -696,8 +703,8 @@ class TestCli:
                 "exp.ini: unknown [cover] key(s) r_cap;",
             ),
             (
-                ["maier", "--config", "[maier]\nmr_rounds = 48\n"],
-                "exp.ini: unknown [maier] key(s) mr_rounds;",
+                ["chain", "--config", "[chain]\nmr_rounds = 48\n"],
+                "exp.ini: unknown [chain] key(s) mr_rounds;",
             ),
             (
                 ["weights", "--config", "[weights]\nq_sample = 25\n"],
@@ -705,7 +712,7 @@ class TestCli:
             ),
             # five keys that only tests set are constants now
             (
-                ["sieve", "--config", "[sieve]\nmedium_high = 200\n"],
+                ["weights", "--config", "[sieve]\nmedium_high = 200\n"],
                 "exp.ini: unknown section [sieve]",
             ),
             (
@@ -717,16 +724,16 @@ class TestCli:
                 "exp.ini: unknown [construct] key(s) max_q;",
             ),
             (
-                ["maier", "--config", "[maier]\nd = 1\n"],
-                "exp.ini: unknown [maier] key(s) d;",
+                ["chain", "--config", "[chain]\nd = 1\n"],
+                "exp.ini: unknown [chain] key(s) d;",
             ),
             (
-                ["maier", "--config", "[maier]\nsoundness_draws = 10\n"],
-                "exp.ini: unknown [maier] key(s) soundness_draws;",
+                ["chain", "--config", "[chain]\nsoundness_draws = 10\n"],
+                "exp.ini: unknown [chain] key(s) soundness_draws;",
             ),
             # refused before their arrays: each ended in a MemoryError
             # traceback (931 GiB, 931 GiB and 7.28 TiB)
-            (["maier", "--y", "1e12"], "class sieve window (36, 1e+12]"),
+            (["chain", "--y", "1e12"], "class sieve window (36, 1e+12]"),
             (
                 ["cover", "--n-elements", "1000000000000"],
                 "nibble over n_elements = 1000000000000 and n_covers = 2000",
@@ -735,6 +742,17 @@ class TestCli:
                 ["cover", "--n-covers", "1000000000000"],
                 "nibble over n_elements = 20000 and n_covers = 1000000000000",
             ),
+            # the maier and sieve modes are gone: chain reads [chain], and
+            # draws its classes from one of three sources
+            (
+                ["chain", "--config", "[maier]\nx = 150\n"],
+                "exp.ini: unknown section [maier]",
+            ),
+            (
+                ["chain", "--classes", "zone"],
+                "[chain] classes = zone is not one of random, greedy, construction",
+            ),
+            (["chain", "--classes", "greedy"], "x = 36.0 is below the minimum 100.0"),
         ],
     )
     def test_rejected_option_value_exits(
@@ -763,23 +781,28 @@ class TestCli:
             # used to run the whole search, then fail with the row sample's
             # "trials must be at least 1", which names no option
             (
-                ["maier", "--config", "[maier]\nstat_trials = 0\n"],
-                "[maier] stat_trials = 0 must be at least 1",
+                ["chain", "--config", "[chain]\nstat_trials = 0\n"],
+                "[chain] stat_trials = 0 must be at least 1",
             ),
-            (["maier", "--x", "150", "--y", "600", "--k", "0"], "k must be at least 1"),
-            (["maier", "--x", "150", "--y", "600", "--epsilon", "1.5"], "epsilon must"),
-            (["maier", "--x", "150", "--y", "600", "--trials", "0"], "trials must be"),
+            (["chain", "--x", "150", "--y", "600", "--k", "0"], "k must be at least 1"),
+            (["chain", "--x", "150", "--y", "600", "--epsilon", "1.5"], "epsilon must"),
+            (["chain", "--x", "150", "--y", "600", "--trials", "0"], "trials must be"),
             # its 10**9 row indices were drawn into one list first
             (
-                ["maier", "--config", "[maier]\nstat_trials = 1000000000\n"],
-                "a sample of [maier] stat_trials = 1000000000 rows would need 2.56e+11",
+                ["chain", "--config", "[chain]\nstat_trials = 1000000000\n"],
+                "a sample of [chain] stat_trials = 1000000000 rows would need 2.56e+11",
+            ),
+            (
+                ["chain", "--classes", "construction", "--x", "150", "--y", "600",
+                 "--config", "[construct]\neta = -1\n"],
+                "eta = -1 must be nonnegative",
             ),
         ],
     )
     def test_bad_option_is_refused_before_the_work(
         self, argv, message, capsys, tmp_path, monkeypatch
     ):
-        # construct built all 97 Maynard rows, and maier scanned its 200
+        # construct built all 97 Maynard rows, and chain scanned its 200
         # sampled rows (12.6 s at x = 400) or its search rows, before
         # refusing these values; a search row scan fails the test
         def no_work(*args, **kwargs):
@@ -797,7 +820,7 @@ class TestCli:
         # validating the 664,579 classes up to x = 1e7 took over 30 s
         t0 = time.perf_counter()
         with pytest.raises(SystemExit) as exit_info:
-            main(["maier", "--x", "1e7", "--y", "2e7"])
+            main(["chain", "--x", "1e7", "--y", "2e7"])
         assert exit_info.value.code == 2
         assert time.perf_counter() - t0 < 5.0
         assert "x = 1e+07 puts the modulus over the row budget" in (
@@ -905,8 +928,8 @@ class TestImportGraph:
         code = (
             "import gapchain as g\n"
             f"for name in {names!r}.split(): getattr(g, name)\n"
-            "cfg = g.ExperimentConfig(mode='maier', seed=5)\n"
-            "cfg.set('maier', 'stat_trials', 8)\n"
+            "cfg = g.ExperimentConfig(mode='chain', seed=5)\n"
+            "cfg.set('chain', 'stat_trials', 8)\n"
             "assert g.run_experiment(cfg).all_passed\n"
         )
         loaded = stages_loaded_after(code)

@@ -1,6 +1,5 @@
-"""Residue systems, sifted intervals, and the survivor accounting."""
+"""Residue systems, sifted intervals, and the systems a chain run sieves by."""
 
-import math
 import random
 
 import numpy as np
@@ -12,7 +11,6 @@ from gapchain import (
     SievedSet,
     assemble_full_system,
     greedy_rankin,
-    residual_smooth_set,
     sift_interval,
     sift_mismatches,
 )
@@ -68,7 +66,7 @@ class TestSiftInterval:
             sift_interval(10, 10, ResidueSystem({3: 0}))
 
     def test_window_over_the_byte_cap_is_refused(self, monkeypatch):
-        # one byte per integer, as the prime sieve: a maier window of
+        # one byte per integer, as the prime sieve: a chain window of
         # (36, 1e12] used to end in a 931 GiB MemoryError
         system = ResidueSystem({3: 0})
         message = (
@@ -216,53 +214,6 @@ class TestAssembleFullSystem:
         offsets.pop(int(part.weighted_primes[-1]))
         with pytest.raises(ValueError):
             assemble_full_system(ResidueSystem(small), offsets, part)
-
-
-class TestResidualSmoothSet:
-    def full_sieve(self, part):
-        small = {int(p): 1 for p in part.small_primes}
-        offsets = {int(p): 5 for p in part.weighted_primes}
-        system = assemble_full_system(ResidueSystem(small), offsets, part)
-        return sift_interval(
-            math.floor(part.x), math.floor(part.y), system
-        )
-
-    def test_split_and_classification(self, small_partition):
-        part = small_partition
-        sieved = self.full_sieve(part)
-        residual, report = residual_smooth_set(sieved, part)
-        assert residual == set(report.residual)
-        assert report.count == len(report.residual)
-        targets = set(part.target_primes.tolist())
-        survivors = sieved.members().tolist()
-        assert sorted(report.target_survivors + report.residual) == survivors
-        assert set(report.target_survivors) <= targets
-        assert not (residual & targets)
-        # classification flag: prime support <= small_high, excluded aside
-        cut = part.small_high
-        for n, flag in report.classifications:
-            support = set(g.factorize(n))
-            expected = all(q <= cut for q in support)
-            assert flag == expected
-        u = math.log(part.y) / math.log(part.small_high)
-        assert report.count_bound == pytest.approx(
-            math.log(part.x) * part.y * math.exp(-u * math.log(u))
-        )
-
-    def test_excluded_prime_feeds_the_classifier(self, small_partition):
-        part = g.build_partition(small_partition.params, excluded_prime=37)
-        sieved = self.full_sieve(part)
-        _, report = residual_smooth_set(sieved, part)
-        cut = part.small_high
-        for n, flag in report.classifications:
-            support = set(g.factorize(n))
-            assert flag == all(q <= cut or q == 37 for q in support)
-
-    def test_interval_mismatch_rejected(self, small_partition):
-        part = small_partition
-        sieved = sift_interval(400, 5_999, ResidueSystem({3: 0}))
-        with pytest.raises(ValueError):
-            residual_smooth_set(sieved, part)
 
 
 class TestGreedyRankin:

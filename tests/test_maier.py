@@ -1055,6 +1055,14 @@ class TestListedPrimeTests:
             "mr_base_one": "base 1 does not witness offset 209",
             "listed_on_composite_and_min_gap": listed_209,
             "mr_base_one_and_duplicate": "duplicate evidence offsets",
+            # the search's certificates verified with any of these policies
+            "deterministic_limit_7":
+                "policy deterministic_limit is not the verifier's "
+                "3317044064679887385961981",
+            "no_deterministic_limit":
+                "policy keys are not exactly mr_rounds and deterministic_limit",
+            "deterministic_limit_x_and_extra_key":
+                "policy keys are not exactly mr_rounds and deterministic_limit",
             "genuine": None,
         }
         got = {name: verify_certificate(bad).reason
@@ -1097,6 +1105,12 @@ def tampered(cert):
             cert, prime_offsets=moved, min_gap=cert.min_gap + 1),
         "mr_base_one_and_duplicate": replace(
             cert, evidence=edited(mr, witness="1") + [ev[0]]),
+        "deterministic_limit_7": replace(
+            cert, policy={**cert.policy, "deterministic_limit": "7"}),
+        "no_deterministic_limit": replace(
+            cert, policy={"mr_rounds": cert.policy["mr_rounds"]}),
+        "deterministic_limit_x_and_extra_key": replace(
+            cert, policy={**cert.policy, "deterministic_limit": "x", "note": 1}),
         "genuine": cert,
     }
 
@@ -1398,7 +1412,8 @@ class TestVerifierRejections:
 
     def test_round_policy(self, toy_certificate):
         def policy(**kw):
-            return mutated(toy_certificate, lambda r: r.update(policy=kw))
+            limit = {"deterministic_limit": str(DETERMINISTIC_MR_LIMIT)}
+            return mutated(toy_certificate, lambda r: r.update(policy={**limit, **kw}))
 
         rejects(policy(), "policy states no mr_rounds")
         rejects(mutated(toy_certificate, lambda r: r.update(policy=[48])),

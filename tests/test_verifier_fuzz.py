@@ -1,12 +1,13 @@
 """Fuzz of the certificate verifier: any field value gives a verdict.
 
 Each example takes the genuine x = 36 certificate, replaces one to three
-fields (or parts of the listed primes, the evidence or the policy) with
-values of the wrong type, huge or negative integers, non-ASCII strings or
-long lists, and hands the result straight to `verify_certificate`.  The
-verifier must return a `VerificationOutcome`, never raise, and finish
-each example within the deadline.  The examples are derandomized, so a
-run is reproducible and its cost is fixed.
+fields (or parts of the listed primes, the evidence or the policy's round
+count and deterministic limit) with values of the wrong type, huge or
+negative integers, non-ASCII strings or long lists, and hands the result
+straight to `verify_certificate`.  The verifier must return a
+`VerificationOutcome`, never raise, and finish each example within the
+deadline.  The examples are derandomized, so a run is reproducible and
+its cost is fixed.
 """
 
 import dataclasses
@@ -106,6 +107,8 @@ def mutations(draw, cert):
                     st.integers(MIN_MR_ROUNDS - 2, MAX_MR_ROUNDS + 2) | junk
                 ),
             }
+            if draw(st.booleans()):  # the limit is the verifier's own
+                value["deterministic_limit"] = draw(digit_strings | junk)
         elif choice == 1:
             value = draw(st.lists(scalars, min_size=1, max_size=200))
         else:
