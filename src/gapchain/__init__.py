@@ -36,8 +36,7 @@ _SUBMODULE = {
             "find_gap_chain", "sample_rows", "verify_certificate",
         ),
         "nt": (
-            "NonCoprimeModuliError", "PrimalityResult", "chain_gap_record",
-            "crt_combine", "factorize", "is_prime", "mertens_density",
+            "PrimalityResult", "chain_gap_record", "is_prime", "mertens_density",
             "primes_in_range", "sieve_primes",
         ),
         "partition": (

@@ -280,9 +280,9 @@ def _build_partition(
 ) -> PrimePartition:
     from .partition import build_partition, derive_parameters
 
-    # a chain run passes its own window (x, y and the excluded prime);
-    # every other run reads it from [partition].  A key the config does
-    # not set keeps derive_parameters' desk default
+    # a chain run passes its own window (x, y and the excluded prime) from
+    # [chain]; every other run reads it from [partition].  A key the config
+    # does not set keeps derive_parameters' desk default
     sec = "partition"
     if x is None:
         x = cfg.getfloat(sec, "x", 1400.0)
@@ -471,7 +471,7 @@ def _chain_classes(cfg: ExperimentConfig, source: str, x: float, y: float, b0: i
 
 
 def _run_chain(cfg: ExperimentConfig):
-    from .maier import GapChainCertificate, _check_row_sample
+    from .maier import GapChainCertificate, _check_row_sample, _check_search
     from .maier import assemble_frame, find_gap_chain, sample_rows, verify_certificate
     from .maier import row_index_bound
     from .seeds import derive_random
@@ -479,6 +479,13 @@ def _run_chain(cfg: ExperimentConfig):
 
     timings: dict[str, float] = {}
     sec = "chain"
+    # the window comes from [chain] alone: [partition]'s would be ignored
+    ignored = [key for key in ("x", "y", "excluded") if cfg.get("partition", key)]
+    if ignored:
+        keys = ", ".join(ignored)
+        raise ValueError(
+            f"chain mode reads no [partition] {keys}: set [{sec}] {keys} instead"
+        )
     x = cfg.getfloat(sec, "x", 36.0)
     y = cfg.getfloat(sec, "y", 120.0)
     b0 = cfg.getint(sec, "excluded", 1)
@@ -491,15 +498,16 @@ def _run_chain(cfg: ExperimentConfig):
         raise ValueError(
             f"[{sec}] classes = {source} is not one of {', '.join(CLASS_SOURCES)}"
         )
-    _check_row_sample(stat_trials, f"[{sec}] stat_trials")  # before the search
+    # refused before any class source runs
+    _check_search(k, epsilon, trials)
+    _check_row_sample(stat_trials, f"[{sec}] stat_trials")
 
     with _timed(timings, "classes"):
         window, system = _chain_classes(cfg, source, x, y, b0)
     with _timed(timings, "frame"):
         frame = assemble_frame(system, window)
         survivors = sift_interval(frame.x, frame.y, system)
-    # the search first: it refuses a bad k, epsilon or trials before the
-    # row sample's work; the two read separate streams, so order is free
+    # the search and the row sample read separate streams, so order is free
     with _timed(timings, "search"):
         outcome = find_gap_chain(
             frame,

@@ -52,7 +52,6 @@ from .nt import (
     DETERMINISTIC_MR_LIMIT,
     PrimalityResult,
     bpsw,
-    crt_combine,
     is_prime,
     mr_composite_witness,
     primes_in_range,
@@ -141,6 +140,15 @@ def row_index_bound(modulus: int) -> int:
     return min(modulus, 1 << ROW_INDEX_BITS)
 
 
+def _crt_offset(items: list[tuple[int, int]], modulus: int) -> int:
+    """The m in [0, modulus) with m = -a_p (mod p) for each (p, a_p), for
+    distinct primes p of product modulus: the sum over p of -a_p times
+    the cofactor modulus/p times its inverse mod p."""
+    return sum(
+        modulus // p * (-a * pow(modulus // p, -1, p) % p) for p, a in items
+    ) % modulus
+
+
 def assemble_frame(
     system: ResidueSystem,
     window: FrameWindow | PrimePartition,
@@ -151,10 +159,11 @@ def assemble_frame(
     The system must assign a class to every prime up to x except the
     excluded modulus, whose product must fit DEFAULT_Z_BIT_BUDGET bits.
     The returned frame satisfies, for every t in (x, y]: t fails the
-    sieve  iff  gcd(offset + t, modulus) > 1.  The check is that modulus
-    is the product of the system's primes and that p divides offset + a_p
-    for every (p, a_p): then p divides offset + t iff t = a_p (mod p),
-    for every t and every row z.  D must be 1: frames have no row exponent.
+    sieve  iff  gcd(offset + t, modulus) > 1.  modulus is the product of
+    the system's primes, offset their CRT solution (`_crt_offset`), and
+    the check is that p divides offset + a_p for every (p, a_p): then p
+    divides offset + t iff t = a_p (mod p), for every t and every row z.
+    D must be 1: frames have no row exponent.
     """
     if D != 1:
         raise ValueError(f"row exponent D = {D} is refused: frames take no D")
@@ -172,13 +181,11 @@ def assemble_frame(
         )
 
     items = sorted(system.entries.items())
-    # moduli are distinct primes, so the combination cannot collide
-    offset, modulus = crt_combine(((-a) % p, p) for p, a in items)
-    if modulus != math.prod(p for p, _ in items):
-        raise AssertionError("translation invariant failed: wrong modulus")
+    modulus = math.prod(p for p, _ in items)
     if modulus.bit_length() > DEFAULT_Z_BIT_BUDGET:
         raise ValueError(f"modulus needs {modulus.bit_length()} bits, over the "
                          f"budget of {DEFAULT_Z_BIT_BUDGET}; lower x")
+    offset = _crt_offset(items, modulus)
     wrong = [p for p, a in items if (offset + a) % p]
     if wrong:
         raise AssertionError(
@@ -410,6 +417,15 @@ class MissReport:
     best_min_gap: int | None
 
 
+def _check_search(k: int, epsilon: float, trials: int) -> None:
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie in (0, 1)")
+
+
 def find_gap_chain(
     frame: MaierFrame,
     T: SievedSet,
@@ -431,12 +447,7 @@ def find_gap_chain(
     their results.  Failure returns a structured miss report with the
     best row seen.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_search(k, epsilon, trials)
     scan = _row_scan(frame, T)
     Z = row_index_bound(frame.modulus)
     survivors = scan.offsets.tolist()
@@ -513,7 +524,8 @@ def _full_round_tests(
     each at 253 bits), the calls (the search's evidence tests and the
     verifier's witness checks, some 0.13 ms each) last, where the chunks
     are smallest.  A value's blocks merge into exactly is_prime's
-    result.  A map with no blocks runs here and never forks.
+    result, the first witness in round order.  A map with no blocks runs
+    here and never forks.
     """
     results = [nt.settled(value) for value in values]
     blocks = [
@@ -524,12 +536,11 @@ def _full_round_tests(
     items = blocks + list(calls)
     out = iter(_fork.fork_map(_call, items, None) if blocks
                else [_call(None, item) for item in items])
-    for i, value in enumerate(values):
-        if results[i] is None:
+    for i, res in enumerate(results):
+        if res is None:
             parts = [next(out) for _ in range(0, rounds, ROUND_BLOCK)]
-            witness = next((w for _, w in parts if w is not None), None)
-            bases = [base for bs, _ in parts for base in bs]
-            results[i] = nt.derived_verdict(value, rounds, bases, witness)
+            witness = next((w for w in parts if w is not None), None)
+            results[i] = nt.derived_verdict(witness)
     return results, list(out)
 
 

@@ -1,4 +1,4 @@
-"""Number-theoretic primitives: sieves, primality, CRT, Mertens products.
+"""Number-theoretic primitives: sieves, primality, Mertens products.
 
 Everything downstream (interval sieving, weight systems, covering
 experiments, certificate verification) is built on the functions here, so
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -31,8 +31,6 @@ __all__ = [
     "MatrixTooLarge",
     "check_bytes",
     "check_sieve_window",
-    "primes_after",
-    "factorize",
     "PrimalityResult",
     "is_prime",
     "mr_composite_witness",
@@ -41,8 +39,6 @@ __all__ = [
     "strong_lucas",
     "DETERMINISTIC_MR_LIMIT",
     "DETERMINISTIC_MR_BASES",
-    "NonCoprimeModuliError",
-    "crt_combine",
     "mertens_density",
     "chain_gap_record",
 ]
@@ -110,45 +106,6 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     strike_classes(alive, start, ((p, 0) for p in base.tolist()))
     alive[base[base >= start] - start] = True
     return (np.nonzero(alive)[0] + start).astype(np.int64)
-
-
-def primes_after(bound: int, count: int) -> tuple[int, ...]:
-    """The first `count` primes strictly greater than `bound`."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    out: list[int] = []
-    lo = max(int(bound), 1)
-    span = max(64, 8 * count)
-    while len(out) < count:
-        hi = lo + span
-        out.extend(int(p) for p in primes_in_range(lo, hi))
-        lo = hi
-        span *= 2
-    return tuple(out[:count])
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorisation of n >= 1 as {prime: exponent}, by trial division.
-
-    Adequate for the modest sizes this package factors outside of
-    certificates.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out[d] = e
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +250,13 @@ class PrimalityResult:
     verdict is one of "prime", "probable_prime", "composite".  For
     composites, `witness` is a prime factor when method is
     "trial_division", and a Miller-Rabin witness base when method is
-    "miller_rabin".  error_bound is the standard 4**-rounds bound for
-    probable primes and 0 for proven verdicts.
+    "miller_rabin".  A probable prime passed every derived round asked of
+    it, a bound of 4**-rounds on its error.
     """
 
-    n: int
     verdict: str
     method: str
     witness: int | None = None
-    rounds: int = 0
-    error_bound: float = 0.0
-    bases: tuple[int, ...] = field(default=())
 
     def __bool__(self) -> bool:
         return self.verdict != "composite"
@@ -313,7 +266,7 @@ def is_prime(n: int, rounds: int = 64) -> PrimalityResult:
     """Test n for primality, returning the verdict with its evidence.
 
     Proven (verdict "prime"/"composite") below DETERMINISTIC_MR_LIMIT;
-    above it, "probable_prime" with `rounds` derived bases.  n < 2 is
+    above it, "probable_prime" after `rounds` derived bases.  n < 2 is
     composite by convention with no witness.
     """
     n = int(n)
@@ -322,7 +275,7 @@ def is_prime(n: int, rounds: int = 64) -> PrimalityResult:
         return res
     if rounds < 1:
         raise ValueError("rounds must be positive for probabilistic testing")
-    return derived_verdict(n, rounds, *derived_rounds(n, 0, rounds))
+    return derived_verdict(derived_rounds(n, 0, rounds))
 
 
 def settled(n: int) -> PrimalityResult | None:
@@ -330,105 +283,44 @@ def settled(n: int) -> PrimalityResult | None:
     n < 2, a trial factor, n < 10**6, or n below DETERMINISTIC_MR_LIMIT;
     None for the rest."""
     if n < 2:
-        return PrimalityResult(n, "composite", "convention")
+        return PrimalityResult("composite", "convention")
     g = math.gcd(n, _TRIAL_PRODUCT)
     if g > 1:
         # the smallest trial prime dividing n: n itself when n is one
         p = next(p for p in _TRIAL_PRIMES if g % p == 0)
         if n == p:
-            return PrimalityResult(n, "prime", "trial_division")
-        return PrimalityResult(n, "composite", "trial_division", witness=p)
+            return PrimalityResult("prime", "trial_division")
+        return PrimalityResult("composite", "trial_division", p)
     if n < 1000 * 1000:
         # trial primes cover sqrt(n), so surviving them proves primality
-        return PrimalityResult(n, "prime", "trial_division")
+        return PrimalityResult("prime", "trial_division")
     if n < DETERMINISTIC_MR_LIMIT:
         for a in DETERMINISTIC_MR_BASES:
             if mr_composite_witness(n, a):
-                return PrimalityResult(
-                    n, "composite", "miller_rabin", witness=a,
-                    bases=DETERMINISTIC_MR_BASES,
-                )
-        return PrimalityResult(
-            n, "prime", "miller_rabin", bases=DETERMINISTIC_MR_BASES
-        )
+                return PrimalityResult("composite", "miller_rabin", a)
+        return PrimalityResult("prime", "miller_rabin")
     return None
 
 
-def derived_rounds(n: int, a: int, b: int) -> tuple[list[int], int | None]:
-    """Rounds a, ..., b - 1 of n's derived bases, up to the first base
-    that witnesses n composite: (the bases before it, it or None).
+def derived_rounds(n: int, a: int, b: int) -> int | None:
+    """The first of rounds a, ..., b - 1 of n's derived bases that
+    witnesses n composite, or None.
 
     Bases are derived one at a time: most composites fall to the first.
     """
-    bases = []
     for i in range(a, b):
         base = _derived_mr_base(n, i)
         if mr_composite_witness(n, base):
-            return bases, base
-        bases.append(base)
-    return bases, None
+            return base
+    return None
 
 
-def derived_verdict(
-    n: int, rounds: int, bases: list[int], witness: int | None
-) -> PrimalityResult:
-    """is_prime(n, rounds) once derived_rounds(n, 0, rounds) gave
-    (bases, witness)."""
-    if witness is not None:
-        return PrimalityResult(
-            n, "composite", "miller_rabin", witness=witness, rounds=rounds
-        )
-    return PrimalityResult(
-        n,
-        "probable_prime",
-        "miller_rabin",
-        rounds=rounds,
-        error_bound=4.0 ** (-rounds),
-        bases=tuple(bases),
-    )
-
-
-# ---------------------------------------------------------------------------
-# CRT
-
-
-class NonCoprimeModuliError(ValueError):
-    """Raised when CRT moduli share a factor (combination is ill-posed)."""
-
-    def __init__(self, m1: int, m2: int):
-        self.moduli = (m1, m2)
-        g = math.gcd(m1, m2)
-        super().__init__(
-            f"moduli {m1} and {m2} share the factor gcd={g}; "
-            "residue systems must use pairwise coprime moduli"
-        )
-
-
-def crt_combine(congruences: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """Solve n = r (mod m) simultaneously for pairwise coprime moduli.
-
-    Returns (offset, modulus) with 0 <= offset < modulus = product of the
-    moduli.  Incremental combination keeps intermediate values small and
-    lets the coprimality check name the exact offending pair.
-    """
-    offset = 0
-    modulus = 1
-    seen: list[int] = []
-    for r, m in congruences:
-        m = int(m)
-        if m < 1:
-            raise ValueError(f"modulus {m} must be positive")
-        if math.gcd(m, modulus) > 1:
-            for m_prev in seen:
-                if math.gcd(m, m_prev) > 1:
-                    raise NonCoprimeModuliError(m_prev, m)
-        r = int(r) % m
-        if m > 1:
-            inv = pow(modulus % m, -1, m)
-            offset = offset + modulus * ((r - offset) % m * inv % m)
-        modulus *= m
-        seen.append(m)
-    return offset % modulus, modulus
+def derived_verdict(witness: int | None) -> PrimalityResult:
+    """is_prime(n, rounds) once the derived rounds 0, ..., rounds - 1 of n
+    gave their first witness, or None."""
+    if witness is None:
+        return PrimalityResult("probable_prime", "miller_rabin")
+    return PrimalityResult("composite", "miller_rabin", witness)
 
 
 # ---------------------------------------------------------------------------

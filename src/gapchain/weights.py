@@ -60,7 +60,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _fork, nt
-from .nt import MatrixTooLarge, primes_after, sieve_primes
+from .nt import MatrixTooLarge, primes_in_range, sieve_primes
 from .partition import PrimePartition
 
 __all__ = [
@@ -144,11 +144,12 @@ def first_primes_tuple(r: int) -> AdmissibleTuple:
     """The first r primes above r; always admissible, contained in [0, 2r^2].
 
     Admissible because none of the entries is divisible by any prime
-    p <= r, so class 0 is missed mod every such p.
+    p <= r, so class 0 is missed mod every such p.  (r, 2r^2] holds at
+    least r primes for every r >= 1.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    return AdmissibleTuple(primes_after(r, r))
+    return AdmissibleTuple(tuple(primes_in_range(r, 2 * r * r)[:r].tolist()))
 
 
 def exact_row_sums(A: np.ndarray) -> np.ndarray:
@@ -411,7 +412,7 @@ def build_weights(
     partition: PrimePartition,
     tuple_: AdmissibleTuple,
     kind: str = "maynard",
-    theta: float = 0.25,
+    theta: float = 1.0,
 ) -> WeightTable:
     """Validate parameters and assemble a weight table (rows built on use).
 

@@ -9,13 +9,33 @@ for clarity over speed, and nothing in the package calls them:
                            the bitmap of sieving.sift_interval
   correlation_probability  the exact survival probability of a point set,
                            against a Monte Carlo estimate
+
+and `factorize`, the trial division that weight_at factors with.
 """
 
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from gapchain.nt import factorize
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorisation of n >= 1 as {prime: exponent}, by trial division."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("factorize requires n >= 1")
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out[d] = e
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def _maynard_point(table, p: int, n: int) -> float:

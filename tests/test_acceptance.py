@@ -52,6 +52,9 @@ def test_acceptance_sieve_vs_naive_thousand_cases():
 
 
 def test_acceptance_exact_anchors():
+    crt = g.assemble_frame(
+        g.ResidueSystem({2: 1, 3: 2, 5: 3, 7: 4}), g.FrameWindow(x=7.0, y=20.0)
+    )
     checks = [
         ("pi(10^6)", g.sieve_primes(1_000_000).size, 78_498),
         ("pi(10^4)", g.sieve_primes(10_000).size, 1_229),
@@ -60,7 +63,7 @@ def test_acceptance_exact_anchors():
         ("G1(10^4)", g.chain_gap_record(10_000, 1), 36),
         ("G1(100)", g.chain_gap_record(100, 1), 8),
         ("G2(100)", g.chain_gap_record(100, 2), 6),
-        ("crt", g.crt_combine([(1, 2), (1, 3), (2, 5), (3, 7)]), (157, 210)),
+        ("crt", (crt.offset, crt.modulus), (157, 210)),
         ("density(2,3,5)", g.mertens_density([2, 3, 5]), Fraction(4, 15)),
     ]
     wrong = [(n, got, want) for n, got, want in checks if got != want]

@@ -22,7 +22,7 @@ from gapchain import harness
 from gapchain.cli import main
 from gapchain.harness import MODES, ExperimentConfig, Report, _jsonable, run_experiment
 from gapchain.maier import GapChainCertificate, verify_certificate
-from gapchain.weights import WeightTable
+from gapchain.weights import WeightTable, build_weights, first_primes_tuple
 
 
 def make_config(mode, seed=0, **sections):
@@ -293,6 +293,15 @@ class TestModeRunners:
         keys = sorted(line.split(" = ")[0] for line in removed.splitlines())
         with pytest.raises(ValueError, match=f"key\\(s\\) {', '.join(keys)};"):
             ExperimentConfig.from_ini(ini + removed)
+
+    def test_the_library_and_the_modes_share_one_theta(self, small_partition):
+        # build_weights defaulted theta to 0.25 and every mode to 1.0, so
+        # one seed built two constructions
+        table = harness._build_table(make_config("weights"), small_partition)
+        want = build_weights(small_partition, first_primes_tuple(4))
+        assert table.theta == want.theta == 1.0
+        for got, ref in zip(table.matrix(), want.matrix()):
+            assert got.tobytes() == ref.tobytes()
 
     def test_every_partition_key_changes_the_output(self):
         # a [partition] key that changes no metric is a knob nobody turns
@@ -753,6 +762,17 @@ class TestCli:
                 "[chain] classes = zone is not one of random, greedy, construction",
             ),
             (["chain", "--classes", "greedy"], "x = 36.0 is below the minimum 100.0"),
+            # chain reads its window from [chain]; these ran at its defaults
+            (
+                ["chain", "--config", "[partition]\nx = 150\ny = 600\nexcluded = 7\n"],
+                "chain mode reads no [partition] x, y, excluded: "
+                "set [chain] x, y, excluded instead",
+            ),
+            # a [partition] key that no run reads any more
+            (
+                ["weights", "--config", "[partition]\nr = 6\n"],
+                "exp.ini: unknown [partition] key(s) r;",
+            ),
         ],
     )
     def test_rejected_option_value_exits(
@@ -797,14 +817,27 @@ class TestCli:
                  "--config", "[construct]\neta = -1\n"],
                 "eta = -1 must be nonnegative",
             ),
+            *(
+                (
+                    ["chain", "--classes", "construction", "--x", "150", "--y", "600",
+                     *option, "--config", "[partition]\nsmall_high = 60\n"],
+                    message,
+                )
+                for option, message in (
+                    (("--k", "0"), "k must be at least 1"),
+                    (("--epsilon", "1.5"), "epsilon must lie in (0, 1)"),
+                    (("--trials", "0"), "trials must be at least 1"),
+                )
+            ),
         ],
     )
     def test_bad_option_is_refused_before_the_work(
         self, argv, message, capsys, tmp_path, monkeypatch
     ):
         # construct built all 97 Maynard rows, and chain scanned its 200
-        # sampled rows (12.6 s at x = 400) or its search rows, before
-        # refusing these values; a search row scan fails the test
+        # sampled rows (12.6 s at x = 400) or its search rows, or built
+        # its construction's Maynard table, before refusing these values;
+        # a table build or a search row scan fails the test
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the option was checked")
 

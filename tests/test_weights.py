@@ -33,7 +33,7 @@ from gapchain import weights as weights_mod
 from gapchain.seeds import derive_rng
 from gapchain.weights import draw_shift, exact_row_sums, gathered_sums
 
-from oracles import weight_at
+from oracles import factorize, weight_at
 
 
 def brute_subset_weight(table, p, n):
@@ -177,6 +177,16 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             first_primes_tuple(0)
 
+    def test_first_primes_tuple_matches_trial_division(self):
+        # the first r primes above r, enumerated without a sieve
+        for r in range(1, 17):
+            want, n = [], r
+            while len(want) < r:
+                n += 1
+                if n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1)):
+                    want.append(n)
+            assert first_primes_tuple(r).offsets == tuple(want), r
+
 
 class TestBuildValidation:
     def test_rejects_bad_knobs(self, small_partition):
@@ -253,7 +263,7 @@ class TestDivisorSumRows:
             union = {
                 s
                 for h in pinned_table.tuple.offsets
-                for s in g.factorize(abs(n + h * p))
+                for s in factorize(abs(n + h * p))
                 if s in support
             }
             if len(union) <= 13:
@@ -314,7 +324,7 @@ class TestDivisorSumRows:
                 if 0 in translates:
                     continue
                 union = support & {
-                    s for v in translates for s in g.factorize(abs(v))
+                    s for v in translates for s in factorize(abs(v))
                 }
                 if len(union) <= 12:
                     want = brute_subset_weight(table, p, n)
