@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import sys
 from pathlib import Path
 
@@ -87,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--out",
             type=Path,
             default=None,
-            help="directory for metrics.json, CSV tables and timings",
+            help="directory for metrics.json, timings.json and a chain's "
+            "certificate.json",
         )
         for flag, section, key, typ in _EXTRA.get(mode, ()):
             p.add_argument(flag, type=typ, default=None, metavar=key.upper())
@@ -134,11 +134,6 @@ def main(argv: list[str] | None = None) -> int:
     if out is not None:
         try:
             written = report.write(out)
-            cert = report.metrics.get("certificate")
-            if cert is not None:
-                cert_path = out / "certificate.json"
-                cert_path.write_text(json.dumps(cert, sort_keys=True, indent=1) + "\n")
-                written.append(cert_path)
         except OSError as exc:  # unwritable, or a file on the way
             parser.error(f"output directory {out}: cannot write ({exc.strerror})")
         print("  wrote " + ", ".join(str(p) for p in written))

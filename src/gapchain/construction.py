@@ -25,7 +25,7 @@ agree to 1e-12 relative or the run aborts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -217,11 +217,9 @@ class TargetCoverageReport:
     """
 
     coverage_target: float
-    sigma_r: float
     n_stable: int
     n_sifted_targets: int
-    stride: int
-    q_used: list[int]
+    n_q_sampled: int
     error_offsets: list[int]
     main_mean: float
     main_std: float
@@ -234,22 +232,7 @@ class TargetCoverageReport:
     frac_error_above_tenth_main: float
 
     def summary(self) -> dict:
-        return {
-            "coverage_target": self.coverage_target,
-            "n_stable": self.n_stable,
-            "n_sifted_targets": self.n_sifted_targets,
-            "n_q_sampled": len(self.q_used),
-            "error_offsets": list(self.error_offsets),
-            "main_mean": self.main_mean,
-            "main_std": self.main_std,
-            "main_cv": self.main_cv,
-            "main_min": self.main_min,
-            "main_max": self.main_max,
-            "mean_abs_rel_dev": self.mean_abs_rel_dev,
-            "error_mean": self.error_mean,
-            "error_max": self.error_max,
-            "frac_error_above_tenth_main": self.frac_error_above_tenth_main,
-        }
+        return asdict(self)
 
 
 def target_coverage_report(
@@ -309,11 +292,9 @@ def target_coverage_report(
     )
     return TargetCoverageReport(
         coverage_target=coverage_target,
-        sigma_r=run.sigma_r,
         n_stable=len(run.stable_primes),
         n_sifted_targets=int(q_sifted.size),
-        stride=stride,
-        q_used=[int(q) for q in q_arr.tolist()],
+        n_q_sampled=int(q_arr.size),
         error_offsets=err_offsets,
         main_mean=main_mean,
         main_std=float(main.std()),

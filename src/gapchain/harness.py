@@ -11,18 +11,13 @@ separate, unstable file.
 from __future__ import annotations
 
 import configparser
-import csv
-import io
 import json
 import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
-
-import numpy as np
 
 from . import nt
 from .covering import nibble_cover, subset_leftover, synth_instance
@@ -37,9 +32,6 @@ __all__ = [
     "run_experiment",
 ]
 
-_SCALARS = (str, int, float, bool, type(None))
-
-
 @contextmanager
 def _timed(timings: dict[str, float], name: str):
     t0 = time.perf_counter()
@@ -49,25 +41,13 @@ def _timed(timings: dict[str, float], name: str):
         timings[name] = time.perf_counter() - t0
 
 
+def _text(obj: Any) -> str:
+    """obj as JSON text under sorted keys, one space a level, and a newline."""
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
 def _check(name: str, passed: bool, detail: str = "") -> dict[str, Any]:
     return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-def _jsonable(obj: Any) -> Any:
-    """Reduce to plain JSON types; keys become strings, arrays become lists."""
-    if isinstance(obj, _SCALARS):
-        return obj
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__} into metrics")
 
 
 _RUN_KEYS = frozenset({"mode", "seed", "out"})
@@ -190,10 +170,9 @@ def _parse(
 class Report:
     """Outcome of one experiment run.
 
-    metrics_json() is the reproducibility surface: config echo, metrics,
-    and checks under sorted keys, no timings.  csv_tables() flattens each
-    dict-of-scalars metric family plus the check list for spreadsheet
-    users.
+    metrics_json() is the run's record: config echo, metrics and checks
+    under sorted keys, no timings.  The metrics must be plain JSON types,
+    as every mode runner builds them.
     """
 
     mode: str
@@ -207,55 +186,31 @@ class Report:
         return all(c["passed"] for c in self.checks)
 
     def metrics_json(self) -> str:
-        payload = {
-            "mode": self.mode,
-            "config": self.config,
-            "metrics": self.metrics,
-            "checks": self.checks,
-        }
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-    def csv_tables(self) -> dict[str, str]:
-        tables: dict[str, str] = {}
-
-        def render(rows: list[tuple[Any, ...]], header: tuple[str, ...]) -> str:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-            return buf.getvalue()
-
-        for family in sorted(self.metrics):
-            value = self.metrics[family]
-            if (
-                isinstance(value, dict)
-                and value
-                and all(isinstance(v, _SCALARS) for v in value.values())
-            ):
-                rows = [(k, value[k]) for k in sorted(value)]
-                tables[family] = render(rows, ("key", "value"))
-        tables["checks"] = render(
-            [(c["name"], c["passed"], c["detail"]) for c in self.checks],
-            ("name", "passed", "detail"),
+        return _text(
+            {
+                "mode": self.mode,
+                "config": self.config,
+                "metrics": self.metrics,
+                "checks": self.checks,
+            }
         )
-        return tables
 
     def write(self, out_dir: str | Path) -> list[Path]:
+        """Write metrics.json, timings.json and, for a chain found,
+        certificate.json; return their paths."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        files = {
+            "metrics.json": self.metrics_json(),
+            "timings.json": _text(self.timings),
+        }
+        if self.mode == "chain" and "certificate" in self.metrics:
+            files["certificate.json"] = _text(self.metrics["certificate"])
         written = []
-        metrics_path = out / "metrics.json"
-        metrics_path.write_text(self.metrics_json())
-        written.append(metrics_path)
-        for name, text in self.csv_tables().items():
-            path = out / f"{name}.csv"
+        for name, text in files.items():
+            path = out / name
             path.write_text(text)
             written.append(path)
-        timings_path = out / "timings.json"
-        timings_path.write_text(
-            json.dumps(self.timings, sort_keys=True, indent=1) + "\n"
-        )
-        written.append(timings_path)
         return written
 
 
@@ -359,12 +314,11 @@ def _run_construct(cfg: ExperimentConfig):
         table = _build_table(cfg, part)
     with _timed(timings, "construction"):
         run = run_construction(table, cfg.seed, eta=eta)
-    with _timed(timings, "coverage"):
-        coverage = target_coverage_report(run, part.coverage_target)
-    metrics = {
-        "construction": run.summary(),
-        "coverage": coverage.summary(),
-    }
+    metrics = {"construction": run.summary()}
+    if run.stable_primes:  # with none, nothing covers the targets
+        with _timed(timings, "coverage"):
+            coverage = target_coverage_report(run, part.coverage_target)
+        metrics["coverage"] = coverage.summary()
     checks = [
         _check(
             "normalization_consistent",
@@ -563,7 +517,12 @@ def _run_gk(cfg: ExperimentConfig):
     k = cfg.getint("gk", "k", 1)
     with _timed(timings, "scan"):
         record = nt.chain_gap_record(limit, k)
-        record_next = nt.chain_gap_record(limit, k + 1)
+        try:
+            record_next = nt.chain_gap_record(limit, k + 1)
+        except ValueError as exc:  # too few gaps for one more
+            raise ValueError(
+                f"gk compares k = {k} with order k + 1 = {k + 1}: {exc}"
+            ) from None
     metrics = {
         "limit": limit,
         "k": k,
@@ -651,7 +610,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     return Report(
         mode=cfg.mode,
         config=config_echo,
-        metrics=_jsonable(metrics),
+        metrics=metrics,
         checks=checks,
         timings=timings,
     )

@@ -375,6 +375,7 @@ def chain_gap_record(X: int, k: int = 1) -> int:
         raise ValueError(f"no prime gaps exist below X={X}")
     if n_gaps < k:
         raise ValueError(
-            f"only {n_gaps} prime gaps below X={X}; need a run of {k}"
+            f"only {n_gaps} prime gap{'s' if n_gaps > 1 else ''} below X={X}; "
+            f"need a run of {k}"
         )
     return best

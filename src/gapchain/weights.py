@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -456,55 +456,34 @@ class WeightContractReport:
 
     Four measured contracts:
       row sums      max/min ratio of row sums across weighted primes
-      on-tuple      S(q, i) = sum_p w(p, q - h_i p)/rowsum(p): its mean,
-                    spread, and the empirical coverage r * mean
+      on-tuple      S(q, i) = sum_p w(p, q - h_i p)/rowsum(p) over the n_q
+                    targets q: its mean, spread, and the empirical
+                    coverage r * mean
       off-tuple     same sums at shifts h outside the tuple; reported both
                     per pair (off mean / on mean) and in aggregate form,
                     off mean relative to the whole-tuple scale r * on mean
       point mass    max_n w(p, n)/rowsum(p) over all rows
-
-    on_sums holds every S(q, i), one row per q in q_used.
     """
 
     kind: str
     r: int
     theta: float
-    row_sums: dict[int, float]
     row_sum_ratio: float
     zero_rows: int
-    q_used: list[int]
+    n_q: int
     on_mean: float
     on_std: float
     on_max_rel_dev: float
     empirical_coverage: float
     off_offsets: list[int]
-    off_means: dict[int, float]
     off_mean: float
     off_max_mean: float
     off_on_pair_ratio: float
     off_on_aggregate_ratio: float
     max_point_mass: float
-    on_sums: np.ndarray = field(repr=False, compare=False)
 
     def summary(self) -> dict:
-        return {
-            "kind": self.kind,
-            "r": self.r,
-            "theta": self.theta,
-            "row_sum_ratio": self.row_sum_ratio,
-            "zero_rows": self.zero_rows,
-            "n_q": len(self.q_used),
-            "on_mean": self.on_mean,
-            "on_std": self.on_std,
-            "on_max_rel_dev": self.on_max_rel_dev,
-            "empirical_coverage": self.empirical_coverage,
-            "off_offsets": list(self.off_offsets),
-            "off_mean": self.off_mean,
-            "off_max_mean": self.off_max_mean,
-            "off_on_pair_ratio": self.off_on_pair_ratio,
-            "off_on_aggregate_ratio": self.off_on_aggregate_ratio,
-            "max_point_mass": self.max_point_mass,
-        }
+        return asdict(self)
 
 
 def gathered_sums(
@@ -601,6 +580,7 @@ def weight_contract_report(table: WeightTable) -> WeightContractReport:
     off_list = [h for h in range(h_lo, h_hi + 1) if h not in offs and feasible(h)]
 
     rows = np.arange(ps.size)
+    # one row per target, in memory too: the means sum in that order
     on = gathered_sums(W, sums, rows, ps, q_arr, offs, table.n_min).T.copy()
     on_mean = float(on.mean())
     on_std = float(on.std())
@@ -609,9 +589,8 @@ def weight_contract_report(table: WeightTable) -> WeightContractReport:
     )
 
     off = gathered_sums(W, sums, rows, ps, q_arr, off_list, table.n_min)
-    off_means = {h: float(t.mean()) for h, t in zip(off_list, off)}
     off_mean = float(off.ravel().mean()) if off_list else 0.0
-    off_max_mean = max(off_means.values()) if off_means else 0.0
+    off_max_mean = max((float(t.mean()) for t in off), default=0.0)
 
     pair_ratio = off_mean / on_mean if on_mean > 0 else math.inf
     agg_ratio = off_mean / (r * on_mean) if on_mean > 0 else math.inf
@@ -620,21 +599,18 @@ def weight_contract_report(table: WeightTable) -> WeightContractReport:
         kind=table.kind,
         r=r,
         theta=table.theta,
-        row_sums={int(p): float(s) for p, s in zip(ps.tolist(), sums.tolist())},
         row_sum_ratio=float(sums[keep].max() / sums[keep].min()),
         zero_rows=zero_rows,
-        q_used=[int(q) for q in q_arr.tolist()],
+        n_q=int(q_arr.size),
         on_mean=on_mean,
         on_std=on_std,
         on_max_rel_dev=on_max_rel_dev,
         empirical_coverage=r * on_mean,
         off_offsets=off_list,
-        off_means=off_means,
         off_mean=off_mean,
         off_max_mean=off_max_mean,
         off_on_pair_ratio=pair_ratio,
         off_on_aggregate_ratio=agg_ratio,
         # division by a positive sum is monotone: M.max() bit for bit
         max_point_mass=float((W.max(axis=1)[keep] / sums[keep]).max()),
-        on_sums=on,
     )

@@ -17,6 +17,7 @@ import gapchain as g
 from gapchain.harness import ExperimentConfig, run_experiment
 from gapchain.maier import GapChainCertificate, verify_certificate
 from gapchain.seeds import derive_rng, derive_seed
+from gapchain.weights import gathered_sums
 
 from oracles import correlation_probability
 
@@ -213,9 +214,9 @@ def test_acceptance_translation_certificate():
 
 # sha256 of json.dumps(payload, sort_keys=True, indent=1) for each pinned
 # result, and of the raw float64 bytes for "rows" (the pinned table's
-# weight matrix followed by its row sums) and "on_sums" (the contract
-# report's per-q on-tuple gathered sums, which the summary digest averages
-# away).  A refactor that shifts one float or one random draw changes a
+# weight matrix followed by its row sums) and "on_sums" (the per-q
+# on-tuple gathered sums S(q, i) that the contract report's statistics,
+# and so the summary digest, average away).  A refactor that shifts one float or one random draw changes a
 # digest.  Captured with numpy 2.4; a numpy build that rounds a reduction
 # differently would change them too.  The chain digests include the
 # certificate's library_version, which is gapchain.__version__; chain and
@@ -287,7 +288,13 @@ def test_acceptance_reproducible_metrics(
     got["contracts"] = _digest(contracts.summary())
     _, W, sums = pinned_table.matrix()
     got["rows"] = hashlib.sha256(W.tobytes() + sums.tobytes()).hexdigest()
-    got["on_sums"] = hashlib.sha256(contracts.on_sums.tobytes()).hexdigest()
+    ps, W, sums = pinned_table.matrix()
+    on_sums = gathered_sums(
+        W, sums, np.arange(ps.size), ps,
+        pinned_table.partition.target_primes.astype(np.int64),
+        pinned_table.tuple.offsets, pinned_table.n_min,
+    ).T  # one row of S(q, i) per target q, as the report gathered them
+    got["on_sums"] = hashlib.sha256(on_sums.tobytes()).hexdigest()
     uniform = g.build_weights(
         small_partition, g.first_primes_tuple(4), kind="uniform", theta=0.5
     )

@@ -188,16 +188,27 @@ class TestConstructionRun:
         assert s["survival_mass_max"] == max(xs)
 
 
+def scored_targets(run, max_q):
+    """The targets target_coverage_report scores, every stride-th sifted
+    target with stride chosen so at most max_q are scored, and the number
+    of sifted targets."""
+    targets = run.partition.target_primes.tolist()
+    sifted = [q for q in targets if sifted_membership(q, run.small_classes)]
+    stride = max(1, math.ceil(len(sifted) / max_q))
+    return sifted[::stride], len(sifted)
+
+
 class TestTargetCoverage:
     def test_bookkeeping(self, pinned_run):
         ct = pinned_run.partition.coverage_target
         report = target_coverage_report(pinned_run, ct, max_q=128)
         assert report.coverage_target == ct
         assert report.n_stable == len(pinned_run.stable_primes)
-        assert len(report.q_used) <= 128
-        assert report.stride == math.ceil(report.n_sifted_targets / 128)
+        scored, n_sifted = scored_targets(pinned_run, 128)
+        assert report.n_q_sampled == len(scored) <= 128
+        assert report.n_sifted_targets == n_sifted
         targets = set(pinned_run.partition.target_primes.tolist())
-        for q in report.q_used:
+        for q in scored:
             assert q in targets
             assert sifted_membership(q, pinned_run.small_classes)
         assert report.main_min <= report.main_mean <= report.main_max
@@ -230,8 +241,8 @@ class TestTargetCoverage:
         # enough to recompute its incoming mass by hand
         ct = pinned_run.partition.coverage_target
         report = target_coverage_report(pinned_run, ct, max_q=1)
-        assert len(report.q_used) == 1
-        q = report.q_used[0]
+        assert report.n_q_sampled == 1
+        [q], _ = scored_targets(pinned_run, 1)
         table = pinned_run.table
         ps, W, sums = table.matrix()
         stable = set(pinned_run.stable_primes)

@@ -423,8 +423,10 @@ class TestGapRecords:
             g.chain_gap_record(100, 0)
         with pytest.raises(ValueError):
             g.chain_gap_record(2)  # a single prime has no gaps
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^only 2 prime gaps below X=5; need a run of 5$"):
             g.chain_gap_record(5, 5)  # two gaps cannot hold a run of five
+        with pytest.raises(ValueError, match="^only 1 prime gap below X=3; need a run of 2$"):
+            g.chain_gap_record(3, 2)
 
     def test_runs_across_segment_boundaries(self):
         # three segments of 2**20 integers and a partial fourth

@@ -11,7 +11,6 @@ import sys
 import time
 from pathlib import Path
 from contextlib import contextmanager
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ import gapchain
 import gapchain.partition as partition_mod
 from gapchain import harness
 from gapchain.cli import main
-from gapchain.harness import MODES, ExperimentConfig, Report, _jsonable, run_experiment
+from gapchain.harness import MODES, ExperimentConfig, Report, run_experiment
 from gapchain.maier import GapChainCertificate, verify_certificate
 from gapchain.weights import WeightTable, build_weights, first_primes_tuple
 
@@ -173,24 +172,36 @@ class TestExperimentConfig:
         assert cfg.getint("gk", "limit", 0) == 500
 
 
-class TestJsonable:
-    def test_conversions(self):
-        out = _jsonable(
-            {
-                3: np.int64(5),
-                "arr": np.arange(3),
-                "frac": Fraction(2, 3),
-                "nested": (1, [2, np.float64(0.5)]),
-            }
-        )
-        assert out == {
-            "3": 5,
-            "arr": [0, 1, 2],
-            "frac": "2/3",
-            "nested": [1, [2, 0.5]],
-        }
-        with pytest.raises(TypeError):
-            _jsonable({"bad": object()})
+# one small run of every mode; each runner builds its metrics from plain
+# JSON types, so metrics.json reads back as the report's own metrics
+METRICS_RUNS = {
+    "weights": dict(partition={"x": 400}, weights={"theta": 0.5}),
+    "weights-uniform": dict(partition={"x": 400}, weights={"kind": "uniform"}),
+    "construct": dict(partition={"x": 400}, weights={"theta": 0.5}),
+    "construct-no-stable": dict(partition={"x": 160}, construct={"eta": 0}),
+    "cover": dict(cover={"n_elements": 2000, "n_covers": 200}),
+    "chain": dict(seed=5),
+    "chain-miss": dict(seed=5, chain={"trials": 1, "epsilon": 0.9}),
+    "chain-greedy": dict(
+        seed=5, chain={"x": 150, "y": 600, "classes": "greedy"},
+        partition={"small_high": 60},
+    ),
+    "gk": dict(gk={"limit": 1000}),
+    "verify": dict(),
+    "verify-unreadable": dict(verify={"certificate": "missing.json"}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(METRICS_RUNS))
+def test_metrics_json_reads_back_as_the_metrics(run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    mode = run.split("-")[0]
+    sections = dict(METRICS_RUNS[run])
+    if run == "verify":
+        run_experiment(make_config("chain", seed=5)).write("found")
+        sections["verify"] = {"certificate": "found/certificate.json"}
+    report = run_experiment(make_config(mode, **sections))
+    assert json.loads(report.metrics_json())["metrics"] == report.metrics
 
 
 class TestReport:
@@ -217,17 +228,39 @@ class TestReport:
         assert "timings" not in text
         assert not report.all_passed
 
-    def test_csv_tables(self):
-        tables = self.sample().csv_tables()
-        assert tables["family"] == "key,value\na,2\nb,1\n"
-        assert "deep" not in tables  # nested dicts are not spreadsheet rows
-        assert tables["checks"].splitlines()[2] == "two,False,broke"
-
     def test_write(self, tmp_path):
         paths = self.sample().write(tmp_path)
-        names = {p.name for p in paths}
-        assert {"metrics.json", "family.csv", "checks.csv", "timings.json"} <= names
-        assert (tmp_path / "metrics.json").read_text().endswith("\n")
+        assert [p.name for p in paths] == ["metrics.json", "timings.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "metrics.json", "timings.json",
+        ]
+        assert (tmp_path / "metrics.json").read_text() == self.sample().metrics_json()
+        assert json.loads((tmp_path / "timings.json").read_text()) == {"total": 0.5}
+
+    @pytest.mark.parametrize(
+        "argv, found",
+        [
+            (["chain", "--seed", "5"], True),
+            (["chain", "--seed", "5", "--trials", "1", "--epsilon", "0.9"], False),
+            (["gk", "--limit", "1000"], False),
+            (["verify", "--certificate", "chain/certificate.json"], False),
+        ],
+    )
+    def test_out_holds_the_record_alone(self, argv, found, tmp_path, monkeypatch):
+        # metrics.json and timings.json, and a found chain's certificate.
+        # verify's metrics hold a summary of the certificate it read, not a
+        # certificate, so it writes none (it wrote the summary there, over
+        # the certificate itself when --out named the certificate's directory)
+        monkeypatch.chdir(tmp_path)
+        main(["chain", "--seed", "5", "--out", "chain"])
+        main([*argv, "--out", "run"])
+        names = sorted(p.name for p in Path("run").iterdir())
+        want = ["metrics.json", "timings.json"]
+        assert names == sorted(want + ["certificate.json"] * found)
+        if found:
+            metrics = json.loads(Path("run/metrics.json").read_text())["metrics"]
+            cert = json.loads(Path("run/certificate.json").read_text())
+            assert cert == metrics["certificate"]
 
 
 class TestModeRunners:
@@ -522,6 +555,19 @@ class TestCli:
         assert err.startswith("usage: gapchain gk [-h]")
         assert f"output directory {afile / 'run'}: cannot write (" in err
 
+    def test_no_stable_primes_is_a_failed_check(self, tmp_path, capsys):
+        # eta = 0 keeps no prime stable, and with none nothing covers the
+        # targets: the run's own check fails, and no coverage is measured.
+        # It was a usage error, "no stable primes; nothing covers the targets"
+        code = main(["construct", "--eta", "0", "--x", "160", "--out", str(tmp_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "  [FAIL] stable_primes_exist (0 stable of 15)\n" in out
+        assert "1 of 3 checks failed" in out
+        metrics = json.loads((tmp_path / "metrics.json").read_text())["metrics"]
+        assert set(metrics) == {"construction"}
+        assert metrics["construction"]["n_stable"] == 0
+
     def test_maier_writes_certificate(self, tmp_path, capsys):
         code = main(["chain", "--seed", "5", "--out", str(tmp_path / "run")])
         assert code == 0
@@ -772,6 +818,12 @@ class TestCli:
             (
                 ["weights", "--config", "[partition]\nr = 6\n"],
                 "exp.ini: unknown [partition] key(s) r;",
+            ),
+            # k = 1 is allowed; the k + 1 record that gk compares with is not
+            (
+                ["gk", "--limit", "3"],
+                "gk compares k = 1 with order k + 1 = 2: "
+                "only 1 prime gap below X=3; need a run of 2",
             ),
         ],
     )

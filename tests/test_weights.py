@@ -756,7 +756,11 @@ class TestContractReport:
 
         # the on-tuple sums at q0, against the oracle's weights
         on_vals = [gathered(h) for h in small_table.tuple.offsets]
-        on_q0 = report.on_sums[report.q_used.index(q0)]
+        q_arr = small_table.partition.target_primes.astype(np.int64)
+        rows = np.arange(ps.size)
+        offs = small_table.tuple.offsets
+        on_sums = gathered_sums(W, sums, rows, ps, q_arr, offs, small_table.n_min).T
+        on_q0 = on_sums[q_arr.tolist().index(q0)]
         assert on_q0 == pytest.approx(on_vals, rel=1e-9)
         # two off-tuple shifts the report scores, gathered at q0 alone
         assert {4, 23} <= set(report.off_offsets)
@@ -765,12 +769,15 @@ class TestContractReport:
             small_table.n_min,
         )
         assert off_q0[:, 0] == pytest.approx([gathered(4), gathered(23)], rel=1e-9)
-        assert report.on_mean == pytest.approx(report.on_sums.mean(), rel=1e-12)
+        assert report.on_mean == pytest.approx(on_sums.mean(), rel=1e-12)
         assert report.empirical_coverage == pytest.approx(
             4 * report.on_mean, rel=1e-12
         )
         # every shift is scored at every q: the mean of the means is the mean
-        off_mean = np.mean(list(report.off_means.values()))
+        off = gathered_sums(
+            W, sums, rows, ps, q_arr, report.off_offsets, small_table.n_min
+        )
+        off_mean = np.mean([t.mean() for t in off])
         assert report.off_mean == pytest.approx(off_mean, rel=1e-9)
         assert report.off_on_pair_ratio == pytest.approx(
             report.off_mean / report.on_mean, rel=1e-9
@@ -781,12 +788,11 @@ class TestContractReport:
 
     def test_scalar_summaries(self, small_table):
         report = weight_contract_report(small_table)
-        sums = list(report.row_sums.values())
-        assert report.row_sum_ratio == pytest.approx(max(sums) / min(sums))
+        _, W, sums = small_table.matrix()
+        assert report.row_sum_ratio == pytest.approx(sums.max() / sums.min())
         assert report.zero_rows == 0
         targets = small_table.partition.target_primes.tolist()
-        assert report.q_used == sorted(targets)
-        _, W, sums = small_table.matrix()
+        assert report.n_q == len(targets) and targets == sorted(targets)
         point = max(W[i].max() / sums[i] for i in range(sums.size))
         assert report.max_point_mass == pytest.approx(point, rel=1e-12)
         assert not set(report.off_offsets) & set(small_table.tuple.offsets)
@@ -1018,15 +1024,25 @@ class TestGatheredSums:
     def test_contract_report_uses_the_padded_gather(self, small_table, normalized):
         M, p, q = normalized
         report = weight_contract_report(small_table)
+        ps, W, sums = small_table.matrix()
+        rows = np.arange(ps.size)
+
+        def gathered(offsets):
+            return gathered_sums(W, sums, rows, ps, q, offsets, small_table.n_min)
+
         want = np.stack(
             [masked_gather(M, p, q, h, small_table.n_min)
              for h in small_table.tuple.offsets],
             axis=1,
         )
-        assert np.array_equal(report.on_sums, want)
-        for h in report.off_offsets[:: max(1, len(report.off_offsets) // 8)]:
-            t = masked_gather(M, p, q, h, small_table.n_min)
-            assert report.off_means[h] == float(t.mean())
+        assert np.array_equal(gathered(small_table.tuple.offsets).T, want)
+        assert report.on_mean == float(want.mean())
+        off = np.stack(
+            [masked_gather(M, p, q, h, small_table.n_min) for h in report.off_offsets]
+        )
+        assert np.array_equal(gathered(report.off_offsets), off)
+        assert report.off_mean == float(off.ravel().mean())
+        assert report.off_max_mean == max(float(t.mean()) for t in off)
         assert report.max_point_mass == float(M.max())
 
     def test_reports_make_no_matrix_sized_copy(self, small_table):
