@@ -2,8 +2,10 @@
 
 `chain` runs the pipeline end to end: residue classes from one source
 (--classes random, greedy or construction), the frame over their sieved
-window, the row search, and the certificate's check.  The other modes
-study one stage each, or verify a certificate.
+window, the row search, and the certificate's check.  `construct` builds
+the weight table, tests its contracts and runs the random construction
+and its coverage; `cover` runs the synthetic nibble, `gk` the direct gap
+record, and `verify` re-checks a certificate.
 
 Exit status is 0 exactly when every check in the run's report passed, so
 the tool can sit directly in shell pipelines and CI jobs.  A config file
@@ -23,8 +25,8 @@ from pathlib import Path
 from .harness import MODES, ExperimentConfig, run_experiment
 
 _HELP = {
-    "weights": "build a weight table and test its contracts",
-    "construct": "random residue construction with stability selection",
+    "construct": "build a weight table, test its contracts and run the "
+    "random residue construction",
     "cover": "random-cover nibble on a synthetic instance",
     "chain": "draw residue classes, translate their sieved window and "
     "certify a gap chain",
@@ -34,15 +36,11 @@ _HELP = {
 
 # flag, section, key, type -- thin shortcuts over the INI sections
 _EXTRA: dict[str, tuple[tuple[str, str, str, type], ...]] = {
-    "weights": (
-        ("--theta", "weights", "theta", float),
-        ("--r", "weights", "r", int),
-        ("--kind", "weights", "kind", str),
-        ("--x", "partition", "x", float),
-    ),
     "construct": (
         ("--eta", "construct", "eta", float),
         ("--theta", "weights", "theta", float),
+        ("--r", "weights", "r", int),
+        ("--kind", "weights", "kind", str),
         ("--x", "partition", "x", float),
     ),
     "cover": (

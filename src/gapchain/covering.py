@@ -5,9 +5,9 @@ set of N elements, a family of P_count random subsets ("edges"), each
 element entering each edge independently with probability C/P_count, so
 that every element's total expected coverage is exactly C.  The nibble
 selection partitions the edge family into m random blocks and peels one
-block per round, keeping of each drawn edge only the part still uncovered
-at the start of its round.  With per-round coverage C/m = log 5 the
-classical heuristic predicts a leftover fraction near 5**-m.
+block per round; the leftover is the set of elements that no drawn edge
+contains.  With per-round coverage C/m = log 5 the classical heuristic
+predicts a leftover fraction near 5**-m.
 
 A round's edges are drawn together, a bounded chunk at a time, in block
 order, all from the one generator the caller passes: a run is
@@ -142,18 +142,10 @@ def synth_instance(n_elements: int, n_covers: int, m: int) -> CoveringInstance:
 
 @dataclass(frozen=True)
 class CoverResult:
-    """Outcome of a nibble run: kept edge parts and the uncovered leftover.
-
-    The kept parts are stored flat, in draw order: edge edge_order[i] kept
-    kept_sizes[i] elements, the i-th run of kept_values, sorted.  leftover
-    holds the uncovered elements in increasing order.
-    """
+    """Outcome of a nibble run: the uncovered leftover, in increasing order."""
 
     n_elements: int
     m: int
-    edge_order: np.ndarray = field(repr=False)
-    kept_sizes: np.ndarray = field(repr=False)
-    kept_values: np.ndarray = field(repr=False)
     leftover: np.ndarray = field(repr=False)
 
     @property
@@ -168,9 +160,9 @@ def nibble_cover(
 
     The edge family is split into m near-equal random blocks.  Round j
     draws the edges of block j in chunks of about _CHUNK_BYTES, in block
-    order, intersects every chunk with the survivors as they stood at the
-    start of the round (so the kept parts of one round may overlap), and
-    removes the union.  rng is read in that order alone, so a seed fixes
+    order, and removes them from the ground set.  The leftover is the set
+    of elements that no drawn edge contains, so the rounds fix only the
+    order of the draws.  rng is read in that order alone, so a seed fixes
     every bit; the arrays are counted against nt.MAX_BYTES first.
     """
     if m < 1:
@@ -184,10 +176,9 @@ def nibble_cover(
     mass = -(-n * num // den)  # the expected edge mass, coverage * n
     check_bytes(
         f"nibble over n_elements = {n} and n_covers = {e}",
-        # kept parts (within the edge mass) and kept sizes, as chunks and
-        # concatenated; alive, its round-start copy and the leftover; the
-        # permutation; one chunk's draw, at most 8 int64 buffers of it
-        16 * mass + 10 * n + 24 * e + 64 * max(_CHUNK_BYTES // 8, -(-mass // e)),
+        # alive and the leftover; the permutation; one chunk's draw, at
+        # most 8 int64 buffers of it
+        9 * n + 8 * e + 64 * max(_CHUNK_BYTES // 8, -(-mass // e)),
     )
     perm = rng.permutation(e)
     blocks = np.array_split(perm, m)
@@ -196,28 +187,13 @@ def nibble_cover(
     chunk = max(1, int(_CHUNK_BYTES // (8 * max(1.0, n * instance.inclusion_prob))))
 
     alive = np.ones(n, dtype=bool)
-    kept_values: list[np.ndarray] = []
-    kept_sizes: list[np.ndarray] = []
     for block in blocks:
-        alive_at_round_start = alive.copy()
         for lo in range(0, block.size, chunk):
-            values, sizes = instance.draw_edges(block[lo : lo + chunk], rng)
-            keep = alive_at_round_start[values]
+            values, _ = instance.draw_edges(block[lo : lo + chunk], rng)
             alive[values] = False
-            owner = np.repeat(np.arange(sizes.size), sizes)
-            kept_values.append(values[keep])
-            kept_sizes.append(np.bincount(owner[keep], minlength=sizes.size))
-    kept = np.concatenate(kept_values)
-    if alive[kept].any():
-        raise AssertionError(
-            "a kept edge part intersects the leftover; nibble bookkeeping bug"
-        )
     return CoverResult(
         n_elements=n,
         m=m,
-        edge_order=perm,
-        kept_sizes=np.concatenate(kept_sizes),
-        kept_values=kept,
         leftover=np.flatnonzero(alive).astype(np.int64, copy=False),
     )
 

@@ -2,10 +2,11 @@
 
 Every experiment is described by an ExperimentConfig (read from
 configparser INI text) and executed by run_experiment, which returns a
-Report.  The report's metrics JSON deliberately excludes wall-clock
-timings and sorts every key, so re-running the same configuration with
-the same library build yields byte-identical bytes; timings live in a
-separate, unstable file.
+Report.  The modes are construct (partition, weight table, contracts,
+construction and coverage), cover, chain, gk and verify.  The report's
+metrics JSON deliberately excludes wall-clock timings and sorts every
+key, so re-running the same configuration with the same library build
+yields byte-identical bytes; timings live in a separate, unstable file.
 """
 
 from __future__ import annotations
@@ -264,47 +265,9 @@ def _build_table(cfg: ExperimentConfig, partition: PrimePartition):
     return table
 
 
-def _run_weights(cfg: ExperimentConfig):
-    from .weights import weight_contract_report
-
-    timings: dict[str, float] = {}
-    part = _build_partition(cfg)
-    with _timed(timings, "table"):
-        table = _build_table(cfg, part)
-    with _timed(timings, "contracts"):
-        report = weight_contract_report(table)
-    metrics = {"contracts": report.summary()}
-    checks = []
-    if table.kind == "maynard":
-        # a uniform row covers the shifts that keep every translate in
-        # (x, y], a window that narrows as p grows, so its sums differ by design
-        checks.append(
-            _check(
-                "row_sums_comparable",
-                report.row_sum_ratio <= ROW_SUM_RATIO_BOUND,
-                f"max/min = {report.row_sum_ratio:.6f} "
-                f"vs bound {ROW_SUM_RATIO_BOUND}",
-            )
-        )
-    checks += [
-        _check(
-            "off_tuple_suppressed",
-            report.off_on_aggregate_ratio <= AGGREGATE_BOUND,
-            f"aggregate off/on = {report.off_on_aggregate_ratio:.6f} "
-            f"vs bound {AGGREGATE_BOUND}",
-        ),
-        _check(
-            "no_point_concentration",
-            report.max_point_mass <= POINT_MASS_BOUND,
-            f"max mass = {report.max_point_mass:.3e} vs bound {POINT_MASS_BOUND}",
-        ),
-        _check("no_zero_rows", report.zero_rows == 0, f"{report.zero_rows} zero rows"),
-    ]
-    return metrics, checks, timings
-
-
 def _run_construct(cfg: ExperimentConfig):
     from .construction import _check_eta, run_construction, target_coverage_report
+    from .weights import weight_contract_report
 
     timings: dict[str, float] = {}
     eta = cfg.getfloat("construct", "eta", 0.1)
@@ -312,23 +275,48 @@ def _run_construct(cfg: ExperimentConfig):
     part = _build_partition(cfg)
     with _timed(timings, "table"):
         table = _build_table(cfg, part)
+    with _timed(timings, "contracts"):
+        contracts = weight_contract_report(table)
     with _timed(timings, "construction"):
         run = run_construction(table, cfg.seed, eta=eta)
-    metrics = {"construction": run.summary()}
+    metrics = {"contracts": contracts.summary(), "construction": run.summary()}
     if run.stable_primes:  # with none, nothing covers the targets
         with _timed(timings, "coverage"):
             coverage = target_coverage_report(run, part.coverage_target)
         metrics["coverage"] = coverage.summary()
-    checks = [
+    checks = []
+    if table.kind == "maynard":
+        # a uniform row covers the shifts that keep every translate in
+        # (x, y], a window that narrows as p grows, so its sums differ by design
+        checks.append(
+            _check(
+                "row_sums_comparable",
+                contracts.row_sum_ratio <= ROW_SUM_RATIO_BOUND,
+                f"max/min = {contracts.row_sum_ratio:.6f} "
+                f"vs bound {ROW_SUM_RATIO_BOUND}",
+            )
+        )
+    checks += [
+        _check(
+            "off_tuple_suppressed",
+            contracts.off_on_aggregate_ratio <= AGGREGATE_BOUND,
+            f"aggregate off/on = {contracts.off_on_aggregate_ratio:.6f} "
+            f"vs bound {AGGREGATE_BOUND}",
+        ),
+        _check(
+            "no_point_concentration",
+            contracts.max_point_mass <= POINT_MASS_BOUND,
+            f"max mass = {contracts.max_point_mass:.3e} vs bound {POINT_MASS_BOUND}",
+        ),
+        _check(
+            "no_zero_rows",
+            contracts.zero_rows == 0,
+            f"{contracts.zero_rows} zero rows",
+        ),
         _check(
             "normalization_consistent",
             run.normalization_max_rel_err <= 1e-12,
             f"max rel err {run.normalization_max_rel_err:.3e}",
-        ),
-        _check(
-            "no_zero_rows",
-            len(run.zero_rows) == 0,
-            f"{len(run.zero_rows)} zero rows",
         ),
         _check(
             "stable_primes_exist",
@@ -579,7 +567,6 @@ def _run_verify(cfg: ExperimentConfig):
 
 
 _RUNNERS: dict[str, Callable[[ExperimentConfig], tuple]] = {
-    "weights": _run_weights,
     "construct": _run_construct,
     "cover": _run_cover,
     "chain": _run_chain,

@@ -38,12 +38,6 @@ def nibble_estimate(instance, m, monkeypatch):
     return seen[0]
 
 
-def kept_parts(result):
-    """Cover index -> kept part, from the flat storage of a nibble result."""
-    parts = split_edges(result.kept_values, result.kept_sizes)
-    return dict(zip(result.edge_order.tolist(), parts))
-
-
 class TestInstanceValidation:
     @pytest.mark.parametrize(
         "overrides",
@@ -101,7 +95,7 @@ class TestInstanceValidation:
             nibble_cover(inst, m, rng)
         assert rng.bit_generator.state == state
         monkeypatch.setattr(g.nt, "MAX_BYTES", estimate)
-        assert nibble_cover(inst, m, rng).kept_sizes.size == 200
+        nibble_cover(inst, m, rng)  # runs at exactly its estimate
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_traced_peak_is_within_the_estimate(self, m, monkeypatch):
@@ -188,8 +182,6 @@ class TestEdgeDrawing:
         assert rng.bit_generator.state == sizes_only.bit_generator.state
         result = nibble_cover(inst, m=1, rng=derive_rng(0, "full-cover"))
         assert result.leftover.size == 0
-        # one round keeps each edge's part alive at its start: all of it
-        assert result.kept_sizes.tolist() == [10, 10, 10]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -214,68 +206,36 @@ class TestEdgeDrawing:
 
 
 class TestNibbleCover:
-    def test_partition_into_kept_and_leftover(self):
-        inst = make_instance()
-        result = nibble_cover(inst, m=2, rng=derive_rng(1, "nibble"))
-        assert sorted(result.edge_order.tolist()) == list(range(inst.n_covers))
-        assert result.kept_sizes.size == inst.n_covers
-        assert result.kept_sizes.sum() == result.kept_values.size
-        for part in kept_parts(result).values():
-            assert np.all(np.diff(part) > 0)
-        covered = np.zeros(inst.n_elements, dtype=bool)
-        covered[result.kept_values] = True
-        leftover_mask = np.zeros(inst.n_elements, dtype=bool)
-        leftover_mask[result.leftover] = True
-        assert not (covered & leftover_mask).any()
-        assert (covered | leftover_mask).all()
-        assert result.leftover_fraction == result.leftover.size / 1_000
-
     def test_bitwise_reproducible(self):
         inst = make_instance()
         a = nibble_cover(inst, m=3, rng=derive_rng(5, "nibble"))
         b = nibble_cover(inst, m=3, rng=derive_rng(5, "nibble"))
         c = nibble_cover(inst, m=3, rng=derive_rng(6, "nibble"))
         assert np.array_equal(a.leftover, b.leftover)
-        for name in ("edge_order", "kept_sizes", "kept_values"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
         assert not np.array_equal(a.leftover, c.leftover)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_rounds_keep_what_was_alive_at_round_start(self, m, monkeypatch):
-        # chunks of a few edges, so each round spans several chunks; every
-        # chunk must meet the survivors as they stood at the round's start
+    def test_leftover_is_what_no_drawn_edge_contains(self, m, monkeypatch):
+        # chunks of a few edges, so each round spans several chunks: the
+        # edges redrawn on the same stream, block by block and chunk by
+        # chunk, must cover exactly the complement of the leftover
         monkeypatch.setattr(covering, "_CHUNK_BYTES", 8 * 32 * 4)
-        draws = []
-        draw_edges = CoveringInstance.draw_edges
-
-        def recording(self, ids, rng):
-            values, sizes = draw_edges(self, ids, rng)
-            draws.append((ids.copy(), values.copy(), sizes.copy()))
-            return values, sizes
-
-        monkeypatch.setattr(CoveringInstance, "draw_edges", recording)
         inst = make_instance(coverage=m * math.log(5))
         result = nibble_cover(inst, m=m, rng=derive_rng(7, "rounds"))
-        assert np.array_equal(
-            np.concatenate([ids for ids, _, _ in draws]), result.edge_order
-        )
-        kept = kept_parts(result)
-        alive = np.ones(inst.n_elements, dtype=bool)
-        for block in np.array_split(result.edge_order, m):
-            in_round = [d for d in draws if np.isin(d[0], block).all()]
-            assert len(in_round) > 1
-            at_start = alive.copy()
-            alive_pairs = kept_total = 0
-            for ids, values, sizes in in_round:
-                for p, edge in zip(ids.tolist(), split_edges(values, sizes)):
-                    assert np.array_equal(kept[p], edge[at_start[edge]])
-                    alive_pairs += int(at_start[edge].sum())
-                    kept_total += kept[p].size
-                alive[values] = False
-            assert kept_total == alive_pairs
-            round_kept = np.concatenate([kept[p] for p in block.tolist()])
-            assert round_kept.size > np.unique(round_kept).size  # overlaps
-        assert np.array_equal(np.flatnonzero(alive), result.leftover)
+        rng = derive_rng(7, "rounds")
+        blocks = np.array_split(rng.permutation(inst.n_covers), m)
+        edge_bytes = 8 * inst.n_elements * inst.inclusion_prob
+        chunk = int(covering._CHUNK_BYTES // edge_bytes)
+        covered = np.zeros(inst.n_elements, dtype=bool)
+        chunks = 0
+        for block in blocks:
+            for lo in range(0, block.size, chunk):
+                values, _ = inst.draw_edges(block[lo : lo + chunk], rng)
+                covered[values] = True
+                chunks += 1
+        assert chunks > m
+        assert result.leftover_fraction == result.leftover.size / inst.n_elements
+        assert np.array_equal(np.flatnonzero(~covered), result.leftover)
 
     def test_schedule_guards(self):
         inst = make_instance(n_covers=3, coverage=1.5)
@@ -332,26 +292,11 @@ class TestSubsetLeftover:
 
     def test_empty_leftover(self):
         empty = np.empty(0, dtype=np.int64)
-        result = CoverResult(
-            n_elements=10,
-            m=1,
-            edge_order=empty,
-            kept_sizes=empty,
-            kept_values=empty,
-            leftover=empty,
-        )
+        result = CoverResult(n_elements=10, m=1, leftover=empty)
         assert subset_leftover(result, [0, 9, 9]) == 0
 
     def test_range_guard(self):
-        empty = np.empty(0, dtype=np.int64)
-        result = CoverResult(
-            n_elements=100,
-            m=1,
-            edge_order=empty,
-            kept_sizes=empty,
-            kept_values=empty,
-            leftover=np.arange(3),
-        )
+        result = CoverResult(n_elements=100, m=1, leftover=np.arange(3))
         with pytest.raises(ValueError):
             subset_leftover(result, [-1])
         with pytest.raises(ValueError):

@@ -126,7 +126,6 @@ class TestExperimentConfig:
 
         monkeypatch.setattr(ExperimentConfig, "get", recorded)
         small = {
-            "weights": {"partition": {"x": 200}, "weights": {"theta": 0.5}},
             "construct": {"partition": {"x": 200}, "weights": {"theta": 0.5}},
             "cover": {"cover": {"n_elements": 500, "n_covers": 50}},
             "chain": {"chain": {"trials": 5, "stat_trials": 5}},
@@ -143,10 +142,10 @@ class TestExperimentConfig:
     def test_keys_are_case_insensitive(self, monkeypatch):
         # configparser lowercases INI keys; set and the getters follow it
         ini = ExperimentConfig.from_ini(
-            "[run]\nmode = weights\n[partition]\nSmall_Low = 40\n"
+            "[run]\nmode = construct\n[partition]\nSmall_Low = 40\n"
         )
         assert ini.sections["partition"] == {"small_low": "40"}
-        flag = make_config("weights", partition={"Small_Low": 40})
+        flag = make_config("construct", partition={"Small_Low": 40})
         assert flag.sections == ini.sections
         for cfg in (ini, flag):
             assert cfg.getfloat("partition", "Small_Low", 32.0) == 40.0
@@ -175,9 +174,8 @@ class TestExperimentConfig:
 # one small run of every mode; each runner builds its metrics from plain
 # JSON types, so metrics.json reads back as the report's own metrics
 METRICS_RUNS = {
-    "weights": dict(partition={"x": 400}, weights={"theta": 0.5}),
-    "weights-uniform": dict(partition={"x": 400}, weights={"kind": "uniform"}),
     "construct": dict(partition={"x": 400}, weights={"theta": 0.5}),
+    "construct-uniform": dict(partition={"x": 400}, weights={"kind": "uniform"}),
     "construct-no-stable": dict(partition={"x": 160}, construct={"eta": 0}),
     "cover": dict(cover={"n_elements": 2000, "n_covers": 200}),
     "chain": dict(seed=5),
@@ -267,17 +265,24 @@ class TestModeRunners:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
             run_experiment(make_config("transmute"))
+        # the weights mode is gone: construct reports the contracts
+        cfg = ExperimentConfig.from_ini("[run]\nmode = weights\n")
+        with pytest.raises(ValueError, match="^unknown mode 'weights'; expected one of "):
+            run_experiment(cfg)
 
-    def test_weights_mode(self):
-        cfg = make_config("weights", partition={"x": 400}, weights={"theta": 0.5})
+    def test_construct_mode_reports_the_contracts_at_x400(self):
+        cfg = make_config("construct", partition={"x": 400}, weights={"theta": 0.5})
         report = run_experiment(cfg)
-        verdicts = {c["name"]: c["passed"] for c in report.checks}
-        assert verdicts == {
-            "row_sums_comparable": True,
-            "off_tuple_suppressed": False,
-            "no_point_concentration": True,
-            "no_zero_rows": True,
-        }
+        verdicts = [(c["name"], c["passed"]) for c in report.checks]
+        # the table's contracts, then the construction's checks
+        assert verdicts == [
+            ("row_sums_comparable", True),
+            ("off_tuple_suppressed", False),
+            ("no_point_concentration", True),
+            ("no_zero_rows", True),
+            ("normalization_consistent", True),
+            ("stable_primes_exist", True),
+        ]
         # at x = 400 the off-tuple mass is 0.133 of the on-tuple mass,
         # above the fixed bound; the check reports it, nothing loosens it
         (agg,) = [c for c in report.checks if c["name"] == "off_tuple_suppressed"]
@@ -285,19 +290,23 @@ class TestModeRunners:
         contracts = report.metrics["contracts"]
         assert contracts["kind"] == "maynard" and contracts["r"] == 4
         assert contracts["zero_rows"] == 0
+        assert set(report.metrics) == {"contracts", "construction", "coverage"}
+        assert list(report.timings) == [
+            "total", "table", "contracts", "construction", "coverage"
+        ]
 
     @pytest.mark.parametrize(
         "ini, removed",
         [
             (
-                "[run]\nmode = weights\n[partition]\nx = 400\n"
+                "[run]\nmode = construct\n[partition]\nx = 400\n"
                 "[weights]\ntheta = 0.5\n",
                 "row_sum_ratio_bound = 0.5\naggregate_bound = 10\n"
                 "point_mass_bound = 0\n",
             ),
             ("[run]\nmode = cover\n[cover]\nm = 1\n", "tolerance = 0\n"),
             (
-                "[run]\nmode = weights\n[partition]\nx = 400\n",
+                "[run]\nmode = construct\n[partition]\nx = 400\n",
                 "r = 6\nepsilon = 0.1\nc = 0.2\na = 9\nc0 = 0.4\nr0 = 3\n",
             ),
             (
@@ -305,8 +314,8 @@ class TestModeRunners:
                 "profile = fixed-size\nr_cap = 5\n",
             ),
             ("[run]\nmode = chain\n[chain]\nx = 36\n", "mr_rounds = 48\n"),
-            ("[run]\nmode = weights\n[weights]\ntheta = 0.5\n", "q_sample = 25\n"),
-            ("[run]\nmode = weights\n[weights]\ntheta = 0.5\n", "offsets = 0 2 6\n"),
+            ("[run]\nmode = construct\n[weights]\ntheta = 0.5\n", "q_sample = 25\n"),
+            ("[run]\nmode = construct\n[weights]\ntheta = 0.5\n", "offsets = 0 2 6\n"),
             ("[run]\nmode = construct\n[construct]\neta = 0.1\n", "max_q = 64\n"),
             ("[run]\nmode = chain\n[chain]\nx = 36\n", "d = 1\nsoundness_draws = 10\n"),
         ],
@@ -330,7 +339,7 @@ class TestModeRunners:
     def test_the_library_and_the_modes_share_one_theta(self, small_partition):
         # build_weights defaulted theta to 0.25 and every mode to 1.0, so
         # one seed built two constructions
-        table = harness._build_table(make_config("weights"), small_partition)
+        table = harness._build_table(make_config("construct"), small_partition)
         want = build_weights(small_partition, first_primes_tuple(4))
         assert table.theta == want.theta == 1.0
         for got, ref in zip(table.matrix(), want.matrix()):
@@ -361,14 +370,18 @@ class TestModeRunners:
             construct={"eta": 0.3},
         )
         report = run_experiment(cfg)
-        assert report.all_passed
+        # every check passes but the x = 400 contract finding
+        failed = [c["name"] for c in report.checks if not c["passed"]]
+        assert failed == ["off_tuple_suppressed"]
         assert report.metrics["construction"]["n_stable"] >= 1
         assert report.metrics["coverage"]["n_q_sampled"] <= 512
         assert report.config["sections"]["construct"]["eta"] == "0.3"
         assert "out_dir" not in report.config
 
-    @pytest.mark.parametrize("mode", ["weights", "construct"])
-    def test_rows_are_built_in_the_table_span(self, monkeypatch, mode):
+    @pytest.mark.parametrize(
+        "kind", ["maynard", "uniform"], ids=["construct", "construct-uniform"]
+    )
+    def test_rows_are_built_in_the_table_span(self, monkeypatch, kind):
         # the first matrix() call builds every row; it must happen while
         # the "table" span is open, so timings.json bills the rows to it
         open_spans, calls = [], []
@@ -390,10 +403,10 @@ class TestModeRunners:
         monkeypatch.setattr(harness, "_timed", timed)
         monkeypatch.setattr(WeightTable, "matrix", matrix)
         cfg = make_config(
-            mode,
+            "construct",
             seed=1,
             partition={"x": 400},
-            weights={"theta": 0.5},
+            weights={"theta": 0.5, "kind": kind},
         )
         report = run_experiment(cfg)
         assert calls and calls[0][-1] == "table"  # the innermost open span
@@ -498,24 +511,19 @@ class TestModeRunners:
 
 class TestCli:
     def test_every_mode_is_wired(self):
-        assert set(MODES) == {
-            "weights",
-            "construct",
-            "cover",
-            "chain",
-            "gk",
-            "verify",
-        }
+        assert MODES == ("construct", "cover", "chain", "gk", "verify")
 
     def test_primes_subcommand(self, capsys):
         # the primes mode is gone: gk computes its gap records, and the
-        # tests read pi(n) from sieve_primes
-        with pytest.raises(SystemExit) as exit_info:
-            main(["primes"])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: gapchain [-h]")
-        assert "invalid choice: 'primes'" in err
+        # tests read pi(n) from sieve_primes; so is the weights mode, whose
+        # contracts construct reports
+        for mode in ("primes", "weights"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([mode])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: gapchain [-h]")
+            assert f"invalid choice: '{mode}'" in err
 
     def test_cover_profile_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -563,9 +571,11 @@ class TestCli:
         assert code == 1
         out = capsys.readouterr().out
         assert "  [FAIL] stable_primes_exist (0 stable of 15)\n" in out
-        assert "1 of 3 checks failed" in out
+        # the table's off-tuple mass fails its bound at x = 160 as at x = 400
+        assert "  [FAIL] off_tuple_suppressed (aggregate off/on = 0.120250" in out
+        assert "2 of 6 checks failed" in out
         metrics = json.loads((tmp_path / "metrics.json").read_text())["metrics"]
-        assert set(metrics) == {"construction"}
+        assert set(metrics) == {"contracts", "construction"}
         assert metrics["construction"]["n_stable"] == 0
 
     def test_maier_writes_certificate(self, tmp_path, capsys):
@@ -629,12 +639,21 @@ class TestCli:
             assert metrics["metrics"]["accepted"] is False
 
     def test_weights_row_sum_check_applies_to_maynard_rows(self, capsys):
-        assert main(["weights", "--kind", "uniform", "--x", "400"]) == 0
+        assert main(["construct", "--kind", "uniform", "--x", "400"]) == 0
         out = capsys.readouterr().out
         assert "row_sums_comparable" not in out
-        assert "all 3 checks passed" in out
-        main(["weights", "--kind", "maynard", "--x", "400"])
+        assert "all 5 checks passed" in out
+        main(["construct", "--kind", "maynard", "--x", "400"])
         assert "[PASS] row_sums_comparable" in capsys.readouterr().out
+
+    def test_construct_flags_set_the_weights_keys(self, tmp_path, capsys):
+        # --kind and --r set the [weights] keys that the table reads
+        argv = ["construct", "--x", "400", "--kind", "uniform", "--r", "3"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "metrics.json").read_text())
+        assert record["config"]["sections"]["weights"] == {"kind": "uniform", "r": "3"}
+        contracts = record["metrics"]["contracts"]
+        assert contracts["kind"] == "uniform" and contracts["r"] == 3
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
@@ -670,7 +689,7 @@ class TestCli:
         ini = tmp_path / "exp.ini"
         ini.write_text("[weights]\nthetta = 0.5\n")
         with pytest.raises(SystemExit) as exit_info:
-            main(["weights", "--config", str(ini)])
+            main(["construct", "--config", str(ini)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"{ini}: unknown [weights] key(s) thetta" in err
@@ -707,20 +726,26 @@ class TestCli:
             (["chain", "--trials", "-3"], "trials must be at least 1"),
             # refused before any allocation; each used to end in a
             # MemoryError traceback and exit status 1
-            (["weights", "--x", "60000"], "dense weight matrix and its build"),
+            (
+                ["construct", "--kind", "uniform", "--x", "60000"],
+                "dense weight matrix and its build",
+            ),
             (["construct", "--x", "60000"], "dense weight matrix and its build"),
             # refused by name: a non-finite value, a level past the sieve cap
             (["chain", "--y", "1e400"], "[chain] y = inf is not a finite number"),
             (
-                ["weights", "--config", "[partition]\ny = inf\n"],
+                ["construct", "--config", "[partition]\ny = inf\n"],
                 "[partition] y = inf is not a finite number",
             ),
-            (["weights", "--theta", "inf"], "[weights] theta = inf is not a finite"),
-            (["weights", "--theta", "1e300"], "divisor level x**theta = 1400**1e+300"),
+            (["construct", "--theta", "inf"], "[weights] theta = inf is not a finite"),
+            (["construct", "--theta", "1e300"], "divisor level x**theta = 1400**1e+300"),
             # refused before a prime sieve over 1 GiB: the first two ended in
             # MemoryError tracebacks, the last two ran for minutes
-            (["weights", "--x", "1e13"], "prime sieve window (5e+12, 1e+13]"),
-            (["weights", "--x", "1e300"], "prime sieve window (5e+299, 1e+300]"),
+            (["construct", "--x", "1e13"], "prime sieve window (5e+12, 1e+13]"),
+            (
+                ["construct", "--r", "6", "--x", "1e300"],
+                "prime sieve window (5e+299, 1e+300]",
+            ),
             (
                 ["chain", "--classes", "greedy", "--x", "1400", "--y", "1e300"],
                 "prime sieve window (1400, 1e+300]",
@@ -739,7 +764,7 @@ class TestCli:
                 "exp.ini: [run] seed = 1.5 is not an integer",
             ),
             # the --offsets flag went with its [weights] offsets key
-            (["weights", "--offsets", "0 2 x"], "unrecognized arguments: --offsets"),
+            (["construct", "--offsets", "0 2 x"], "unrecognized arguments: --offsets"),
             (
                 ["chain", "--config", "[chain]\ny = six hundred\n"],
                 "[chain] y = six hundred is not a number",
@@ -762,16 +787,16 @@ class TestCli:
                 "exp.ini: unknown [chain] key(s) mr_rounds;",
             ),
             (
-                ["weights", "--config", "[weights]\nq_sample = 25\n"],
+                ["construct", "--config", "[weights]\nq_sample = 25\n"],
                 "exp.ini: unknown [weights] key(s) q_sample;",
             ),
             # five keys that only tests set are constants now
             (
-                ["weights", "--config", "[sieve]\nmedium_high = 200\n"],
+                ["construct", "--config", "[sieve]\nmedium_high = 200\n"],
                 "exp.ini: unknown section [sieve]",
             ),
             (
-                ["weights", "--config", "[weights]\noffsets = 0 2 6\n"],
+                ["construct", "--config", "[weights]\noffsets = 0 2 6\n"],
                 "exp.ini: unknown [weights] key(s) offsets;",
             ),
             (
@@ -816,7 +841,7 @@ class TestCli:
             ),
             # a [partition] key that no run reads any more
             (
-                ["weights", "--config", "[partition]\nr = 6\n"],
+                ["construct", "--config", "[partition]\nr = 6\n"],
                 "exp.ini: unknown [partition] key(s) r;",
             ),
             # k = 1 is allowed; the k + 1 record that gk compares with is not
