@@ -37,7 +37,7 @@ _SUBMODULE = {
         ),
         "nt": (
             "PrimalityResult", "chain_gap_record", "is_prime", "mertens_density",
-            "primes_in_range", "sieve_primes",
+            "primes_in_range",
         ),
         "partition": (
             "MIN_X", "Params", "PrimePartition", "build_partition",

@@ -40,7 +40,6 @@ _EXTRA: dict[str, tuple[tuple[str, str, str, type], ...]] = {
         ("--eta", "construct", "eta", float),
         ("--theta", "weights", "theta", float),
         ("--r", "weights", "r", int),
-        ("--kind", "weights", "kind", str),
         ("--x", "partition", "x", float),
     ),
     "cover": (

@@ -58,7 +58,7 @@ _SECTION_KEYS = {
     "partition": frozenset(
         {"x", "y", "z", "small_low", "small_high", "excluded"}
     ),
-    "weights": frozenset({"kind", "theta", "r"}),
+    "weights": frozenset({"theta", "r"}),
     "construct": frozenset({"eta"}),
     "cover": frozenset({"n_elements", "n_covers", "m"}),
     "chain": frozenset(
@@ -258,7 +258,6 @@ def _build_table(cfg: ExperimentConfig, partition: PrimePartition):
     table = build_weights(
         partition,
         first_primes_tuple(cfg.getint("weights", "r", 4)),
-        kind=cfg.get("weights", "kind", "maynard"),
         theta=cfg.getfloat("weights", "theta", 1.0),
     )
     table.matrix()  # build the rows now, so they are timed as "table"
@@ -284,19 +283,13 @@ def _run_construct(cfg: ExperimentConfig):
         with _timed(timings, "coverage"):
             coverage = target_coverage_report(run, part.coverage_target)
         metrics["coverage"] = coverage.summary()
-    checks = []
-    if table.kind == "maynard":
-        # a uniform row covers the shifts that keep every translate in
-        # (x, y], a window that narrows as p grows, so its sums differ by design
-        checks.append(
-            _check(
-                "row_sums_comparable",
-                contracts.row_sum_ratio <= ROW_SUM_RATIO_BOUND,
-                f"max/min = {contracts.row_sum_ratio:.6f} "
-                f"vs bound {ROW_SUM_RATIO_BOUND}",
-            )
-        )
-    checks += [
+    checks = [
+        _check(
+            "row_sums_comparable",
+            contracts.row_sum_ratio <= ROW_SUM_RATIO_BOUND,
+            f"max/min = {contracts.row_sum_ratio:.6f} "
+            f"vs bound {ROW_SUM_RATIO_BOUND}",
+        ),
         _check(
             "off_tuple_suppressed",
             contracts.off_on_aggregate_ratio <= AGGREGATE_BOUND,

@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "strike_classes",
-    "sieve_primes",
     "primes_in_range",
     "MAX_BYTES",
     "MatrixTooLarge",
@@ -78,11 +77,6 @@ def strike_classes(
         alive[(a - start) % p :: p] = False
 
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (empty for limit < 2)."""
-    return primes_in_range(1, limit)
-
-
 def check_sieve_window(kind: str, lo: int, hi: int, size: int) -> None:
     """check_bytes of a sieve of `size` one-byte integers over (lo, hi]."""
     check_bytes(f"{kind} window ({_count(lo)}, {_count(hi)}]", size)
@@ -101,7 +95,7 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     start = max(lo + 1, 2)
     # before the base primes' own sieve
     check_sieve_window("prime sieve", lo, hi, hi - start + 1)
-    base = sieve_primes(math.isqrt(hi))
+    base = primes_in_range(1, math.isqrt(hi))
     alive = np.ones(hi - start + 1, dtype=bool)
     strike_classes(alive, start, ((p, 0) for p in base.tolist()))
     alive[base[base >= start] - start] = True
@@ -115,7 +109,7 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
 DETERMINISTIC_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 DETERMINISTIC_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TRIAL_PRIMES = tuple(int(p) for p in sieve_primes(1000))
+_TRIAL_PRIMES = tuple(int(p) for p in primes_in_range(1, 1000))
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 

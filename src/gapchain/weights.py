@@ -5,17 +5,15 @@ w(p, n) over integer shifts n in [-y, y].  Rows are used exclusively in
 normalized form w(p, n)/rowsum(p), i.e. as the law of a random shift, so
 every downstream claim is scale-free.  No normalized copy is made: the
 matrix stores each row followed by one 0.0, and gathered_sums reads raw
-rows through it and divides by the row sum.  Two surrogate kinds exist:
+rows through it and divides by the row sum.  The rows are Maynard's
+multidimensional sieve shape:
 
-  uniform   w = 1 exactly on the shifts n for which every translate
-            n + h_i p lands in the target interval (x, y]
-  maynard   w(p, n) = (sum over divisor tuples of a signed, smoothly
-            truncated Moebius weight)^2, the classical multidimensional
-            sieve shape
+    w(p, n) = (sum over divisor tuples of a signed, smoothly truncated
+              Moebius weight)^2,
 
-For the maynard kind the divisor tuples (d_1, .., d_r) run over
-squarefree products m = d_1 * .. * d_r < R = x**theta whose prime factors
-all exceed r and avoid the excluded modulus, with d_i | n + h_i p and
+where the divisor tuples (d_1, .., d_r) run over squarefree products
+m = d_1 * .. * d_r < R = x**theta whose prime factors all exceed r and
+avoid the excluded modulus, with d_i | n + h_i p and
 
     weight = prod_i mu(d_i) * F(log m / log R),   F(t) = max(1 - t, 0)**r.
 
@@ -60,7 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _fork, nt
-from .nt import MatrixTooLarge, primes_in_range, sieve_primes
+from .nt import MatrixTooLarge, primes_in_range
 from .partition import PrimePartition
 
 __all__ = [
@@ -113,7 +111,7 @@ def is_admissible(offsets: Sequence[int]) -> bool:
     hs = [int(h) for h in offsets]
     if len(set(hs)) != len(hs):
         raise ValueError("offsets must be distinct")
-    for p in sieve_primes(len(hs)).tolist():
+    for p in primes_in_range(1, len(hs)).tolist():
         if len({h % p for h in hs}) == p:
             return False
     return True
@@ -216,12 +214,10 @@ class WeightTable:
         self,
         partition: PrimePartition,
         tuple_: AdmissibleTuple,
-        kind: str,
         theta: float,
     ):
         self.partition = partition
         self.tuple = tuple_
-        self.kind = kind
         self.theta = float(theta)
         # the support sieve below takes one byte per integer below the
         # level; compare logs, so that no theta can overflow x**theta
@@ -240,7 +236,7 @@ class WeightTable:
         # primes allowed into divisor products: r < s < R, s != excluded
         r = tuple_.r
         cap = math.ceil(self.level) - 1
-        sup = sieve_primes(cap)
+        sup = primes_in_range(1, cap)
         sup = sup[(sup > r) & (sup.astype(float) < self.level)]
         b0 = partition.excluded_prime
         self.support_primes: list[int] = [
@@ -248,19 +244,6 @@ class WeightTable:
         ]
 
     # -- construction ------------------------------------------------------
-
-    def _uniform_rows(
-        self, ps: list[int], W: np.ndarray, sums: np.ndarray
-    ) -> None:
-        offs = self.tuple.offsets
-        x, y = self.partition.x, self.partition.y
-        for i, p in enumerate(ps):
-            # all translates n + h_i p in (x, y] pins n to one interval
-            lo = max(math.floor(x - offs[0] * p), self.n_min - 1)  # n > x - h_1 p
-            hi = min(math.floor(y - offs[-1] * p), self.n_max)  # n <= y - h_r p
-            if hi > lo:
-                W[i, lo + 1 - self.n_min : hi + 1 - self.n_min] = 1.0
-                sums[i] = hi - lo
 
     def _maynard_batches(self, n: int) -> tuple[int, int, int]:
         """(rows per batch, padded row width, node bytes per row) for n rows.
@@ -358,37 +341,33 @@ class WeightTable:
     def matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(primes, dense weight matrix on the full grid, row sums).
 
-        Matrix shape is (#weighted primes, n_max - n_min + 1); a uniform
-        row is zero outside its window.  Built on the first call.  Each
-        row is followed in memory by one 0.0 (see gathered_sums); rows,
-        zeros and sums share one anonymous shared mapping, so the
-        Maynard batches are built by `_fork.fork_map` on every usable CPU:
-        each process, this one included, builds its batch block by block
-        and writes the rows and sums in place, and nothing comes back.
+        Matrix shape is (#weighted primes, n_max - n_min + 1).  Built on
+        the first call.  Each row is followed in memory by one 0.0 (see
+        gathered_sums); rows, zeros and sums share one anonymous shared
+        mapping, so the batches are built by `_fork.fork_map` on every
+        usable CPU: each process, this one included, builds its batch
+        block by block and writes the rows and sums in place, and nothing
+        comes back.
         """
         if self._matrix is None:
             ps = self.partition.weighted_primes.astype(np.int64)
             n = ps.size
             width = self.n_max - self.n_min + 1
             est_bytes = 8 * n * (width + 2)  # rows, a zero after each, sums
-            if self.kind == "maynard":
-                step, padded, row_bytes = self._maynard_batches(n)
-                starts = list(range(0, n, step))
-                # every process holds one batch's node lists and one padded
-                # block buffer at a time
-                procs = min(_fork.usable_cpus(), len(starts))
-                block_bytes = 8 * _block_rows(step, padded) * padded
-                est_bytes += procs * (step * row_bytes + block_bytes)
+            step, padded, row_bytes = self._maynard_batches(n)
+            starts = list(range(0, n, step))
+            # every process holds one batch's node lists and one padded
+            # block buffer at a time
+            procs = min(_fork.usable_cpus(), len(starts))
+            block_bytes = 8 * _block_rows(step, padded) * padded
+            est_bytes += procs * (step * row_bytes + block_bytes)
             nt.check_bytes("dense weight matrix and its build buffers", est_bytes)
             shared = mmap.mmap(-1, 8 * n * (width + 2))
             flat = np.frombuffer(shared, np.float64, n * (width + 1))
             W = flat.reshape(n, width + 1)[:, :width]
             sums = np.frombuffer(shared, np.float64, n, 8 * n * (width + 1))
-            if self.kind == "uniform":
-                self._uniform_rows(ps.tolist(), W, sums)
-            else:
-                state = (self, ps, W, sums, step, padded)
-                _fork.fork_map(_build_batch, starts, state)
+            state = (self, ps, W, sums, step, padded)
+            _fork.fork_map(_build_batch, starts, state)
             W.setflags(write=False)
             sums.setflags(write=False)
             self._matrix = (ps, W, sums)
@@ -414,13 +393,14 @@ def build_weights(
     kind: str = "maynard",
     theta: float = 1.0,
 ) -> WeightTable:
-    """Validate parameters and assemble a weight table (rows built on use).
+    """Validate parameters and assemble a Maynard weight table (rows built on use).
 
     theta sets the divisor level R = x**theta; enumeration cost grows
     steeply with theta and r, hence the cap r <= 16.  Offsets must stay
-    within [0, 2 r^2].
+    within [0, 2 r^2].  kind names the one table there is, "maynard".
     """
-    if kind not in ("uniform", "maynard"):
+    # ROADMAP item 15 deletes kind together with assemble_frame's D
+    if kind != "maynard":
         raise ValueError(f"unknown weight kind {kind!r}")
     if not theta > 0:
         raise ValueError(f"theta = {theta!r} must be positive")
@@ -431,7 +411,7 @@ def build_weights(
         raise ValueError(f"offsets {tuple_.offsets} leave [0, {2 * r * r}]")
     if partition.weighted_primes.size == 0:
         raise ValueError("partition has no weighted primes")
-    return WeightTable(partition, tuple_, kind, theta)
+    return WeightTable(partition, tuple_, theta)
 
 
 def draw_shift(values: np.ndarray, n_start: int, rng: np.random.Generator) -> int:
@@ -465,7 +445,6 @@ class WeightContractReport:
       point mass    max_n w(p, n)/rowsum(p) over all rows
     """
 
-    kind: str
     r: int
     theta: float
     row_sum_ratio: float
@@ -596,7 +575,6 @@ def weight_contract_report(table: WeightTable) -> WeightContractReport:
     agg_ratio = off_mean / (r * on_mean) if on_mean > 0 else math.inf
 
     return WeightContractReport(
-        kind=table.kind,
         r=r,
         theta=table.theta,
         row_sum_ratio=float(sums[keep].max() / sums[keep].min()),

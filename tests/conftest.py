@@ -21,9 +21,7 @@ def toy_partition():
 
 @pytest.fixture(scope="session")
 def pinned_table(toy_partition):
-    return g.build_weights(
-        toy_partition, g.first_primes_tuple(4), kind="maynard", theta=1.0
-    )
+    return g.build_weights(toy_partition, g.first_primes_tuple(4), theta=1.0)
 
 
 @pytest.fixture(scope="session")
@@ -40,9 +38,7 @@ def small_partition():
 @pytest.fixture(scope="session")
 def small_table(small_partition):
     # level 400**0.5 = 20: divisor products draw on {5, 7, 11, 13, 17, 19}
-    return g.build_weights(
-        small_partition, g.first_primes_tuple(4), kind="maynard", theta=0.5
-    )
+    return g.build_weights(small_partition, g.first_primes_tuple(4), theta=0.5)
 
 
 @pytest.fixture

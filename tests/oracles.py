@@ -83,10 +83,6 @@ def weight_at(table, p: int, n: int) -> float:
     p, n = int(p), int(n)
     if n < table.n_min or n > table.n_max:
         return 0.0
-    if table.kind == "uniform":
-        x, y = table.partition.x, table.partition.y
-        ok = all(x < n + h * p <= y for h in table.tuple.offsets)
-        return 1.0 if ok else 0.0
     return _maynard_point(table, p, n)
 
 

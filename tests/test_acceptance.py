@@ -57,9 +57,9 @@ def test_acceptance_exact_anchors():
         g.ResidueSystem({2: 1, 3: 2, 5: 3, 7: 4}), g.FrameWindow(x=7.0, y=20.0)
     )
     checks = [
-        ("pi(10^6)", g.sieve_primes(1_000_000).size, 78_498),
-        ("pi(10^4)", g.sieve_primes(10_000).size, 1_229),
-        ("pi(100)", g.sieve_primes(100).size, 25),
+        ("pi(10^6)", g.primes_in_range(1, 1_000_000).size, 78_498),
+        ("pi(10^4)", g.primes_in_range(1, 10_000).size, 1_229),
+        ("pi(100)", g.primes_in_range(1, 100).size, 25),
         ("G1(10^6)", g.chain_gap_record(1_000_000, 1), 114),
         ("G1(10^4)", g.chain_gap_record(10_000, 1), 36),
         ("G1(100)", g.chain_gap_record(100, 1), 8),
@@ -216,8 +216,8 @@ def test_acceptance_translation_certificate():
 # result, and of the raw float64 bytes for "rows" (the pinned table's
 # weight matrix followed by its row sums) and "on_sums" (the per-q
 # on-tuple gathered sums S(q, i) that the contract report's statistics,
-# and so the summary digest, average away).  A refactor that shifts one float or one random draw changes a
-# digest.  Captured with numpy 2.4; a numpy build that rounds a reduction
+# and so the summary digest, average away).  A refactor that shifts one
+# float or one random draw changes a digest.  Captured with numpy 2.4; a numpy build that rounds a reduction
 # differently would change them too.  The chain digests include the
 # certificate's library_version, which is gapchain.__version__; chain and
 # chain150 draw random classes, chain_greedy and chain_construction the
@@ -231,11 +231,10 @@ GOLDEN_DIGESTS = {
         "b638fd3a82b6abfe26341910f36e50c16d76b52875882454b220a9a27ac63f96"
     ),
     "cover": "89d336bb1c9ca3e18f20a85922b61531ca80fbb3a5e2c0bb4b2fa86e25c8f024",
-    "contracts": "ec9a75a6f2671bff64aa3efcb09312e85abd19aba038d040600a6c4b220c95e0",
+    "contracts": "60363359958c27888e3beeef44a444fc9e7568cf563a02be1f20f87b7662eeff",
     "construction": "55d58261e8d5943f19c48cd6b27662728dc8ccc2373c681f680bde5426d40783",
     "rows": "1ab238b16860be2d07656df65368a2da18f5c0abe1e50b7cb0575487a7ce444f",
     "on_sums": "705a13891f90351632dd10479d5f991896a3f3a176bab8e283d905dcc453c0bc",
-    "uniform_rows": "f513810aeded23da322aec07f1dded12b2daafd3ccd372a1154d81e6e943a40b",
 }
 
 
@@ -244,9 +243,7 @@ def _digest(payload):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_acceptance_reproducible_metrics(
-    toy_partition, pinned_table, pinned_run, small_partition
-):
+def test_acceptance_reproducible_metrics(toy_partition, pinned_table, pinned_run):
     def run_gk():
         cfg = ExperimentConfig(mode="gk")
         cfg.set("gk", "limit", 10_000)
@@ -295,11 +292,6 @@ def test_acceptance_reproducible_metrics(
         pinned_table.tuple.offsets, pinned_table.n_min,
     ).T  # one row of S(q, i) per target q, as the report gathered them
     got["on_sums"] = hashlib.sha256(on_sums.tobytes()).hexdigest()
-    uniform = g.build_weights(
-        small_partition, g.first_primes_tuple(4), kind="uniform", theta=0.5
-    )
-    _, W, sums = uniform.matrix()
-    got["uniform_rows"] = hashlib.sha256(W.tobytes() + sums.tobytes()).hexdigest()
     coverage = g.target_coverage_report(
         pinned_run, toy_partition.coverage_target, max_q=512
     )

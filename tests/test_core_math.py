@@ -30,7 +30,7 @@ STRONG_LUCAS_PSEUDOPRIMES = (
     5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
     75077, 97439,
 )
-TRIAL_PRIMES = g.sieve_primes(1000).tolist()  # is_prime's trial divisors
+TRIAL_PRIMES = g.primes_in_range(1, 1000).tolist()  # is_prime's trial divisors
 
 
 def strong_lucas_uv(n: int) -> bool:
@@ -101,9 +101,9 @@ def brute_is_prime(n: int) -> bool:
 
 
 def sieve_mask(limit: int) -> np.ndarray:
-    """m[n] true iff n is prime, for 0 <= n <= limit, from sieve_primes."""
+    """m[n] true iff n is prime, for 0 <= n <= limit, from primes_in_range."""
     mask = np.zeros(limit + 1, dtype=bool)
-    mask[g.sieve_primes(limit)] = True
+    mask[g.primes_in_range(1, limit)] = True
     return mask
 
 
@@ -115,12 +115,12 @@ class TestPrimeSieves:
 
     def test_degenerate_limits(self):
         for limit in (-3, 0, 1):
-            assert g.sieve_primes(limit).size == 0
-        assert g.sieve_primes(2).tolist() == [2]
+            assert g.primes_in_range(1, limit).size == 0
+        assert g.primes_in_range(1, 2).tolist() == [2]
 
     def test_prime_count_anchors(self):
-        assert g.sieve_primes(100).size == 25
-        assert g.sieve_primes(10_000).size == 1229
+        assert g.primes_in_range(1, 100).size == 25
+        assert g.primes_in_range(1, 10_000).size == 1229
 
     def test_primes_in_range_half_open(self):
         # the window is (lo, hi]: lo excluded, hi included
@@ -167,7 +167,7 @@ class TestByteCap:
         # one patched cap: each site below would allocate 100 KB or more,
         # and is refused with less than 16 KiB traced
         t = g.first_primes_tuple(4)
-        table = g.build_weights(small_partition, t, kind="maynard", theta=0.5)
+        table = g.build_weights(small_partition, t, theta=0.5)
         instance = g.synth_instance(2**16, 2**12, 2)
         rng = g.derive_rng(0, "capped")
         system = g.ResidueSystem({3: 0})
@@ -290,7 +290,7 @@ class TestPrimality:
         # is_prime derives bases one at a time; its verdict and witness
         # must equal a scan of the full derived_mr_bases list
         rng = random.Random(11)
-        trial = math.prod(g.sieve_primes(1000).tolist())
+        trial = math.prod(g.primes_in_range(1, 1000).tolist())
         values = []
         while len(values) < 40:  # past trial division, into the MR path
             n = rng.randrange(DETERMINISTIC_MR_LIMIT, 2**300)
@@ -382,7 +382,7 @@ class TestCrt:
         rng = random.Random(4)
         for _ in range(100):
             x = rng.randrange(3, 60)
-            primes = g.sieve_primes(x).tolist()
+            primes = g.primes_in_range(1, x).tolist()
             b0 = rng.choice([1, *primes])
             entries = {p: rng.randrange(p) for p in primes if p != b0}
             window = FrameWindow(x=float(x), y=float(2 * x), excluded_prime=b0)
@@ -431,7 +431,7 @@ class TestGapRecords:
     def test_runs_across_segment_boundaries(self):
         # three segments of 2**20 integers and a partial fourth
         X = 3 * 2**20 + 17
-        gaps = np.diff(g.sieve_primes(X))
+        gaps = np.diff(g.primes_in_range(1, X))
         for k in (1, 2, 3, 4):
             windows = np.lib.stride_tricks.sliding_window_view(gaps, k)
             assert g.chain_gap_record(X, k) == int(windows.min(axis=1).max())

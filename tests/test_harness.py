@@ -175,7 +175,6 @@ class TestExperimentConfig:
 # JSON types, so metrics.json reads back as the report's own metrics
 METRICS_RUNS = {
     "construct": dict(partition={"x": 400}, weights={"theta": 0.5}),
-    "construct-uniform": dict(partition={"x": 400}, weights={"kind": "uniform"}),
     "construct-no-stable": dict(partition={"x": 160}, construct={"eta": 0}),
     "cover": dict(cover={"n_elements": 2000, "n_covers": 200}),
     "chain": dict(seed=5),
@@ -288,7 +287,7 @@ class TestModeRunners:
         (agg,) = [c for c in report.checks if c["name"] == "off_tuple_suppressed"]
         assert agg["detail"] == "aggregate off/on = 0.133098 vs bound 0.1"
         contracts = report.metrics["contracts"]
-        assert contracts["kind"] == "maynard" and contracts["r"] == 4
+        assert "kind" not in contracts and contracts["r"] == 4
         assert contracts["zero_rows"] == 0
         assert set(report.metrics) == {"contracts", "construction", "coverage"}
         assert list(report.timings) == [
@@ -378,10 +377,7 @@ class TestModeRunners:
         assert report.config["sections"]["construct"]["eta"] == "0.3"
         assert "out_dir" not in report.config
 
-    @pytest.mark.parametrize(
-        "kind", ["maynard", "uniform"], ids=["construct", "construct-uniform"]
-    )
-    def test_rows_are_built_in_the_table_span(self, monkeypatch, kind):
+    def test_rows_are_built_in_the_table_span(self, monkeypatch):
         # the first matrix() call builds every row; it must happen while
         # the "table" span is open, so timings.json bills the rows to it
         open_spans, calls = [], []
@@ -406,7 +402,7 @@ class TestModeRunners:
             "construct",
             seed=1,
             partition={"x": 400},
-            weights={"theta": 0.5, "kind": kind},
+            weights={"theta": 0.5},
         )
         report = run_experiment(cfg)
         assert calls and calls[0][-1] == "table"  # the innermost open span
@@ -515,8 +511,8 @@ class TestCli:
 
     def test_primes_subcommand(self, capsys):
         # the primes mode is gone: gk computes its gap records, and the
-        # tests read pi(n) from sieve_primes; so is the weights mode, whose
-        # contracts construct reports
+        # tests read pi(n) from primes_in_range; so is the weights mode,
+        # whose contracts construct reports
         for mode in ("primes", "weights"):
             with pytest.raises(SystemExit) as exit_info:
                 main([mode])
@@ -639,21 +635,19 @@ class TestCli:
             assert metrics["metrics"]["accepted"] is False
 
     def test_weights_row_sum_check_applies_to_maynard_rows(self, capsys):
-        assert main(["construct", "--kind", "uniform", "--x", "400"]) == 0
-        out = capsys.readouterr().out
-        assert "row_sums_comparable" not in out
-        assert "all 5 checks passed" in out
-        main(["construct", "--kind", "maynard", "--x", "400"])
-        assert "[PASS] row_sums_comparable" in capsys.readouterr().out
+        # every table is a Maynard table, so construct always reports its
+        # row sums, first of its six checks
+        main(["construct", "--x", "400"])
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].startswith("  [PASS] row_sums_comparable (max/min = ")
+        assert out[-1] == "1 of 6 checks failed"  # off_tuple_suppressed
 
     def test_construct_flags_set_the_weights_keys(self, tmp_path, capsys):
-        # --kind and --r set the [weights] keys that the table reads
-        argv = ["construct", "--x", "400", "--kind", "uniform", "--r", "3"]
-        assert main([*argv, "--out", str(tmp_path)]) == 0
+        # --r sets the [weights] key that the table reads
+        main(["construct", "--x", "400", "--r", "3", "--out", str(tmp_path)])
         record = json.loads((tmp_path / "metrics.json").read_text())
-        assert record["config"]["sections"]["weights"] == {"kind": "uniform", "r": "3"}
-        contracts = record["metrics"]["contracts"]
-        assert contracts["kind"] == "uniform" and contracts["r"] == 3
+        assert record["config"]["sections"]["weights"] == {"r": "3"}
+        assert record["metrics"]["contracts"]["r"] == 3
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
@@ -724,12 +718,10 @@ class TestCli:
             (["cover", "--m", "0"], "m must be at least 1"),
             (["chain", "--trials", "0"], "trials must be at least 1"),
             (["chain", "--trials", "-3"], "trials must be at least 1"),
+            # the --kind flag went with the flat uniform table
+            (["construct", "--kind", "uniform"], "unrecognized arguments: --kind"),
             # refused before any allocation; each used to end in a
             # MemoryError traceback and exit status 1
-            (
-                ["construct", "--kind", "uniform", "--x", "60000"],
-                "dense weight matrix and its build",
-            ),
             (["construct", "--x", "60000"], "dense weight matrix and its build"),
             # refused by name: a non-finite value, a level past the sieve cap
             (["chain", "--y", "1e400"], "[chain] y = inf is not a finite number"),
@@ -849,6 +841,11 @@ class TestCli:
                 ["gk", "--limit", "3"],
                 "gk compares k = 1 with order k + 1 = 2: "
                 "only 1 prime gap below X=3; need a run of 2",
+            ),
+            # the [weights] kind key went with the flat uniform table
+            (
+                ["construct", "--config", "[weights]\nkind = maynard\n"],
+                "exp.ini: unknown [weights] key(s) kind;",
             ),
         ],
     )

@@ -1,6 +1,6 @@
-"""Weight tables: admissibility, the two row builders, sampling, contracts.
+"""Weight tables: admissibility, the row builder, sampling, contracts.
 
-The kind="maynard" rows are validated against a from-scratch oracle that sums
+The rows are validated against a from-scratch oracle that sums
 over explicit subsets of support primes (signed truncated weight times
 divisibility multiplicity), written without any of the library's strided
 or recursive accumulation tricks.
@@ -191,8 +191,9 @@ class TestAdmissibility:
 class TestBuildValidation:
     def test_rejects_bad_knobs(self, small_partition):
         t = first_primes_tuple(4)
-        with pytest.raises(ValueError):
-            build_weights(small_partition, t, kind="selberg")
+        for kind in ("selberg", "uniform"):
+            with pytest.raises(ValueError, match=f"unknown weight kind '{kind}'"):
+                build_weights(small_partition, t, kind=kind)
         with pytest.raises(ValueError):
             build_weights(small_partition, t, theta=0.0)
         with pytest.raises(ValueError, match="positive"):
@@ -218,7 +219,7 @@ class TestBuildValidation:
     def test_offset_bound(self, small_partition):
         wide = AdmissibleTuple((0, 40))  # leaves [0, 2 r^2] = [0, 8]
         with pytest.raises(ValueError, match="leave"):
-            build_weights(small_partition, wide, kind="uniform")
+            build_weights(small_partition, wide)
 
 
 class TestDivisorSumRows:
@@ -295,7 +296,7 @@ class TestDivisorSumRows:
             g.derive_parameters(400, y=1000, z=80, small_low=32)
         )
         t4 = first_primes_tuple(4)
-        table = build_weights(part, t4, kind="maynard", theta=1.6)
+        table = build_weights(part, t4, theta=1.6)
         width = table.n_max - table.n_min + 1
         assert table.level > width
         support = set(table.support_primes)
@@ -349,7 +350,7 @@ class TestDivisorSumRows:
         # (0, 2, 6, 12) share a class mod 5 (2 and 12), so a strided node
         # meets a repeated class, which must be added once.
         x400 = [
-            build_weights(small_partition, t, kind="maynard", theta=1.0)
+            build_weights(small_partition, t, theta=1.0)
             for t in (first_primes_tuple(4), AdmissibleTuple((0, 2, 6, 12)))
         ]
         batch = pinned_table._maynard_batches(97)[0]
@@ -391,9 +392,7 @@ class TestDivisorSumRows:
         # x = 200, theta = 1.5 (level above the grid); 3 divides neither
         # and 2 not 21, so those builds end in a short block
         monkeypatch.setattr(_fork, "usable_cpus", lambda: 1)
-        x400 = build_weights(
-            small_partition, first_primes_tuple(4), kind="maynard", theta=1.0
-        )
+        x400 = build_weights(small_partition, first_primes_tuple(4), theta=1.0)
         for table in (x400, above_grid_table()):
             ps = table.partition.weighted_primes.tolist()
             step, padded, _ = table._maynard_batches(len(ps))
@@ -415,7 +414,7 @@ class TestDivisorSumRows:
         built = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
-            table = build_weights(small_partition, t4, kind="maynard", theta=1.0)
+            table = build_weights(small_partition, t4, theta=1.0)
             step, padded, _ = table._maynard_batches(32)
             assert (step, weights_mod._block_rows(step, padded)) == (
                 (32, 15), (16, 15), (11, 11)
@@ -430,9 +429,7 @@ class TestDivisorSumRows:
     ):
         # level 400**0.25 ~ 4.47 leaves no prime in (r, level): the node
         # lists are empty, and every row is the m = 1 term squared
-        table = build_weights(
-            small_partition, first_primes_tuple(4), kind="maynard", theta=0.25
-        )
+        table = build_weights(small_partition, first_primes_tuple(4), theta=0.25)
         assert table.support_primes == []
         _, W, sums = table.matrix()
         assert np.array_equal(W, np.ones(W.shape))
@@ -440,7 +437,7 @@ class TestDivisorSumRows:
 
     def test_batch_size_leaves_rows_unchanged(self, small_partition, monkeypatch):
         t4 = first_primes_tuple(4)
-        ref = build_weights(small_partition, t4, kind="maynard", theta=0.5)
+        ref = build_weights(small_partition, t4, theta=0.5)
         ps = small_partition.weighted_primes.tolist()
         _, W, sums = ref.matrix()
         # on one CPU the batch is every row, unless the node lists cap it
@@ -450,7 +447,7 @@ class TestDivisorSumRows:
             monkeypatch.setattr(
                 weights_mod, "_NODE_BYTES", row_bytes * rows_per_batch
             )
-            table = build_weights(small_partition, t4, kind="maynard", theta=0.5)
+            table = build_weights(small_partition, t4, theta=0.5)
             assert table._maynard_batches(len(ps))[0] == rows_per_batch
             _, W2, sums2 = table.matrix()
             assert np.array_equal(W2, W)
@@ -459,9 +456,7 @@ class TestDivisorSumRows:
     def test_build_buffer_counts_toward_memory_cap(
         self, small_partition, small_table, monkeypatch
     ):
-        table = build_weights(
-            small_partition, first_primes_tuple(4), kind="maynard", theta=0.5
-        )
+        table = build_weights(small_partition, first_primes_tuple(4), theta=0.5)
         _, W0, sums0 = small_table.matrix()  # built before the cap is patched
         n = small_partition.weighted_primes.size
         width = table.n_max - table.n_min + 1
@@ -498,12 +493,8 @@ class TestDivisorSumRows:
             assert np.array_equal(W, W0)
             assert np.array_equal(sums, sums0)
 
-    @pytest.mark.parametrize("kind", ["maynard", "uniform"])
-    def test_rows_are_read_only_views_of_matrix(self, small_partition, kind):
-        table = build_weights(
-            small_partition, first_primes_tuple(4), kind=kind, theta=0.5
-        )
-        _, W, sums = table.matrix()
+    def test_rows_are_read_only_views_of_matrix(self, small_partition):
+        _, W, sums = fresh_table(small_partition).matrix()
         row = W[1]
         assert row.base is not None and np.shares_memory(row, W)
         assert sums[1] == math.fsum(row.tolist())
@@ -511,9 +502,8 @@ class TestDivisorSumRows:
             with pytest.raises(ValueError):
                 array[i] = 5.0
 
-    @pytest.mark.parametrize("kind", ["maynard", "uniform"])
-    def test_every_row_is_followed_by_a_read_only_zero(self, small_partition, kind):
-        _, W, _ = fresh_table(small_partition, kind).matrix()
+    def test_every_row_is_followed_by_a_read_only_zero(self, small_partition):
+        _, W, _ = fresh_table(small_partition).matrix()
         n, width = W.shape
         assert W.strides == (8 * (width + 1), 8)
         slots = with_zero_slots(W)[:, width]
@@ -534,15 +524,15 @@ class TestDivisorSumRows:
             W[0, 0] = 1.0
 
 
-def fresh_table(partition, kind="maynard"):
+def fresh_table(partition):
     """A theta = 0.5 table whose rows are not built yet."""
-    return build_weights(partition, first_primes_tuple(4), kind=kind, theta=0.5)
+    return build_weights(partition, first_primes_tuple(4), theta=0.5)
 
 
 def above_grid_table():
     """The x = 200, y = 600, theta = 1.5 table: level 2828, grid 1201 wide."""
     part = g.build_partition(g.derive_parameters(200, y=600))
-    return build_weights(part, first_primes_tuple(4), kind="maynard", theta=1.5)
+    return build_weights(part, first_primes_tuple(4), theta=1.5)
 
 
 def parent_builds(monkeypatch):
@@ -669,76 +659,43 @@ class TestParallelRowBuild:
         assert built_here() <= 7
         assert len(forked) == 2
 
-    def test_uniform_rows_build_here_on_any_cpus(self, small_partition, monkeypatch):
-        # uniform rows take no batches; their bytes are pinned by the
-        # acceptance digest of the uniform matrix
-        monkeypatch.setattr(os, "fork", no_fork)
-        built = []
-        for cpus in (1, 3):
-            monkeypatch.setattr(_fork, "usable_cpus", lambda cpus=cpus: cpus)
-            _, W, sums = fresh_table(small_partition, kind="uniform").matrix()
-            built.append((W.tobytes(), sums.tobytes()))
-        assert built[0] == built[1]
-        assert not W.flags.writeable and not sums.flags.writeable
 
-
-class TestUniformRows:
-    def freq_partition(self):
-        return g.build_partition(
-            g.derive_parameters(100, y=104.0, z=10.0, small_low=1.0)
-        )
-
-    def test_window_matches_direct_inequalities(self):
-        part = self.freq_partition()
-        table = build_weights(
-            part, AdmissibleTuple((1,)), kind="uniform", theta=0.5
-        )
-        ps, W, sums = table.matrix()
-        for i, p in enumerate(ps.tolist()):
-            want = [
-                n
-                for n in range(table.n_min, table.n_max + 1)
-                if 100 < n + p <= 104
-            ]
-            got = [table.n_min + j for j in np.nonzero(W[i])[0].tolist()]
-            assert got == want
-            assert sums[i] == float(len(want))
-        # every row spans the whole grid; p = 53 is 1 exactly on [48, 51]
-        row = W[ps.tolist().index(53)]
-        assert row.size == table.n_max - table.n_min + 1
-        assert row[48 - table.n_min : 52 - table.n_min].tolist() == [1.0] * 4
-        assert row.sum() == 4.0
-
+class TestDrawShift:
     def test_sampler_frequencies(self):
-        part = self.freq_partition()
-        table = build_weights(
-            part, AdmissibleTuple((1,)), kind="uniform", theta=0.5
-        )
-        ps, W, _ = table.matrix()
-        row = W[ps.tolist().index(53)]
+        # 1.0 on the four shifts 48..51 of a grid that starts at -5
+        row = np.zeros(60)
+        row[53:57] = 1.0
         rng = derive_rng(0, "sampler-freq")
-        draws = [draw_shift(row, table.n_min, rng) for _ in range(20_000)]
+        draws = [draw_shift(row, -5, rng) for _ in range(20_000)]
         assert all(type(n) is int for n in draws)
         values, counts = np.unique(draws, return_counts=True)
         assert values.tolist() == [48, 49, 50, 51]
         slack = 4 * math.sqrt(20_000 * 0.25 * 0.75)
         assert np.all(np.abs(counts - 5_000) <= slack)
 
-    def test_all_zero_rows_fail_loudly(self):
-        part = self.freq_partition()
-        # a four-entry tuple pushes every translate window inside out here
-        table = build_weights(
-            part, first_primes_tuple(4), kind="uniform", theta=0.5
-        )
-        ps, W, sums = table.matrix()
-        assert not sums.any()
+    def test_zero_row_fails_loudly(self):
         with pytest.raises(ValueError, match="no shift to draw"):
-            draw_shift(W[0], table.n_min, derive_rng(0, "zero-row"))
-        with pytest.raises(ValueError):
-            weight_contract_report(table)
-        # the construction draws no shift from a zero row
-        run = g.run_construction(table, seed=0)
-        assert run.zero_rows == ps.tolist()
+            draw_shift(np.zeros(60), -5, derive_rng(0, "zero-row"))
+
+
+class TestAllZeroTable:
+    def zero_table(self, partition):
+        """A table whose matrix is swapped, before its rows are built, for
+        zero rows and sums in the same layout: each row and one zero slot."""
+        table = fresh_table(partition)
+        ps = partition.weighted_primes.astype(np.int64)
+        width = table.n_max - table.n_min + 1
+        zeros = np.zeros((ps.size, width + 1))[:, :width]
+        table._matrix = (ps, zeros, np.zeros(ps.size))
+        return table
+
+    def test_contracts_are_refused(self, small_partition):
+        with pytest.raises(ValueError, match="every weight row is zero"):
+            weight_contract_report(self.zero_table(small_partition))
+
+    def test_construction_draws_no_shift_from_a_zero_row(self, small_partition):
+        run = g.run_construction(self.zero_table(small_partition), seed=0)
+        assert run.zero_rows == small_partition.weighted_primes.tolist()
         assert set(run.chosen_offsets.values()) == {0}
 
 
@@ -798,7 +755,7 @@ class TestContractReport:
         assert not set(report.off_offsets) & set(small_table.tuple.offsets)
         assert report.off_offsets == sorted(report.off_offsets)
         summary = report.summary()
-        assert summary["kind"] == "maynard" and summary["r"] == 4
+        assert "kind" not in summary and summary["r"] == 4
         assert summary["n_q"] == len(targets)
 
 
